@@ -27,7 +27,11 @@ ROOT = os.path.dirname(HERE)
 OUT = os.path.join(ROOT, ".perfbench_out")
 WORKLOADS = ("verdicts", "local", "sweeps")
 SETUP_PROBES = 7
-DEADLINE_S = 170
+# A run is stopped after DEADLINE_BASE_S + DEADLINE_PER_S * --seconds: 170 s
+# at --seconds 25.  A traced run needs --seconds plus one untraced and one
+# counting pass (100 s in all on `verdicts` at --seconds 25).
+DEADLINE_BASE_S = 95
+DEADLINE_PER_S = 3
 
 
 class RunError(Exception):
@@ -62,7 +66,8 @@ def main(argv=None):
         sys.stderr.write(f"error: no lochom sources under {ROOT}/src\n")
         return 2
 
-    deadline = time.monotonic() + DEADLINE_S
+    deadline = (time.monotonic() + DEADLINE_BASE_S
+                + DEADLINE_PER_S * args.seconds)
     run_dir = os.path.join(OUT, f"{args.workload}-{args.seed}-{os.getpid()}")
     common = ["--workload", args.workload, "--seed", str(args.seed)]
     try:
@@ -71,11 +76,14 @@ def main(argv=None):
             for i in range(SETUP_PROBES):
                 setups.append(child(["setup"] + common + [
                     "--dir", os.path.join(run_dir, f"setup{i}")], deadline))
-        spans = os.path.join(OUT, f"spans-{args.workload}-{args.seed}.jsonl")
-        result = child(["run"] + common + [
-            "--seconds", str(args.seconds), "--trace", str(args.trace),
-            "--dir", os.path.join(run_dir, "run"), "--spans", spans],
-            deadline)
+        argv = common + ["--seconds", str(args.seconds),
+                         "--dir", os.path.join(run_dir, "run")]
+        if args.trace:
+            argv = ["trace"] + argv + ["--spans", os.path.join(
+                OUT, f"spans-{args.workload}-{args.seed}.jsonl")]
+        else:
+            argv = ["run"] + argv
+        result = child(argv, deadline)
     except RunError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

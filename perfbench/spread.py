@@ -2,7 +2,9 @@
 spread, the figures quoted in perfbench/README.md.
 
     python3 perfbench/spread.py [--workloads verdicts,local,sweeps]
-        [--seeds 1-10] [--seconds 30] [--trace 0]
+        [--seeds 1-10]
+
+Runs are untraced and measure run_seconds of BENCHMARK.json each.
 
 Spread is (Q3 - Q1) / median over the runs, with the quartiles of
 statistics.quantiles(values, n=4).  Runs go one after another.
@@ -16,6 +18,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 
 
 def seeds(text):
@@ -27,9 +30,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--workloads", default="verdicts,local,sweeps")
     ap.add_argument("--seeds", type=seeds, default=seeds("1-10"))
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--trace", type=int, default=0)
     args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
     status = 0
     for workload in args.workloads.split(","):
         values = {}
@@ -38,8 +41,8 @@ def main(argv=None):
             proc = subprocess.run(
                 [sys.executable, os.path.join(HERE, "run.py"),
                  "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(args.seconds), "--trace", str(args.trace)],
-                cwd=os.path.dirname(HERE), stdout=subprocess.PIPE, text=True)
+                 "--seconds", str(seconds), "--trace", "0"],
+                cwd=ROOT, stdout=subprocess.PIPE, text=True)
             lines = proc.stdout.strip().splitlines()
             if proc.returncode or not lines:
                 print(f"{workload} seed {seed}: exit {proc.returncode}")

@@ -1,11 +1,14 @@
 """One workload process of the benchmark; `run.py` starts it.
 
     worker.py setup --workload W --seed N --dir D
-        times one set-up (import lochom, generate, check, write and parse the
-        inputs) and prints {"setup_s": scaled, "raw_s": raw}.
-    worker.py run --workload W --seed N --seconds S --trace 0|1 --dir D
+        generates and checks the inputs, then times one set-up (import
+        lochom, write and parse the inputs) and prints
+        {"setup_s": scaled, "raw_s": raw}.
+    worker.py run --workload W --seed N --seconds S --dir D
         sets up, then runs whole passes over the workload's operations for
         about S seconds, checking every report, and prints one JSON line.
+    worker.py trace --workload W --seed N --seconds S --dir D --spans F
+        the same with the per-layer tracing of `traced_run`; spans go to F.
 
 Each operation is `lochom.cli.main([..., "--out", path])`, timed around the
 call, with the report read back and checked afterwards.  Times are scaled to
@@ -35,16 +38,17 @@ VARIANTS = 4
 
 
 def set_up(workload, seed, directory):
-    """Import lochom, then generate, check, write and parse the inputs of
-    every variant."""
+    """Generate and check the workload's complexes (untimed), then import
+    lochom and write and parse the inputs of every variant (timed)."""
+    workloads.generator_self_check()
+    generated = workloads.generate(workload)
     r0 = hostspeed.reference()
     t0 = time.perf_counter()
     import lochom.cli  # noqa: F401
-    workloads.generator_self_check()
     variants = []
     for v in range(VARIANTS):
         inputs = workloads.Inputs(workload, seed, v,
-                                  os.path.join(directory, f"v{v}"))
+                                  os.path.join(directory, f"v{v}"), generated)
         inputs.parse_all()
         variants.append(inputs)
     raw = time.perf_counter() - t0
@@ -129,14 +133,19 @@ def run_passes(ops, variants, out, seconds):
 
 
 def main(argv=None):
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--workload", required=True,
+                        choices=workloads.WORKLOADS)
+    common.add_argument("--seed", type=int, required=True)
+    common.add_argument("--dir", required=True)
+    timed = argparse.ArgumentParser(add_help=False, parents=[common])
+    timed.add_argument("--seconds", type=float, required=True)
     ap = argparse.ArgumentParser()
-    ap.add_argument("mode", choices=("setup", "run"))
-    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--dir", required=True)
-    ap.add_argument("--spans", help="where a traced run writes its spans")
+    modes = ap.add_subparsers(dest="mode", required=True)
+    modes.add_parser("setup", parents=[common])
+    modes.add_parser("run", parents=[timed])
+    modes.add_parser("trace", parents=[timed]).add_argument(
+        "--spans", required=True, help="where the spans are written")
     args = ap.parse_args(argv)
 
     variants, raw, scaled = set_up(args.workload, args.seed,
@@ -146,21 +155,21 @@ def main(argv=None):
         return 0
 
     ops = workloads.WORKLOADS[args.workload]
-    largest = next(i for i, op in enumerate(ops) if op.largest)
     variants = [(v, workloads.Expectations(v)) for v in variants]
     out = os.path.join(args.dir, "report.json")
-    if not args.trace:
+    if args.mode == "run":
         passes = run_passes(ops, variants, out, args.seconds)
+        largest = [i for i, op in enumerate(ops) if op.largest]
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         metrics = {
             "pass_s": (statistics.median(p.scaled_s for p in passes), "s"),
-            "largest_s": (statistics.median(p.scaled[largest]
-                                            for p in passes), "s"),
+            "largest_s": (statistics.median(p.scaled[i] for p in passes
+                                            for i in largest), "s"),
             "peak_rss_mb": (rss / 1024, "MB"),
         }
         raw = {"pass_raw_s": statistics.median(p.raw_s for p in passes),
-               "largest_raw_s": statistics.median(p.raw[largest]
-                                                  for p in passes)}
+               "largest_raw_s": statistics.median(p.raw[i] for p in passes
+                                                  for i in largest)}
     else:
         passes, metrics, raw = traced_run(ops, variants[0], out, args)
     problems = [x for p in passes for x in p.failures + p.problems]
@@ -205,8 +214,7 @@ def traced_run(ops, variant, out, args):
     metrics["identities.checked"] = (traced[0].checked, "count")
     traced_s = statistics.median(p.scaled_s for p in traced)
     metrics["trace.overhead_pct"] = (100 * (traced_s / base.scaled_s - 1), "%")
-    if args.spans:
-        tracing.write_spans(spans, args.spans)
+    tracing.write_spans(spans, args.spans)
     raw = {"untraced_pass_s": base.raw_s,
            "traced_pass_s": statistics.median(p.raw_s for p in traced)}
     return [base] + traced + [counted], metrics, raw

@@ -93,6 +93,9 @@ WORKLOADS = {
         _duality("2bi", "sd_rp6", "z", sub="sd_tri"),
         _duality("1ai", "rp6", "q"),
         _duality("2bi", "torus", "q"),
+        # the largest operation again: each run then times it 4 to 6 times,
+        # not 2 or 3
+        _duality("1ai", "sd_torus", "z", largest=True),
         _duality("2bi", "rp6", "z"),
         _duality("1aii", "torus", "fp:2"),
         _duality("1ai", "bd4", "z"),
@@ -122,37 +125,47 @@ WORKLOADS = {
 }
 
 
+def generate(workload):
+    """Generate and check every complex the workload uses, and the vertex
+    sets of its subcomplexes.  None of this depends on the seed."""
+    ops = WORKLOADS[workload]
+    facets = {}
+    for name in sorted({op.complex for op in ops}):
+        gen, _, counts, chi = INPUTS[name]
+        facets[name] = gen()
+        inputs.validate(name, facets[name], counts, chi)
+    subs = {s: SUBCOMPLEXES[s][1]() for s in {op.sub for op in ops if op.sub}}
+    return facets, subs
+
+
 class Inputs:
     """One seeded variant of a workload's text inputs, written under
-    `directory`: vertices relabelled and the `order:` header shuffled."""
+    `directory`: vertices relabelled and the `order:` header shuffled.
+    `generated` is what `generate(workload)` returns."""
 
-    def __init__(self, workload, seed, variant, directory):
+    def __init__(self, workload, seed, variant, directory, generated):
         ops = WORKLOADS[workload]
-        names = sorted({op.complex for op in ops})
-        subs = sorted({op.sub for op in ops if op.sub})
+        self.facets, self.sub_vertices = generated
         rng = random.Random(f"{workload}:{seed}:{variant}")
+        # `identities --subcomplex` needs the vertices outside L ordered
+        # first (`duality` reorders such input itself, so its headers stay
+        # fully shuffled)
+        last = {(SUBCOMPLEXES[op.sub][0], v) for op in ops
+                if op.command == "identities" and op.sub
+                for v in self.sub_vertices[op.sub]}
         self.files = {}
-        self.facets = {}
-        self.sub_vertices = {s: SUBCOMPLEXES[s][1]() for s in subs}
         self.rename = {}
         texts = {}
-        for name in names:
-            generate, _, counts, chi = INPUTS[name]
-            facets = self.facets[name] = generate()
-            inputs.validate(name, facets, counts, chi)
+        for name in sorted(self.facets):
+            facets = self.facets[name]
             rename, order = inputs.relabelling(facets, rng)
-            inside = {v for s in subs if SUBCOMPLEXES[s][0] == name
-                      for v in self.sub_vertices[s]}
-            if inside:
-                # lochom's double complex needs the vertices outside L first
-                inv = {rename[v]: v for v in rename}
-                order = ([w for w in order if inv[w] not in inside]
-                         + [w for w in order if inv[w] in inside])
+            inv = {w: v for v, w in rename.items()}
+            order.sort(key=lambda w: (name, inv[w]) in last)
             self.rename[name] = rename
             texts[name] = inputs.render(facets, rename, order)
-        for sub in subs:
+        for sub, verts in self.sub_vertices.items():
             texts[sub] = inputs.render_vertices(
-                self.sub_vertices[sub], self.rename[SUBCOMPLEXES[sub][0]])
+                verts, self.rename[SUBCOMPLEXES[sub][0]])
         os.makedirs(directory, exist_ok=True)
         for name, text in texts.items():
             ext = ".sub" if name in SUBCOMPLEXES else ".cplx"
