@@ -1,6 +1,6 @@
-"""Cap products on local (co)homology generators, their relative and
-coefficient variants, the Leibniz rule as an executable identity, and the
-orientation-change chain homotopies.
+"""Cap products on local (co)homology generators, their relative variants,
+the Leibniz rule as an executable identity, and the orientation-change chain
+homotopies.
 
 Conventions.  A chain with local-cohomology coefficients is a dict mapping
 generator labels (s, b) -- carrier simplex s of degree k, top simplex b
@@ -224,64 +224,6 @@ def relative_cap_v4(X, L, ring, xi, psi, l):
                             if not vc.contains(key[0])})
 
 
-# -- caps with coefficients ---------------------------------------------------
-
-def coefficient_cap_v1(G, xi, phi, l):
-    """First cap with cosheaf coefficients: the pairing value is transported
-    from the stalk at the top simplex down to the stalk at the front face.
-
-    phi: dict {(t, c, stalk label of G at c): r}; output: dict
-    {(front face, stalk label of G there): r}."""
-    ring = G.ring
-    out = {}
-    for (s, b), a in xi.items():
-        k = len(s) - 1
-        if k < l:
-            continue
-        t = s[k - l:]
-        f = s[:k - l + 1]
-        block = None
-        for (tt, c, lab), v in phi.items():
-            if tt != t or c != b or ring.is_zero(v):
-                continue
-            if block is None:
-                block = G.corestriction(b, f)
-            col = block.column(lab)
-            for out_lab, bv in col.items():
-                key = (f, out_lab)
-                out[key] = ring.add(out.get(key, ring.zero()),
-                                    ring.mul(a, ring.mul(v, bv)))
-    return vec_clean(ring, out)
-
-
-def coefficient_cap_v2(F, xi, phi, l):
-    """Second cap with sheaf coefficients: the cochain value at the back face
-    is pushed up into the stalk at the top simplex.
-
-    phi: dict {(t, stalk label of F at t): r}; output: dict
-    {(front face, b, stalk label of F at b): r}."""
-    ring = F.ring
-    out = {}
-    for (s, b), a in xi.items():
-        k = len(s) - 1
-        if k < l:
-            continue
-        t = s[k - l:]
-        f = s[:k - l + 1]
-        block = None
-        for (tt, lab), v in phi.items():
-            if tt != t or ring.is_zero(v):
-                continue
-            if block is None:
-                block = F.restriction(t, b)
-            col = block.column(lab)
-            for out_lab, bv in col.items():
-                key = (f, b, out_lab)
-                out[key] = ring.add(out.get(key, ring.zero()),
-                                    ring.mul(a, ring.mul(v, bv)))
-    return vec_clean(ring, out)
-
-
 # -- orientation change: resorting isomorphisms and the homotopies ------------
 
 def resort_plain(X2, ring, chain):
@@ -292,20 +234,6 @@ def resort_plain(X2, ring, chain):
         t = tuple(sorted(s, key=X2.pos.__getitem__))
         sign = ring.from_int(perm_sign(s, X2.pos.__getitem__))
         out[t] = ring.add(out.get(t, ring.zero()), ring.mul(sign, v))
-    return vec_clean(ring, out)
-
-
-def resort_pair(X2, ring, chain):
-    """Reorientation isomorphism on generator-labelled chains/cochains: both
-    the carrier and the top simplex are re-sorted, signs multiply."""
-    out = {}
-    for (s, b), v in chain.items():
-        st = tuple(sorted(s, key=X2.pos.__getitem__))
-        bt = tuple(sorted(b, key=X2.pos.__getitem__))
-        sign = ring.from_int(perm_sign(s, X2.pos.__getitem__)
-                             * perm_sign(b, X2.pos.__getitem__))
-        out[(st, bt)] = ring.add(out.get((st, bt), ring.zero()),
-                                 ring.mul(sign, v))
     return vec_clean(ring, out)
 
 

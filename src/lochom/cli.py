@@ -88,12 +88,6 @@ def _load_subcomplex(args, X):
         return parse_subcomplex(fh.read(), X)
 
 
-def _pres_summary(pres):
-    return {"rank": pres.free_rank,
-            "torsion": [_jsonable(t) for t in pres.torsion],
-            "generators": [_jsonable(g) for g in pres.gens]}
-
-
 def cmd_homology(args):
     ring = ring_from_name(args.ring)
     X = _load_complex(args)
@@ -106,7 +100,7 @@ def cmd_homology(args):
           else simplicial_chain_complex(X, ring))
     degrees = ([args.degree] if args.degree is not None
                else list(range(X.dim + 1)))
-    report["simplicial"] = {k: _pres_summary(cx.homology(k)) for k in degrees}
+    report["simplicial"] = {k: _jsonable(cx.homology(k)) for k in degrees}
     from .localhomology import build_h_cosheaf, build_h_sheaf
     cm = cm_check(X, L, n, ring)
     report["locally_cm_at_region"] = cm["locally_cm_at_L"]
@@ -117,9 +111,9 @@ def cmd_homology(args):
               else sheaf_cochain_complex(F))
         cc = (cosheaf_chain_complex(G, region) if region
               else cosheaf_chain_complex(G))
-        report["sheaf_cochain"] = {k: _pres_summary(sc.homology(k))
+        report["sheaf_cochain"] = {k: _jsonable(sc.homology(k))
                                    for k in degrees}
-        report["cosheaf_chain"] = {k: _pres_summary(cc.homology(k))
+        report["cosheaf_chain"] = {k: _jsonable(cc.homology(k))
                                    for k in degrees}
     return report, True
 
@@ -168,8 +162,6 @@ def cmd_duality(args):
     ring = ring_from_name(args.ring)
     X = _load_complex(args)
     L = _load_subcomplex(args, X)
-    if args.item not in DUALITY_ITEMS:
-        raise SystemExit(2)
     rep = verify_duality(X, L, args.item, ring)
     report = {"schema": SCHEMA_VERSION, "command": "duality",
               "order": list(X.order)}
@@ -180,14 +172,8 @@ def cmd_duality(args):
 def cmd_naturality(args):
     ring = ring_from_name(args.ring)
     X = _load_complex(args)
-    if not args.target:
-        sys.stderr.write("naturality needs --target (codomain complex)\n")
-        raise SystemExit(2)
     with open(args.target, encoding="utf-8") as fh:
         Y = parse_complex(fh.read())
-    if not args.map:
-        sys.stderr.write("naturality needs --map\n")
-        raise SystemExit(2)
     with open(args.map, encoding="utf-8") as fh:
         f = parse_map(fh.read(), X, Y)
     rep = verify_naturality(f, ring)
@@ -242,6 +228,30 @@ COMMANDS = {
 }
 
 
+# the options each command reads, beyond --ring, --complex and --out
+FLAGS = {
+    "homology": ("subcomplex", "dim", "degree"),
+    "local": ("dim",),
+    "check-cm": ("subcomplex", "dim"),
+    "duality": ("subcomplex", "item"),
+    "naturality": ("target", "map"),
+    "sections": ("subcomplex", "dim", "filtration"),
+    "identities": ("subcomplex",),
+}
+
+FLAG_SPECS = {
+    "subcomplex": {"help": "subcomplex file (vertices line)"},
+    "map": {"required": True,
+            "help": "simplicial-map file (map: v -> w lines)"},
+    "target": {"required": True, "help": "codomain complex file"},
+    "item": {"required": True, "choices": sorted(DUALITY_ITEMS),
+             "help": "duality item selector"},
+    "dim": {"type": int, "help": "coefficient degree n"},
+    "degree": {"type": int, "help": "restrict report degree"},
+    "filtration": {"help": "filtration file (stage: lines)"},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lochom",
@@ -254,28 +264,14 @@ def build_parser():
                        help="coefficient ring: z, q, or fp:<prime>")
         p.add_argument("--complex", required=True,
                        help="complex file (order/simplex lines)")
-        p.add_argument("--subcomplex", help="subcomplex file (vertices line)")
-        p.add_argument("--map", help="simplicial-map file (map: v -> w lines)")
-        p.add_argument("--target",
-                       help="codomain complex file (naturality command)")
-        p.add_argument("--item", choices=sorted(DUALITY_ITEMS),
-                       help="duality item selector")
-        p.add_argument("--dim", type=int, help="coefficient degree n")
-        p.add_argument("--degree", type=int, help="restrict report degree")
-        p.add_argument("--filtration",
-                       help="filtration file (stage: lines)")
+        for flag in FLAGS[name]:
+            p.add_argument("--" + flag, **FLAG_SPECS[flag])
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface stability; "
-                            "the computation is single-threaded")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "duality" and not args.item:
-        parser.error("duality requires --item")
+    args = build_parser().parse_args(argv)
     try:
         report, ok = COMMANDS[args.command](args)
     except (FileNotFoundError, ValueError) as exc:

@@ -93,14 +93,6 @@ class SimplicialComplex:
     def back(self, simplex, j):
         return simplex[j:]
 
-    def face_parts(self, simplex, j):
-        if not (0 <= j <= len(simplex) - 1):
-            raise IndexError(f"face index {j} out of range for {simplex!r}")
-        return (self.face(simplex, j), self.front(simplex, j), self.back(simplex, j))
-
-    def boundary_faces(self, simplex):
-        return [(j, self.face(simplex, j)) for j in range(len(simplex))]
-
     def cofaces(self, simplex):
         """Simplices one dimension up containing `simplex`."""
         if self._coface_cache is None:
@@ -114,15 +106,6 @@ class SimplicialComplex:
                 lst.sort(key=lambda s: tuple(self.pos[v] for v in s))
             self._coface_cache = cache
         return tuple(self._coface_cache.get(tuple(simplex), ()))
-
-    def internal_join(self, s, t):
-        """Join inside the complex: simplex on the union of the vertex sets, or
-        None when degenerate or when the union does not span a simplex."""
-        merged = set(s) | set(t)
-        if len(merged) != len(s) + len(t):
-            return None
-        tup = tuple(sorted(merged, key=self.pos.__getitem__))
-        return tup if tup in self._simplices or tup == () else None
 
     def open_star(self, simplex):
         s = set(simplex)
@@ -146,29 +129,9 @@ class SimplicialComplex:
         sub_order = tuple(v for v in self.order if any(v in t for t in lk))
         return SimplicialComplex(lk, order=sub_order)
 
-    def complement_of_open_star(self, simplex):
-        """The complex X - st̊σ: all simplices not containing σ."""
-        s = set(simplex)
-        kept = [a for a in self.all_simplices() if not s.issubset(a)]
-        return SimplicialComplex(kept, order=self.order)
-
-    def star_link_complement(self, simplex):
-        if not self.contains(simplex):
-            raise ValueError(f"{simplex!r} not in complex")
-        return (self.star(simplex), self.link(simplex),
-                self.complement_of_open_star(simplex))
-
     # -- orientation -------------------------------------------------------
     def with_order(self, new_order):
         return SimplicialComplex(list(self._simplices), order=new_order)
-
-    def sign_relative_to(self, simplex, other):
-        """Sign of the vertex permutation of `simplex` (canonical here) when
-        re-sorted by the order of the complex `other`."""
-        return perm_sign(simplex, other.pos.__getitem__)
-
-    def full_subcomplex(self, vertex_set):
-        return Subcomplex(self, vertex_set)
 
     def __repr__(self):
         counts = [len(self.by_dim.get(k, ())) for k in range(self.dim + 1)]
@@ -201,32 +164,12 @@ class Subcomplex:
         return tuple(v for v in self.parent.order if v in self.vertex_set
                      and (v,) in self.parent._simplices)
 
-    def as_complex(self):
-        sub_order = tuple(v for v in self.parent.order if v in self.vertex_set)
-        return SimplicialComplex(list(self.all_simplices()), order=sub_order)
-
     def vertex_complement(self):
         rest = [v for v in self.parent.order if v not in self.vertex_set]
         return Subcomplex(self.parent, rest)
 
     def __repr__(self):
         return f"Subcomplex({sorted(map(str, self.vertex_set))})"
-
-
-def face_parts(simplex, j, X):
-    return X.face_parts(simplex, j)
-
-
-def internal_join(s, t, X):
-    return X.internal_join(s, t)
-
-
-def star_link_complement(simplex, X):
-    return X.star_link_complement(simplex)
-
-
-def vertex_complement(L):
-    return L.vertex_complement()
 
 
 def orient_vc_before(X, L):

@@ -1,7 +1,7 @@
 """Chain complexes over exact rings and homology presentations via SNF."""
 
 from .matrices import (Matrix, hstack, kernel_basis, smith_normal_form, solve,
-                       vec_clean, vec_is_zero, vec_sub)
+                       vec_clean, vec_is_zero)
 
 
 class ChainComplex:
@@ -50,81 +50,46 @@ class ChainComplex:
         return HomologyPresentation(self.ring, self.basis(deg), d_out, d_in)
 
 
-class HomologyPresentation:
-    """ker(d_out)/im(d_in) presented with invariant factors and cycle basis.
+class CokerPresentation:
+    """Cokernel of a relation matrix into a labelled free module, via SNF.
 
-    Generators are ordered: torsion generators (orders in `torsion`, each
-    dividing the next) followed by `free_rank` free generators. coordinates()
-    expresses any cycle exactly in this presentation.
+    Generators are the non-unit invariant-factor positions (torsion, with
+    orders in `torsion`, each dividing the next) followed by the positions
+    beyond the rank (`free_rank` free generators).  `positions` lists them as
+    (row index, order or None).  project() sends a vector to its generator
+    coordinates, torsion coordinates reduced; lift(j) returns a
+    representative of generator j.
     """
 
-    def __init__(self, ring, ambient, d_out, d_in):
+    def __init__(self, ring, relations):
         self.ring = ring
-        self.ambient = tuple(ambient)
-        kvecs = []
-        if len(self.ambient) > 0:
-            kvecs = kernel_basis(d_out)
-        self._klabels = tuple(range(len(kvecs)))
-        self._K = Matrix.from_columns(ring, self.ambient, self._klabels, kvecs)
-        self._Ksnf = smith_normal_form(self._K) if kvecs else None
-        in_cols = [d_in.column(c) for c in d_in.col_labels]
-        ycols = []
-        for j, b in enumerate(in_cols):
-            if vec_is_zero(ring, b):
-                ycols.append({})
-                continue
-            y = solve(self._K, b, self._Ksnf)
-            if y is None:
-                raise ValueError("incoming boundary is not a cycle (d∘d != 0?)")
-            ycols.append(y)
-        ylabels = tuple(range(len(ycols)))
-        Y = Matrix.from_columns(ring, self._klabels, ylabels, ycols)
-        self._Ysnf = smith_normal_form(Y)
-        divisors = self._Ysnf.diagonals
-        self._positions = []  # (kernel-coord index, order or None)
-        self.torsion = []
-        for i, d in enumerate(divisors):
+        self.snf = smith_normal_form(relations)
+        self._rows = relations.row_labels
+        self.positions = []
+        for i, d in enumerate(self.snf.diagonals):
             if not ring.is_unit(d):
-                self._positions.append((i, d))
-                self.torsion.append(d)
-        for i in range(len(divisors), len(self._klabels)):
-            self._positions.append((i, None))
-        self.free_rank = len(self._klabels) - len(divisors)
-        self.gens = []
-        for i, _ in self._positions:
-            col = self._Ysnf.Uinv.column(self._klabels[i])
-            self.gens.append(vec_clean(ring, self._K.apply(col)))
+                self.positions.append((i, d))
+        for i in range(len(self.snf.diagonals), len(self._rows)):
+            self.positions.append((i, None))
+        self.torsion = [d for _, d in self.positions if d is not None]
+        self.free_rank = len(self._rows) - len(self.snf.diagonals)
 
     @property
     def rank_summary(self):
         return (self.free_rank, list(self.torsion))
 
     def __len__(self):
-        return len(self.gens)
+        return len(self.positions)
 
     def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
+        return not self.positions
 
-    def is_cycle(self, chain):
-        if vec_is_zero(self.ring, chain):
-            return True
-        if self._Ksnf is None:
-            return False
-        return solve(self._K, chain, self._Ksnf) is not None
-
-    def coordinates(self, chain):
-        """Coordinates of a cycle in the presentation (torsion coords reduced)."""
+    def project(self, vec):
         ring = self.ring
-        chain = vec_clean(ring, chain)
-        if not chain:
-            return [ring.zero()] * len(self.gens)
-        y = solve(self._K, chain, self._Ksnf) if self._Ksnf is not None else None
-        if y is None:
-            raise ValueError("chain is not a cycle")
-        z = self._Ysnf.U.apply(y)
+        z = self.snf.U.apply(vec)
         out = []
-        for i, order in self._positions:
-            zi = z.get(self._klabels[i], ring.zero())
+        for i, order in self.positions:
+            zi = z.get(self._rows[i], ring.zero())
             if order is not None:
                 zi = ring.divmod(zi, order)[1]
                 # normalize representative for determinism (integers: 0 <= r < d)
@@ -133,12 +98,58 @@ class HomologyPresentation:
             out.append(zi)
         return out
 
-    def is_zero_class(self, chain):
-        return all(self.ring.is_zero(c) for c in self.coordinates(chain))
+    def lift(self, j):
+        i, _ = self.positions[j]
+        return vec_clean(self.ring, self.snf.Uinv.column(self._rows[i]))
 
-    def same_type(self, other):
-        return (self.free_rank == other.free_rank
-                and list(self.torsion) == list(other.torsion))
+
+class HomologyPresentation(CokerPresentation):
+    """ker(d_out)/im(d_in) as the cokernel of the incoming boundaries written
+    in the coordinates of a kernel basis.
+
+    `kernel` holds that basis as columns over the ambient chain basis and
+    `kernel_snf` its SNF; `gens` are the generating cycles in ambient
+    coordinates.  coordinates() expresses any cycle exactly in this
+    presentation.
+    """
+
+    def __init__(self, ring, ambient, d_out, d_in):
+        ambient = tuple(ambient)
+        kvecs = kernel_basis(d_out) if ambient else []
+        klabels = tuple(range(len(kvecs)))
+        self.kernel = Matrix.from_columns(ring, ambient, klabels, kvecs)
+        self.kernel_snf = smith_normal_form(self.kernel) if kvecs else None
+        ycols = []
+        for c in d_in.col_labels:
+            b = d_in.column(c)
+            if vec_is_zero(ring, b):
+                ycols.append({})
+                continue
+            y = solve(self.kernel, b, self.kernel_snf)
+            if y is None:
+                raise ValueError("incoming boundary is not a cycle (d∘d != 0?)")
+            ycols.append(y)
+        super().__init__(ring, Matrix.from_columns(
+            ring, klabels, tuple(range(len(ycols))), ycols))
+        self.gens = [self.kernel.apply(self.lift(j)) for j in range(len(self))]
+
+    def is_cycle(self, chain):
+        if vec_is_zero(self.ring, chain):
+            return True
+        if self.kernel_snf is None:
+            return False
+        return solve(self.kernel, chain, self.kernel_snf) is not None
+
+    def coordinates(self, chain):
+        """Coordinates of a cycle in the presentation (torsion coords reduced)."""
+        chain = vec_clean(self.ring, chain)
+        if not chain:
+            return [self.ring.zero()] * len(self)
+        y = (solve(self.kernel, chain, self.kernel_snf)
+             if self.kernel_snf is not None else None)
+        if y is None:
+            raise ValueError("chain is not a cycle")
+        return self.project(y)
 
 
 def induced_matrix(src, tgt, image_fn):
@@ -153,7 +164,7 @@ def induced_matrix(src, tgt, image_fn):
     for j, g in enumerate(src.gens):
         img = image_fn(g)
         coords = tgt.coordinates(img)
-        order = src._positions[j][1]
+        order = src.positions[j][1]
         if order is not None:
             scaled = tgt.coordinates(vec_clean(ring, {k: ring.mul(order, v)
                                                       for k, v in img.items()}))
@@ -168,7 +179,7 @@ def _relation_matrix(ring, pres, tag):
     rows = tuple(range(len(pres.gens)))
     cols = []
     entries = {}
-    for j, (_, order) in enumerate(pres._positions):
+    for j, (_, order) in enumerate(pres.positions):
         if order is not None:
             cols.append((tag, j))
             entries[(j, (tag, j))] = order
@@ -194,7 +205,7 @@ def is_isomorphism(src, tgt, matrix):
             if i == 0:
                 xpart[lbl] = v
         # x lies in ker(matrix mod relations); must come from src relations
-        for j, (_, order) in enumerate(src._positions):
+        for j, (_, order) in enumerate(src.positions):
             v = xpart.get(j, ring.zero())
             if order is None:
                 if not ring.is_zero(v):

@@ -8,7 +8,7 @@ longer contain s.  The top local homology stalks form a sheaf (generator rule
 stalks, presented as cokernels of the local coboundary, form a cosheaf.
 """
 
-from .homology import ChainComplex
+from .homology import ChainComplex, CokerPresentation
 from .matrices import Matrix, smith_normal_form, solve, vec_clean
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
@@ -97,6 +97,8 @@ def cm_check(X, L, n, ring):
     homology concentrated in degree n; pure: every maximal simplex has
     dimension n.  witnesses lists each failing (simplex, degree, presentation).
     """
+    if X.dim < 0:
+        raise ValueError("complex has no simplices")
     witnesses = []
     locally_cm_at_L = True
     locally_cm = True
@@ -126,56 +128,6 @@ def cm_check(X, L, n, ring):
     }
 
 
-class CokerPresentation:
-    """Cokernel of a matrix into a labelled free module, via Smith normal form.
-
-    Generators are the non-unit invariant-factor positions (torsion, with
-    orders) followed by the positions beyond the rank (free).  project() sends
-    an ambient vector to its generator coordinates; lift(j) returns an ambient
-    representative of generator j.
-    """
-
-    def __init__(self, ring, ambient, relations):
-        self.ring = ring
-        self.ambient = tuple(ambient)
-        self._snf = smith_normal_form(relations)
-        self.positions = []
-        for i, d in enumerate(self._snf.diagonals):
-            if not ring.is_unit(d):
-                self.positions.append((i, d))
-        for i in range(len(self._snf.diagonals), len(self.ambient)):
-            self.positions.append((i, None))
-        self.torsion = [d for _, d in self.positions if d is not None]
-        self.free_rank = sum(1 for _, d in self.positions if d is None)
-
-    @property
-    def rank_summary(self):
-        return (self.free_rank, list(self.torsion))
-
-    def __len__(self):
-        return len(self.positions)
-
-    def is_trivial(self):
-        return not self.positions
-
-    def project(self, vec):
-        ring = self.ring
-        z = self._snf.U.apply(vec)
-        out = []
-        for i, order in self.positions:
-            zi = z.get(self.ambient[i], ring.zero())
-            if order is not None:
-                zi = ring.divmod(zi, order)[1]
-                if hasattr(zi, "__mod__") and not ring.is_field:
-                    zi = zi % order
-            out.append(zi)
-        return out
-
-    def lift(self, j):
-        i, _ = self.positions[j]
-        return vec_clean(self.ring, self._snf.Uinv.column(self.ambient[i]))
-
-
 class LocalHomologySheaf(Sheaf):
     """Top local homology as a combinatorial sheaf.
 
@@ -190,27 +142,19 @@ class LocalHomologySheaf(Sheaf):
         self.n = n
         self._data = {}
 
-    def _stalk_data(self, simplex):
+    def presentation(self, simplex):
         simplex = tuple(simplex)
         if simplex not in self._data:
-            cx = local_complex(self.X, self.ring, simplex)
-            pres = cx.homology(self.n)
-            ambient = cx.basis(self.n)
-            K = pres._K
-            self._data[simplex] = (ambient, K, pres._Ksnf, pres)
+            self._data[simplex] = local_complex(
+                self.X, self.ring, simplex).homology(self.n)
         return self._data[simplex]
 
     def stalk(self, simplex):
-        _, K, _, _ = self._stalk_data(simplex)
-        return K.col_labels
-
-    def presentation(self, simplex):
-        return self._stalk_data(tuple(simplex))[3]
+        return self.presentation(simplex).kernel.col_labels
 
     def cycle(self, simplex, label):
         """The ambient cycle carried by a stalk basis label."""
-        _, K, _, _ = self._stalk_data(simplex)
-        return K.column(label)
+        return self.presentation(simplex).kernel.column(label)
 
     def push_chain(self, simplex, cosimplex, chain):
         """Generator rule on an ambient chain: (s, a) -> (t, a), kill t != face
@@ -225,19 +169,19 @@ class LocalHomologySheaf(Sheaf):
     def restriction_step(self, simplex, cosimplex):
         ring = self.ring
         src = self.stalk(simplex)
-        _, Kt, Ktsnf, _ = self._stalk_data(tuple(cosimplex))
+        tgt = self.presentation(cosimplex)
         cols = []
         for lbl in src:
             img = self.push_chain(simplex, cosimplex, self.cycle(simplex, lbl))
             if not img:
                 cols.append({})
                 continue
-            y = solve(Kt, img, Ktsnf)
+            y = solve(tgt.kernel, img, tgt.kernel_snf)
             if y is None:
                 raise ValueError(
                     f"restriction image at {simplex}<{tuple(cosimplex)} is not a cycle")
             cols.append(y)
-        return Matrix.from_columns(ring, Kt.col_labels, src, cols)
+        return Matrix.from_columns(ring, tgt.kernel.col_labels, src, cols)
 
 
 class LocalCohomologyCosheaf(Cosheaf):
@@ -255,17 +199,13 @@ class LocalCohomologyCosheaf(Cosheaf):
         self.n = n
         self._data = {}
 
-    def _stalk_data(self, simplex):
+    def presentation(self, simplex):
         simplex = tuple(simplex)
         if simplex not in self._data:
             cx = local_cochain_complex(self.X, self.ring, simplex)
-            ambient = cx.basis(self.n)
-            rel = cx.differential(self.n - 1)
-            self._data[simplex] = (ambient, CokerPresentation(self.ring, ambient, rel))
+            self._data[simplex] = CokerPresentation(
+                self.ring, cx.differential(self.n - 1))
         return self._data[simplex]
-
-    def presentation(self, simplex):
-        return self._stalk_data(tuple(simplex))[1]
 
     def stalk(self, simplex):
         return tuple(range(len(self.presentation(simplex))))

@@ -66,10 +66,6 @@ class MVDoubleComplex:
             out.extend(self.generators(l, l + q))
         return tuple(out)
 
-    def is_generator(self, sigma, alpha):
-        return (self.L.contains(sigma) and self.X.contains(alpha)
-                and set(sigma).issubset(alpha))
-
     # -- differentials -------------------------------------------------------
     def vertical_d(self, chain):
         """Summand-wise boundary: drop faces of the carrier that no longer
@@ -387,20 +383,6 @@ def cap_fundamental_v1(X, ring, phi, l):
     return vec_clean(ring, out)
 
 
-def cap_fundamental_v2(X, ring, psi, l):
-    """Closed form of capping the fundamental class with an R-cochain: the
-    output keeps the dual stalk generator of each top simplex."""
-    n = X.dim
-    out = {}
-    for alpha in X.simplices(n):
-        v = psi.get(alpha[n - l:])
-        if v is None or ring.is_zero(v):
-            continue
-        key = (alpha[:n - l + 1], alpha)
-        out[key] = ring.add(out.get(key, ring.zero()), v)
-    return vec_clean(ring, out)
-
-
 def project_stalks(G, chain):
     """Send a chain with raw top-dual labels (carrier, top simplex) to the
     cosheaf basis (carrier, stalk index) via the cokernel presentations."""
@@ -523,6 +505,8 @@ def verify_duality(X, L, item, ring):
     if item not in DUALITY_ITEMS:
         raise ValueError(f"unknown duality item {item!r}; "
                          f"expected one of {sorted(DUALITY_ITEMS)}")
+    if X.dim < 0:
+        raise ValueError("complex has no simplices")
     if L is None:
         L = Subcomplex(X, X.order)
     if not isinstance(L, Subcomplex):

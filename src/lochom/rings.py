@@ -156,11 +156,41 @@ class RationalField(Ring):
         return Fraction(1) if a == 0 else 1 / Fraction(a)
 
 
+# Miller-Rabin with these bases decides primality exactly below PRIME_LIMIT
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p):
+    if p < 2:
+        return False
+    for q in MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"prime fields need p < {PRIME_LIMIT}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -1,11 +1,12 @@
 """Combinatorial sheaves and cosheaves on a simplicial complex, their (co)chain
-complexes, sections, reorientation isomorphisms and coefficient transport.
+complexes, sections and reorientation isomorphisms.
 
 A sheaf assigns a basis-labelled free module to each simplex and a restriction
 matrix to each face relation (covariantly along sigma <= tau); a cosheaf maps
 the other way.  Arbitrary-codimension maps are composed from codimension-one
 steps, which is well defined exactly when the data is functorial (asserted by
-check_functorial on every fixture in the tests).
+check_functorial for the local homology sheaf and cosheaf of every locally
+Cohen-Macaulay fixture in the tests).
 """
 
 from .homology import ChainComplex
@@ -306,15 +307,6 @@ class SectionsModule:
     def rank(self):
         return len(self.basis)
 
-    def value_at(self, section_vec, simplex):
-        """Stalk value of a section at any region simplex, via any vertex."""
-        F = self.F
-        v = (simplex[0],)
-        vert_val = {lab: section_vec.get((v, lab), F.ring.zero())
-                    for lab in F.stalk(v)}
-        return F.restriction(v, tuple(simplex)).apply(vert_val)
-
-
 def sections(F, L=None):
     """Sections over the full subcomplex L (or all of X) plus the comparison
     with H^0: both are literally the kernel of the degree-0 coboundary."""
@@ -355,57 +347,3 @@ def reorientation_iso(complex1, complex2, X1, X2):
             entries[(tlab, lab)] = ring.from_int(sign)
         out[deg] = Matrix(ring, tgt, src, entries)
     return out
-
-
-# -- coefficient transport ----------------------------------------------------
-
-def _is_integer_image(ring, a):
-    try:
-        return ring.from_int(int(a)) == a or ring.is_zero(ring.sub(ring.from_int(int(a)), a))
-    except (TypeError, ValueError):
-        return False
-
-
-def _check_admissible(f, down=True):
-    """Entries of a generator-matrix morphism must be integer-image and vanish
-    unless the carrier shrinks (down=True: target carrier is a face of the
-    source carrier)."""
-    ring = f.ring
-    for ((_, b_t), (_, b_s)), v in f.entries.items():
-        big, small = (b_s, b_t) if down else (b_t, b_s)
-        if not set(small).issubset(set(big)):
-            raise ValueError(f"inadmissible entry: carrier {small} not a face of {big}")
-        if not _is_integer_image(ring, v):
-            raise ValueError(f"entry {v!r} is not an integer image")
-
-
-def g_transport(f, G):
-    """Replace generator coefficients of an admissible morphism by cosheaf
-    stalk values, applying G(carrier > smaller carrier) entrywise."""
-    _check_admissible(f, down=True)
-    ring = G.ring
-    rows = tuple((s, b, lab) for (s, b) in f.row_labels for lab in G.stalk(b))
-    cols = tuple((s, b, lab) for (s, b) in f.col_labels for lab in G.stalk(b))
-    entries = {}
-    for ((s_t, b_t), (s_s, b_s)), v in f.entries.items():
-        block = G.corestriction(b_s, b_t)
-        for (rl, cl), bv in block.entries.items():
-            key = ((s_t, b_t, rl), (s_s, b_s, cl))
-            entries[key] = ring.add(entries.get(key, ring.zero()), ring.mul(v, bv))
-    return Matrix(ring, rows, cols, entries)
-
-
-def f_dual(f, F):
-    """Contravariant companion of g_transport: sheaf-valued dual of an
-    admissible morphism, applying F(smaller < carrier) and reversing arrows."""
-    _check_admissible(f, down=True)
-    ring = F.ring
-    rows = tuple((s, b, lab) for (s, b) in f.col_labels for lab in F.stalk(b))
-    cols = tuple((s, b, lab) for (s, b) in f.row_labels for lab in F.stalk(b))
-    entries = {}
-    for ((s_t, b_t), (s_s, b_s)), v in f.entries.items():
-        block = F.restriction(b_t, b_s)
-        for (rl, cl), bv in block.entries.items():
-            key = ((s_s, b_s, rl), (s_t, b_t, cl))
-            entries[key] = ring.add(entries.get(key, ring.zero()), ring.mul(v, bv))
-    return Matrix(ring, rows, cols, entries)

@@ -15,12 +15,9 @@ carriers through the star bijections).
 from .caps import cap_v1, cap_v2
 from .complexes import perm_sign
 from .homology import induced_matrix
-from .localhomology import (build_h_cosheaf, build_h_sheaf, cm_check,
-                            local_complex)
+from .localhomology import build_h_cosheaf, build_h_sheaf, cm_check
 from .matrices import Matrix, solve, vec_clean
 from .mv import duality_map_matrices, fundamental_class
-from .sheaves import (cosheaf_chain_complex, sheaf_cochain_complex,
-                      simplicial_chain_complex, simplicial_cochain_complex)
 
 
 class SimplicialMap:
@@ -258,10 +255,10 @@ def _sheaf_transfer_matrix(f, FX, FY, srcX, srcY, l, ring):
     for (s, lab) in srcX.basis(l):
         pushed = shriek_down(f, dict(FX.cycle(s, lab)), ring)
         fs = f.image(s)
-        _, K, Ksnf, _ = FY._stalk_data(fs)
+        pres = FY.presentation(fs)
         col = {}
         if pushed:
-            y = solve(K, pushed, Ksnf)
+            y = solve(pres.kernel, pushed, pres.kernel_snf)
             if y is None:
                 raise ValueError(f"transfer image at {s} is not a cycle")
             col = {(fs, klab): v for klab, v in y.items()}

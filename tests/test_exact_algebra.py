@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lochom.fixtures import bowtie, circle3, rp2_six, sphere2
 from lochom.homology import induced_matrix, is_isomorphism
 from lochom.matrices import Matrix, kernel_basis, smith_normal_form, solve
-from lochom.rings import GF, QQ, ZZ, ring_from_name
+from lochom.rings import GF, QQ, ZZ, PrimeField, ring_from_name
 from lochom.sheaves import simplicial_chain_complex
 
 
@@ -30,6 +30,22 @@ def test_ring_selectors():
     assert ring_from_name("fp:7") is GF(7)
     with pytest.raises(ValueError):
         ring_from_name("r")
+
+
+def test_prime_field_primality_matches_trial_division():
+    for n in range(-2, 3000):
+        prime = n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        try:
+            PrimeField(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == prime, n
+    # composites that pass Miller-Rabin for every prime base up to 31 and up
+    # to 37 respectively
+    for n in (3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            PrimeField(n)
 
 
 def test_integer_divmod_small_remainder():

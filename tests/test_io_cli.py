@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -125,10 +126,47 @@ def test_cli_usage_errors(capsys):
     assert code == 2
 
 
-def test_cli_threads_flag_accepted(capsys):
-    code, rep = run_cli(capsys, "homology", "--complex", fix("c3.cplx"),
-                        "--threads", "4")
-    assert code == 0
+def test_cli_rejects_flags_a_command_does_not_read(capsys):
+    for argv in (["duality", "--item", "1ai", "--complex", fix("rp6.cplx"),
+                  "--dim", "7"],
+                 ["homology", "--complex", fix("c3.cplx"), "--threads", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def run_cli_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_cli_large_prime_field_is_accepted_quickly(capsys):
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "homology", "--ring", "fp:1000000000000000003",
+                        "--complex", fix("c3.cplx"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and rep["ring"] == "F1000000000000000003"
+
+
+@pytest.mark.parametrize("p", [str(10 ** 18 + 1), str(10 ** 400 + 1)],
+                         ids=["composite", "too-large"])
+def test_cli_bad_prime_field_exits_2(capsys, p):
+    code, err = run_cli_error(capsys, "homology", "--ring", "fp:" + p,
+                              "--complex", fix("c3.cplx"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["duality", "--item", "1ai"],
+                                     ["check-cm"]], ids=["duality", "check-cm"])
+def test_cli_empty_complex_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "empty.cplx"
+    path.write_text("order: 0 1\n")
+    code, err = run_cli_error(capsys, *command, "--complex", str(path))
+    assert code == 2
+    assert err == "error: complex has no simplices\n"
 
 
 def test_fixture_files_match_builtins(capsys):

@@ -1,0 +1,52 @@
+"""Every function, method and class in the package has a caller.
+
+A definition counts as used when its name appears, as a whole word, on some
+line of `src/`, `tests/` or `demos/` that does not itself define that name.
+Names re-exported from `lochom/__init__.py` appear on its import lines, so
+they count as used.  Dunder methods are exempt.
+"""
+
+import ast
+import os
+import re
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "lochom")
+SEARCHED = ("src", "tests", "demos")
+
+
+def _python_files(top):
+    for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                yield os.path.join(dirpath, name)
+
+
+def _definitions():
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    yield name, node.lineno, node.name
+
+
+def test_every_definition_has_a_caller():
+    lines = []
+    for top in SEARCHED:
+        for path in _python_files(top):
+            with open(path, encoding="utf-8") as fh:
+                lines.extend(fh.read().splitlines())
+    uncalled = []
+    for module, lineno, name in _definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(async\s+def|def|class)\s+{re.escape(name)}\b")
+        if not any(word.search(line) and not own.match(line)
+                   for line in lines):
+            uncalled.append(f"{module}:{lineno} {name}")
+    assert not uncalled, "definitions without a caller: " + ", ".join(uncalled)

@@ -115,3 +115,11 @@ def test_local_cosheaf_corestriction_functorial():
     two_step = G.corestriction(t, s)
     composed = G.corestriction_step(mid, s) @ G.corestriction_step(t, mid)
     assert (two_step - composed).is_zero()
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["z", "f2"])
+@pytest.mark.parametrize("name", ["c3", "delta2", "t4", "rp6", "hex"])
+def test_local_homology_sheaf_and_cosheaf_are_functorial(name, ring):
+    X = FIXTURES[name]()
+    assert build_h_sheaf(X, ring, X.dim).check_functorial()
+    assert build_h_cosheaf(X, ring, X.dim).check_functorial()
