@@ -20,8 +20,8 @@ from .identities import (collapse_suite, collapse_vs_cap,
                          mv_identity_sweep, swap_sweep)
 from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
                             build_h_cosheaf, build_h_sheaf, cm_check,
-                            link_crosscheck, local_cohomology, local_homology,
-                            uct_check, uct_report)
+                            link_crosscheck, local_cm_check, local_cohomology,
+                            local_homology, uct_check, uct_report)
 from .matrices import Matrix, kernel_basis, smith_normal_form, solve
 from .mv import (DUALITY_ITEMS, MVDoubleComplex, build_D, c_dual,
                  c_dual_reversed, fundamental_class, naturality_report,

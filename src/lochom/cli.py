@@ -17,8 +17,8 @@ from .complexes import parse_complex, parse_subcomplex
 from .homology import HomologyPresentation
 from .identities import full_identity_report
 from .io import parse_filtration, parse_map
-from .localhomology import (cm_check, link_crosscheck, local_cohomology,
-                            local_homology, uct_report)
+from .localhomology import (cm_check, link_crosscheck, local_cm_check,
+                            local_cohomology, local_homology, uct_report)
 from .matrices import Matrix
 from .mv import DUALITY_ITEMS, verify_duality
 from .rings import ring_from_name
@@ -102,7 +102,7 @@ def cmd_homology(args):
                else list(range(X.dim + 1)))
     report["simplicial"] = {k: _jsonable(cx.homology(k)) for k in degrees}
     from .localhomology import build_h_cosheaf, build_h_sheaf
-    cm = cm_check(X, L, n, ring)
+    cm = local_cm_check(X, L, n, ring)
     report["locally_cm_at_region"] = cm["locally_cm_at_L"]
     if cm["locally_cm_at_L"]:
         F = build_h_sheaf(X, ring, n)
@@ -274,7 +274,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report, ok = COMMANDS[args.command](args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(report, args.out)

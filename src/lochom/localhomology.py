@@ -89,13 +89,13 @@ def link_crosscheck(X, ring, simplex):
     return True
 
 
-def cm_check(X, L, n, ring):
-    """Cohen-Macaulay report for the pair (X, L) in target degree n.
+def local_cm_check(X, L, n, ring):
+    """Local half of the Cohen-Macaulay report for (X, L) in degree n.
 
     locally_cm_at_L: local homology concentrated in degree n at every simplex
-    of L; locally_cm: same at every simplex of X; cm: locally_cm plus reduced
-    homology concentrated in degree n; pure: every maximal simplex has
-    dimension n.  witnesses lists each failing (simplex, degree, presentation).
+    of L (of X when L is None); locally_cm: the same at every simplex of X;
+    witnesses lists each failing (simplex, degree, rank summary).  Callers
+    that read only these skip the global homology `cm_check` adds.
     """
     if X.dim < 0:
         raise ValueError("complex has no simplices")
@@ -113,18 +113,27 @@ def cm_check(X, L, n, ring):
                 locally_cm = False
                 if in_L:
                     locally_cm_at_L = False
+    return {"locally_cm_at_L": locally_cm_at_L, "locally_cm": locally_cm,
+            "witnesses": witnesses}
+
+
+def cm_check(X, L, n, ring):
+    """Cohen-Macaulay report for the pair (X, L) in target degree n.
+
+    The fields of `local_cm_check`, plus cm: locally_cm and reduced homology
+    concentrated in degree n; pure: every maximal simplex has dimension n.
+    """
+    local = local_cm_check(X, L, n, ring)
     red = reduced_homology(X, ring)
     reduced_ok = all(red[k].is_trivial() for k in red if k != n)
     pure = all(len(m) - 1 == n for m in X.maximal_simplices())
     return {
         "n": n,
         "ring": ring.name,
-        "locally_cm_at_L": locally_cm_at_L,
-        "locally_cm": locally_cm,
-        "cm": locally_cm and reduced_ok,
+        **local,
+        "cm": local["locally_cm"] and reduced_ok,
         "reduced_concentrated": reduced_ok,
         "pure": pure,
-        "witnesses": witnesses,
     }
 
 

@@ -80,18 +80,6 @@ class Matrix:
         return cls(ring, labels, labels, {(l, l): ring.one() for l in labels})
 
     @classmethod
-    def from_dense(cls, ring, row_labels, col_labels, rows):
-        row_labels = tuple(row_labels)
-        col_labels = tuple(col_labels)
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, val in enumerate(row):
-                val = val if not isinstance(val, int) else ring.from_int(val)
-                if not ring.is_zero(val):
-                    entries[(row_labels[i], col_labels[j])] = val
-        return cls(ring, row_labels, col_labels, entries)
-
-    @classmethod
     def from_columns(cls, ring, row_labels, col_labels, columns):
         """columns: list of vectors (dicts keyed by row label)."""
         entries = {}
@@ -230,132 +218,196 @@ def _gcd_combine(ring, x, y):
 
 
 def smith_normal_form(M):
-    """Return SNF of M with all four transformation matrices, exactly."""
+    """Return SNF of M with all four transformation matrices, exactly.
+
+    The pivot of step t is the first nonzero of least `abs` in row-major
+    order within the trailing block.  It is moved to (t, t); its column and
+    row are cleared by elementary operations (the extended-Euclid
+    `_gcd_combine` step where it does not divide an entry); while some entry
+    of the trailing block is not divisible by it, the first row holding one
+    is added to row t and the clearing repeats; row t is then scaled by the
+    canonical unit.
+
+    Work whose result is known is skipped, so U, U^-1, V, V^-1 and the
+    diagonals equal those of the plain dense elimination entry for entry:
+
+    - a unit pivot divides everything, so the divisibility rescan is skipped;
+    - over Z and GF(p) no nonzero has `abs` below 1, so the pivot search
+      stops at the first row holding a 1 or -1;
+    - an elimination r_i <- r_i - q r_t leaves row t as it is and touches
+      row i only where row t is nonzero; U^-1 gets col_t += q col_i only
+      where col_i is nonzero; column eliminations, V and V^-1 likewise;
+    - the row pass leaves column t clear below the pivot and the column pass
+      leaves row t clear, so neither is rescanned: only a gcd step on
+      columns refills column t;
+    - swaps exchange list entries;
+    - the transforms start as the identity and are stored sparsely, U and
+      V^-1 by rows, U^-1 and V by columns, so every operation on them runs
+      over one stored row and only its nonzeros.
+
+    This relies on canonical entries (ints over Z, `Fraction` over Q,
+    residues in [0, p) over GF(p)): then an entry is nonzero exactly when it
+    is truthy, and 1*x + 0*y is x itself.
+    """
     ring = M.ring
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    zero, one = ring.zero(), ring.one()
     m, n = M.shape
     A = M.to_dense()
-    idm = [[ring.one() if i == j else ring.zero() for j in range(m)] for i in range(m)]
-    idn = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-    U = [row[:] for row in idm]
-    Uinv = [row[:] for row in idm]
-    V = [row[:] for row in idn]
-    Vinv = [row[:] for row in idn]
+    # dicts {index: entry}; entries that cancel stay stored as zeros
+    U = [{i: one} for i in range(m)]
+    UinvT = [{i: one} for i in range(m)]
+    VT = [{j: one} for j in range(n)]
+    Vinv = [{j: one} for j in range(n)]
 
-    def row_transform(i, j, a, b, c, d, det):
-        # rows i,j of A and U <- (a ri + b rj, c ri + d rj); Uinv gets inverse cols
-        for X in (A, U):
-            ri, rj = X[i], X[j]
-            X[i] = [ring.add(ring.mul(a, x), ring.mul(b, y)) for x, y in zip(ri, rj)]
-            X[j] = [ring.add(ring.mul(c, x), ring.mul(d, y)) for x, y in zip(ri, rj)]
-        dinv = ring.inv(det)
-        tii, tij = ring.mul(d, dinv), ring.mul(ring.neg(b), dinv)
-        tji, tjj = ring.mul(ring.neg(c), dinv), ring.mul(a, dinv)
-        for row in Uinv:
+    def axpy(dst, c, src):
+        # dst += c * src for sparse dst and src
+        for k, x in src.items():
+            if x:
+                dst[k] = add(dst.get(k, zero), mul(c, x))
+
+    def combine(X, i, j, a, b, c, d):
+        # sparse X_i, X_j <- (a X_i + b X_j, c X_i + d X_j)
+        xi, xj = X[i], X[j]
+        pairs = [(k, xi.get(k, zero), xj.get(k, zero))
+                 for k in xi.keys() | xj.keys()]
+        X[i] = {k: add(mul(a, x), mul(b, y)) for k, x, y in pairs}
+        X[j] = {k: add(mul(c, x), mul(d, y)) for k, x, y in pairs}
+
+    def row_transform(i, j, a, b, c, d):
+        # det 1; U^-1 gets the inverse [[d, -b], [-c, a]] on columns i, j
+        ri, rj = A[i], A[j]
+        A[i] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rj)]
+        A[j] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rj)]
+        combine(U, i, j, a, b, c, d)
+        combine(UinvT, i, j, d, neg(c), neg(b), a)
+
+    def col_transform(i, j, a, b, c, d):
+        # det 1; V^-1 gets the inverse [[d, -c], [-b, a]] on rows i, j
+        for row in A:
             ci, cj = row[i], row[j]
-            row[i] = ring.add(ring.mul(ci, tii), ring.mul(cj, tji))
-            row[j] = ring.add(ring.mul(ci, tij), ring.mul(cj, tjj))
+            row[i] = add(mul(a, ci), mul(b, cj))
+            row[j] = add(mul(c, ci), mul(d, cj))
+        combine(VT, i, j, a, b, c, d)
+        combine(Vinv, i, j, d, neg(c), neg(b), a)
 
-    def col_transform(i, j, a, b, c, d, det):
-        # cols i,j of A and V <- combos; Vinv gets inverse rows
-        for X in (A, V):
-            for row in X:
-                ci, cj = row[i], row[j]
-                row[i] = ring.add(ring.mul(a, ci), ring.mul(b, cj))
-                row[j] = ring.add(ring.mul(c, ci), ring.mul(d, cj))
-        # the column op is V <- V*T with T = [[a,c],[b,d]] on the (i,j) block,
-        # so Vinv picks up Tinv = [[d,-c],[-b,a]]/det on the left
-        dinv = ring.inv(det)
-        tii, tij = ring.mul(d, dinv), ring.mul(ring.neg(c), dinv)
-        tji, tjj = ring.mul(ring.neg(b), dinv), ring.mul(a, dinv)
-        ri, rj = Vinv[i], Vinv[j]
-        Vinv[i] = [ring.add(ring.mul(tii, x), ring.mul(tij, y)) for x, y in zip(ri, rj)]
-        Vinv[j] = [ring.add(ring.mul(tji, x), ring.mul(tjj, y)) for x, y in zip(ri, rj)]
+    int_ring = isinstance(one, int)
 
-    def swap_rows(i, j):
-        if i != j:
-            row_transform(i, j, ring.zero(), ring.one(), ring.one(), ring.zero(),
-                          ring.from_int(-1))
-
-    def swap_cols(i, j):
-        if i != j:
-            col_transform(i, j, ring.zero(), ring.one(), ring.one(), ring.zero(),
-                          ring.from_int(-1))
-
-    def size(x):
-        # pivot preference: small magnitude speeds integer SNF; fields don't care
-        try:
-            return abs(x)
-        except TypeError:
-            return 1
+    def find_pivot(t):
+        # the first nonzero of least abs in row-major order; rows t.. are
+        # zero left of column t, and over int rings a 1 or -1 is least
+        if int_ring:
+            for i in range(t, m):
+                row = A[i]
+                js = [row.index(u) for u in (1, -1) if u in row]
+                if js:
+                    return i, min(js)
+        best = None
+        for i in range(t, m):
+            least = min(((abs(x), j) for j, x in enumerate(A[i]) if x),
+                        default=None)
+            if least and (best is None or least[0] < best[0]):
+                best = (least[0], i, least[1])
+        return best and best[1:]
 
     t = 0
     limit = min(m, n)
     while t < limit:
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if not ring.is_zero(A[i][j]):
-                    if pivot is None or size(A[i][j]) < size(A[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
+        pivot = find_pivot(t)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        pi, pj = pivot
+        if pi != t:
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
+            UinvT[t], UinvT[pi] = UinvT[pi], UinvT[t]
+        if pj != t:
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
+            VT[t], VT[pj] = VT[pj], VT[t]
+            Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
         while True:
+            # columns where row t is nonzero: row t only changes in a
+            # row_transform
+            support = None
             for i in range(t + 1, m):
-                if ring.is_zero(A[i][t]):
+                if not A[i][t]:
                     continue
                 q, r = ring.divmod(A[i][t], A[t][t])
                 if ring.is_zero(r):
-                    row_transform(t, i, ring.one(), ring.zero(),
-                                  ring.neg(q), ring.one(), ring.one())
+                    # r_i <- r_i - q r_t
+                    if support is None:
+                        support = [k for k, x in enumerate(A[t]) if x]
+                    c, rt, ri = neg(q), A[t], A[i]
+                    for k in support:
+                        ri[k] = add(ri[k], mul(c, rt[k]))
+                    axpy(U[i], c, U[t])
+                    axpy(UinvT[t], q, UinvT[i])
                 else:
                     a, b, c, d, _ = _gcd_combine(ring, A[t][t], A[i][t])
-                    row_transform(t, i, a, b, c, d, ring.one())
+                    row_transform(t, i, a, b, c, d)
+                    support = None
+            # rows where column t is nonzero (rows above t are zero there):
+            # column t only changes in a col_transform
+            support = None
+            refilled = False
             for j in range(t + 1, n):
-                if ring.is_zero(A[t][j]):
+                if not A[t][j]:
                     continue
                 q, r = ring.divmod(A[t][j], A[t][t])
                 if ring.is_zero(r):
-                    col_transform(t, j, ring.one(), ring.zero(),
-                                  ring.neg(q), ring.one(), ring.one())
+                    # c_j <- c_j - q c_t
+                    if support is None:
+                        support = [A[k] for k in range(t, m) if A[k][t]]
+                    c = neg(q)
+                    for row in support:
+                        row[j] = add(row[j], mul(c, row[t]))
+                    axpy(VT[j], c, VT[t])
+                    axpy(Vinv[t], q, Vinv[j])
                 else:
                     a, b, c, d, _ = _gcd_combine(ring, A[t][t], A[t][j])
-                    col_transform(t, j, a, b, c, d, ring.one())
-            col_clear = all(ring.is_zero(A[i][t]) for i in range(t + 1, m))
-            row_clear = all(ring.is_zero(A[t][j]) for j in range(t + 1, n))
-            if not (col_clear and row_clear):
+                    col_transform(t, j, a, b, c, d)
+                    support = None
+                    refilled = True
+            if refilled:
                 continue
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if not ring.divides(A[t][t], A[i][j]):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if ring.is_unit(A[t][t]):
+                break
+            p = A[t][t]
+            offender = next((i for i in range(t + 1, m)
+                             if any(x and not ring.divides(p, x)
+                                    for x in A[i][t + 1:])), None)
             if offender is None:
                 break
             # pull the offending row up so its entries join the pivot's orbit
-            row_transform(t, offender, ring.one(), ring.one(),
-                          ring.zero(), ring.one(), ring.one())
+            row_transform(t, offender, one, one, zero, one)
         u = ring.canonical_unit(A[t][t])
-        if not ring.is_zero(ring.sub(u, ring.one())):
-            # scale row t by the unit u (1x1 row transform)
-            A[t] = [ring.mul(u, x) for x in A[t]]
-            U[t] = [ring.mul(u, x) for x in U[t]]
+        if not ring.is_zero(ring.sub(u, one)):
+            A[t] = [mul(u, x) for x in A[t]]
+            U[t] = {k: mul(u, x) for k, x in U[t].items()}
             uinv = ring.inv(u)
-            for row in Uinv:
-                row[t] = ring.mul(row[t], uinv)
+            UinvT[t] = {k: mul(x, uinv) for k, x in UinvT[t].items()}
         t += 1
 
     diagonals = [A[i][i] for i in range(t) if not ring.is_zero(A[i][i])]
+
+    def by_rows(labels, rows):
+        out = Matrix(ring, labels, labels)
+        out.entries = {(labels[i], labels[j]): row[j]
+                       for i, row in enumerate(rows) for j in sorted(row)
+                       if row[j]}
+        return out
+
+    def by_columns(labels, cols):
+        rows = [{} for _ in cols]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return by_rows(labels, rows)
+
     rows, cols = M.row_labels, M.col_labels
-    Um = Matrix.from_dense(ring, rows, rows, U)
-    Uim = Matrix.from_dense(ring, rows, rows, Uinv)
-    Vm = Matrix.from_dense(ring, cols, cols, V)
-    Vim = Matrix.from_dense(ring, cols, cols, Vinv)
-    return SNF(M, Um, Uim, Vm, Vim, diagonals)
+    return SNF(M, by_rows(rows, U), by_columns(rows, UinvT),
+               by_columns(cols, VT), by_rows(cols, Vinv), diagonals)
 
 
 def solve(M, b, snf=None):

@@ -23,7 +23,7 @@ Sign conventions (all non-standard signs used in this module):
 from .caps import cap_v1, cap_v2
 from .complexes import Subcomplex, is_vc_before, reorient_vc_before
 from .homology import ChainComplex, induced_matrix, is_isomorphism
-from .localhomology import build_h_cosheaf, build_h_sheaf, cm_check
+from .localhomology import build_h_cosheaf, build_h_sheaf, local_cm_check
 from .matrices import Matrix, vec_add, vec_clean, vec_scale, vec_sub
 from .sheaves import (cosheaf_chain_complex, region_rel, region_sub,
                       sheaf_cochain_complex, simplicial_chain_complex,
@@ -416,15 +416,15 @@ DUALITY_ITEMS = {
 
 def _hypothesis(X, L, Lvc, n, ring, kind):
     if kind == "at_L":
-        rep = cm_check(X, L, n, ring)
+        rep = local_cm_check(X, L, n, ring)
         holds = rep["locally_cm_at_L"]
         name = "locally Cohen-Macaulay at the subcomplex"
     elif kind == "at_Lvc":
-        rep = cm_check(X, Lvc, n, ring)
+        rep = local_cm_check(X, Lvc, n, ring)
         holds = rep["locally_cm_at_L"]
         name = "locally Cohen-Macaulay at the vertex complement"
     else:
-        rep = cm_check(X, L, n, ring)
+        rep = local_cm_check(X, L, n, ring)
         holds = rep["locally_cm"]
         name = "locally Cohen-Macaulay"
     witnesses = [w for w in rep["witnesses"]]

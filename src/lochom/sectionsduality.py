@@ -14,7 +14,7 @@ independently testable.
 
 from .complexes import Subcomplex
 from .homology import ChainComplex, induced_matrix, is_isomorphism
-from .localhomology import build_h_cosheaf, build_h_sheaf, cm_check
+from .localhomology import build_h_cosheaf, build_h_sheaf, local_cm_check
 from .matrices import (Matrix, smith_normal_form, solve, vec_clean, vec_dot)
 from .sheaves import SectionsModule, cosheaf_chain_complex, region_sub
 
@@ -40,7 +40,7 @@ def lf_h0_check(X, L, n, ring):
     if L is None:
         L = Subcomplex(X, X.order)
     report = {"ring": ring.name, "n": n}
-    cm = cm_check(X, L, n, ring)
+    cm = local_cm_check(X, L, n, ring)
     report["hypothesis"] = {"name": "locally_cm_at_L",
                             "holds": cm["locally_cm_at_L"],
                             "witnesses": cm["witnesses"][:3]}
@@ -244,7 +244,7 @@ def compactly_determined_dual(X, L, n, ring, filtration):
     if L is None:
         L = Subcomplex(X, X.order)
     report = {"ring": ring.name, "n": n}
-    cm = cm_check(X, L, n, ring)
+    cm = local_cm_check(X, L, n, ring)
     report["hypothesis"] = {"name": "locally_cm_at_L",
                             "holds": cm["locally_cm_at_L"],
                             "witnesses": cm["witnesses"][:3]}

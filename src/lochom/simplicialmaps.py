@@ -15,7 +15,7 @@ carriers through the star bijections).
 from .caps import cap_v1, cap_v2
 from .complexes import perm_sign
 from .homology import induced_matrix
-from .localhomology import build_h_cosheaf, build_h_sheaf, cm_check
+from .localhomology import build_h_cosheaf, build_h_sheaf, local_cm_check
 from .matrices import Matrix, solve, vec_clean
 from .mv import duality_map_matrices, fundamental_class
 
@@ -311,7 +311,7 @@ def verify_naturality(f, ring):
         report["error"] = "dimension mismatch"
         return report
     for Z, tag in ((X, "source"), (Y, "target")):
-        rep = cm_check(Z, None, n, ring)
+        rep = local_cm_check(Z, None, n, ring)
         report[f"{tag}_locally_cm"] = rep["locally_cm"]
         if not rep["locally_cm"]:
             report["witness"] = rep["witnesses"][:1]

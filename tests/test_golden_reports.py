@@ -1,0 +1,85 @@
+"""Golden-report guard: CLI reports must stay byte-identical.
+
+`golden_reports.json` maps each command line below to the SHA-256 of the
+report text it writes and to its exit code.  The test reruns every command
+line in-process and names each one whose report or exit code differs.
+
+Running this module as a script rewrites the manifest from the current code:
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+Do that only when a report is meant to change, and say why in the commit.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIXDIR = os.path.join(HERE, os.pardir, "fixtures")
+MANIFEST = os.path.join(HERE, "golden_reports.json")
+
+FIXTURES = ("bowtie", "c3", "delta2", "hex", "rp6", "t4")
+RINGS = ("z", "q", "fp:2")
+COMMANDS = (("homology",), ("check-cm",), ("local",),
+            ("duality", "--item", "1ai"), ("duality", "--item", "2bi"))
+SUBCOMPLEX_PAIRS = (("rp6", "rp6_345"), ("t4", "t4_edge23"))
+SUBCOMPLEX_ITEMS = ("1ai", "2bi")
+
+
+def command_lines():
+    """Every guarded command line, with fixture paths relative to the repo."""
+    lines = []
+    for name in FIXTURES:
+        for ring in RINGS:
+            for command in COMMANDS:
+                lines.append((*command, "--ring", ring,
+                              "--complex", f"fixtures/{name}.cplx"))
+    for name, sub in SUBCOMPLEX_PAIRS:
+        for ring in RINGS:
+            for item in SUBCOMPLEX_ITEMS:
+                lines.append(("duality", "--item", item, "--ring", ring,
+                              "--complex", f"fixtures/{name}.cplx",
+                              "--subcomplex", f"fixtures/{sub}.sub"))
+    return lines
+
+
+def run(line, workdir):
+    """Exit code and SHA-256 of the report text of one command line."""
+    from lochom.cli import main
+
+    argv = [os.path.join(FIXDIR, a[len("fixtures/"):])
+            if a.startswith("fixtures/") else a for a in line]
+    out = os.path.join(workdir, "report.json")
+    if os.path.exists(out):
+        os.remove(out)
+    code = main([*argv, "--out", out])
+    text = b""
+    if os.path.exists(out):
+        with open(out, "rb") as fh:
+            text = fh.read()
+    return {"exit": code, "sha256": hashlib.sha256(text).hexdigest()}
+
+
+def current_reports():
+    with tempfile.TemporaryDirectory() as workdir:
+        return {" ".join(line): run(line, workdir) for line in command_lines()}
+
+
+def test_reports_match_golden_manifest():
+    with open(MANIFEST, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    current = current_reports()
+    assert sorted(current) == sorted(golden), "manifest lists other commands"
+    changed = [line for line in golden if current[line] != golden[line]]
+    assert not changed, "reports differ: " + "; ".join(changed)
+
+
+if __name__ == "__main__":
+    reports = current_reports()
+    with open(MANIFEST, "w", encoding="utf-8") as fh:
+        json.dump(reports, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"wrote {len(reports)} reports to {MANIFEST}\n")

@@ -173,3 +173,14 @@ def test_fixture_files_match_builtins(capsys):
     X = parse_complex(open(fix("c3.cplx")).read())
     assert set(X.all_simplices()) == set(circle3().all_simplices())
     assert serialize_complex(X) == open(fix("c3.cplx")).read()
+
+
+@pytest.mark.parametrize("flag", ["--complex", "--subcomplex"])
+def test_cli_directory_as_input_exits_2(capsys, flag):
+    paths = {"--complex": fix("rp6.cplx"), "--subcomplex": fix("rp6_345.sub")}
+    paths[flag] = FIXDIR
+    code, err = run_cli_error(capsys, "homology",
+                              "--complex", paths["--complex"],
+                              "--subcomplex", paths["--subcomplex"])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,8 +4,9 @@ stalks."""
 from lochom.complexes import Subcomplex
 from lochom.fixtures import (FIXTURES, bowtie, circle3, hexagon, rp2_six,
                              sphere2, triangle)
-from lochom.localhomology import (cm_check, link_crosscheck, local_cohomology,
-                                  local_homology, uct_check, uct_report)
+from lochom.localhomology import (cm_check, link_crosscheck, local_cm_check,
+                                  local_cohomology, local_homology, uct_check,
+                                  uct_report)
 from lochom.rings import GF, QQ, ZZ
 
 
@@ -72,6 +73,16 @@ def test_cm_check_at_subcomplex_only():
     L = Subcomplex(X, (1, 2))
     rep = cm_check(X, L, 2, ZZ)
     assert rep["locally_cm_at_L"]
+
+
+def test_local_cm_check_is_the_local_half_of_cm_check():
+    X = bowtie()
+    for L in (None, Subcomplex(X, (1, 2)), Subcomplex(X, (0, 1))):
+        for ring in (ZZ, GF(2)):
+            local = local_cm_check(X, L, 2, ring)
+            full = cm_check(X, L, 2, ring)
+            assert local == {k: full[k] for k in
+                             ("locally_cm_at_L", "locally_cm", "witnesses")}
 
 
 def test_purity_flag():
