@@ -24,9 +24,11 @@ MANIFEST = os.path.join(HERE, "golden_reports.json")
 FIXTURES = ("bowtie", "c3", "delta2", "hex", "rp6", "t4")
 RINGS = ("z", "q", "fp:2")
 COMMANDS = (("homology",), ("check-cm",), ("local",),
-            ("duality", "--item", "1ai"), ("duality", "--item", "2bi"))
+            ("duality", "--item", "1ai"), ("duality", "--item", "2bi"),
+            ("identities",))
 SUBCOMPLEX_PAIRS = (("rp6", "rp6_345"), ("t4", "t4_edge23"))
 SUBCOMPLEX_ITEMS = ("1ai", "2bi")
+SUBCOMPLEX_IDENTITY_RINGS = ("z", "fp:2")
 
 
 def command_lines():
@@ -43,6 +45,10 @@ def command_lines():
                 lines.append(("duality", "--item", item, "--ring", ring,
                               "--complex", f"fixtures/{name}.cplx",
                               "--subcomplex", f"fixtures/{sub}.sub"))
+        for ring in SUBCOMPLEX_IDENTITY_RINGS:
+            lines.append(("identities", "--ring", ring,
+                          "--complex", f"fixtures/{name}.cplx",
+                          "--subcomplex", f"fixtures/{sub}.sub"))
     return lines
 
 
