@@ -3,10 +3,12 @@ the Leibniz rule as an executable identity, and the orientation-change chain
 homotopies.
 
 Conventions.  A chain with local-cohomology coefficients is a dict mapping
-generator labels (s, b) -- carrier simplex s of degree k, top simplex b
-containing s -- to ring elements; an R-chain maps plain simplices to ring
-elements; a cochain with local-homology coefficients maps labels (t, c) with
-c containing t.  Both caps evaluate on the back face of the carrier:
+generator labels (s, b) -- carrier simplex s of degree k, stalk part b a
+simplex containing s -- to ring elements; b need not be a top simplex, and
+the sweeps in `identities` label with every simplex b containing s, s itself
+included.  An R-chain maps plain simplices to ring elements; a cochain with
+local-homology coefficients maps labels (t, c) with c containing t.  Both
+caps evaluate on the back face of the carrier:
 
   v1: (s, b)* cap (t, c) = [t == back(s)] [b == c] front(s)        (R-chain)
   v2: (s, b)* cap t*     = [t == back(s)] (front(s), b)            (h-chain)
@@ -16,7 +18,7 @@ positions in the canonical vertex order of the complex they are applied in.
 """
 
 from .complexes import perm_sign
-from .matrices import vec_add, vec_clean, vec_scale, vec_sub
+from .matrices import vec_clean
 
 
 # -- chain-level differentials ------------------------------------------------
@@ -135,27 +137,33 @@ def cap_v2(ring, xi, psi, l):
 
 # -- Leibniz rule as an executable identity -----------------------------------
 
+def _subtract(ring, out, chain, a):
+    """out -= a * chain, in place and without cleaning."""
+    for key, v in chain.items():
+        out[key] = ring.sub(out.get(key, ring.zero()), ring.mul(a, v))
+
+
 def leibniz_defect_v1(X, ring, xi, phi, k, l):
     """d(xi cap phi) - (d xi cap phi + (-1)^(k-l) xi cap delta phi); zero dict
     iff the first cap satisfies the Leibniz rule on this input."""
-    sign = ring.from_int((-1) ** (k - l))
-    lhs = d_chain_plain(X, ring, cap_v1(ring, xi, phi, l))
-    rhs = vec_add(ring, cap_v1(ring, d_chain_local(X, ring, xi), phi, l),
-                  vec_scale(ring, sign,
-                            cap_v1(ring, xi, delta_cochain_local(X, ring, phi),
-                                   l + 1)))
-    return vec_sub(ring, lhs, rhs)
+    out = d_chain_plain(X, ring, cap_v1(ring, xi, phi, l))
+    _subtract(ring, out, cap_v1(ring, d_chain_local(X, ring, xi), phi, l),
+              ring.one())
+    _subtract(ring, out,
+              cap_v1(ring, xi, delta_cochain_local(X, ring, phi), l + 1),
+              ring.from_int((-1) ** (k - l)))
+    return vec_clean(ring, out)
 
 
 def leibniz_defect_v2(X, ring, xi, psi, k, l):
     """Same defect for the second cap (stalk-carrying output)."""
-    sign = ring.from_int((-1) ** (k - l))
-    lhs = d_chain_local(X, ring, cap_v2(ring, xi, psi, l))
-    rhs = vec_add(ring, cap_v2(ring, d_chain_local(X, ring, xi), psi, l),
-                  vec_scale(ring, sign,
-                            cap_v2(ring, xi, delta_cochain_plain(X, ring, psi),
-                                   l + 1)))
-    return vec_sub(ring, lhs, rhs)
+    out = d_chain_local(X, ring, cap_v2(ring, xi, psi, l))
+    _subtract(ring, out, cap_v2(ring, d_chain_local(X, ring, xi), psi, l),
+              ring.one())
+    _subtract(ring, out,
+              cap_v2(ring, xi, delta_cochain_plain(X, ring, psi), l + 1),
+              ring.from_int((-1) ** (k - l)))
+    return vec_clean(ring, out)
 
 
 # -- relative caps ------------------------------------------------------------
@@ -237,40 +245,11 @@ def resort_plain(X2, ring, chain):
     return vec_clean(ring, out)
 
 
-def _canon(X2, chain):
-    """Re-sort labels into the canonical order of X2 WITHOUT permutation
-    signs: a tuple denotes the canonical generator of its vertex set.  Used
-    for the homotopy outputs, whose formulas are written in this convention
-    (the orientation signs appear as explicit sg factors in the identity)."""
-    def sort_tuple(s):
-        return tuple(sorted(s, key=X2.pos.__getitem__))
-
-    out = {}
-    for lab, v in chain.items():
-        if lab and isinstance(lab[0], tuple):
-            new = tuple(sort_tuple(part) for part in lab)
-        else:
-            new = sort_tuple(lab)
-        out[new] = v
-    return out
-
-
-def _carrier_resort(X2, ring, chain):
-    """Re-sort generator labels into the order of X2, signing the carrier only
-    (the stalk part is canonicalized without a sign)."""
-    out = {}
-    for (s, b), v in chain.items():
-        st = tuple(sorted(s, key=X2.pos.__getitem__))
-        bt = tuple(sorted(b, key=X2.pos.__getitem__))
-        sign = ring.from_int(perm_sign(s, X2.pos.__getitem__))
-        out[(st, bt)] = ring.add(out.get((st, bt), ring.zero()),
-                                 ring.mul(sign, v))
-    return vec_clean(ring, out)
-
-
-def _b_homotopy_plain(ring, u, w, s, t, coeff):
-    """Orientation-swap homotopy on an R-coefficient generator pair: nonzero
-    only when u, w sit at the split positions, output the extended front face."""
+def _b_homotopy_plain(ring, u, w, s, b, t, c, coeff):
+    """Orientation-swap homotopy on an R-coefficient generator pair (s, t*):
+    nonzero only when u, w sit at the split positions, output the extended
+    front face.  This pair has no stalk parts; b and c are ignored, so that
+    the three homotopies take the same arguments."""
     k, l = len(s) - 1, len(t) - 1
     if k - l + 1 > k:
         return {}
@@ -281,9 +260,10 @@ def _b_homotopy_plain(ring, u, w, s, t, coeff):
     return {s[:k - l + 2]: ring.mul(ring.from_int((-1) ** (k - l)), coeff)}
 
 
-def _b_homotopy_v2(ring, u, w, s, b, t, coeff):
-    """Same homotopy for the second cap: the stalk generator rides along."""
-    out = _b_homotopy_plain(ring, u, w, s, t, coeff)
+def _b_homotopy_v2(ring, u, w, s, b, t, c, coeff):
+    """Same homotopy for the second cap: the stalk generator b rides along
+    (c is ignored)."""
+    out = _b_homotopy_plain(ring, u, w, s, b, t, c, coeff)
     return {(f, b): v for f, v in out.items()}
 
 
@@ -291,104 +271,88 @@ def _b_homotopy_v1(ring, u, w, s, b, t, c, coeff):
     """Same homotopy for the first cap: the stalk parts are paired away."""
     if b != c:
         return {}
-    return _b_homotopy_plain(ring, u, w, s, t, coeff)
+    return _b_homotopy_plain(ring, u, w, s, b, t, c, coeff)
 
 
-def swap_defect_plain(X, Xt, ring, u, w, s, t):
-    """Chain-homotopy defect of the orientation swap for the R-coefficient
-    cap on the generator pair (s, t*): zero iff the two caps agree up to the
-    homotopy.  u, w must be consecutive in the order of X with Xt the order
-    swapping them."""
-    k, l = len(s) - 1, len(t) - 1
-    cap_old = resort_plain(Xt, ring, cap_plain(ring, {s: ring.one()},
-                                               {t: ring.one()}, l))
-    st = tuple(sorted(s, key=Xt.pos.__getitem__))
-    tt = tuple(sorted(t, key=Xt.pos.__getitem__))
-    sg = ring.from_int(perm_sign(s, Xt.pos.__getitem__)
-                       * perm_sign(t, Xt.pos.__getitem__))
-    cap_new = vec_scale(ring, sg, cap_plain(ring, {st: ring.one()},
-                                            {tt: ring.one()}, l))
-    lhs = vec_sub(ring, cap_old, cap_new)
-    # d~ B(s (x) t*)
-    b0 = _canon(Xt, _b_homotopy_plain(ring, u, w, s, t, ring.one()))
-    rhs = d_chain_plain(Xt, ring, b0)
-    # B d(s (x) t*) with d(s (x) t*) = ds (x) t* + (-1)^(k-l) s (x) delta t*
-    for i in range(len(s)):
-        f = s[:i] + s[i + 1:]
-        if not f:
-            continue
-        term = _b_homotopy_plain(ring, u, w, f, t, ring.from_int((-1) ** i))
-        rhs = vec_add(ring, rhs, _canon(Xt, term))
-    sign = ring.from_int((-1) ** (k - l))
-    for tp in X.cofaces(t):
-        cs = ring.mul(sign, ring.from_int(_coface_sign(X, t, tp)))
-        term = _b_homotopy_plain(ring, u, w, s, tp, cs)
-        rhs = vec_add(ring, rhs, _canon(Xt, term))
-    return vec_sub(ring, lhs, rhs)
+class OrientationSwap:
+    """The swap of the adjacent vertices u = X.order[i] and w = X.order[i + 1]:
+    Xt is X with u and w exchanged in the vertex order.  Each simplex's tuple
+    re-sorted into the order of Xt, with the sign of that permutation, and
+    its faces and its cofaces in X, with their signs, are computed once here
+    for all the generator pairs `defect` is asked about."""
 
+    def __init__(self, X, ring, i):
+        order = list(X.order)
+        self.u, self.w = order[i], order[i + 1]
+        order[i], order[i + 1] = self.w, self.u
+        self.ring, self.Xt = ring, X.with_order(order)
+        key = self.Xt.pos.__getitem__
+        self.resorted = {s: (tuple(sorted(s, key=key)),
+                             ring.from_int(perm_sign(s, key)))
+                         for s in X.all_simplices()}
+        self.cofaces = {t: [(tp, ring.from_int(_coface_sign(X, t, tp)))
+                            for tp in X.cofaces(t)]
+                        for t in self.resorted}
+        self.faces = {s: [(s[:j] + s[j + 1:], ring.from_int((-1) ** j))
+                          for j in range(len(s)) if len(s) > 1]
+                      for s in self.resorted}
 
-def swap_defect_v2(X, Xt, ring, u, w, s, b, t):
-    """Chain-homotopy defect of the orientation swap for the second cap on the
-    generator pair ((s, b)*, t*)."""
-    k, l = len(s) - 1, len(t) - 1
-    # the stalk generator b rides along unchanged, so its orientation sign is
-    # a common unit factor of every term and is dropped throughout
-    cap_old = _carrier_resort(Xt, ring, cap_v2(ring, {(s, b): ring.one()},
-                                               {t: ring.one()}, l))
-    st = tuple(sorted(s, key=Xt.pos.__getitem__))
-    bt = tuple(sorted(b, key=Xt.pos.__getitem__))
-    tt = tuple(sorted(t, key=Xt.pos.__getitem__))
-    sg = ring.from_int(perm_sign(s, Xt.pos.__getitem__)
-                       * perm_sign(t, Xt.pos.__getitem__))
-    cap_new = vec_scale(ring, sg, cap_v2(ring, {(st, bt): ring.one()},
-                                         {tt: ring.one()}, l))
-    lhs = vec_sub(ring, cap_old, cap_new)
-    b0 = _canon(Xt, _b_homotopy_v2(ring, u, w, s, b, t, ring.one()))
-    rhs = d_chain_local(Xt, ring, b0)
-    for i in range(len(s)):
-        f = s[:i] + s[i + 1:]
-        if not f:
-            continue
-        term = _b_homotopy_v2(ring, u, w, f, b, t, ring.from_int((-1) ** i))
-        rhs = vec_add(ring, rhs, _canon(Xt, term))
-    sign = ring.from_int((-1) ** (k - l))
-    for tp in X.cofaces(t):
-        cs = ring.mul(sign, ring.from_int(_coface_sign(X, t, tp)))
-        term = _b_homotopy_v2(ring, u, w, s, b, tp, cs)
-        rhs = vec_add(ring, rhs, _canon(Xt, term))
-    return vec_sub(ring, lhs, rhs)
+    def defect(self, s, t, b=None, c=None):
+        """Chain-homotopy defect of the swap on one generator pair: zero iff
+        the caps before and after the swap agree up to the homotopy.  The pair
+        is (s, t*) for the R-coefficient cap when b is None, ((s, b)*, t*) for
+        the second cap when c is None, and ((s, b)*, (t, c)) for the first
+        cap otherwise.  Stalk orientation signs are dropped: b rides along
+        unchanged in the second cap, and the first cap contributes only when
+        b == c, where the two signs cancel.  The homotopy outputs are written
+        without signs (a tuple denotes the canonical generator of its vertex
+        set); the orientation signs appear in the caps' terms instead."""
+        ring, res, u, w = self.ring, self.resorted, self.u, self.w
+        one = ring.one()
+        k, l = len(s) - 1, len(t) - 1
+        (st, s_sign), (tt, t_sign) = res[s], res[t]
+        cofaces = self.cofaces[t]
+        if b is None:
+            old = cap_plain(ring, {s: one}, {t: one}, l)
+            new = cap_plain(ring, {st: one}, {tt: one}, l)
+            homotopy = _b_homotopy_plain
+            relabel, d_chain = res.__getitem__, d_chain_plain
+        elif c is None:
+            bt = res[b][0]
+            old = cap_v2(ring, {(s, b): one}, {t: one}, l)
+            new = cap_v2(ring, {(st, bt): one}, {tt: one}, l)
+            homotopy = _b_homotopy_v2
+            d_chain = d_chain_local
 
-
-def swap_defect_v1(X, Xt, ring, u, w, s, b, t, c):
-    """Chain-homotopy defect of the orientation swap for the first cap on the
-    generator pair ((s, b)*, (t, c)); stalk signs pair away when b == c."""
-    k, l = len(s) - 1, len(t) - 1
-    cap_old = resort_plain(Xt, ring, cap_v1(ring, {(s, b): ring.one()},
-                                            {(t, c): ring.one()}, l))
-    st = tuple(sorted(s, key=Xt.pos.__getitem__))
-    bt = tuple(sorted(b, key=Xt.pos.__getitem__))
-    tt = tuple(sorted(t, key=Xt.pos.__getitem__))
-    ct = tuple(sorted(c, key=Xt.pos.__getitem__))
-    # contributions need b == c, so the two stalk orientation signs cancel
-    sg = ring.from_int(perm_sign(s, Xt.pos.__getitem__)
-                       * perm_sign(t, Xt.pos.__getitem__))
-    cap_new = vec_scale(ring, sg, cap_v1(ring, {(st, bt): ring.one()},
-                                         {(tt, ct): ring.one()}, l))
-    lhs = vec_sub(ring, cap_old, cap_new)
-    b0 = _canon(Xt, _b_homotopy_v1(ring, u, w, s, b, t, c, ring.one()))
-    rhs = d_chain_plain(Xt, ring, b0)
-    for i in range(len(s)):
-        f = s[:i] + s[i + 1:]
-        if not f:
-            continue
-        term = _b_homotopy_v1(ring, u, w, f, b, t, c, ring.from_int((-1) ** i))
-        rhs = vec_add(ring, rhs, _canon(Xt, term))
-    sign = ring.from_int((-1) ** (k - l))
-    cset = set(c)
-    for tp in X.cofaces(t):
-        if not set(tp).issubset(cset):
-            continue
-        cs = ring.mul(sign, ring.from_int(_coface_sign(X, t, tp)))
-        term = _b_homotopy_v1(ring, u, w, s, b, tp, c, cs)
-        rhs = vec_add(ring, rhs, _canon(Xt, term))
-    return vec_sub(ring, lhs, rhs)
+            def relabel(label):
+                f, sign = res[label[0]]
+                return (f, bt), sign
+        else:
+            old = cap_v1(ring, {(s, b): one}, {(t, c): one}, l)
+            new = cap_v1(ring, {(st, res[b][0]): one},
+                         {(tt, res[c][0]): one}, l)
+            homotopy = _b_homotopy_v1
+            relabel, d_chain = res.__getitem__, d_chain_plain
+            cset = set(c)
+            cofaces = [x for x in cofaces if cset.issuperset(x[0])]
+        out = {}
+        for label, v in old.items():
+            label, sign = relabel(label)
+            out[label] = ring.add(out.get(label, ring.zero()),
+                                  ring.mul(sign, v))
+        _subtract(ring, out, new, ring.mul(s_sign, t_sign))
+        # d~ B(s (x) t*) + B d(s (x) t*), where
+        # d(s (x) t*) = ds (x) t* + (-1)^(k-l) s (x) delta t*
+        b0 = {relabel(label)[0]: v for label, v
+              in homotopy(ring, u, w, s, b, t, c, one).items()}
+        _subtract(ring, out, d_chain(self.Xt, ring, b0), one)
+        terms = [homotopy(ring, u, w, f, b, t, c, sign)
+                 for f, sign in self.faces[s]]
+        sign = ring.from_int((-1) ** (k - l))
+        terms += [homotopy(ring, u, w, s, b, tp, c, ring.mul(sign, cs))
+                  for tp, cs in cofaces]
+        for term in terms:
+            for label, v in term.items():
+                label = relabel(label)[0]
+                out[label] = ring.sub(out.get(label, ring.zero()), v)
+        return vec_clean(ring, out)

@@ -12,8 +12,8 @@ arithmetic is exact; a defect is a failure exactly when it is a nonzero
 vector.
 """
 
-from .caps import (cap_v1, cap_v2, leibniz_defect_v1, leibniz_defect_v2,
-                   swap_defect_plain, swap_defect_v1, swap_defect_v2)
+from .caps import (OrientationSwap, cap_v1, cap_v2, leibniz_defect_v1,
+                   leibniz_defect_v2)
 from .complexes import Subcomplex
 from .matrices import vec_add, vec_clean, vec_eq, vec_sub
 from .mv import (MVDoubleComplex, c_dual, c_dual_reversed,
@@ -23,7 +23,8 @@ from .sheaves import in_region, region_rel, region_sub
 
 
 def _pairs_with_tops(X):
-    """All generator labels (carrier, top simplex containing it)."""
+    """All generator labels (s, b): every simplex s paired with every simplex
+    b containing it, s itself included, not only the top simplices."""
     out = []
     for b in X.all_simplices():
         bset = set(b)
@@ -46,16 +47,14 @@ def leibniz_sweep(X, ring, max_witnesses=3):
             if l > k:
                 continue
             checked += 1
-            d1 = leibniz_defect_v1(X, ring, xi, {(t, c): ring.one()}, k, l)
-            if vec_clean(ring, d1):
+            if leibniz_defect_v1(X, ring, xi, {(t, c): ring.one()}, k, l):
                 witnesses.append(("v1", s, b, t, c))
         for t in X.all_simplices():
             l = len(t) - 1
             if l > k:
                 continue
             checked += 1
-            d2 = leibniz_defect_v2(X, ring, xi, {t: ring.one()}, k, l)
-            if vec_clean(ring, d2):
+            if leibniz_defect_v2(X, ring, xi, {t: ring.one()}, k, l):
                 witnesses.append(("v2", s, b, t))
     return {"checked": checked, "witnesses": witnesses[:max_witnesses],
             "ok": not witnesses}
@@ -255,10 +254,8 @@ def swap_sweep(X, ring, max_witnesses=3):
     witnesses = []
     pairs = _pairs_with_tops(X)
     for i in range(len(X.order) - 1):
-        u, w = X.order[i], X.order[i + 1]
-        new_order = list(X.order)
-        new_order[i], new_order[i + 1] = w, u
-        Xt = X.with_order(new_order)
+        swap = OrientationSwap(X, ring, i)
+        u, w = swap.u, swap.w
         for (s, b) in pairs:
             k = len(s) - 1
             for t in X.all_simplices():
@@ -266,19 +263,17 @@ def swap_sweep(X, ring, max_witnesses=3):
                 if l > k:
                     continue
                 checked += 1
-                if vec_clean(ring, swap_defect_plain(X, Xt, ring, u, w, s, t)):
+                if swap.defect(s, t):
                     witnesses.append(("plain", u, w, s, t))
                 checked += 1
-                if vec_clean(ring,
-                             swap_defect_v2(X, Xt, ring, u, w, s, b, t)):
+                if swap.defect(s, t, b):
                     witnesses.append(("v2", u, w, s, b, t))
             for (t, c) in pairs:
                 l = len(t) - 1
                 if l > k:
                     continue
                 checked += 1
-                if vec_clean(ring,
-                             swap_defect_v1(X, Xt, ring, u, w, s, b, t, c)):
+                if swap.defect(s, t, b, c):
                     witnesses.append(("v1", u, w, s, b, t, c))
     return {"checked": checked, "witnesses": witnesses[:max_witnesses],
             "ok": not witnesses}

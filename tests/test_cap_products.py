@@ -1,9 +1,13 @@
 """Cap products: values on generators, the Leibniz rule sweeps, relative
 variants, and orientation-swap homotopies with homology-level independence."""
 
-from lochom.caps import (cap_plain, cap_v1, cap_v2, relative_cap_v1,
-                         relative_cap_v2, relative_cap_v3, relative_cap_v4)
-from lochom.complexes import Subcomplex, reorient_vc_before
+import os
+
+from lochom import caps, identities
+from lochom.caps import (OrientationSwap, cap_plain, cap_v1, cap_v2,
+                         relative_cap_v1, relative_cap_v2, relative_cap_v3,
+                         relative_cap_v4)
+from lochom.complexes import Subcomplex, parse_complex, reorient_vc_before
 from lochom.fixtures import circle3, rp2_six, sphere2, triangle
 from lochom.homology import induced_matrix
 from lochom.identities import leibniz_sweep, swap_sweep
@@ -82,6 +86,63 @@ def test_swap_sweep_small_complexes():
     for fn in (circle3, triangle):
         rep = swap_sweep(fn(), ZZ)
         assert rep["ok"], rep["witnesses"]
+
+
+FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+# (swap, Leibniz) `checked` counts over Z, from the sweeps that evaluated each
+# generator pair with its own chain of vector operations
+SWEEP_CHECKED = {"rp6": (69315, 12212), "t4": (7524, 2160)}
+
+
+def test_sweeps_evaluate_every_pair_they_count(monkeypatch):
+    calls = {"swap": 0, "leibniz": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(OrientationSwap, "defect",
+                        counted("swap", OrientationSwap.defect))
+    for name in ("leibniz_defect_v1", "leibniz_defect_v2"):
+        monkeypatch.setattr(identities, name,
+                            counted("leibniz", getattr(identities, name)))
+    for name, (swap_checked, leibniz_checked) in SWEEP_CHECKED.items():
+        with open(os.path.join(FIXDIR, f"{name}.cplx"), encoding="utf-8") as fh:
+            X = parse_complex(fh.read())
+        calls.update(swap=0, leibniz=0)
+        swap, leibniz = swap_sweep(X, ZZ), leibniz_sweep(X, ZZ)
+        assert swap["ok"] and leibniz["ok"]
+        assert swap["checked"] == calls["swap"] == swap_checked, name
+        assert leibniz["checked"] == calls["leibniz"] == leibniz_checked, name
+
+
+def test_swap_sweep_catches_a_sign_flipped_homotopy(monkeypatch):
+    homotopy = caps._b_homotopy_plain
+
+    def flipped(ring, *args):
+        return {key: ring.neg(v) for key, v in homotopy(ring, *args).items()}
+
+    monkeypatch.setattr(caps, "_b_homotopy_plain", flipped)
+    rep = swap_sweep(sphere2(), ZZ, max_witnesses=1000)
+    assert not rep["ok"]
+    assert {w[0] for w in rep["witnesses"]} == {"plain", "v2", "v1"}
+    assert len(rep["witnesses"]) == 135
+    assert swap_sweep(sphere2(), ZZ)["witnesses"] == [
+        ("plain", 0, 1, (0, 1), (0,)), ("v2", 0, 1, (0, 1), (0, 1), (0,)),
+        ("plain", 0, 1, (0, 1), (1,))]
+
+
+def test_leibniz_sweep_catches_negated_coface_signs(monkeypatch):
+    coface_sign = caps._coface_sign
+    monkeypatch.setattr(caps, "_coface_sign",
+                        lambda *args: -coface_sign(*args))
+    rep = leibniz_sweep(sphere2(), ZZ, max_witnesses=1000)
+    assert not rep["ok"]
+    assert {w[0] for w in rep["witnesses"]} == {"v1", "v2"}
+    assert len(rep["witnesses"]) == 112
 
 
 def _homology_cap_conjugation(X, swap_index, ring):
