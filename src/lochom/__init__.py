@@ -12,8 +12,7 @@ from .complexes import (SimplicialComplex, Subcomplex, is_vc_before,
                         perm_sign, reorient_vc_before, serialize_complex)
 from .fixtures import (FIXTURES, bowtie, circle3, hexagon, hexagon_cover_map,
                        rp2_six, sphere2, triangle)
-from .homology import (ChainComplex, HomologyPresentation,
-                       induced_map_on_homology, induced_matrix,
+from .homology import (ChainComplex, HomologyPresentation, induced_matrix,
                        is_isomorphism)
 from .identities import (collapse_suite, collapse_vs_cap,
                          full_identity_report, leibniz_sweep,
@@ -22,10 +21,10 @@ from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
                             build_h_cosheaf, build_h_sheaf, cm_check,
                             link_crosscheck, local_cm_check, local_cohomology,
                             local_homology, uct_check, uct_report)
-from .matrices import Matrix, kernel_basis, smith_normal_form, solve
-from .mv import (DUALITY_ITEMS, MVDoubleComplex, build_D, c_dual,
-                 c_dual_reversed, fundamental_class, naturality_report,
-                 verify_duality)
+from .matrices import (Matrix, invariant_factors, kernel_basis,
+                       smith_normal_form, solve)
+from .mv import (DUALITY_ITEMS, MVDoubleComplex, c_dual, c_dual_reversed,
+                 fundamental_class, naturality_report, verify_duality)
 from .rings import GF, QQ, ZZ, ring_from_name
 from .sectionsduality import (RestrictionSystem, build_restriction_system,
                               compactly_determined_dual, constant_system,

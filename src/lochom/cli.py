@@ -18,7 +18,7 @@ from .homology import HomologyPresentation
 from .identities import full_identity_report
 from .io import parse_filtration, parse_map
 from .localhomology import (cm_check, link_crosscheck, local_cm_check,
-                            local_cohomology, local_homology, uct_report)
+                            local_complex, uct_report)
 from .matrices import Matrix
 from .mv import DUALITY_ITEMS, verify_duality
 from .rings import ring_from_name
@@ -126,12 +126,12 @@ def cmd_local(args):
     stalks = {}
     all_ok = True
     for s in X.all_simplices():
+        cx = local_complex(X, ring, s)
         entry = {"local_homology": {}, "local_cohomology": {}}
         for k in range(X.dim + 1):
-            entry["local_homology"][k] = _jsonable(
-                local_homology(X, ring, s, k).rank_summary)
+            entry["local_homology"][k] = _jsonable(cx.homology_summary(k))
             entry["local_cohomology"][k] = _jsonable(
-                local_cohomology(X, ring, s, k).rank_summary)
+                cx.cohomology_summary(k))
         entry["link_crosscheck"] = link_crosscheck(X, ring, s)
         if args.dim is not None:
             entry["uct"] = {kk: _jsonable(vv) for kk, vv in

@@ -1,7 +1,7 @@
 """Chain complexes over exact rings and homology presentations via SNF."""
 
-from .matrices import (Matrix, hstack, kernel_basis, smith_normal_form, solve,
-                       vec_clean, vec_is_zero)
+from .matrices import (Matrix, hstack, invariant_factors, kernel_basis,
+                       smith_normal_form, solve, vec_clean, vec_is_zero)
 
 
 class ChainComplex:
@@ -10,6 +10,7 @@ class ChainComplex:
     spaces: dict degree -> tuple of basis labels.
     diffs: dict degree -> Matrix from spaces[degree] to spaces[degree + shift].
     shift is -1 for homological (boundary) and +1 for cohomological complexes.
+    Each differential's invariant factors are computed at most once.
     """
 
     def __init__(self, ring, spaces, diffs, shift=-1, check=True):
@@ -17,6 +18,7 @@ class ChainComplex:
         self.spaces = {d: tuple(b) for d, b in spaces.items() if len(b) > 0}
         self.diffs = dict(diffs)
         self.shift = shift
+        self._factors = {}
         if check:
             self.check_complex()
 
@@ -48,6 +50,29 @@ class ChainComplex:
         d_out = self.differential(deg)
         d_in = self.differential(deg - self.shift)
         return HomologyPresentation(self.ring, self.basis(deg), d_out, d_in)
+
+    def homology_summary(self, deg):
+        """`homology(deg).rank_summary` from invariant factors alone: over a
+        PID ker d_out is a direct summand, so the free rank is
+        dim C - rank d_out - rank d_in, the torsion the non-unit factors of
+        d_in."""
+        return self._summary(deg, deg - self.shift)
+
+    def cohomology_summary(self, deg):
+        """The same for the evaluation dual (transposed differentials): a
+        transpose has the same factors, so the torsion is d_out's."""
+        return self._summary(deg, deg)
+
+    def _summary(self, deg, torsion_deg):
+        for k in (deg, deg - self.shift):
+            if k not in self._factors:
+                d = self.diffs.get(k)
+                self._factors[k] = (invariant_factors(d)
+                                    if d is not None and d.entries else [])
+        free = (len(self.basis(deg)) - len(self._factors[deg])
+                - len(self._factors[deg - self.shift]))
+        return (free, [d for d in self._factors[torsion_deg]
+                       if not self.ring.is_unit(d)])
 
 
 class CokerPresentation:
@@ -214,22 +239,3 @@ def is_isomorphism(src, tgt, matrix):
                 if not ring.divides(order, v):
                     injective = False
     return injective
-
-
-def induced_map_on_homology(fs, source, target, deg):
-    """Given chain-map matrices fs[deg], assert the chain-map
-    identity at `deg` and return (matrix on homology, is_isomorphism)."""
-    f = fs[deg]
-    shift = source.shift
-    f_next = fs.get(deg + shift)
-    if f_next is None:
-        f_next = Matrix.zero(source.ring, target.basis(deg + shift),
-                             source.basis(deg + shift))
-    lhs = target.differential(deg) @ f
-    rhs = f_next @ source.differential(deg)
-    if not (lhs - rhs).is_zero():
-        raise ValueError(f"not a chain map at degree {deg}")
-    src = source.homology(deg)
-    tgt = target.homology(deg)
-    m = induced_matrix(src, tgt, f.apply)
-    return m, is_isomorphism(src, tgt, m)

@@ -14,7 +14,7 @@ vector.
 
 from .caps import (OrientationSwap, cap_v1, cap_v2, leibniz_defect_v1,
                    leibniz_defect_v2)
-from .complexes import Subcomplex
+from .complexes import Subcomplex, is_vc_before, reorient_vc_before
 from .matrices import vec_add, vec_clean, vec_eq, vec_sub
 from .mv import (MVDoubleComplex, c_dual, c_dual_reversed,
                  cap_fundamental_v1, fundamental_class, pair_dual,
@@ -281,14 +281,21 @@ def swap_sweep(X, ring, max_witnesses=3):
 
 def full_identity_report(X, L, ring):
     """Everything above on one complex (the swap sweep runs on the complex
-    itself; the double-complex sweeps use the given subcomplex)."""
+    itself; the double-complex sweeps use the given subcomplex, on the order
+    `reorient_vc_before` gives when L's vertices are not last, and then the
+    report says "reoriented": true)."""
+    Xd, Ld = X, L
+    if L is not None and not is_vc_before(X, L):
+        Xd, Ld = reorient_vc_before(X, L)
     reports = {
         "leibniz": leibniz_sweep(X, ring),
-        "double_complex": mv_identity_sweep(X, L, ring),
-        "collapse": collapse_suite(X, L, ring),
-        "collapse_vs_cap": collapse_vs_cap(X, L, ring),
+        "double_complex": mv_identity_sweep(Xd, Ld, ring),
+        "collapse": collapse_suite(Xd, Ld, ring),
+        "collapse_vs_cap": collapse_vs_cap(Xd, Ld, ring),
         "orientation_swap": swap_sweep(X, ring),
     }
     reports["ok"] = all(r["ok"] for r in reports.values()
                         if isinstance(r, dict))
+    if Xd is not X:
+        reports["reoriented"] = True
     return reports

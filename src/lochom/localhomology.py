@@ -9,7 +9,7 @@ stalks, presented as cokernels of the local coboundary, form a cosheaf.
 """
 
 from .homology import ChainComplex, CokerPresentation
-from .matrices import Matrix, smith_normal_form, solve, vec_clean
+from .matrices import Matrix, invariant_factors, solve, vec_clean, vec_dot
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
 
@@ -21,7 +21,7 @@ def local_complex(X, ring, simplex):
     if key in cache:
         return cache[key]
     if not simplex:
-        raise ValueError("empty simplex: use reduced_homology instead")
+        raise ValueError("empty simplex: use the reduced chain complex")
     if not X.contains(simplex):
         raise ValueError(f"{simplex!r} not in complex")
     s = set(simplex)
@@ -49,13 +49,8 @@ def local_cochain_complex(X, ring, simplex):
     """Evaluation dual of the local chain complex (same labels, transposed
     differentials, shift +1)."""
     cx = local_complex(X, ring, simplex)
-    spaces = dict(cx.spaces)
-    diffs = {}
-    for k in cx.spaces:
-        d = cx.differential(k + 1)
-        if d.shape[0] and d.shape[1]:
-            diffs[k] = d.transpose()
-    return ChainComplex(ring, spaces, diffs, shift=+1)
+    return ChainComplex(ring, cx.spaces, {
+        k: cx.differential(k + 1).transpose() for k in cx.spaces}, shift=+1)
 
 
 def local_homology(X, ring, simplex, k):
@@ -66,27 +61,17 @@ def local_cohomology(X, ring, simplex, k):
     return local_cochain_complex(X, ring, simplex).homology(k)
 
 
-def reduced_homology(X, ring):
-    """Graded presentations of the augmented simplicial chain complex."""
-    cx = simplicial_chain_complex(X, ring, reduced=True)
-    return {k: cx.homology(k) for k in range(-1, X.dim + 1)}
-
-
 def link_crosscheck(X, ring, simplex):
     """True iff h_i(s) matches the reduced homology of the link shifted by
-    dim s + 1, as free rank + torsion, in every degree."""
+    dim s + 1, as free rank + torsion, in every degree.  Both sides are
+    summaries from invariant factors (`ChainComplex.homology_summary`)."""
     simplex = tuple(simplex)
     l = len(simplex) - 1
-    lk = X.link_complex(simplex)
-    lk_h = reduced_homology(lk, ring)
-    for i in range(-1, X.dim + 1):
-        left = local_homology(X, ring, simplex, i) if i >= 0 else None
-        right = lk_h.get(i - l - 1)
-        lsum = left.rank_summary if left is not None else (0, [])
-        rsum = right.rank_summary if right is not None else (0, [])
-        if lsum != rsum:
-            return False
-    return True
+    local = local_complex(X, ring, simplex)
+    link = simplicial_chain_complex(X.link_complex(simplex), ring,
+                                    reduced=True)
+    return all(local.homology_summary(i) == link.homology_summary(i - l - 1)
+               for i in range(-1, X.dim + 1))
 
 
 def local_cm_check(X, L, n, ring):
@@ -94,8 +79,9 @@ def local_cm_check(X, L, n, ring):
 
     locally_cm_at_L: local homology concentrated in degree n at every simplex
     of L (of X when L is None); locally_cm: the same at every simplex of X;
-    witnesses lists each failing (simplex, degree, rank summary).  Callers
-    that read only these skip the global homology `cm_check` adds.
+    witnesses lists each failing (simplex, degree, rank summary), read from
+    invariant factors alone.  Callers that read only these skip the global
+    homology `cm_check` adds.
     """
     if X.dim < 0:
         raise ValueError("complex has no simplices")
@@ -107,9 +93,9 @@ def local_cm_check(X, L, n, ring):
         for k in range(0, X.dim + 1):
             if k == n:
                 continue
-            h = local_homology(X, ring, s, k)
-            if not h.is_trivial():
-                witnesses.append((s, k, h.rank_summary))
+            summary = local_complex(X, ring, s).homology_summary(k)
+            if summary != (0, []):
+                witnesses.append((s, k, summary))
                 locally_cm = False
                 if in_L:
                     locally_cm_at_L = False
@@ -122,10 +108,12 @@ def cm_check(X, L, n, ring):
 
     The fields of `local_cm_check`, plus cm: locally_cm and reduced homology
     concentrated in degree n; pure: every maximal simplex has dimension n.
+    The reduced homology is read as summaries from invariant factors.
     """
     local = local_cm_check(X, L, n, ring)
-    red = reduced_homology(X, ring)
-    reduced_ok = all(red[k].is_trivial() for k in red if k != n)
+    red = simplicial_chain_complex(X, ring, reduced=True)
+    reduced_ok = all(red.homology_summary(k) == (0, [])
+                     for k in range(-1, X.dim + 1) if k != n)
     pure = all(len(m) - 1 == n for m in X.maximal_simplices())
     return {
         "n": n,
@@ -249,32 +237,22 @@ def build_h_cosheaf(X, ring, n):
 def uct_report(X, ring, simplex, n):
     """Evaluation pairing between top local cohomology and the dual of top
     local homology at one simplex: both must be free of equal rank with a
-    unimodular pairing matrix."""
+    unimodular pairing matrix.  Only the paired degree-n presentations are
+    built; concentration and unimodularity read invariant factors alone."""
     simplex = tuple(simplex)
-    concentrated = all(
-        local_homology(X, ring, simplex, k).is_trivial()
-        for k in range(0, X.dim + 1) if k != n)
+    cx = local_complex(X, ring, simplex)
+    concentrated = all(cx.homology_summary(k) == (0, [])
+                       for k in range(0, X.dim + 1) if k != n)
     sheaf = LocalHomologySheaf(ring, X, n)
-    cosheaf = LocalCohomologyCosheaf(ring, X, n)
     cycles = [sheaf.cycle(simplex, lbl) for lbl in sheaf.stalk(simplex)]
-    pres = cosheaf.presentation(simplex)
-    ring_ = ring
-    rows = tuple(range(len(pres)))
-    cols = tuple(range(len(cycles)))
-    entries = {}
-    for i in rows:
-        lift = pres.lift(i)
-        for j, z in enumerate(cycles):
-            val = ring_.zero()
-            for lab, v in lift.items():
-                if lab in z:
-                    val = ring_.add(val, ring_.mul(v, z[lab]))
-            if not ring_.is_zero(val):
-                entries[(i, j)] = val
-    pairing = Matrix(ring_, rows, cols, entries)
-    s = smith_normal_form(pairing)
-    unimodular = (s.rank == len(rows) == len(cols)
-                  and all(ring_.is_unit(d) for d in s.diagonals))
+    pres = LocalCohomologyCosheaf(ring, X, n).presentation(simplex)
+    lifts = [pres.lift(i) for i in range(len(pres))]
+    factors = invariant_factors(Matrix(
+        ring, range(len(lifts)), range(len(cycles)),
+        {(i, j): vec_dot(ring, lift, z) for i, lift in enumerate(lifts)
+         for j, z in enumerate(cycles)}))
+    unimodular = (len(factors) == len(lifts) == len(cycles)
+                  and all(ring.is_unit(d) for d in factors))
     ok = (concentrated and not pres.torsion
           and len(cycles) == pres.free_rank and unimodular)
     return {

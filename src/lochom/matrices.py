@@ -187,16 +187,6 @@ class SNF:
         self.diagonals = diagonals
         self.rank = len(diagonals)
 
-    @property
-    def D(self):
-        ring = self.matrix.ring
-        rows = self.matrix.row_labels
-        cols = self.matrix.col_labels
-        entries = {}
-        for i, d in enumerate(self.diagonals):
-            entries[(rows[i], cols[i])] = d
-        return Matrix(ring, rows, cols, entries)
-
 
 def _gcd_combine(ring, x, y):
     """For x != 0: return (a, b, c, d, g) with a*x + b*y = g, det [[a,b],[c,d]] = 1
@@ -250,15 +240,51 @@ def smith_normal_form(M):
     is truthy, and 1*x + 0*y is x itself.
     """
     ring = M.ring
+    diagonals, (U, UinvT, VT, Vinv) = _eliminate(M, True)
+
+    def by_rows(labels, rows):
+        out = Matrix(ring, labels, labels)
+        out.entries = {(labels[i], labels[j]): row[j]
+                       for i, row in enumerate(rows) for j in sorted(row)
+                       if row[j]}
+        return out
+
+    def by_columns(labels, cols):
+        rows = [{} for _ in cols]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return by_rows(labels, rows)
+
+    rows, cols = M.row_labels, M.col_labels
+    return SNF(M, by_rows(rows, U), by_columns(rows, UinvT),
+               by_columns(cols, VT), by_rows(cols, Vinv), diagonals)
+
+
+def invariant_factors(M):
+    """The diagonals of `smith_normal_form(M)`, equal in value, type and
+    order, from the same elimination run without U, U^-1, V or V^-1.
+
+    Over a PID these factors fix the cokernel of M up to isomorphism, so a
+    caller that needs only ranks and torsion orders skips every transform
+    update and every `Matrix` the full form builds.
+    """
+    return _eliminate(M, False)[0]
+
+
+def _eliminate(M, track):
+    """The elimination `smith_normal_form` describes: the diagonals, and the
+    transforms (U, U^-1, V, V^-1 stored sparsely) only when `track`."""
+    ring = M.ring
     add, mul, neg = ring.add, ring.mul, ring.neg
     zero, one = ring.zero(), ring.one()
     m, n = M.shape
     A = M.to_dense()
     # dicts {index: entry}; entries that cancel stay stored as zeros
-    U = [{i: one} for i in range(m)]
-    UinvT = [{i: one} for i in range(m)]
-    VT = [{j: one} for j in range(n)]
-    Vinv = [{j: one} for j in range(n)]
+    U = [{i: one} for i in range(m)] if track else None
+    UinvT = [{i: one} for i in range(m)] if track else None
+    VT = [{j: one} for j in range(n)] if track else None
+    Vinv = [{j: one} for j in range(n)] if track else None
 
     def axpy(dst, c, src):
         # dst += c * src for sparse dst and src
@@ -279,8 +305,9 @@ def smith_normal_form(M):
         ri, rj = A[i], A[j]
         A[i] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rj)]
         A[j] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rj)]
-        combine(U, i, j, a, b, c, d)
-        combine(UinvT, i, j, d, neg(c), neg(b), a)
+        if track:
+            combine(U, i, j, a, b, c, d)
+            combine(UinvT, i, j, d, neg(c), neg(b), a)
 
     def col_transform(i, j, a, b, c, d):
         # det 1; V^-1 gets the inverse [[d, -c], [-b, a]] on rows i, j
@@ -288,8 +315,9 @@ def smith_normal_form(M):
             ci, cj = row[i], row[j]
             row[i] = add(mul(a, ci), mul(b, cj))
             row[j] = add(mul(c, ci), mul(d, cj))
-        combine(VT, i, j, a, b, c, d)
-        combine(Vinv, i, j, d, neg(c), neg(b), a)
+        if track:
+            combine(VT, i, j, a, b, c, d)
+            combine(Vinv, i, j, d, neg(c), neg(b), a)
 
     int_ring = isinstance(one, int)
 
@@ -319,13 +347,15 @@ def smith_normal_form(M):
         pi, pj = pivot
         if pi != t:
             A[t], A[pi] = A[pi], A[t]
-            U[t], U[pi] = U[pi], U[t]
-            UinvT[t], UinvT[pi] = UinvT[pi], UinvT[t]
+            if track:
+                U[t], U[pi] = U[pi], U[t]
+                UinvT[t], UinvT[pi] = UinvT[pi], UinvT[t]
         if pj != t:
             for row in A:
                 row[t], row[pj] = row[pj], row[t]
-            VT[t], VT[pj] = VT[pj], VT[t]
-            Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
+            if track:
+                VT[t], VT[pj] = VT[pj], VT[t]
+                Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
         while True:
             # columns where row t is nonzero: row t only changes in a
             # row_transform
@@ -341,8 +371,9 @@ def smith_normal_form(M):
                     c, rt, ri = neg(q), A[t], A[i]
                     for k in support:
                         ri[k] = add(ri[k], mul(c, rt[k]))
-                    axpy(U[i], c, U[t])
-                    axpy(UinvT[t], q, UinvT[i])
+                    if track:
+                        axpy(U[i], c, U[t])
+                        axpy(UinvT[t], q, UinvT[i])
                 else:
                     a, b, c, d, _ = _gcd_combine(ring, A[t][t], A[i][t])
                     row_transform(t, i, a, b, c, d)
@@ -362,8 +393,9 @@ def smith_normal_form(M):
                     c = neg(q)
                     for row in support:
                         row[j] = add(row[j], mul(c, row[t]))
-                    axpy(VT[j], c, VT[t])
-                    axpy(Vinv[t], q, Vinv[j])
+                    if track:
+                        axpy(VT[j], c, VT[t])
+                        axpy(Vinv[t], q, Vinv[j])
                 else:
                     a, b, c, d, _ = _gcd_combine(ring, A[t][t], A[t][j])
                     col_transform(t, j, a, b, c, d)
@@ -384,30 +416,14 @@ def smith_normal_form(M):
         u = ring.canonical_unit(A[t][t])
         if not ring.is_zero(ring.sub(u, one)):
             A[t] = [mul(u, x) for x in A[t]]
-            U[t] = {k: mul(u, x) for k, x in U[t].items()}
-            uinv = ring.inv(u)
-            UinvT[t] = {k: mul(x, uinv) for k, x in UinvT[t].items()}
+            if track:
+                U[t] = {k: mul(u, x) for k, x in U[t].items()}
+                uinv = ring.inv(u)
+                UinvT[t] = {k: mul(x, uinv) for k, x in UinvT[t].items()}
         t += 1
 
     diagonals = [A[i][i] for i in range(t) if not ring.is_zero(A[i][i])]
-
-    def by_rows(labels, rows):
-        out = Matrix(ring, labels, labels)
-        out.entries = {(labels[i], labels[j]): row[j]
-                       for i, row in enumerate(rows) for j in sorted(row)
-                       if row[j]}
-        return out
-
-    def by_columns(labels, cols):
-        rows = [{} for _ in cols]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][j] = x
-        return by_rows(labels, rows)
-
-    rows, cols = M.row_labels, M.col_labels
-    return SNF(M, by_rows(rows, U), by_columns(rows, UinvT),
-               by_columns(cols, VT), by_rows(cols, Vinv), diagonals)
+    return diagonals, ((U, UinvT, VT, Vinv) if track else None)
 
 
 def solve(M, b, snf=None):

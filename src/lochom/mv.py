@@ -287,10 +287,6 @@ class MVDoubleComplex:
         return out
 
 
-def build_D(X, L, ring):
-    return MVDoubleComplex(X, L, ring)
-
-
 # -- the dual double complex --------------------------------------------------
 
 def c_dual(D, cochain, q):

@@ -116,18 +116,23 @@ class IntegerRing(Ring):
         return -1 if a < 0 else 1
 
 
+# shared, as the sweeps ask for these hundreds of thousands of times
+_Q_CONSTANTS = {n: Fraction(n) for n in (0, 1, -1)}
+
+
 class RationalField(Ring):
     name = "Q"
     is_field = True
 
     def zero(self):
-        return Fraction(0)
+        return _Q_CONSTANTS[0]
 
     def one(self):
-        return Fraction(1)
+        return _Q_CONSTANTS[1]
 
     def from_int(self, n):
-        return Fraction(n)
+        c = _Q_CONSTANTS.get(n)
+        return c if c is not None else Fraction(n)
 
     def add(self, a, b):
         return a + b
@@ -150,7 +155,7 @@ class RationalField(Ring):
         return 1 / Fraction(a)
 
     def divmod(self, a, b):
-        return a / Fraction(b), Fraction(0)
+        return a / Fraction(b), _Q_CONSTANTS[0]
 
     def canonical_unit(self, a):
         return Fraction(1) if a == 0 else 1 / Fraction(a)

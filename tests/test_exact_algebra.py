@@ -1,5 +1,6 @@
 """Exact rings, Smith normal form, solving, and homology presentations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lochom.fixtures import bowtie, circle3, rp2_six, sphere2
-from lochom.homology import induced_matrix, is_isomorphism
+from lochom.complexes import SimplicialComplex
+from lochom.homology import ChainComplex, induced_matrix, is_isomorphism
 from lochom.matrices import Matrix, kernel_basis, smith_normal_form, solve
 from lochom.rings import GF, QQ, ZZ, PrimeField, ring_from_name
-from lochom.sheaves import simplicial_chain_complex
+from lochom.sheaves import simplicial_chain_complex, simplicial_cochain_complex
 
 
 def dense_matrix(ring, rows):
@@ -106,6 +108,106 @@ def test_homology_oracles():
     assert ranks(rp2_six(), GF(2)) == {0: (1, []), 1: (1, []), 2: (1, [])}
     assert ranks(rp2_six(), QQ) == {0: (1, []), 1: (0, []), 2: (0, [])}
     assert ranks(bowtie(), ZZ) == {0: (1, []), 1: (0, []), 2: (0, [])}
+
+
+SUMMARY_RINGS = (ZZ, QQ, GF(2), GF(3))
+
+
+def evaluation_dual(cx):
+    """Hom(C, R): the same bases, transposed differentials, opposite shift."""
+    return ChainComplex(cx.ring, cx.spaces,
+                        {k: cx.differential(k - cx.shift).transpose()
+                         for k in cx.degrees()}, shift=-cx.shift)
+
+
+def assert_summaries_match_presentations(cx, degrees):
+    """Both factor summaries of cx equal the presentations' rank_summary, in
+    value and type, in every degree given; returns the homology summaries."""
+    dual = evaluation_dual(cx)
+    out = {}
+    for k in degrees:
+        out[k] = cx.homology_summary(k)
+        assert repr(out[k]) == repr(cx.homology(k).rank_summary), k
+        assert repr(cx.cohomology_summary(k)) == \
+            repr(dual.homology(k).rank_summary), k
+    return out
+
+
+def generated_complex(rng, ring, top=3):
+    """Integer differentials C_top -> ... -> C_0 with random invariant
+    factors (torsion included), hidden by random unimodular basis changes,
+    read in `ring`."""
+    rank = {k: rng.randint(0, 2) for k in range(1, top + 1)}
+    rank[0] = rank[top + 1] = 0
+    dim = {k: rank[k] + rank[k + 1] + rng.randint(0, 2)
+           for k in range(top + 1)}
+    d = {}
+    for k in range(1, top + 1):
+        # the last rank[k] basis vectors of C_k onto multiples of the first
+        # rank[k] of C_(k-1), which d_(k-1) kills
+        d[k] = [[0] * dim[k] for _ in range(dim[k - 1])]
+        for i in range(rank[k]):
+            d[k][i][dim[k] - rank[k] + i] = rng.choice((1, 2, 3, 4, 6, 9))
+    for k in range(top + 1):
+        for _ in range(2 * dim[k] if dim[k] > 1 else 0):
+            i, j = rng.sample(range(dim[k]), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            # basis change e_i <- e_i + c e_j: d_k gains c col_j in col_i,
+            # d_(k+1) loses c row_i from row_j
+            for row in d.get(k, ()):
+                row[i] += c * row[j]
+            if k + 1 in d:
+                d[k + 1][j] = [x - c * y
+                               for x, y in zip(d[k + 1][j], d[k + 1][i])]
+    spaces = {k: tuple((k, i) for i in range(dim[k])) for k in dim}
+    diffs = {k: Matrix(ring, spaces[k - 1], spaces[k],
+                       {(spaces[k - 1][i], spaces[k][j]): ring.from_int(v)
+                        for i, row in enumerate(m) for j, v in enumerate(row)
+                        if ring.from_int(v)})
+             for k, m in d.items()}
+    return ChainComplex(ring, spaces, diffs)
+
+
+def test_factor_summaries_match_presentations_on_generated_complexes():
+    with_torsion = 0
+    for seed in range(150):
+        for ring in SUMMARY_RINGS:
+            cx = generated_complex(random.Random(seed), ring)
+            summaries = assert_summaries_match_presentations(cx, range(-1, 5))
+            with_torsion += any(t for _, t in summaries.values())
+    assert with_torsion > 50
+
+
+def barycentric_subdivision(X):
+    """sd X: a vertex per simplex (its index), a top simplex per flag."""
+    index = {s: i for i, s in enumerate(X.all_simplices())}
+    flags = set()
+    for m in X.maximal_simplices():
+        stack = [((), ())]
+        while stack:
+            face, flag = stack.pop()
+            if len(face) == len(m):
+                flags.add(flag)
+            for v in m:
+                if v not in face:
+                    bigger = X.canon(face + (v,))
+                    stack.append((bigger, flag + (index[bigger],)))
+    return SimplicialComplex(sorted(flags))
+
+
+@pytest.mark.parametrize("ring", SUMMARY_RINGS, ids=lambda r: r.name)
+def test_factor_summaries_match_presentations_on_rp6(ring):
+    # the cochain complexes are the evaluation duals of the chain complexes,
+    # plus the plain one as `simplicial_cochain_complex` builds it
+    for X in (rp2_six(), barycentric_subdivision(rp2_six())):
+        assert_summaries_match_presentations(
+            simplicial_cochain_complex(X, ring), range(-1, 4))
+        for reduced in (False, True):
+            cx = simplicial_chain_complex(X, ring, reduced=reduced)
+            summaries = assert_summaries_match_presentations(cx, range(-2, 4))
+            if ring is ZZ:
+                assert summaries[1] == (0, [2])
+                assert cx.cohomology_summary(2) == (0, [2])
 
 
 def test_induced_identity_is_isomorphism():

@@ -79,6 +79,26 @@ def test_cli_identities_t4(capsys):
     assert code == 0 and rep["ok"]
 
 
+def test_cli_identities_reorients_a_subcomplex_listed_first(tmp_path,
+                                                           capsys):
+    # t4 under `order: 2 3 0 1` lists the edge 23 first; the double-complex
+    # sweeps run on the order that puts it last, and the report says so
+    with open(fix("t4.cplx"), encoding="utf-8") as fh:
+        text = fh.read()
+    shuffled = tmp_path / "t4_2301.cplx"
+    shuffled.write_text(text.replace("order: 0 1 2 3", "order: 2 3 0 1"),
+                        encoding="utf-8")
+    sub = ("--subcomplex", fix("t4_edge23.sub"))
+    code, rep = run_cli(capsys, "identities", "--complex", str(shuffled), *sub)
+    assert code == 0 and rep["ok"] and rep["reoriented"] is True
+    assert rep["order"] == [2, 3, 0, 1]
+    code, plain = run_cli(capsys, "identities", "--complex", fix("t4.cplx"),
+                          *sub)
+    assert code == 0 and "reoriented" not in plain
+    for sweep in ("double_complex", "collapse", "collapse_vs_cap"):
+        assert rep[sweep] == plain[sweep]
+
+
 def test_cli_naturality(capsys):
     code, rep = run_cli(capsys, "naturality", "--complex", fix("hex.cplx"),
                         "--target", fix("c3.cplx"),

@@ -1,13 +1,22 @@
 """Local (co)homology stalks, link cross-checks, CM detection, duality of
 stalks."""
 
+import os
+
+import pytest
+
+from lochom import homology
+from lochom.cli import main
 from lochom.complexes import Subcomplex
 from lochom.fixtures import (FIXTURES, bowtie, circle3, hexagon, rp2_six,
                              sphere2, triangle)
+from lochom.homology import ChainComplex, HomologyPresentation
 from lochom.localhomology import (cm_check, link_crosscheck, local_cm_check,
-                                  local_cohomology, local_homology, uct_check,
-                                  uct_report)
+                                  local_cohomology, local_complex,
+                                  local_homology, uct_check, uct_report)
 from lochom.rings import GF, QQ, ZZ
+
+FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def test_circle_stalks():
@@ -42,6 +51,60 @@ def test_bowtie_pinch_point():
     X = bowtie()
     assert local_homology(X, ZZ, (0,), 2).rank_summary == (0, [])
     assert local_homology(X, ZZ, (0,), 1).rank_summary == (1, [])
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), GF(3)), ids=lambda r: r.name)
+def test_local_factor_summaries_match_presentations(ring):
+    for fn in FIXTURES.values():
+        X = fn()
+        for s in X.all_simplices():
+            cx = local_complex(X, ring, s)
+            for k in range(-1, X.dim + 2):
+                assert repr(cx.homology_summary(k)) == repr(
+                    local_homology(X, ring, s, k).rank_summary), (s, k)
+                assert repr(cx.cohomology_summary(k)) == repr(
+                    local_cohomology(X, ring, s, k).rank_summary), (s, k)
+
+
+def _is_local_differential(M):
+    # local chain labels are (simplex, carrier); link chains are simplices
+    return all(isinstance(c[0], tuple) for c in M.col_labels)
+
+
+@pytest.mark.parametrize("name, n", [("c3", 1), ("t4", 2), ("rp6", 2)])
+def test_local_command_factors_once_and_presents_only_degree_n(
+        monkeypatch, tmp_path, name, n):
+    degrees, built, factored = [], [0], {}
+    present, init = ChainComplex.homology, HomologyPresentation.__init__
+    factors = homology.invariant_factors
+
+    def counted_homology(self, deg):
+        degrees.append(deg)
+        return present(self, deg)
+
+    def counted_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    def counted_factors(M):
+        if _is_local_differential(M):
+            key = (M.row_labels, M.col_labels)
+            factored[key] = factored.get(key, 0) + 1
+        return factors(M)
+
+    monkeypatch.setattr(ChainComplex, "homology", counted_homology)
+    monkeypatch.setattr(HomologyPresentation, "__init__", counted_init)
+    monkeypatch.setattr(homology, "invariant_factors", counted_factors)
+    base = ["local", "--complex", os.path.join(FIXDIR, f"{name}.cplx"),
+            "--out", str(tmp_path / "report.json")]
+    for extra in ([], ["--dim", str(n)]):
+        degrees.clear()
+        built[0] = 0
+        factored.clear()
+        assert main(base + extra) == 0
+        assert built[0] == len(degrees)
+        assert set(degrees) == ({n} if extra else set())
+        assert factored and max(factored.values()) == 1
 
 
 def test_link_crosscheck_all_fixtures():

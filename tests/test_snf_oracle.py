@@ -2,7 +2,8 @@
 
 Both must pick the same pivots and perform the same elementary operations,
 so every output (diagonals, U, U^-1, V, V^-1) must agree entry for entry,
-in value, type and entry order.
+in value, type and entry order.  The factors-only path, `invariant_factors`,
+must return the reference's diagonals in value, type and order.
 """
 
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import snf_reference
 from lochom.complexes import parse_complex
-from lochom.matrices import Matrix, smith_normal_form
+from lochom.matrices import Matrix, invariant_factors, smith_normal_form
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import simplicial_chain_complex
 
@@ -29,9 +30,15 @@ def snf_fingerprint(s):
     return out
 
 
+def factors_fingerprint(diagonals):
+    return repr(diagonals), [type(d) for d in diagonals]
+
+
 def assert_matches_reference(M):
-    assert snf_fingerprint(smith_normal_form(M)) == \
-        snf_fingerprint(snf_reference.smith_normal_form(M))
+    reference = snf_reference.smith_normal_form(M)
+    assert snf_fingerprint(smith_normal_form(M)) == snf_fingerprint(reference)
+    assert factors_fingerprint(invariant_factors(M)) == \
+        factors_fingerprint(reference.diagonals)
 
 
 def integer_matrix(ring, rows, ncols):
