@@ -5,8 +5,7 @@ under star-local maps, and section-dual characterizations of degree-zero
 cosheaf homology."""
 
 from .caps import (cap_plain, cap_v1, cap_v2, leibniz_defect_v1,
-                   leibniz_defect_v2, relative_cap_v1, relative_cap_v2,
-                   relative_cap_v3, relative_cap_v4)
+                   leibniz_defect_v2, relative_cap)
 from .complexes import (SimplicialComplex, Subcomplex, is_vc_before,
                         orient_vc_before, parse_complex, parse_subcomplex,
                         perm_sign, reorient_vc_before, serialize_complex)
@@ -18,9 +17,9 @@ from .identities import (collapse_suite, collapse_vs_cap,
                          full_identity_report, leibniz_sweep,
                          mv_identity_sweep, swap_sweep)
 from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
-                            build_h_cosheaf, build_h_sheaf, cm_check,
-                            link_crosscheck, local_cm_check, local_cohomology,
-                            local_homology, uct_check, uct_report)
+                            cm_check, link_crosscheck, local_cm_check,
+                            local_cohomology, local_homology, uct_check,
+                            uct_report)
 from .matrices import (Matrix, invariant_factors, kernel_basis,
                        smith_normal_form, solve)
 from .mv import (DUALITY_ITEMS, MVDoubleComplex, c_dual, c_dual_reversed,

@@ -17,7 +17,7 @@ where front/back split s after position k - l.  All formulas read tuple
 positions in the canonical vertex order of the complex they are applied in.
 """
 
-from .complexes import perm_sign
+from .complexes import is_vc_before, perm_sign
 from .matrices import vec_clean
 
 
@@ -168,68 +168,32 @@ def leibniz_defect_v2(X, ring, xi, psi, k, l):
 
 # -- relative caps ------------------------------------------------------------
 
-def _require_vc_before(X, L):
-    from .complexes import is_vc_before
+def relative_cap(X, L, ring, xi, cochain, l, variant, support):
+    """Cap xi with a cochain relative to the full subcomplex L, as in the
+    duality items: variant "v1" is the first cap (cochain labels (t, c)),
+    "v2" the second (R-cochain labels t); support "rel" is a cochain vanishing
+    on L, whose output carriers lie in the vertex complement L^vc (asserted),
+    and "sub" a cochain supported on L, whose output is taken in the relative
+    chains of (X, L^vc): generators carried inside L^vc are dropped."""
     if not is_vc_before(X, L):
         raise ValueError("relative caps need the vertex-complement of the "
                          "subcomplex ordered before the subcomplex")
-
-
-def relative_cap_v1(X, L, ring, xi, phi, l):
-    """First cap with a cochain vanishing on the subcomplex; lands in chains
-    of the vertex complement (asserted)."""
-    _require_vc_before(X, L)
-    for (t, _), v in phi.items():
-        if L.contains(t) and not ring.is_zero(v):
-            raise ValueError(f"cochain does not vanish on the subcomplex at {t}")
-    out = cap_v1(ring, xi, phi, l)
+    first = variant == "v1"
+    vanishing = support == "rel"
+    for key, v in cochain.items():
+        t = key[0] if first else key
+        if L.contains(t) == vanishing and not ring.is_zero(v):
+            raise ValueError(
+                f"cochain does not vanish on the subcomplex at {t}" if vanishing
+                else f"cochain not supported on the subcomplex at {t}")
+    out = {"v1": cap_v1, "v2": cap_v2}[variant](ring, xi, cochain, l)
     vc = L.vertex_complement()
-    for f in out:
-        if not vc.contains(f):
-            raise AssertionError(f"relative cap output {f} escapes the "
-                                 "vertex complement")
-    return out
-
-
-def relative_cap_v2(X, L, ring, xi, phi, l):
-    """First cap with a cochain of the subcomplex; lands in the relative
-    chains of the pair (X, vertex complement): quotient by dropping."""
-    _require_vc_before(X, L)
-    for (t, _), v in phi.items():
-        if not L.contains(t) and not ring.is_zero(v):
-            raise ValueError(f"cochain not supported on the subcomplex at {t}")
-    out = cap_v1(ring, xi, phi, l)
-    vc = L.vertex_complement()
-    return vec_clean(ring, {f: v for f, v in out.items() if not vc.contains(f)})
-
-
-def relative_cap_v3(X, L, ring, xi, psi, l):
-    """Second cap with an R-cochain vanishing on the subcomplex; the output
-    carriers lie in the vertex complement (asserted)."""
-    _require_vc_before(X, L)
-    for t, v in psi.items():
-        if L.contains(t) and not ring.is_zero(v):
-            raise ValueError(f"cochain does not vanish on the subcomplex at {t}")
-    out = cap_v2(ring, xi, psi, l)
-    vc = L.vertex_complement()
-    for (f, _) in out:
-        if not vc.contains(f):
-            raise AssertionError(f"relative cap carrier {f} escapes the "
-                                 "vertex complement")
-    return out
-
-
-def relative_cap_v4(X, L, ring, xi, psi, l):
-    """Second cap with an R-cochain of the subcomplex; relative output:
-    drop generators carried inside the vertex complement."""
-    _require_vc_before(X, L)
-    for t, v in psi.items():
-        if not L.contains(t) and not ring.is_zero(v):
-            raise ValueError(f"cochain not supported on the subcomplex at {t}")
-    out = cap_v2(ring, xi, psi, l)
-    vc = L.vertex_complement()
-    return vec_clean(ring, {key: v for key, v in out.items()
-                            if not vc.contains(key[0])})
+    kept = {key: v for key, v in out.items()
+            if vc.contains(key if first else key[0]) == vanishing}
+    if len(kept) != len(out) and vanishing:
+        raise AssertionError("relative cap output escapes the vertex "
+                             "complement")
+    return kept
 
 
 # -- orientation change: resorting isomorphisms and the homotopies ------------

@@ -17,7 +17,8 @@ from .complexes import parse_complex, parse_subcomplex
 from .homology import HomologyPresentation
 from .identities import full_identity_report
 from .io import parse_filtration, parse_map
-from .localhomology import (cm_check, link_crosscheck, local_cm_check,
+from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
+                            cm_check, link_crosscheck, local_cm_check,
                             local_complex, uct_report)
 from .matrices import Matrix
 from .mv import DUALITY_ITEMS, verify_duality
@@ -25,7 +26,7 @@ from .rings import ring_from_name
 from .sectionsduality import (build_restriction_system,
                               compactly_determined_dual, lf_h0_check,
                               semistability_check)
-from .sheaves import (cosheaf_chain_complex, region_sub,
+from .sheaves import (REGION_X, cosheaf_chain_complex, region_sub,
                       sheaf_cochain_complex, simplicial_chain_complex)
 from .simplicialmaps import verify_naturality
 
@@ -93,24 +94,20 @@ def cmd_homology(args):
     X = _load_complex(args)
     L = _load_subcomplex(args, X)
     n = args.dim if args.dim is not None else X.dim
-    region = region_sub(L) if L is not None else None
+    region = region_sub(L) if L is not None else REGION_X
     report = {"schema": SCHEMA_VERSION, "command": "homology",
               "ring": ring.name, "order": list(X.order), "n": n}
-    cx = (simplicial_chain_complex(X, ring, region) if region
-          else simplicial_chain_complex(X, ring))
+    cx = simplicial_chain_complex(X, ring, region)
     degrees = ([args.degree] if args.degree is not None
                else list(range(X.dim + 1)))
     report["simplicial"] = {k: _jsonable(cx.homology(k)) for k in degrees}
-    from .localhomology import build_h_cosheaf, build_h_sheaf
     cm = local_cm_check(X, L, n, ring)
     report["locally_cm_at_region"] = cm["locally_cm_at_L"]
     if cm["locally_cm_at_L"]:
-        F = build_h_sheaf(X, ring, n)
-        G = build_h_cosheaf(X, ring, n)
-        sc = (sheaf_cochain_complex(F, region) if region
-              else sheaf_cochain_complex(F))
-        cc = (cosheaf_chain_complex(G, region) if region
-              else cosheaf_chain_complex(G))
+        F = LocalHomologySheaf(ring, X, n)
+        G = LocalCohomologyCosheaf(ring, X, n)
+        sc = sheaf_cochain_complex(F, region)
+        cc = cosheaf_chain_complex(G, region)
         report["sheaf_cochain"] = {k: _jsonable(sc.homology(k))
                                    for k in degrees}
         report["cosheaf_chain"] = {k: _jsonable(cc.homology(k))

@@ -52,9 +52,12 @@ class SimplicialComplex:
             self._simplices.add(tup)
             self.by_dim.setdefault(len(tup) - 1, []).append(tup)
         for k in self.by_dim:
-            self.by_dim[k].sort(key=lambda s: tuple(self.pos[v] for v in s))
+            self.by_dim[k].sort(key=self._position_key)
         self.dim = max(self.by_dim, default=-1)
         self._coface_cache = None
+
+    def _position_key(self, simplex):
+        return tuple(self.pos[v] for v in simplex)
 
     # -- basic access ------------------------------------------------------
     def vertices(self):
@@ -103,13 +106,21 @@ class SimplicialComplex:
                     if f:
                         cache[f].append(s)
             for lst in cache.values():
-                lst.sort(key=lambda s: tuple(self.pos[v] for v in s))
+                lst.sort(key=self._position_key)
             self._coface_cache = cache
         return tuple(self._coface_cache.get(tuple(simplex), ()))
 
     def open_star(self, simplex):
-        s = set(simplex)
-        return tuple(a for a in self.all_simplices() if s.issubset(a))
+        """Simplices containing `simplex` (a simplex of this complex), in the
+        order of `all_simplices`: read from the coface table one dimension
+        up at a time."""
+        level = [tuple(simplex)] if self.contains(simplex) else []
+        out = []
+        while level:
+            out.extend(level)
+            level = sorted({c for s in level for c in self.cofaces(s)},
+                           key=self._position_key)
+        return tuple(out)
 
     def star(self, simplex):
         """Closed star: all faces of simplices containing `simplex`."""

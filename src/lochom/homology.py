@@ -13,14 +13,13 @@ class ChainComplex:
     Each differential's invariant factors are computed at most once.
     """
 
-    def __init__(self, ring, spaces, diffs, shift=-1, check=True):
+    def __init__(self, ring, spaces, diffs, shift=-1):
         self.ring = ring
         self.spaces = {d: tuple(b) for d, b in spaces.items() if len(b) > 0}
         self.diffs = dict(diffs)
         self.shift = shift
         self._factors = {}
-        if check:
-            self.check_complex()
+        self.check_complex()
 
     def degrees(self):
         return sorted(self.spaces)

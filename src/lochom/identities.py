@@ -15,6 +15,7 @@ vector.
 from .caps import (OrientationSwap, cap_v1, cap_v2, leibniz_defect_v1,
                    leibniz_defect_v2)
 from .complexes import Subcomplex, is_vc_before, reorient_vc_before
+from .localhomology import LocalCohomologyCosheaf
 from .matrices import vec_add, vec_clean, vec_eq, vec_sub
 from .mv import (MVDoubleComplex, c_dual, c_dual_reversed,
                  cap_fundamental_v1, fundamental_class, pair_dual,
@@ -200,7 +201,6 @@ def collapse_vs_cap(X, L, ring, max_witnesses=3):
     diagonal top cycle, on every generator: in the first form for cochains
     with local-homology tops over L, and in the second (stalk-projected) form
     for relative plain cochains."""
-    from .localhomology import build_h_cosheaf
     if L is None:
         L = Subcomplex(X, X.order)
     if not isinstance(L, Subcomplex):
@@ -227,7 +227,7 @@ def collapse_vs_cap(X, L, ring, max_witnesses=3):
                         and vec_eq(ring, via_collapse, direct)):
                     witnesses.append(("first_form", sigma, b))
     # second form: relative plain cochain generators, projected to stalks
-    G = build_h_cosheaf(X, ring, n)
+    G = LocalCohomologyCosheaf(ring, X, n)
     rel = region_rel(L)
     sub_lvc = region_sub(lvc)
     for l in range(n + 1):

@@ -48,7 +48,9 @@ def serialize_map(f):
 def parse_sheaf(text, X, ring):
     """Sheaf DSL: `stalk: <simplex> rank r` declares a free stalk;
     `map: <face> < <coface> matrix [[..],[..]]` gives the restriction along a
-    codimension-one coface (rows indexed by the coface stalk)."""
+    codimension-one coface (rows indexed by the coface stalk).  Every simplex
+    needs a stalk and every codimension-one face pair a map of the stalks'
+    shape, and the maps must compose functorially; ValueError otherwise."""
     stalks = {}
     steps = {}
     for line, raw in _strip(text):
@@ -64,23 +66,34 @@ def parse_sheaf(text, X, ring):
             face_text, coface_text = head.split("<", 1)
             face = X.canon(_parse_token(t) for t in face_text.split())
             coface = X.canon(_parse_token(t) for t in coface_text.split())
-            rows = ast.literal_eval(mat_text.strip())
-            entries = {}
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    if v:
-                        entries[(i, j)] = ring.from_int(v)
-            steps[(face, coface)] = (rows, entries)
+            if not (X.contains(coface) and len(coface) == len(face) + 1
+                    and set(face) < set(coface)):
+                raise ValueError(f"map {face} < {coface} is not along a "
+                                 "codimension-one face of the complex")
+            steps[(face, coface)] = ast.literal_eval(mat_text.strip())
         else:
             raise ValueError(f"unrecognized line {raw!r}")
     for s in X.all_simplices():
         if s not in stalks:
             raise ValueError(f"no stalk declared for {s!r}")
     matrices = {}
-    for (face, coface), (rows, entries) in steps.items():
-        matrices[(face, coface)] = Matrix(ring, stalks[coface], stalks[face],
-                                          entries)
-    return DictSheaf(ring, X, stalks, matrices)
+    for face in X.all_simplices():
+        for coface in X.cofaces(face):
+            rows = steps.get((face, coface))
+            if rows is None:
+                raise ValueError(f"no map declared for {face} < {coface}")
+            shape = (len(stalks[coface]), len(stalks[face]))
+            if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+                raise ValueError(f"map {face} < {coface}: matrix must be "
+                                 f"{shape[0]}x{shape[1]} (coface rank x "
+                                 "face rank)")
+            matrices[(face, coface)] = Matrix(
+                ring, stalks[coface], stalks[face],
+                {(r, c): ring.from_int(v) for r, row in enumerate(rows)
+                 for c, v in enumerate(row) if v})
+    F = DictSheaf(ring, X, stalks, matrices)
+    F.check_functorial()
+    return F
 
 
 def serialize_sheaf(F):

@@ -8,7 +8,8 @@ longer contain s.  The top local homology stalks form a sheaf (generator rule
 stalks, presented as cokernels of the local coboundary, form a cosheaf.
 """
 
-from .homology import ChainComplex, CokerPresentation
+from .homology import (ChainComplex, CokerPresentation,
+                       HomologyPresentation)
 from .matrices import Matrix, invariant_factors, solve, vec_clean, vec_dot
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
@@ -24,10 +25,9 @@ def local_complex(X, ring, simplex):
         raise ValueError("empty simplex: use the reduced chain complex")
     if not X.contains(simplex):
         raise ValueError(f"{simplex!r} not in complex")
-    s = set(simplex)
     spaces = {}
-    for k in range(len(simplex) - 1, X.dim + 1):
-        spaces[k] = tuple((simplex, a) for a in X.simplices(k) if s.issubset(a))
+    for a in X.open_star(simplex):
+        spaces.setdefault(len(a) - 1, []).append((simplex, a))
     diffs = {}
     for k in sorted(spaces):
         src = spaces[k]
@@ -45,20 +45,17 @@ def local_complex(X, ring, simplex):
     return cx
 
 
-def local_cochain_complex(X, ring, simplex):
-    """Evaluation dual of the local chain complex (same labels, transposed
-    differentials, shift +1)."""
-    cx = local_complex(X, ring, simplex)
-    return ChainComplex(ring, cx.spaces, {
-        k: cx.differential(k + 1).transpose() for k in cx.spaces}, shift=+1)
-
-
 def local_homology(X, ring, simplex, k):
     return local_complex(X, ring, simplex).homology(k)
 
 
 def local_cohomology(X, ring, simplex, k):
-    return local_cochain_complex(X, ring, simplex).homology(k)
+    """Degree-k homology of the evaluation dual of the local chain complex
+    (same labels, transposed differentials)."""
+    cx = local_complex(X, ring, simplex)
+    return HomologyPresentation(ring, cx.basis(k),
+                                cx.differential(k + 1).transpose(),
+                                cx.differential(k).transpose())
 
 
 def link_crosscheck(X, ring, simplex):
@@ -199,9 +196,9 @@ class LocalCohomologyCosheaf(Cosheaf):
     def presentation(self, simplex):
         simplex = tuple(simplex)
         if simplex not in self._data:
-            cx = local_cochain_complex(self.X, self.ring, simplex)
+            cx = local_complex(self.X, self.ring, simplex)
             self._data[simplex] = CokerPresentation(
-                self.ring, cx.differential(self.n - 1))
+                self.ring, cx.differential(self.n).transpose())
         return self._data[simplex]
 
     def stalk(self, simplex):
@@ -226,14 +223,6 @@ class LocalCohomologyCosheaf(Cosheaf):
         return {(s, a): v for (_, a), v in cochain.items()}
 
 
-def build_h_sheaf(X, ring, n):
-    return LocalHomologySheaf(ring, X, n)
-
-
-def build_h_cosheaf(X, ring, n):
-    return LocalCohomologyCosheaf(ring, X, n)
-
-
 def uct_report(X, ring, simplex, n):
     """Evaluation pairing between top local cohomology and the dual of top
     local homology at one simplex: both must be free of equal rank with a
@@ -243,9 +232,9 @@ def uct_report(X, ring, simplex, n):
     cx = local_complex(X, ring, simplex)
     concentrated = all(cx.homology_summary(k) == (0, [])
                        for k in range(0, X.dim + 1) if k != n)
-    sheaf = LocalHomologySheaf(ring, X, n)
-    cycles = [sheaf.cycle(simplex, lbl) for lbl in sheaf.stalk(simplex)]
-    pres = LocalCohomologyCosheaf(ring, X, n).presentation(simplex)
+    kernel = cx.homology(n).kernel
+    cycles = [kernel.column(lbl) for lbl in kernel.col_labels]
+    pres = CokerPresentation(ring, cx.differential(n).transpose())
     lifts = [pres.lift(i) for i in range(len(pres))]
     factors = invariant_factors(Matrix(
         ring, range(len(lifts)), range(len(cycles)),

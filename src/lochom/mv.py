@@ -20,10 +20,11 @@ Sign conventions (all non-standard signs used in this module):
     differentials up to the global sign (-1)^(n-l).
 """
 
-from .caps import cap_v1, cap_v2
+from .caps import relative_cap
 from .complexes import Subcomplex, is_vc_before, reorient_vc_before
 from .homology import ChainComplex, induced_matrix, is_isomorphism
-from .localhomology import build_h_cosheaf, build_h_sheaf, local_cm_check
+from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
+                            local_cm_check)
 from .matrices import Matrix, vec_add, vec_clean, vec_scale, vec_sub
 from .sheaves import (cosheaf_chain_complex, region_rel, region_sub,
                       sheaf_cochain_complex, simplicial_chain_complex,
@@ -433,47 +434,34 @@ def duality_map_matrices(X, L, item, ring, sheaf=None, cosheaf=None):
     source is a cochain complex in degrees l, the target a chain complex in
     degrees n - l."""
     variant, src_region, tgt_region, _, _, _ = DUALITY_ITEMS[item]
-    ring_ = ring
     n = X.dim
     Lvc = L.vertex_complement()
-    fund = fundamental_class(X, ring_)
+    fund = fundamental_class(X, ring)
     src_reg = region_sub(L) if src_region == "sub" else region_rel(L)
     tgt_reg = region_sub(Lvc) if tgt_region == "sub" else region_rel(Lvc)
     if variant == "v1":
-        F = sheaf or build_h_sheaf(X, ring_, n)
+        F = sheaf or LocalHomologySheaf(ring, X, n)
         src = sheaf_cochain_complex(F, src_reg)
-        tgt = simplicial_chain_complex(X, ring_, tgt_reg)
+        tgt = simplicial_chain_complex(X, ring, tgt_reg)
 
         def image(label):
             s, lab = label
-            phi = dict(F.cycle(s, lab))
-            l = len(s) - 1
-            out = cap_v1(ring_, fund, phi, l)
-            kept = {f: v for f, v in out.items()
-                    if (Lvc.contains(f) if tgt_region == "sub"
-                        else not Lvc.contains(f))}
-            if tgt_region == "sub" and len(kept) != len(out):
-                raise AssertionError("cap output escaped the vertex complement")
-            return kept
+            return relative_cap(X, L, ring, fund, F.cycle(s, lab), len(s) - 1,
+                                variant, src_region)
     else:
-        G = cosheaf or build_h_cosheaf(X, ring_, n)
-        src = simplicial_cochain_complex(X, ring_, src_reg)
+        G = cosheaf or LocalCohomologyCosheaf(ring, X, n)
+        src = simplicial_cochain_complex(X, ring, src_reg)
         tgt = cosheaf_chain_complex(G, tgt_reg)
 
         def image(label):
-            l = len(label) - 1
-            raw = cap_v2(ring_, fund, {label: ring_.one()}, l)
-            kept = {key: v for key, v in raw.items()
-                    if (Lvc.contains(key[0]) if tgt_region == "sub"
-                        else not Lvc.contains(key[0]))}
-            if tgt_region == "sub" and len(kept) != len(raw):
-                raise AssertionError("cap carrier escaped the vertex complement")
-            return project_stalks(G, kept)
+            return project_stalks(G, relative_cap(
+                X, L, ring, fund, {label: ring.one()}, len(label) - 1,
+                variant, src_region))
 
     matrices = {}
     for l in range(0, n + 1):
         cols = [image(label) for label in src.basis(l)]
-        matrices[l] = Matrix.from_columns(ring_, tgt.basis(n - l),
+        matrices[l] = Matrix.from_columns(ring, tgt.basis(n - l),
                                           src.basis(l), cols)
     return src, tgt, matrices
 

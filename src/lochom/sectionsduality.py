@@ -14,7 +14,8 @@ independently testable.
 
 from .complexes import Subcomplex
 from .homology import ChainComplex, induced_matrix, is_isomorphism
-from .localhomology import build_h_cosheaf, build_h_sheaf, local_cm_check
+from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
+                            local_cm_check)
 from .matrices import (Matrix, smith_normal_form, solve, vec_clean, vec_dot)
 from .sheaves import SectionsModule, cosheaf_chain_complex, region_sub
 
@@ -49,8 +50,8 @@ def lf_h0_check(X, L, n, ring):
         report["verdict"] = False
         return report
     report["refused"] = False
-    F = build_h_sheaf(X, ring, n)
-    G = build_h_cosheaf(X, ring, n)
+    F = LocalHomologySheaf(ring, X, n)
+    G = LocalCohomologyCosheaf(ring, X, n)
     gamma = SectionsModule(F, region_sub(L))
     cc = cosheaf_chain_complex(G, region_sub(L))
     dual_labels = tuple(range(gamma.rank))
@@ -214,7 +215,7 @@ def build_restriction_system(X, L, n, ring, filtration):
         stages.append(Subcomplex(X, [v for v in X.order if v in vs]))
     if prev != set(L.vertex_set):
         raise ValueError("filtration must exhaust the subcomplex")
-    F = build_h_sheaf(X, ring, n)
+    F = LocalHomologySheaf(ring, X, n)
     gammas = [SectionsModule(F, region_sub(K)) for K in stages]
     bases = [tuple(range(g.rank)) for g in gammas]
     steps = []

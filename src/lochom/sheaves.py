@@ -3,11 +3,15 @@ complexes, sections and reorientation isomorphisms.
 
 A sheaf assigns a basis-labelled free module to each simplex and a restriction
 matrix to each face relation (covariantly along sigma <= tau); a cosheaf maps
-the other way.  Arbitrary-codimension maps are composed from codimension-one
-steps, which is well defined exactly when the data is functorial (asserted by
-check_functorial for the local homology sheaf and cosheaf of every locally
-Cohen-Macaulay fixture in the tests).
+the other way.  One engine serves both.  Arbitrary-codimension maps are
+composed from codimension-one steps along one chain of faces, walked down
+for a cosheaf; this is well defined exactly when the data is functorial,
+which check_functorial decides (`io.parse_sheaf` runs it on every sheaf it
+reads, the tests on the local homology sheaf and cosheaf of the fixtures).
+One builder gives the cochains of a sheaf and the chains of a cosheaf.
 """
+
+from itertools import combinations
 
 from .homology import ChainComplex
 from .matrices import Matrix
@@ -41,8 +45,12 @@ def region_simplices(X, region, k):
     return tuple(s for s in X.simplices(k) if in_region(X, region, s))
 
 
-class Sheaf:
-    """Covariant functor on the face poset; values are free modules with bases."""
+class _FacePosetFunctor:
+    """What sheaves and cosheaves share: free stalks with bases, maps of any
+    codimension composed from codimension-one steps, and the check that this
+    composition is functorial."""
+
+    covariant = True
 
     def __init__(self, ring, X):
         self.ring = ring
@@ -50,93 +58,81 @@ class Sheaf:
 
     def stalk(self, simplex):
         raise NotImplementedError
+
+    def _along(self, lo, hi):
+        """The map between the stalks of lo <= hi: lo -> hi for a sheaf,
+        hi -> lo for a cosheaf."""
+        return (self.restriction(lo, hi) if self.covariant
+                else self.corestriction(hi, lo))
+
+    def _compose(self, lo, hi, step):
+        """Product of the codimension-one steps along the chain
+        lo = c_0 < c_1 < ... < c_r = hi that adds hi's extra vertices in
+        order: step(c_j, c_j+1) upward for a sheaf, step(c_j+1, c_j) down
+        the same chain for a cosheaf."""
+        chain = [tuple(lo)]
+        for v in hi:
+            if v not in lo:
+                chain.append(self.X.canon(chain[-1] + (v,)))
+        if len(chain) == 1:
+            return Matrix.identity(self.ring, self.stalk(lo))
+        if not self.covariant:
+            chain.reverse()
+        m = step(chain[0], chain[1])
+        for a, b in zip(chain[1:], chain[2:]):
+            m = step(a, b) @ m
+        return m
+
+    def check_functorial(self):
+        """True, or ValueError naming the first sigma < mid < tau where the
+        map along sigma < tau differs from the composite through mid."""
+        for tau in self.X.all_simplices():
+            subs = [f for k in range(1, len(tau)) for f in combinations(tau, k)]
+            for sigma in subs:
+                for mid in subs:
+                    if set(sigma) < set(mid):
+                        first = self._along(sigma, mid)
+                        then = self._along(mid, tau)
+                        composite = (then @ first if self.covariant
+                                     else first @ then)
+                        if self._along(sigma, tau) != composite:
+                            raise ValueError(
+                                f"{type(self).kind} not functorial on "
+                                f"{sigma} < {mid} < {tau}")
+        return True
+
+
+class Sheaf(_FacePosetFunctor):
+    """Covariant functor on the face poset; values are free modules with bases."""
+
+    kind = "sheaf"
 
     def restriction_step(self, simplex, cosimplex):
         """Matrix stalk(simplex) -> stalk(cosimplex) for a codim-1 coface."""
         raise NotImplementedError
 
     def restriction(self, simplex, cosimplex):
-        if simplex == cosimplex:
-            return Matrix.identity(self.ring, self.stalk(simplex))
-        extra = [v for v in cosimplex if v not in simplex]
-        cur = tuple(simplex)
-        m = Matrix.identity(self.ring, self.stalk(cur))
-        for v in extra:
-            nxt = self.X.canon(cur + (v,))
-            m = self.restriction_step(cur, nxt) @ m
-            cur = nxt
-        return m
-
-    def check_functorial(self):
-        for tau in self.X.all_simplices():
-            subs = [s for s in _proper_faces(self.X, tau)]
-            for sigma in subs:
-                for mid in subs:
-                    if set(sigma) < set(mid):
-                        lhs = self.restriction(sigma, tau)
-                        rhs = self.restriction(mid, tau) @ self.restriction(sigma, mid)
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"sheaf not functorial on {sigma} < {mid} < {tau}")
-        return True
+        return self._compose(simplex, cosimplex, self.restriction_step)
 
 
-class Cosheaf:
+class Cosheaf(_FacePosetFunctor):
     """Contravariant functor on the face poset."""
 
-    def __init__(self, ring, X):
-        self.ring = ring
-        self.X = X
-
-    def stalk(self, simplex):
-        raise NotImplementedError
+    kind = "cosheaf"
+    covariant = False
 
     def corestriction_step(self, cosimplex, simplex):
         """Matrix stalk(cosimplex) -> stalk(simplex) for a codim-1 face."""
         raise NotImplementedError
 
     def corestriction(self, cosimplex, simplex):
-        if simplex == cosimplex:
-            return Matrix.identity(self.ring, self.stalk(simplex))
-        extra = [v for v in cosimplex if v not in simplex]
-        cur = tuple(cosimplex)
-        m = Matrix.identity(self.ring, self.stalk(cur))
-        for v in reversed(extra):
-            nxt = self.X.canon(tuple(x for x in cur if x != v))
-            m = self.corestriction_step(cur, nxt) @ m
-            cur = nxt
-        return m
-
-    def check_functorial(self):
-        for tau in self.X.all_simplices():
-            subs = [s for s in _proper_faces(self.X, tau)]
-            for sigma in subs:
-                for mid in subs:
-                    if set(sigma) < set(mid):
-                        lhs = self.corestriction(tau, sigma)
-                        rhs = self.corestriction(mid, sigma) @ self.corestriction(tau, mid)
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"cosheaf not functorial on {sigma} < {mid} < {tau}")
-        return True
+        return self._compose(simplex, cosimplex, self.corestriction_step)
 
 
-def _proper_faces(X, tau):
-    out = []
-    seen = set()
-    stack = [tau]
-    while stack:
-        s = stack.pop()
-        for j in range(len(s)):
-            f = s[:j] + s[j + 1:]
-            if f and f not in seen:
-                seen.add(f)
-                out.append(f)
-                stack.append(f)
-    return out
+class _Constant:
+    """Constant coefficients: every stalk has the basis 0..rank-1 and every
+    map is the identity."""
 
-
-class ConstantSheaf(Sheaf):
     def __init__(self, ring, X, rank=1):
         super().__init__(ring, X)
         self.rank = rank
@@ -145,27 +141,20 @@ class ConstantSheaf(Sheaf):
     def stalk(self, simplex):
         return self._labels
 
-    def restriction_step(self, simplex, cosimplex):
-        return Matrix.identity(self.ring, self._labels)
-
-    def restriction(self, simplex, cosimplex):
+    def _identity(self, simplex, other):
         return Matrix.identity(self.ring, self._labels)
 
 
-class ConstantCosheaf(Cosheaf):
-    def __init__(self, ring, X, rank=1):
-        super().__init__(ring, X)
-        self.rank = rank
-        self._labels = tuple(range(rank))
+class ConstantSheaf(_Constant, Sheaf):
+    """The constant sheaf of rank `rank`."""
 
-    def stalk(self, simplex):
-        return self._labels
+    restriction_step = restriction = _Constant._identity
 
-    def corestriction_step(self, cosimplex, simplex):
-        return Matrix.identity(self.ring, self._labels)
 
-    def corestriction(self, cosimplex, simplex):
-        return Matrix.identity(self.ring, self._labels)
+class ConstantCosheaf(_Constant, Cosheaf):
+    """The constant cosheaf of rank `rank`."""
+
+    corestriction_step = corestriction = _Constant._identity
 
 
 class DictSheaf(Sheaf):
@@ -232,17 +221,20 @@ def simplicial_cochain_complex(X, ring, region=REGION_X):
     return ChainComplex(ring, spaces, diffs, shift=+1)
 
 
-def sheaf_cochain_complex(F, region=REGION_X, support="compact"):
-    """Cochains with coefficients in the sheaf F over a region.  Basis labels
-    are (simplex, stalk label).  `support` is descriptive only (finite case)."""
-    X, ring = F.X, F.ring
+def _coefficient_complex(A, region):
+    """Simplicial (co)chains of a region with coefficients in the sheaf or
+    cosheaf A; basis labels are (simplex, stalk label).  Each face f of a
+    simplex t contributes (-1)^j times the map between their stalks: the
+    restriction f -> t, a coboundary, for a sheaf; the corestriction
+    t -> f, a boundary, for a cosheaf."""
+    X, ring = A.X, A.ring
     spaces = {}
     for k in range(X.dim + 1):
         spaces[k] = tuple((s, lab) for s in region_simplices(X, region, k)
-                          for lab in F.stalk(s))
+                          for lab in A.stalk(s))
     diffs = {}
     for k in range(X.dim):
-        src, tgt = spaces.get(k, ()), spaces.get(k + 1, ())
+        src, tgt = (k, k + 1) if A.covariant else (k + 1, k)
         entries = {}
         for t in region_simplices(X, region, k + 1):
             for j in range(len(t)):
@@ -250,42 +242,26 @@ def sheaf_cochain_complex(F, region=REGION_X, support="compact"):
                 if not in_region(X, region, f):
                     continue
                 sign = ring.from_int((-1) ** j)
-                block = F.restriction(f, t)
-                for (rl, cl), v in block.entries.items():
-                    key = ((t, rl), (f, cl))
+                rows, cols = (t, f) if A.covariant else (f, t)
+                for (rl, cl), v in A._along(f, t).entries.items():
+                    key = ((rows, rl), (cols, cl))
                     entries[key] = ring.add(entries.get(key, ring.zero()),
                                             ring.mul(sign, v))
-        if src or tgt:
-            diffs[k] = Matrix(ring, tgt, src, entries)
-    return ChainComplex(ring, spaces, diffs, shift=+1)
+        if spaces[src] or spaces[tgt]:
+            diffs[src] = Matrix(ring, spaces[tgt], spaces[src], entries)
+    return ChainComplex(ring, spaces, diffs, shift=1 if A.covariant else -1)
 
 
-def cosheaf_chain_complex(G, region=REGION_X, variant="finite"):
+def sheaf_cochain_complex(F, region=REGION_X):
+    """Cochains with coefficients in the sheaf F over a region.  Basis labels
+    are (simplex, stalk label)."""
+    return _coefficient_complex(F, region)
+
+
+def cosheaf_chain_complex(G, region=REGION_X):
     """Chains with coefficients in the cosheaf G over a region (relative =
     cokernel, spanned by simplices outside L)."""
-    X, ring = G.X, G.ring
-    spaces = {}
-    for k in range(X.dim + 1):
-        spaces[k] = tuple((s, lab) for s in region_simplices(X, region, k)
-                          for lab in G.stalk(s))
-    diffs = {}
-    for k in range(1, X.dim + 1):
-        src, tgt = spaces.get(k, ()), spaces.get(k - 1, ())
-        entries = {}
-        for s in region_simplices(X, region, k):
-            for j in range(len(s)):
-                f = s[:j] + s[j + 1:]
-                if not in_region(X, region, f):
-                    continue
-                sign = ring.from_int((-1) ** j)
-                block = G.corestriction(s, f)
-                for (rl, cl), v in block.entries.items():
-                    key = ((f, rl), (s, cl))
-                    entries[key] = ring.add(entries.get(key, ring.zero()),
-                                            ring.mul(sign, v))
-        if src or tgt:
-            diffs[k] = Matrix(ring, tgt, src, entries)
-    return ChainComplex(ring, spaces, diffs, shift=-1)
+    return _coefficient_complex(G, region)
 
 
 # -- sections -----------------------------------------------------------------

@@ -15,7 +15,8 @@ carriers through the star bijections).
 from .caps import cap_v1, cap_v2
 from .complexes import perm_sign
 from .homology import induced_matrix
-from .localhomology import build_h_cosheaf, build_h_sheaf, local_cm_check
+from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
+                            local_cm_check)
 from .matrices import Matrix, solve, vec_clean
 from .mv import duality_map_matrices, fundamental_class
 
@@ -322,8 +323,9 @@ def verify_naturality(f, ring):
     report["fundamental_class_transfers"] = \
         shriek_up_preserves_fundamental_class(f, cert, ring)
 
-    FX, FY = build_h_sheaf(X, ring, n), build_h_sheaf(Y, ring, n)
-    GX, GY = build_h_cosheaf(X, ring, n), build_h_cosheaf(Y, ring, n)
+    FX, FY = LocalHomologySheaf(ring, X, n), LocalHomologySheaf(ring, Y, n)
+    GX = LocalCohomologyCosheaf(ring, X, n)
+    GY = LocalCohomologyCosheaf(ring, Y, n)
     from .complexes import Subcomplex
     capX1_src, capX1_tgt, capX1 = duality_map_matrices(
         X, Subcomplex(X, X.order), "1ai", ring, sheaf=FX)

@@ -5,8 +5,7 @@ import os
 
 from lochom import caps, identities
 from lochom.caps import (OrientationSwap, cap_plain, cap_v1, cap_v2,
-                         relative_cap_v1, relative_cap_v2, relative_cap_v3,
-                         relative_cap_v4)
+                         relative_cap)
 from lochom.complexes import Subcomplex, parse_complex, reorient_vc_before
 from lochom.fixtures import circle3, rp2_six, sphere2, triangle
 from lochom.homology import induced_matrix
@@ -52,34 +51,41 @@ def test_relative_caps_respect_support():
     X2, L2 = reorient_vc_before(X, Subcomplex(X, (2, 3)))
     vc = L2.vertex_complement()
     one = ZZ.one()
-    # vanishing-on-L input: outputs stay in the vertex complement, checked
-    # on every generator pair without tripping the built-in assertion
-    for s in X2.simplices(2):
-        xi = {(s, s): one}
-        for t in X2.simplices(1):
-            phi = {(t, s): one}
-            psi = {t: one}
-            if not L2.contains(t):
-                for front in relative_cap_v1(X2, L2, ZZ, xi, phi, 1):
-                    assert vc.contains(front)
-                for (front, _) in relative_cap_v3(X2, L2, ZZ, xi, psi, 1):
-                    assert vc.contains(front)
-            else:
-                # supported-on-L input: quotient variants drop everything
-                # carried inside the complement
-                for front in relative_cap_v2(X2, L2, ZZ, xi, phi, 1):
-                    assert not vc.contains(front)
-                for (front, _) in relative_cap_v4(X2, L2, ZZ, xi, psi, 1):
-                    assert not vc.contains(front)
-    # wrong support is rejected
-    edge_in_l = X2.canon((2, 3))
-    top = next(iter(X2.simplices(2)))
-    with pytest.raises(ValueError):
-        relative_cap_v1(X2, L2, ZZ, {(top, top): one},
-                        {(edge_in_l, top): one}, 1)
-    with pytest.raises(ValueError):
-        relative_cap_v4(X2, L2, ZZ, {(top, top): one},
-                        {X2.canon((0, 1)): one}, 1)
+    # the cochain dual to the face t of a top simplex s, and the carrier of
+    # an output label, for the first and the second cap
+    cochain = {"v1": lambda t, s: {(t, s): one}, "v2": lambda t, s: {t: one}}
+    carrier = {"v1": lambda key: key, "v2": lambda key: key[0]}
+    plain_cap = {"v1": cap_v1, "v2": cap_v2}
+    for variant in ("v1", "v2"):
+        for support in ("rel", "sub"):
+            vanishing = support == "rel"
+            nonzero = 0
+            for s in X2.simplices(2):
+                xi = {(s, s): one}
+                for t in X2.simplices(1):
+                    phi = cochain[variant](t, s)
+                    if L2.contains(t) == vanishing:
+                        # wrong support is rejected
+                        with pytest.raises(ValueError, match="subcomplex at"):
+                            relative_cap(X2, L2, ZZ, xi, phi, 1, variant,
+                                         support)
+                        continue
+                    out = relative_cap(X2, L2, ZZ, xi, phi, 1, variant,
+                                       support)
+                    plain = plain_cap[variant](ZZ, xi, phi, 1)
+                    # vanishing on L: the whole cap, carried in the vertex
+                    # complement (the built-in assertion does not trip);
+                    # supported on L: the part carried outside it
+                    assert out.items() <= plain.items()
+                    assert out == plain or not vanishing
+                    for key in out:
+                        assert vc.contains(carrier[variant](key)) == vanishing
+                    nonzero += bool(out)
+            assert nonzero, (variant, support)
+            # L's vertices listed before the vertex complement are rejected
+            L_first = Subcomplex(X, (0, 1))
+            with pytest.raises(ValueError, match="ordered before"):
+                relative_cap(X, L_first, ZZ, {}, {}, 1, variant, support)
 
 
 def test_swap_sweep_small_complexes():

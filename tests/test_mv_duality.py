@@ -46,12 +46,12 @@ def test_collapse_vs_cap_required_pairs():
 
 
 def test_fundamental_class_is_a_cycle_in_cosheaf_complex():
-    from lochom.localhomology import build_h_cosheaf
+    from lochom.localhomology import LocalCohomologyCosheaf
     from lochom.mv import project_stalks
     from lochom.sheaves import cosheaf_chain_complex
     for fn, n in ((circle3, 1), (sphere2, 2), (rp2_six, 2)):
         X = fn()
-        G = build_h_cosheaf(X, ZZ, n)
+        G = LocalCohomologyCosheaf(ZZ, X, n)
         cc = cosheaf_chain_complex(G)
         vec = fundamental_class_cosheaf_vector(G)
         out = cc.differential(n).apply(vec)

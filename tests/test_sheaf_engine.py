@@ -5,9 +5,12 @@ import pytest
 from lochom.complexes import Subcomplex
 from lochom.fixtures import FIXTURES, circle3, sphere2, triangle
 from lochom.io import parse_sheaf, serialize_sheaf
-from lochom.localhomology import build_h_cosheaf, build_h_sheaf
+from lochom.localhomology import (LocalCohomologyCosheaf,
+                                  LocalHomologySheaf)
+from lochom.matrices import Matrix
 from lochom.rings import GF, QQ, ZZ
-from lochom.sheaves import (ConstantCosheaf, ConstantSheaf, SectionsModule,
+from lochom.sheaves import (ConstantCosheaf, ConstantSheaf, Cosheaf,
+                            DictSheaf, SectionsModule,
                             cosheaf_chain_complex, region_rel, region_sub,
                             reorientation_iso, sections,
                             sheaf_cochain_complex, simplicial_chain_complex,
@@ -52,7 +55,7 @@ def test_sections_of_orientation_sheaf():
     from lochom.fixtures import rp2_six
     for fn, n, expected in ((circle3, 1, 1), (sphere2, 2, 1), (rp2_six, 2, 0)):
         X = fn()
-        F = build_h_sheaf(X, ZZ, n)
+        F = LocalHomologySheaf(ZZ, X, n)
         rep = sections(F)
         assert rep["iso"]
         assert rep["sections"].rank == expected
@@ -60,7 +63,7 @@ def test_sections_of_orientation_sheaf():
 
 def test_sections_determined_at_vertices():
     X = circle3()
-    F = build_h_sheaf(X, ZZ, 1)
+    F = LocalHomologySheaf(ZZ, X, 1)
     mod = SectionsModule(F)
     for sec in mod.basis:
         assert all(isinstance(lab, tuple) and len(lab[0]) == 1
@@ -98,10 +101,32 @@ def test_sheaf_dsl_rejects_missing_stalk():
         parse_sheaf("stalk: 0 rank 1", X, ZZ)
 
 
+EDGE_MAP = "map: 0 < 0 1 matrix [[1]]"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace(EDGE_MAP,
+                               "map: 0 < 0 1 matrix [[1, 0], [0, 1]]"),
+     r"map \(0,\) < \(0, 1\): matrix must be 1x1"),
+    (lambda text: text.replace(EDGE_MAP + "\n", ""),
+     r"no map declared for \(0,\) < \(0, 1\)"),
+    (lambda text: text + "map: 0 < 0 1 2 matrix [[1]]\n",
+     r"map \(0,\) < \(0, 1, 2\) is not along a codimension-one face"),
+    (lambda text: text.replace(EDGE_MAP, "map: 0 < 0 1 matrix [[-1]]"),
+     r"sheaf not functorial on \(0,\) < \(0, 2\) < \(0, 1, 2\)"),
+], ids=["oversized", "missing-map", "codimension-2", "not-functorial"])
+def test_sheaf_dsl_rejects_malformed_sheaves(edit, message):
+    X = triangle()
+    text = serialize_sheaf(ConstantSheaf(ZZ, X))
+    assert EDGE_MAP in text
+    with pytest.raises(ValueError, match=message):
+        parse_sheaf(edit(text), X, ZZ)
+
+
 def test_local_sheaf_restriction_functorial():
     # one-step restrictions compose to the two-step restriction
     X = sphere2()
-    F = build_h_sheaf(X, ZZ, 2)
+    F = LocalHomologySheaf(ZZ, X, 2)
     s, mid, t = (0,), (0, 1), (0, 1, 2)
     two_step = F.restriction(s, t)
     composed = F.restriction_step(mid, t) @ F.restriction_step(s, mid)
@@ -110,7 +135,7 @@ def test_local_sheaf_restriction_functorial():
 
 def test_local_cosheaf_corestriction_functorial():
     X = sphere2()
-    G = build_h_cosheaf(X, ZZ, 2)
+    G = LocalCohomologyCosheaf(ZZ, X, 2)
     s, mid, t = (0,), (0, 1), (0, 1, 2)
     two_step = G.corestriction(t, s)
     composed = G.corestriction_step(mid, s) @ G.corestriction_step(t, mid)
@@ -121,5 +146,39 @@ def test_local_cosheaf_corestriction_functorial():
 @pytest.mark.parametrize("name", ["c3", "delta2", "t4", "rp6", "hex"])
 def test_local_homology_sheaf_and_cosheaf_are_functorial(name, ring):
     X = FIXTURES[name]()
-    assert build_h_sheaf(X, ring, X.dim).check_functorial()
-    assert build_h_cosheaf(X, ring, X.dim).check_functorial()
+    assert LocalHomologySheaf(ring, X, X.dim).check_functorial()
+    assert LocalCohomologyCosheaf(ring, X, X.dim).check_functorial()
+
+
+def test_check_functorial_names_the_triple_of_a_sign_flipped_sheaf():
+    X = triangle()
+    one = Matrix.identity(ZZ, (0,))
+    steps = {(f, t): one for f in X.all_simplices() for t in X.cofaces(f)}
+    steps[((0,), (0, 1))] = one.scale(ZZ.from_int(-1))
+    F = DictSheaf(ZZ, X, {s: (0,) for s in X.all_simplices()}, steps)
+    with pytest.raises(ValueError, match=r"^sheaf not functorial on "
+                       r"\(0,\) < \(0, 2\) < \(0, 1, 2\)$"):
+        F.check_functorial()
+
+
+class SignedCosheaf(Cosheaf):
+    """Rank-one stalks whose steps are all 1 except the corestriction
+    (0, 1) -> (0,), which is -1: the two ways down from (0, 1, 2) to (0,)
+    disagree."""
+
+    def stalk(self, simplex):
+        return (0,)
+
+    def corestriction_step(self, cosimplex, simplex):
+        sign = -1 if (cosimplex, simplex) == ((0, 1), (0,)) else 1
+        return Matrix(self.ring, (0,), (0,),
+                      {(0, 0): self.ring.from_int(sign)})
+
+
+def test_check_functorial_names_the_triple_of_a_non_composing_cosheaf():
+    G = SignedCosheaf(ZZ, triangle())
+    assert G.corestriction((0, 1, 2), (0,)) != (
+        G.corestriction((0, 2), (0,)) @ G.corestriction((0, 1, 2), (0, 2)))
+    with pytest.raises(ValueError, match=r"^cosheaf not functorial on "
+                       r"\(0,\) < \(0, 2\) < \(0, 1, 2\)$"):
+        G.check_functorial()
