@@ -190,7 +190,7 @@ def relative_cap(X, L, ring, xi, cochain, l, variant, support):
     vc = L.vertex_complement()
     kept = {key: v for key, v in out.items()
             if vc.contains(key if first else key[0]) == vanishing}
-    if len(kept) != len(out) and vanishing:
+    if vanishing and len(kept) != len(out):
         raise AssertionError("relative cap output escapes the vertex "
                              "complement")
     return kept

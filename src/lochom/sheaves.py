@@ -97,7 +97,7 @@ class _FacePosetFunctor:
                                      else first @ then)
                         if self._along(sigma, tau) != composite:
                             raise ValueError(
-                                f"{type(self).kind} not functorial on "
+                                f"{self.kind} not functorial on "
                                 f"{sigma} < {mid} < {tau}")
         return True
 
