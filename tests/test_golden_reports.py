@@ -23,12 +23,20 @@ MANIFEST = os.path.join(HERE, "golden_reports.json")
 
 FIXTURES = ("bowtie", "c3", "delta2", "hex", "rp6", "t4")
 RINGS = ("z", "q", "fp:2")
-COMMANDS = (("homology",), ("check-cm",), ("local",),
-            ("duality", "--item", "1ai"), ("duality", "--item", "2bi"),
+COMMANDS = (("homology",), ("check-cm",), ("local",), ("sections",),
+            ("duality", "--item", "1ai"), ("duality", "--item", "2ai"),
+            ("duality", "--item", "2bi"), ("duality", "--item", "2bii"),
             ("identities",))
 SUBCOMPLEX_PAIRS = (("rp6", "rp6_345"), ("t4", "t4_edge23"))
 SUBCOMPLEX_ITEMS = ("1ai", "2bi")
 SUBCOMPLEX_IDENTITY_RINGS = ("z", "fp:2")
+# command lines that read extra input files, run over each ring
+EXTRA_LINES = (
+    ("sections", "--dim", "1", "--complex", "fixtures/c3.cplx",
+     "--filtration", "fixtures/c3_arcs.filt"),
+    ("naturality", "--complex", "fixtures/hex.cplx",
+     "--target", "fixtures/c3.cplx", "--map", "fixtures/hex_to_c3.map"),
+)
 
 
 def command_lines():
@@ -39,6 +47,9 @@ def command_lines():
             for command in COMMANDS:
                 lines.append((*command, "--ring", ring,
                               "--complex", f"fixtures/{name}.cplx"))
+    for ring in RINGS:
+        for extra in EXTRA_LINES:
+            lines.append((extra[0], "--ring", ring, *extra[1:]))
     for name, sub in SUBCOMPLEX_PAIRS:
         for ring in RINGS:
             for item in SUBCOMPLEX_ITEMS:
