@@ -131,14 +131,15 @@ class SimplicialComplex:
                     out.add(self.canon(sub))
         return frozenset(out)
 
-    def link(self, simplex):
-        s = set(simplex)
-        return frozenset(t for t in self.star(simplex) if not s & set(t))
-
     def link_complex(self, simplex):
-        lk = self.link(simplex)
-        sub_order = tuple(v for v in self.order if any(v in t for t in lk))
-        return SimplicialComplex(lk, order=sub_order)
+        """The link {a minus simplex : a in the open star, a != simplex},
+        already closed under faces, as a complex in the inherited order."""
+        s = set(simplex)
+        lk = [tuple(v for v in a if v not in s)
+              for a in self.open_star(simplex)[1:]]
+        verts = {v for t in lk for v in t}
+        return SimplicialComplex(
+            lk, order=tuple(v for v in self.order if v in verts))
 
     # -- orientation -------------------------------------------------------
     def with_order(self, new_order):
@@ -269,4 +270,6 @@ def parse_subcomplex(text, X):
             verts += [_parse_token(t) for t in line[len("vertices:"):].split()]
         else:
             raise ValueError(f"unrecognized line {raw!r}")
+    if not verts:
+        raise ValueError("subcomplex file lists no vertices")
     return Subcomplex(X, verts)

@@ -14,7 +14,7 @@ vector.
 
 from .caps import (OrientationSwap, cap_v1, cap_v2, leibniz_defect_v1,
                    leibniz_defect_v2)
-from .complexes import Subcomplex, is_vc_before, reorient_vc_before
+from .complexes import is_vc_before, reorient_vc_before
 from .localhomology import LocalCohomologyCosheaf
 from .matrices import vec_add, vec_clean, vec_eq, vec_sub
 from .mv import (MVDoubleComplex, c_dual, c_dual_reversed,
@@ -201,11 +201,8 @@ def collapse_vs_cap(X, L, ring, max_witnesses=3):
     diagonal top cycle, on every generator: in the first form for cochains
     with local-homology tops over L, and in the second (stalk-projected) form
     for relative plain cochains."""
-    if L is None:
-        L = Subcomplex(X, X.order)
-    if not isinstance(L, Subcomplex):
-        L = Subcomplex(X, L)
     D = MVDoubleComplex(X, L, ring)
+    L = D.L
     n = X.dim
     fund = fundamental_class(X, ring)
     lvc = L.vertex_complement()

@@ -10,7 +10,8 @@ stalks, presented as cokernels of the local coboundary, form a cosheaf.
 
 from .homology import (ChainComplex, CokerPresentation,
                        HomologyPresentation)
-from .matrices import Matrix, invariant_factors, solve, vec_clean, vec_dot
+from .matrices import (Matrix, invariant_factors, kernel_basis, solve,
+                       vec_clean, vec_dot)
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
 
@@ -226,14 +227,14 @@ class LocalCohomologyCosheaf(Cosheaf):
 def uct_report(X, ring, simplex, n):
     """Evaluation pairing between top local cohomology and the dual of top
     local homology at one simplex: both must be free of equal rank with a
-    unimodular pairing matrix.  Only the paired degree-n presentations are
-    built; concentration and unimodularity read invariant factors alone."""
+    unimodular pairing matrix.  Only a degree-n cycle basis and the degree-n
+    cokernel presentation are built; concentration and unimodularity read
+    invariant factors alone."""
     simplex = tuple(simplex)
     cx = local_complex(X, ring, simplex)
     concentrated = all(cx.homology_summary(k) == (0, [])
                        for k in range(0, X.dim + 1) if k != n)
-    kernel = cx.homology(n).kernel
-    cycles = [kernel.column(lbl) for lbl in kernel.col_labels]
+    cycles = kernel_basis(cx.differential(n))
     pres = CokerPresentation(ring, cx.differential(n).transpose())
     lifts = [pres.lift(i) for i in range(len(pres))]
     factors = invariant_factors(Matrix(

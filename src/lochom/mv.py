@@ -39,8 +39,6 @@ class MVDoubleComplex:
     def __init__(self, X, L, ring):
         if L is None:
             L = Subcomplex(X, X.order)
-        if not isinstance(L, Subcomplex):
-            L = Subcomplex(X, L)
         if not is_vc_before(X, L):
             raise ValueError("the double complex needs the vertex complement "
                              "of the subcomplex ordered before the subcomplex")
@@ -263,29 +261,22 @@ class MVDoubleComplex:
             diffs[k] = d.scale(ring.from_int((-1) ** k))
         return ChainComplex(ring, cx.spaces, diffs, shift=-1)
 
-    def c_matrices(self, tot=None, bar=None):
+    def c_matrices(self, tot, bar):
         """The collapse map as degree-wise matrices total -> bar-relative."""
-        ring = self.ring
-        tot = tot or self.total_complex()
-        bar = bar or self.bar_relative_complex()
-        out = {}
-        for q in range(self.X.dim + 1):
-            src = tot.basis(q)
-            cols = [self.c_map({gen: ring.one()}) for gen in src]
-            out[q] = Matrix.from_columns(ring, bar.basis(q), src, cols)
-        return out
+        return _degree_matrices(self.ring, self.c_map, tot, bar, self.X.dim)
 
-    def epsilon_matrices(self, tot=None, bar=None):
+    def epsilon_matrices(self, tot, bar):
         """The augmentation as degree-wise matrices bar-relative -> total."""
-        ring = self.ring
-        tot = tot or self.total_complex()
-        bar = bar or self.bar_relative_complex()
-        out = {}
-        for q in range(self.X.dim + 1):
-            src = bar.basis(q)
-            cols = [self.epsilon({alpha: ring.one()}) for alpha in src]
-            out[q] = Matrix.from_columns(ring, tot.basis(q), src, cols)
-        return out
+        return _degree_matrices(self.ring, self.epsilon, bar, tot, self.X.dim)
+
+
+def _degree_matrices(ring, gen_map, src, tgt, top):
+    """A generator map as degree-wise matrices src -> tgt in degrees 0..top."""
+    out = {}
+    for q in range(top + 1):
+        cols = [gen_map({gen: ring.one()}) for gen in src.basis(q)]
+        out[q] = Matrix.from_columns(ring, tgt.basis(q), src.basis(q), cols)
+    return out
 
 
 # -- the dual double complex --------------------------------------------------
@@ -493,8 +484,6 @@ def verify_duality(X, L, item, ring):
         raise ValueError("complex has no simplices")
     if L is None:
         L = Subcomplex(X, X.order)
-    if not isinstance(L, Subcomplex):
-        L = Subcomplex(X, L)
     reoriented = False
     if not is_vc_before(X, L):
         X, L = reorient_vc_before(X, L)
@@ -556,10 +545,6 @@ def verify_duality(X, L, item, ring):
 def order_for_nested(X, K, Kp):
     """A vertex order putting (K')^vc first, then K' minus K, then K: both
     inclusions then satisfy the vertex-complement-first convention."""
-    if not isinstance(K, Subcomplex):
-        K = Subcomplex(X, K)
-    if not isinstance(Kp, Subcomplex):
-        Kp = Subcomplex(X, Kp)
     kset = set(K.vertex_set)
     kpset = set(Kp.vertex_set)
     if not kset <= kpset:
@@ -596,17 +581,14 @@ def naturality_report(X, K, Kp, ring):
     c_kp = dkp.c_matrices(tot_kp, bar_kp)
     e_k = dk.epsilon_matrices(tot_k, bar_k)
     e_kp = dkp.epsilon_matrices(tot_kp, bar_kp)
-    proj = {}
-    quot = {}
-    for q in range(X2.dim + 1):
-        kset = set(tot_k.basis(q))
-        proj[q] = Matrix(ring, tot_k.basis(q), tot_kp.basis(q),
-                         {(g, g): ring.one() for g in tot_kp.basis(q)
-                          if g in kset})
-        aset = set(bar_k.basis(q))
-        quot[q] = Matrix(ring, bar_k.basis(q), bar_kp.basis(q),
-                         {(a, a): ring.one() for a in bar_kp.basis(q)
-                          if a in aset})
+
+    def kept_by(cx):
+        """Generator map keeping the generators in cx's bases."""
+        keep = {g for q in cx.degrees() for g in cx.basis(q)}
+        return lambda chain: {g: v for g, v in chain.items() if g in keep}
+
+    proj = _degree_matrices(ring, kept_by(tot_k), tot_kp, tot_k, X2.dim)
+    quot = _degree_matrices(ring, kept_by(bar_k), bar_kp, bar_k, X2.dim)
     chain_maps = True
     for q in range(1, X2.dim + 1):
         if not (tot_k.differential(q) @ proj[q]

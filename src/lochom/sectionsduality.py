@@ -33,11 +33,10 @@ def _section_ambient_value(F, section, vertex):
     return vec_clean(ring, out)
 
 
-def lf_h0_check(X, L, n, ring):
-    """Verify that degree-zero homology of the top cosheaf over L is the dual
-    of the sections of the top sheaf over L, via the chain-level evaluation
-    map (vertex generator with dual stalk index) -> (section -> matching
-    top-simplex coefficient of its stalk value at that vertex)."""
+def _open_at_L(X, L, n, ring):
+    """The subcomplex (all of X for None) and a report that states the
+    locally-CM-at-L hypothesis and, when it fails, refuses with verdict
+    false."""
     if L is None:
         L = Subcomplex(X, X.order)
     report = {"ring": ring.name, "n": n}
@@ -45,11 +44,20 @@ def lf_h0_check(X, L, n, ring):
     report["hypothesis"] = {"name": "locally_cm_at_L",
                             "holds": cm["locally_cm_at_L"],
                             "witnesses": cm["witnesses"][:3]}
-    if not cm["locally_cm_at_L"]:
-        report["refused"] = True
+    report["refused"] = not cm["locally_cm_at_L"]
+    if report["refused"]:
         report["verdict"] = False
+    return L, report
+
+
+def lf_h0_check(X, L, n, ring):
+    """Verify that degree-zero homology of the top cosheaf over L is the dual
+    of the sections of the top sheaf over L, via the chain-level evaluation
+    map (vertex generator with dual stalk index) -> (section -> matching
+    top-simplex coefficient of its stalk value at that vertex)."""
+    L, report = _open_at_L(X, L, n, ring)
+    if report["refused"]:
         return report
-    report["refused"] = False
     F = LocalHomologySheaf(ring, X, n)
     G = LocalCohomologyCosheaf(ring, X, n)
     gamma = SectionsModule(F, region_sub(L))
@@ -110,10 +118,10 @@ class RestrictionSystem:
         return m
 
 
-def _span_contains(ring, A, B, Asnf=None):
+def _span_contains(ring, A, B):
     """Every column of B lies in the column span of A (exactly, over the
     active ring)."""
-    s = Asnf if Asnf is not None else smith_normal_form(A)
+    s = smith_normal_form(A)
     return all(solve(A, B.column(c), s) is not None for c in B.col_labels)
 
 
@@ -242,18 +250,9 @@ def compactly_determined_dual(X, L, n, ring, filtration):
     filtration is finite, every homomorphism on sections is determined on the
     final stage, and the colimit is the dual of the sections over L itself;
     the comparison is the evaluation isomorphism checked exactly."""
-    if L is None:
-        L = Subcomplex(X, X.order)
-    report = {"ring": ring.name, "n": n}
-    cm = local_cm_check(X, L, n, ring)
-    report["hypothesis"] = {"name": "locally_cm_at_L",
-                            "holds": cm["locally_cm_at_L"],
-                            "witnesses": cm["witnesses"][:3]}
-    if not cm["locally_cm_at_L"]:
-        report["refused"] = True
-        report["verdict"] = False
+    L, report = _open_at_L(X, L, n, ring)
+    if report["refused"]:
         return report
-    report["refused"] = False
     system, gammas, stages = build_restriction_system(X, L, n, ring, filtration)
     report["stages"] = len(stages)
     report["dual_ranks"] = [g.rank for g in gammas]

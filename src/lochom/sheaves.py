@@ -8,7 +8,8 @@ composed from codimension-one steps along one chain of faces, walked down
 for a cosheaf; this is well defined exactly when the data is functorial,
 which check_functorial decides (`io.parse_sheaf` runs it on every sheaf it
 reads, the tests on the local homology sheaf and cosheaf of the fixtures).
-One builder gives the cochains of a sheaf and the chains of a cosheaf.
+One builder gives the cochains of a sheaf and the chains of a cosheaf, and
+plain cochains are the transposed plain chains.
 """
 
 from itertools import combinations
@@ -177,48 +178,33 @@ class DictSheaf(Sheaf):
 def simplicial_chain_complex(X, ring, region=REGION_X, reduced=False):
     """Plain simplicial chains of a region, boundary drops faces outside it.
     Basis labels are the simplices themselves."""
-    spaces = {}
-    top = X.dim
-    for k in range(0, top + 1):
-        spaces[k] = region_simplices(X, region, k)
+    spaces = {k: region_simplices(X, region, k) for k in range(X.dim + 1)}
     if reduced:
         spaces[-1] = ((),)
     diffs = {}
-    for k in range(0, top + 1):
-        src = spaces.get(k, ())
+    for k in range(X.dim + 1):
         tgt = spaces.get(k - 1, ())
         tgtset = set(tgt)
         entries = {}
-        for s in src:
+        for s in spaces[k]:
             for j in range(len(s)):
                 f = s[:j] + s[j + 1:]
-                if f in tgtset or (reduced and k == 0 and f == ()):
-                    sign = ring.from_int((-1) ** j)
-                    key = (f, s)
-                    entries[key] = ring.add(entries.get(key, ring.zero()), sign)
-        if src:
-            diffs[k] = Matrix(ring, tgt, src, entries)
+                if f in tgtset:
+                    entries[(f, s)] = ring.from_int((-1) ** j)
+        if spaces[k]:
+            diffs[k] = Matrix(ring, tgt, spaces[k], entries)
     return ChainComplex(ring, spaces, diffs, shift=-1)
 
 
 def simplicial_cochain_complex(X, ring, region=REGION_X):
-    """Plain simplicial cochains of a region (relative = vanishing on L).
-    Basis labels are the simplices themselves."""
-    spaces = {k: region_simplices(X, region, k) for k in range(X.dim + 1)}
-    diffs = {}
-    for k in range(X.dim):
-        src = spaces.get(k, ())
-        tgt = spaces.get(k + 1, ())
-        srcset = set(src)
-        entries = {}
-        for t in tgt:
-            for j in range(len(t)):
-                f = t[:j] + t[j + 1:]
-                if f in srcset:
-                    entries[(t, f)] = ring.from_int((-1) ** j)
-        if src or tgt:
-            diffs[k] = Matrix(ring, tgt, src, entries)
-    return ChainComplex(ring, spaces, diffs, shift=+1)
+    """Plain simplicial cochains of a region (relative = vanishing on L): the
+    evaluation dual of `simplicial_chain_complex`, with the same bases and
+    delta_(k-1) the transpose of d_k.  Basis labels are the simplices
+    themselves."""
+    chains = simplicial_chain_complex(X, ring, region)
+    return ChainComplex(ring, chains.spaces,
+                        {k - 1: d.transpose() for k, d in chains.diffs.items()},
+                        shift=+1)
 
 
 def _coefficient_complex(A, region):

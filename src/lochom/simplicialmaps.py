@@ -13,7 +13,7 @@ carriers through the star bijections).
 """
 
 from .caps import cap_v1, cap_v2
-from .complexes import perm_sign
+from .complexes import Subcomplex, perm_sign
 from .homology import induced_matrix
 from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
                             local_cm_check)
@@ -288,6 +288,19 @@ def _cosheaf_transfer_matrix(f, cert, GX, GY, tgtY, tgtX, q, ring):
     return Matrix.from_columns(ring, tgtX.basis(q), tgtY.basis(q), cols)
 
 
+def _square_commutes(first, second, src, l, tgt, k, chain_level):
+    """Whether two maps from degree l of src to degree k of tgt agree: as
+    matrices at chain level, otherwise on homology."""
+    if chain_level:
+        return (first - second).is_zero()
+    src_h = src.homology(l)
+    tgt_h = tgt.homology(k)
+    if src_h.is_trivial() and tgt_h.is_trivial():
+        return True
+    return (induced_matrix(src_h, tgt_h, first.apply)
+            == induced_matrix(src_h, tgt_h, second.apply))
+
+
 def verify_naturality(f, ring):
     """Both naturality squares of the duality isomorphisms for a star-local
     map between locally Cohen-Macaulay complexes of equal dimension, with the
@@ -326,7 +339,6 @@ def verify_naturality(f, ring):
     FX, FY = LocalHomologySheaf(ring, X, n), LocalHomologySheaf(ring, Y, n)
     GX = LocalCohomologyCosheaf(ring, X, n)
     GY = LocalCohomologyCosheaf(ring, Y, n)
-    from .complexes import Subcomplex
     capX1_src, capX1_tgt, capX1 = duality_map_matrices(
         X, Subcomplex(X, X.order), "1ai", ring, sheaf=FX)
     capY1_src, capY1_tgt, capY1 = duality_map_matrices(
@@ -343,18 +355,9 @@ def verify_naturality(f, ring):
                      for a in capX1_tgt.basis(n - l)]
         push = Matrix.from_columns(ring, capY1_tgt.basis(n - l),
                                    capX1_tgt.basis(n - l), push_cols)
-        via_target = capY1[l] @ down
-        via_source = push @ capX1[l]
-        if orientation:
-            covariant[l] = (via_target - via_source).is_zero()
-        else:
-            src_h = capX1_src.homology(l)
-            tgt_h = capY1_tgt.homology(n - l)
-            if src_h.is_trivial() and tgt_h.is_trivial():
-                covariant[l] = True
-                continue
-            covariant[l] = (induced_matrix(src_h, tgt_h, via_target.apply)
-                            == induced_matrix(src_h, tgt_h, via_source.apply))
+        covariant[l] = _square_commutes(capY1[l] @ down, push @ capX1[l],
+                                        capX1_src, l, capY1_tgt, n - l,
+                                        orientation)
     report["covariant"] = covariant
 
     contravariant = {}
@@ -366,18 +369,9 @@ def verify_naturality(f, ring):
                                    capY2_src.basis(l), pull_cols)
         up = _cosheaf_transfer_matrix(f, cert, GX, GY, capY2_tgt, capX2_tgt,
                                       n - l, ring)
-        via_source = capX2[l] @ pull
-        via_target = up @ capY2[l]
-        if orientation:
-            contravariant[l] = (via_source - via_target).is_zero()
-        else:
-            src_h = capY2_src.homology(l)
-            tgt_h = capX2_tgt.homology(n - l)
-            if src_h.is_trivial() and tgt_h.is_trivial():
-                contravariant[l] = True
-                continue
-            contravariant[l] = (induced_matrix(src_h, tgt_h, via_source.apply)
-                                == induced_matrix(src_h, tgt_h, via_target.apply))
+        contravariant[l] = _square_commutes(capX2[l] @ pull, up @ capY2[l],
+                                            capY2_src, l, capX2_tgt, n - l,
+                                            orientation)
     report["contravariant"] = contravariant
     report["ok"] = (report["fundamental_class_transfers"]
                     and all(covariant.values())

@@ -3,6 +3,7 @@ transfer maps, and naturality of the duality squares."""
 
 import pytest
 
+from lochom import simplicialmaps
 from lochom.complexes import SimplicialComplex
 from lochom.fixtures import circle3, hexagon, hexagon_cover_map, sphere2
 from lochom.mv import fundamental_class
@@ -146,6 +147,25 @@ def test_verify_naturality_cover_homology_level():
 def test_verify_naturality_chain_level_when_oriented():
     rep = verify_naturality(orientation_preserving_cover(), ZZ)
     assert rep["ok"] and rep["level"] == "chain"
+
+
+@pytest.mark.parametrize("transfer, square", [
+    ("shriek_down", "covariant"), ("pullback_cochain", "contravariant")])
+@pytest.mark.parametrize("make, level", [
+    (orientation_preserving_cover, "chain"), (cover, "homology")],
+    ids=["chain", "homology"])
+def test_verify_naturality_catches_a_negated_transfer(
+        monkeypatch, transfer, square, make, level):
+    # over Z a sign flip changes every nonzero map, so each square that
+    # reads the transfer fails and the other square still commutes
+    original = getattr(simplicialmaps, transfer)
+    monkeypatch.setattr(simplicialmaps, transfer, lambda *args: {
+        key: -v for key, v in original(*args).items()})
+    rep = verify_naturality(make(), ZZ)
+    other = "contravariant" if square == "covariant" else "covariant"
+    assert rep["level"] == level and not rep["ok"]
+    assert rep[square] == {0: False, 1: False}
+    assert rep[other] == {0: True, 1: True}
 
 
 def test_verify_naturality_identity_and_other_rings():

@@ -189,6 +189,24 @@ def test_cli_empty_complex_exits_2(tmp_path, capsys, command):
     assert err == "error: complex has no simplices\n"
 
 
+@pytest.mark.parametrize("command, facets", [
+    (["check-cm"], "simplex: 0 1\nsimplex: 1 2\n"),
+    (["duality", "--item", "1ai"], "simplex: 0 1 2\n"),
+    (["duality", "--item", "2bi"], "simplex: 0 1 2\n"),
+    (["identities"], "simplex: 0 1 2\n")],
+    ids=["check-cm", "duality-1ai", "duality-2bi", "identities"])
+def test_cli_empty_subcomplex_exits_2(tmp_path, capsys, command, facets):
+    # over an empty subcomplex every compared degree is 0 = 0, a vacuous true
+    cplx = tmp_path / "x.cplx"
+    cplx.write_text("order: 0 1 2\n" + facets)
+    sub = tmp_path / "empty.sub"
+    sub.write_text("vertices:\n")
+    code, err = run_cli_error(capsys, *command, "--complex", str(cplx),
+                              "--subcomplex", str(sub))
+    assert code == 2
+    assert err == "error: subcomplex file lists no vertices\n"
+
+
 def test_fixture_files_match_builtins(capsys):
     X = parse_complex(open(fix("c3.cplx")).read())
     assert set(X.all_simplices()) == set(circle3().all_simplices())

@@ -102,8 +102,9 @@ def test_local_command_factors_once_and_presents_only_degree_n(
         built[0] = 0
         factored.clear()
         assert main(base + extra) == 0
-        assert built[0] == len(degrees)
-        assert set(degrees) == ({n} if extra else set())
+        # --dim n pairs a degree-n cycle basis with the degree-n cokernel
+        # presentation, so neither run builds a homology presentation
+        assert built[0] == len(degrees) == 0
         assert factored and max(factored.values()) == 1
 
 
