@@ -9,19 +9,22 @@ over the integers with one that does.
 Run with:  python3 demos/sections_and_semistability.py
 """
 
-from lochom import (QQ, ZZ, circle3, compactly_determined_dual,
-                    doubling_system, lf_h0_check, semistability_check)
+from lochom import (QQ, ZZ, LocalContext, build_restriction_system, circle3,
+                    compactly_determined_dual, doubling_system, lf_h0_check,
+                    semistability_check)
 
 
 def main():
-    X = circle3()
-    rep = lf_h0_check(X, None, 1, ZZ)
-    print("degree-zero cosheaf homology:", rep["h0"])
-    print("rank of the section dual:   ", rep["dual_rank"])
-    print("comparison is an isomorphism:", rep["iso"])
+    ctx = LocalContext(circle3(), ZZ)
+    lf = lf_h0_check(ctx, None, 1)
+    print("degree-zero cosheaf homology:", lf["h0"])
+    print("rank of the section dual:   ", lf["dual_rank"])
+    print("comparison is an isomorphism:", lf["iso"])
 
     print("\n-- exhausting the circle by arcs --")
-    rep = compactly_determined_dual(X, None, 1, ZZ, [[0], [0, 1], [0, 1, 2]])
+    system, gammas = build_restriction_system(
+        ctx, None, 1, [[0], [0, 1], [0, 1, 2]])
+    rep = compactly_determined_dual(lf, gammas, semistability_check(system))
     print("section ranks along the filtration:", rep["dual_ranks"])
     print("restriction system semistable:", rep["semistable"])
     print("colimit rank %d matches the dual: %s"

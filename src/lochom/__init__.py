@@ -16,9 +16,9 @@ from .homology import (ChainComplex, HomologyPresentation, induced_matrix,
 from .identities import (collapse_suite, collapse_vs_cap,
                          full_identity_report, leibniz_sweep,
                          mv_identity_sweep, swap_sweep)
-from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
-                            cm_check, link_crosscheck, local_cm_check,
-                            local_cohomology, local_homology, uct_check,
+from .localhomology import (LocalCohomologyCosheaf, LocalContext,
+                            LocalHomologySheaf, cm_check, link_crosscheck,
+                            local_cm_check, local_cohomology, local_homology,
                             uct_report)
 from .matrices import (Matrix, invariant_factors, kernel_basis,
                        smith_normal_form, solve)

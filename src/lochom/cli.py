@@ -17,9 +17,9 @@ from .complexes import parse_complex, parse_subcomplex
 from .homology import HomologyPresentation
 from .identities import full_identity_report
 from .io import parse_filtration, parse_map
-from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
-                            cm_check, link_crosscheck, local_cm_check,
-                            local_complex, uct_report)
+from .localhomology import (LocalCohomologyCosheaf, LocalContext,
+                            LocalHomologySheaf, cm_check, link_crosscheck,
+                            local_cm_check, uct_report)
 from .matrices import Matrix
 from .mv import DUALITY_ITEMS, verify_duality
 from .rings import ring_from_name
@@ -101,11 +101,12 @@ def cmd_homology(args):
     degrees = ([args.degree] if args.degree is not None
                else list(range(X.dim + 1)))
     report["simplicial"] = {k: _jsonable(cx.homology(k)) for k in degrees}
-    cm = local_cm_check(X, L, n, ring)
+    ctx = LocalContext(X, ring)
+    cm = local_cm_check(ctx, L, n)
     report["locally_cm_at_region"] = cm["locally_cm_at_L"]
     if cm["locally_cm_at_L"]:
-        F = LocalHomologySheaf(ring, X, n)
-        G = LocalCohomologyCosheaf(ring, X, n)
+        F = LocalHomologySheaf(ctx, n)
+        G = LocalCohomologyCosheaf(ctx, n)
         sc = sheaf_cochain_complex(F, region)
         cc = cosheaf_chain_complex(G, region)
         report["sheaf_cochain"] = {k: _jsonable(sc.homology(k))
@@ -120,19 +121,20 @@ def cmd_local(args):
     X = _load_complex(args)
     report = {"schema": SCHEMA_VERSION, "command": "local",
               "ring": ring.name, "order": list(X.order)}
+    ctx = LocalContext(X, ring)
     stalks = {}
     all_ok = True
     for s in X.all_simplices():
-        cx = local_complex(X, ring, s)
+        cx = ctx.complex(s)
         entry = {"local_homology": {}, "local_cohomology": {}}
         for k in range(X.dim + 1):
             entry["local_homology"][k] = _jsonable(cx.homology_summary(k))
             entry["local_cohomology"][k] = _jsonable(
                 cx.cohomology_summary(k))
-        entry["link_crosscheck"] = link_crosscheck(X, ring, s)
+        entry["link_crosscheck"] = link_crosscheck(ctx, s)
         if args.dim is not None:
             entry["uct"] = {kk: _jsonable(vv) for kk, vv in
-                            uct_report(X, ring, s, args.dim).items()}
+                            uct_report(ctx, s, args.dim).items()}
             all_ok = all_ok and entry["uct"]["ok"]
         all_ok = all_ok and entry["link_crosscheck"]
         stalks[s] = entry
@@ -187,17 +189,19 @@ def cmd_sections(args):
     n = args.dim if args.dim is not None else X.dim
     report = {"schema": SCHEMA_VERSION, "command": "sections",
               "ring": ring.name, "order": list(X.order), "n": n}
-    lf = lf_h0_check(X, L, n, ring)
+    ctx = LocalContext(X, ring)
+    lf = lf_h0_check(ctx, L, n)
     report["lf_h0"] = lf
     ok = lf["verdict"]
     if args.filtration:
         with open(args.filtration, encoding="utf-8") as fh:
             stages = parse_filtration(fh.read())
-        cdd = compactly_determined_dual(X, L, n, ring, stages)
+        system, gammas = build_restriction_system(ctx, L, n, stages)
+        semi = semistability_check(system) if len(system) > 1 else None
+        cdd = compactly_determined_dual(lf, gammas, semi)
         report["compactly_determined_dual"] = cdd
-        system, _, _ = build_restriction_system(X, L, n, ring, stages)
-        if len(system) > 1:
-            report["semistability"] = semistability_check(system)
+        if semi is not None:
+            report["semistability"] = semi
         ok = ok and cdd["verdict"]
     report["ok"] = ok
     return report, ok

@@ -272,4 +272,7 @@ def parse_subcomplex(text, X):
             raise ValueError(f"unrecognized line {raw!r}")
     if not verts:
         raise ValueError("subcomplex file lists no vertices")
-    return Subcomplex(X, verts)
+    L = Subcomplex(X, verts)
+    if not L.vertices():
+        raise ValueError("subcomplex has no vertex of the complex")
+    return L

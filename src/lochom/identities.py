@@ -15,7 +15,7 @@ vector.
 from .caps import (OrientationSwap, cap_v1, cap_v2, leibniz_defect_v1,
                    leibniz_defect_v2)
 from .complexes import is_vc_before, reorient_vc_before
-from .localhomology import LocalCohomologyCosheaf
+from .localhomology import LocalCohomologyCosheaf, LocalContext
 from .matrices import vec_add, vec_clean, vec_eq, vec_sub
 from .mv import (MVDoubleComplex, c_dual, c_dual_reversed,
                  cap_fundamental_v1, fundamental_class, pair_dual,
@@ -224,7 +224,7 @@ def collapse_vs_cap(X, L, ring, max_witnesses=3):
                         and vec_eq(ring, via_collapse, direct)):
                     witnesses.append(("first_form", sigma, b))
     # second form: relative plain cochain generators, projected to stalks
-    G = LocalCohomologyCosheaf(ring, X, n)
+    G = LocalCohomologyCosheaf(LocalContext(X, ring), n)
     rel = region_rel(L)
     sub_lvc = region_sub(lvc)
     for l in range(n + 1):

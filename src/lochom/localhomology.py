@@ -18,10 +18,6 @@ from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 def local_complex(X, ring, simplex):
     """Chain complex with degree-k basis {(s, a): a in X_k, a contains s}."""
     simplex = tuple(simplex)
-    cache = X.__dict__.setdefault("_local_complex_cache", {})
-    key = (ring.name, simplex)
-    if key in cache:
-        return cache[key]
     if not simplex:
         raise ValueError("empty simplex: use the reduced chain complex")
     if not X.contains(simplex):
@@ -41,12 +37,11 @@ def local_complex(X, ring, simplex):
                     entries[((simplex, f), (simplex, a))] = ring.from_int((-1) ** j)
         if src:
             diffs[k] = Matrix(ring, spaces.get(k - 1, ()), src, entries)
-    cx = ChainComplex(ring, spaces, diffs, shift=-1)
-    cache[key] = cx
-    return cx
+    return ChainComplex(ring, spaces, diffs, shift=-1)
 
 
 def local_homology(X, ring, simplex, k):
+    """Degree-k local homology, built afresh (a reference for the tests)."""
     return local_complex(X, ring, simplex).homology(k)
 
 
@@ -59,20 +54,51 @@ def local_cohomology(X, ring, simplex, k):
                                 cx.differential(k).transpose())
 
 
-def link_crosscheck(X, ring, simplex):
+class LocalContext:
+    """The local data of one complex over one ring, each piece built once:
+    the local chain complex at each simplex (with its invariant factors) and
+    the stalk presentations the sheaf views read.  Commands build one per
+    complex and drop it on return; views point at their context, never back,
+    so no reference cycle keeps a context alive after its command."""
+
+    def __init__(self, X, ring):
+        self.X = X
+        self.ring = ring
+        self._complexes = {}
+        self._presentations = {}
+
+    def complex(self, simplex):
+        simplex = tuple(simplex)
+        if simplex not in self._complexes:
+            self._complexes[simplex] = local_complex(self.X, self.ring, simplex)
+        return self._complexes[simplex]
+
+    def presentation(self, simplex, n, dual):
+        """Degree-n local homology at a simplex as a cycle presentation, or
+        with dual the cokernel of the local coboundary into degree n."""
+        key = (tuple(simplex), n, dual)
+        if key not in self._presentations:
+            cx = self.complex(simplex)
+            self._presentations[key] = (
+                CokerPresentation(self.ring, cx.differential(n).transpose())
+                if dual else cx.homology(n))
+        return self._presentations[key]
+
+
+def link_crosscheck(ctx, simplex):
     """True iff h_i(s) matches the reduced homology of the link shifted by
     dim s + 1, as free rank + torsion, in every degree.  Both sides are
     summaries from invariant factors (`ChainComplex.homology_summary`)."""
     simplex = tuple(simplex)
     l = len(simplex) - 1
-    local = local_complex(X, ring, simplex)
-    link = simplicial_chain_complex(X.link_complex(simplex), ring,
+    local = ctx.complex(simplex)
+    link = simplicial_chain_complex(ctx.X.link_complex(simplex), ctx.ring,
                                     reduced=True)
     return all(local.homology_summary(i) == link.homology_summary(i - l - 1)
-               for i in range(-1, X.dim + 1))
+               for i in range(-1, ctx.X.dim + 1))
 
 
-def local_cm_check(X, L, n, ring):
+def local_cm_check(ctx, L, n):
     """Local half of the Cohen-Macaulay report for (X, L) in degree n.
 
     locally_cm_at_L: local homology concentrated in degree n at every simplex
@@ -81,6 +107,7 @@ def local_cm_check(X, L, n, ring):
     invariant factors alone.  Callers that read only these skip the global
     homology `cm_check` adds.
     """
+    X = ctx.X
     if X.dim < 0:
         raise ValueError("complex has no simplices")
     witnesses = []
@@ -91,7 +118,7 @@ def local_cm_check(X, L, n, ring):
         for k in range(0, X.dim + 1):
             if k == n:
                 continue
-            summary = local_complex(X, ring, s).homology_summary(k)
+            summary = ctx.complex(s).homology_summary(k)
             if summary != (0, []):
                 witnesses.append((s, k, summary))
                 locally_cm = False
@@ -108,7 +135,7 @@ def cm_check(X, L, n, ring):
     concentrated in degree n; pure: every maximal simplex has dimension n.
     The reduced homology is read as summaries from invariant factors.
     """
-    local = local_cm_check(X, L, n, ring)
+    local = local_cm_check(LocalContext(X, ring), L, n)
     red = simplicial_chain_complex(X, ring, reduced=True)
     reduced_ok = all(red.homology_summary(k) == (0, [])
                      for k in range(-1, X.dim + 1) if k != n)
@@ -132,17 +159,13 @@ class LocalHomologySheaf(Sheaf):
     and re-expresses the result in the target cycle basis.
     """
 
-    def __init__(self, ring, X, n):
-        super().__init__(ring, X)
+    def __init__(self, ctx, n):
+        super().__init__(ctx.ring, ctx.X)
+        self.ctx = ctx
         self.n = n
-        self._data = {}
 
     def presentation(self, simplex):
-        simplex = tuple(simplex)
-        if simplex not in self._data:
-            self._data[simplex] = local_complex(
-                self.X, self.ring, simplex).homology(self.n)
-        return self._data[simplex]
+        return self.ctx.presentation(simplex, self.n, dual=False)
 
     def stalk(self, simplex):
         return self.presentation(simplex).kernel.col_labels
@@ -189,18 +212,13 @@ class LocalCohomologyCosheaf(Cosheaf):
     stalks are free (the locally Cohen-Macaulay case used for duality).
     """
 
-    def __init__(self, ring, X, n):
-        super().__init__(ring, X)
+    def __init__(self, ctx, n):
+        super().__init__(ctx.ring, ctx.X)
+        self.ctx = ctx
         self.n = n
-        self._data = {}
 
     def presentation(self, simplex):
-        simplex = tuple(simplex)
-        if simplex not in self._data:
-            cx = local_complex(self.X, self.ring, simplex)
-            self._data[simplex] = CokerPresentation(
-                self.ring, cx.differential(self.n).transpose())
-        return self._data[simplex]
+        return self.ctx.presentation(simplex, self.n, dual=True)
 
     def stalk(self, simplex):
         return tuple(range(len(self.presentation(simplex))))
@@ -224,16 +242,17 @@ class LocalCohomologyCosheaf(Cosheaf):
         return {(s, a): v for (_, a), v in cochain.items()}
 
 
-def uct_report(X, ring, simplex, n):
+def uct_report(ctx, simplex, n):
     """Evaluation pairing between top local cohomology and the dual of top
     local homology at one simplex: both must be free of equal rank with a
     unimodular pairing matrix.  Only a degree-n cycle basis and the degree-n
-    cokernel presentation are built; concentration and unimodularity read
-    invariant factors alone."""
+    cokernel presentation are built, and not kept (`local` reads each simplex
+    once); concentration and unimodularity read invariant factors alone."""
     simplex = tuple(simplex)
-    cx = local_complex(X, ring, simplex)
+    ring = ctx.ring
+    cx = ctx.complex(simplex)
     concentrated = all(cx.homology_summary(k) == (0, [])
-                       for k in range(0, X.dim + 1) if k != n)
+                       for k in range(0, ctx.X.dim + 1) if k != n)
     cycles = kernel_basis(cx.differential(n))
     pres = CokerPresentation(ring, cx.differential(n).transpose())
     lifts = [pres.lift(i) for i in range(len(pres))]
@@ -253,7 +272,3 @@ def uct_report(X, ring, simplex, n):
         "pairing_unimodular": unimodular,
         "ok": ok,
     }
-
-
-def uct_check(X, ring, simplex, n):
-    return uct_report(X, ring, simplex, n)["ok"]

@@ -23,8 +23,8 @@ Sign conventions (all non-standard signs used in this module):
 from .caps import relative_cap
 from .complexes import Subcomplex, is_vc_before, reorient_vc_before
 from .homology import ChainComplex, induced_matrix, is_isomorphism
-from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
-                            local_cm_check)
+from .localhomology import (LocalCohomologyCosheaf, LocalContext,
+                            LocalHomologySheaf, local_cm_check)
 from .matrices import Matrix, vec_add, vec_clean, vec_scale, vec_sub
 from .sheaves import (cosheaf_chain_complex, region_rel, region_sub,
                       sheaf_cochain_complex, simplicial_chain_complex,
@@ -342,20 +342,6 @@ def fundamental_class(X, ring):
     return {(alpha, alpha): ring.one() for alpha in X.simplices(n)}
 
 
-def fundamental_class_cosheaf_vector(G):
-    """The fundamental class in the basis of the cosheaf chain complex of the
-    top local cohomology (carrier, stalk index)."""
-    ring = G.ring
-    X = G.X
-    out = {}
-    for alpha in X.simplices(X.dim):
-        coords = G.presentation(alpha).project({(alpha, alpha): ring.one()})
-        for j, c in enumerate(coords):
-            if not ring.is_zero(c):
-                out[(alpha, j)] = c
-    return out
-
-
 def cap_fundamental_v1(X, ring, phi, l):
     """Closed form of capping the fundamental class with a local-homology
     valued cochain: evaluate on the back face of each top simplex, keep the
@@ -401,29 +387,20 @@ DUALITY_ITEMS = {
     "2bii": ("v2", "sub", "rel", "global", "full",    "locally finite"),
 }
 
-
-def _hypothesis(X, L, Lvc, n, ring, kind):
-    if kind == "at_L":
-        rep = local_cm_check(X, L, n, ring)
-        holds = rep["locally_cm_at_L"]
-        name = "locally Cohen-Macaulay at the subcomplex"
-    elif kind == "at_Lvc":
-        rep = local_cm_check(X, Lvc, n, ring)
-        holds = rep["locally_cm_at_L"]
-        name = "locally Cohen-Macaulay at the vertex complement"
-    else:
-        rep = local_cm_check(X, L, n, ring)
-        holds = rep["locally_cm"]
-        name = "locally Cohen-Macaulay"
-    witnesses = [w for w in rep["witnesses"]]
-    return name, holds, witnesses
+# CM hypothesis kind -> the name a report gives it
+HYPOTHESIS_NAMES = {
+    "at_L": "locally Cohen-Macaulay at the subcomplex",
+    "at_Lvc": "locally Cohen-Macaulay at the vertex complement",
+    "global": "locally Cohen-Macaulay",
+}
 
 
-def duality_map_matrices(X, L, item, ring, sheaf=None, cosheaf=None):
+def duality_map_matrices(ctx, L, item):
     """Source complex, target complex, and the degree-l matrices of capping
     with the fundamental class, for one of the eight duality items.  The
     source is a cochain complex in degrees l, the target a chain complex in
     degrees n - l."""
+    X, ring = ctx.X, ctx.ring
     variant, src_region, tgt_region, _, _, _ = DUALITY_ITEMS[item]
     n = X.dim
     Lvc = L.vertex_complement()
@@ -431,7 +408,7 @@ def duality_map_matrices(X, L, item, ring, sheaf=None, cosheaf=None):
     src_reg = region_sub(L) if src_region == "sub" else region_rel(L)
     tgt_reg = region_sub(Lvc) if tgt_region == "sub" else region_rel(Lvc)
     if variant == "v1":
-        F = sheaf or LocalHomologySheaf(ring, X, n)
+        F = LocalHomologySheaf(ctx, n)
         src = sheaf_cochain_complex(F, src_reg)
         tgt = simplicial_chain_complex(X, ring, tgt_reg)
 
@@ -440,7 +417,7 @@ def duality_map_matrices(X, L, item, ring, sheaf=None, cosheaf=None):
             return relative_cap(X, L, ring, fund, F.cycle(s, lab), len(s) - 1,
                                 variant, src_region)
     else:
-        G = cosheaf or LocalCohomologyCosheaf(ring, X, n)
+        G = LocalCohomologyCosheaf(ctx, n)
         src = simplicial_cochain_complex(X, ring, src_reg)
         tgt = cosheaf_chain_complex(G, tgt_reg)
 
@@ -508,14 +485,17 @@ def verify_duality(X, L, item, ring):
                                 "witnesses": [m for m in X.maximal_simplices()
                                               if len(m) - 1 != n]}
         return report
-    Lvc = L.vertex_complement()
-    name, holds, witnesses = _hypothesis(X, L, Lvc, n, ring, hyp_kind)
-    report["hypothesis"] = {"name": name, "holds": holds,
-                            "witnesses": witnesses}
+    ctx = LocalContext(X, ring)
+    cm = local_cm_check(
+        ctx, L.vertex_complement() if hyp_kind == "at_Lvc" else L, n)
+    holds = cm["locally_cm" if hyp_kind == "global" else "locally_cm_at_L"]
+    report["hypothesis"] = {"name": HYPOTHESIS_NAMES[hyp_kind],
+                            "holds": holds, "witnesses": cm["witnesses"]}
     if not holds:
         report["refused"] = True
         return report
-    src, tgt, matrices = duality_map_matrices(X, L, item, ring)
+    src, tgt, matrices = duality_map_matrices(ctx, L, item)
+    del ctx  # frees the stalk presentations before the homology below
     report["chain_level_commutes"] = _chain_level_commutes(
         src, tgt, matrices, n, ring)
     all_iso = True

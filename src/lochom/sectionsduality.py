@@ -33,33 +33,27 @@ def _section_ambient_value(F, section, vertex):
     return vec_clean(ring, out)
 
 
-def _open_at_L(X, L, n, ring):
-    """The subcomplex (all of X for None) and a report that states the
-    locally-CM-at-L hypothesis and, when it fails, refuses with verdict
-    false."""
+def lf_h0_check(ctx, L, n):
+    """Verify that degree-zero homology of the top cosheaf over L (all of X
+    for None) is the dual of the sections of the top sheaf over L, via the
+    chain-level evaluation map (vertex generator with dual stalk index) ->
+    (section -> matching top-simplex coefficient of its stalk value at that
+    vertex).  The report states the locally-CM-at-L hypothesis and, when it
+    fails, refuses with verdict false."""
+    ring = ctx.ring
     if L is None:
-        L = Subcomplex(X, X.order)
-    report = {"ring": ring.name, "n": n}
-    cm = local_cm_check(X, L, n, ring)
-    report["hypothesis"] = {"name": "locally_cm_at_L",
-                            "holds": cm["locally_cm_at_L"],
-                            "witnesses": cm["witnesses"][:3]}
-    report["refused"] = not cm["locally_cm_at_L"]
+        L = Subcomplex(ctx.X, ctx.X.order)
+    cm = local_cm_check(ctx, L, n)
+    report = {"ring": ring.name, "n": n,
+              "hypothesis": {"name": "locally_cm_at_L",
+                             "holds": cm["locally_cm_at_L"],
+                             "witnesses": cm["witnesses"][:3]},
+              "refused": not cm["locally_cm_at_L"]}
     if report["refused"]:
         report["verdict"] = False
-    return L, report
-
-
-def lf_h0_check(X, L, n, ring):
-    """Verify that degree-zero homology of the top cosheaf over L is the dual
-    of the sections of the top sheaf over L, via the chain-level evaluation
-    map (vertex generator with dual stalk index) -> (section -> matching
-    top-simplex coefficient of its stalk value at that vertex)."""
-    L, report = _open_at_L(X, L, n, ring)
-    if report["refused"]:
         return report
-    F = LocalHomologySheaf(ring, X, n)
-    G = LocalCohomologyCosheaf(ring, X, n)
+    F = LocalHomologySheaf(ctx, n)
+    G = LocalCohomologyCosheaf(ctx, n)
     gamma = SectionsModule(F, region_sub(L))
     cc = cosheaf_chain_complex(G, region_sub(L))
     dual_labels = tuple(range(gamma.rank))
@@ -205,10 +199,11 @@ def constant_system(ring, rank, length):
 
 # -- restriction systems from filtrations -------------------------------------
 
-def build_restriction_system(X, L, n, ring, filtration):
+def build_restriction_system(ctx, L, n, filtration):
     """Sections of the top local homology sheaf over an increasing chain of
-    full subcomplexes of L, with the honest restriction maps re-coordinatized
-    in the section bases."""
+    full subcomplexes of L, and the system of the honest restriction maps in
+    the section bases; returns (system, sections of each stage)."""
+    X, ring = ctx.X, ctx.ring
     if L is None:
         L = Subcomplex(X, X.order)
     stages = []
@@ -223,7 +218,7 @@ def build_restriction_system(X, L, n, ring, filtration):
         stages.append(Subcomplex(X, [v for v in X.order if v in vs]))
     if prev != set(L.vertex_set):
         raise ValueError("filtration must exhaust the subcomplex")
-    F = LocalHomologySheaf(ring, X, n)
+    F = LocalHomologySheaf(ctx, n)
     gammas = [SectionsModule(F, region_sub(K)) for K in stages]
     bases = [tuple(range(g.rank)) for g in gammas]
     steps = []
@@ -241,30 +236,30 @@ def build_restriction_system(X, L, n, ring, filtration):
                 raise ValueError("restricted section is not a section")
             cols.append(y)
         steps.append(Matrix.from_columns(ring, bases[i], bases[i + 1], cols))
-    return RestrictionSystem(ring, bases, steps), gammas, stages
+    return RestrictionSystem(ring, bases, steps), gammas
 
 
-def compactly_determined_dual(X, L, n, ring, filtration):
-    """Compare the colimit of the duals of the sections over the filtration
-    stages with degree-zero cosheaf homology over L.  On a finite complex the
-    filtration is finite, every homomorphism on sections is determined on the
-    final stage, and the colimit is the dual of the sections over L itself;
-    the comparison is the evaluation isomorphism checked exactly."""
-    L, report = _open_at_L(X, L, n, ring)
-    if report["refused"]:
+def compactly_determined_dual(lf, gammas, semistability):
+    """Compare the colimit of the duals of the stage sections `gammas` with
+    degree-zero cosheaf homology over L, read from the `lf_h0_check` report
+    (refusing with it) and a `semistability_check` report (None for one
+    stage).  On a finite complex the filtration is finite, every
+    homomorphism on sections is determined on the final stage, and the
+    colimit is the dual of the sections over L itself; the comparison is the
+    evaluation isomorphism checked exactly."""
+    report = {k: lf[k] for k in ("ring", "n", "hypothesis", "refused")}
+    if lf["refused"]:
+        report["verdict"] = False
         return report
-    system, gammas, stages = build_restriction_system(X, L, n, ring, filtration)
-    report["stages"] = len(stages)
+    report["stages"] = len(gammas)
     report["dual_ranks"] = [g.rank for g in gammas]
     # the dual system runs forward (precompose with the restriction maps);
     # with a finite index set its colimit is the dual of the final stage
     report["colimit_rank"] = gammas[-1].rank
     report["finite_note"] = ("finite filtration: every homomorphism on "
                              "sections is compactly determined")
-    sub = semistability_check(system) if len(system) > 1 else {
-        "semistable": True, "per_stage": []}
-    report["semistable"] = sub["semistable"]
-    lf = lf_h0_check(X, L, n, ring)
+    report["semistable"] = (semistability is None
+                            or semistability["semistable"])
     report["h0"] = lf["h0"]
     report["iso"] = lf["iso"] and lf["dual_rank"] == report["colimit_rank"]
     report["verdict"] = report["iso"]

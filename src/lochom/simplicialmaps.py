@@ -15,8 +15,8 @@ carriers through the star bijections).
 from .caps import cap_v1, cap_v2
 from .complexes import Subcomplex, perm_sign
 from .homology import induced_matrix
-from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
-                            local_cm_check)
+from .localhomology import (LocalCohomologyCosheaf, LocalContext,
+                            LocalHomologySheaf, local_cm_check)
 from .matrices import Matrix, solve, vec_clean
 from .mv import duality_map_matrices, fundamental_class
 
@@ -324,8 +324,9 @@ def verify_naturality(f, ring):
     if Y.dim != n:
         report["error"] = "dimension mismatch"
         return report
-    for Z, tag in ((X, "source"), (Y, "target")):
-        rep = local_cm_check(Z, None, n, ring)
+    ctxX, ctxY = LocalContext(X, ring), LocalContext(Y, ring)
+    for ctx, tag in ((ctxX, "source"), (ctxY, "target")):
+        rep = local_cm_check(ctx, None, n)
         report[f"{tag}_locally_cm"] = rep["locally_cm"]
         if not rep["locally_cm"]:
             report["witness"] = rep["witnesses"][:1]
@@ -336,17 +337,17 @@ def verify_naturality(f, ring):
     report["fundamental_class_transfers"] = \
         shriek_up_preserves_fundamental_class(f, cert, ring)
 
-    FX, FY = LocalHomologySheaf(ring, X, n), LocalHomologySheaf(ring, Y, n)
-    GX = LocalCohomologyCosheaf(ring, X, n)
-    GY = LocalCohomologyCosheaf(ring, Y, n)
+    FX, FY = LocalHomologySheaf(ctxX, n), LocalHomologySheaf(ctxY, n)
+    GX = LocalCohomologyCosheaf(ctxX, n)
+    GY = LocalCohomologyCosheaf(ctxY, n)
     capX1_src, capX1_tgt, capX1 = duality_map_matrices(
-        X, Subcomplex(X, X.order), "1ai", ring, sheaf=FX)
+        ctxX, Subcomplex(X, X.order), "1ai")
     capY1_src, capY1_tgt, capY1 = duality_map_matrices(
-        Y, Subcomplex(Y, Y.order), "1ai", ring, sheaf=FY)
+        ctxY, Subcomplex(Y, Y.order), "1ai")
     capX2_src, capX2_tgt, capX2 = duality_map_matrices(
-        X, Subcomplex(X, X.order), "2bii", ring, cosheaf=GX)
+        ctxX, Subcomplex(X, X.order), "2bii")
     capY2_src, capY2_tgt, capY2 = duality_map_matrices(
-        Y, Subcomplex(Y, Y.order), "2bii", ring, cosheaf=GY)
+        ctxY, Subcomplex(Y, Y.order), "2bii")
 
     covariant = {}
     for l in range(0, n + 1):

@@ -7,15 +7,16 @@ from lochom.complexes import Subcomplex, reorient_vc_before
 from lochom.fixtures import FIXTURES, bowtie, circle3, rp2_six, sphere2
 from lochom.identities import (collapse_suite, collapse_vs_cap, leibniz_sweep,
                                mv_identity_sweep, swap_sweep)
-from lochom.localhomology import link_crosscheck, uct_check
+from lochom.localhomology import LocalContext, link_crosscheck, uct_report
 from lochom.mv import verify_duality
 from lochom.rings import GF, ZZ
 from lochom.simplicialmaps import (SimplicialMap, check_star_local,
                                    shriek_up_preserves_fundamental_class,
                                    verify_naturality)
 from lochom.fixtures import hexagon, hexagon_cover_map
-from lochom.sectionsduality import (compactly_determined_dual, doubling_system,
-                                    lf_h0_check, semistability_check)
+from lochom.sectionsduality import (doubling_system, lf_h0_check,
+                                    semistability_check)
+from test_sections_duality import compactly_determined
 
 
 def report(number, label, ok):
@@ -82,16 +83,17 @@ def test_criterion_05_duality_verdicts():
 
 
 def test_criterion_06_link_crosscheck():
-    ok = all(link_crosscheck(fn(), ZZ, s)
-             for fn in FIXTURES.values()
-             for s in fn().all_simplices())
+    ok = all(link_crosscheck(ctx, s)
+             for ctx in (LocalContext(fn(), ZZ) for fn in FIXTURES.values())
+             for s in ctx.X.all_simplices())
     report(6, "local homology matches link homology", ok)
 
 
 def test_criterion_07_uct():
-    ok = all(uct_check(fn(), ZZ, s, fn().dim)
-             for fn in (circle3, sphere2, rp2_six)
-             for s in fn().all_simplices())
+    ok = all(uct_report(ctx, s, ctx.X.dim)["ok"]
+             for ctx in (LocalContext(fn(), ZZ)
+                         for fn in (circle3, sphere2, rp2_six))
+             for s in ctx.X.all_simplices())
     report(7, "universal-coefficient perfect pairing", ok)
 
 
@@ -120,10 +122,10 @@ def test_criterion_09_functoriality():
 
 
 def test_criterion_10_sections():
-    ok = lf_h0_check(circle3(), None, 1, ZZ)["verdict"]
-    ok = ok and lf_h0_check(sphere2(), None, 2, ZZ)["verdict"]
-    rep = compactly_determined_dual(circle3(), None, 1, ZZ,
-                                    [[0], [0, 1], [0, 1, 2]])
+    ok = lf_h0_check(LocalContext(circle3(), ZZ), None, 1)["verdict"]
+    ok = ok and lf_h0_check(LocalContext(sphere2(), ZZ), None, 2)["verdict"]
+    rep = compactly_determined(circle3(), None, 1, ZZ,
+                               [[0], [0, 1], [0, 1, 2]])
     ok = ok and rep["verdict"] and rep["semistable"]
     ok = ok and not semistability_check(doubling_system(ZZ, 6))["semistable"]
     report(10, "section duals and semistability", ok)

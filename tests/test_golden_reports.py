@@ -34,6 +34,8 @@ SUBCOMPLEX_IDENTITY_RINGS = ("z", "fp:2")
 EXTRA_LINES = (
     ("sections", "--dim", "1", "--complex", "fixtures/c3.cplx",
      "--filtration", "fixtures/c3_arcs.filt"),
+    ("sections", "--dim", "2", "--complex", "fixtures/c3.cplx",
+     "--filtration", "fixtures/c3_arcs.filt"),
     ("naturality", "--complex", "fixtures/hex.cplx",
      "--target", "fixtures/c3.cplx", "--map", "fixtures/hex_to_c3.map"),
 )

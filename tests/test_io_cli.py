@@ -189,22 +189,41 @@ def test_cli_empty_complex_exits_2(tmp_path, capsys, command):
     assert err == "error: complex has no simplices\n"
 
 
-@pytest.mark.parametrize("command, facets", [
-    (["check-cm"], "simplex: 0 1\nsimplex: 1 2\n"),
-    (["duality", "--item", "1ai"], "simplex: 0 1 2\n"),
-    (["duality", "--item", "2bi"], "simplex: 0 1 2\n"),
-    (["identities"], "simplex: 0 1 2\n")],
-    ids=["check-cm", "duality-1ai", "duality-2bi", "identities"])
-def test_cli_empty_subcomplex_exits_2(tmp_path, capsys, command, facets):
-    # over an empty subcomplex every compared degree is 0 = 0, a vacuous true
+# a vertex named in the order header but in no simplex of the complex
+GHOST = ("order: 0 1 2 3 9\nsimplex: 0 1 2\nsimplex: 0 1 3\n"
+         "simplex: 0 2 3\nsimplex: 1 2 3\n", "vertices: 9\n",
+         "error: subcomplex has no vertex of the complex\n")
+
+
+@pytest.mark.parametrize("command, complex_text, sub_text, message", [
+    (["check-cm"], "order: 0 1 2\nsimplex: 0 1\nsimplex: 1 2\n",
+     "vertices:\n", "error: subcomplex file lists no vertices\n"),
+    (["duality", "--item", "1ai"], "order: 0 1 2\nsimplex: 0 1 2\n",
+     "vertices:\n", "error: subcomplex file lists no vertices\n"),
+    (["duality", "--item", "2bi"], "order: 0 1 2\nsimplex: 0 1 2\n",
+     "vertices:\n", "error: subcomplex file lists no vertices\n"),
+    (["identities"], "order: 0 1 2\nsimplex: 0 1 2\n",
+     "vertices:\n", "error: subcomplex file lists no vertices\n"),
+    (["duality", "--item", "1ai"], *GHOST),
+    (["duality", "--item", "2bi"], *GHOST),
+    (["check-cm"], *GHOST),
+    (["sections"], *GHOST),
+    (["identities"], *GHOST)],
+    ids=["check-cm", "duality-1ai", "duality-2bi", "identities",
+         "ghost-duality-1ai", "ghost-duality-2bi", "ghost-check-cm",
+         "ghost-sections", "ghost-identities"])
+def test_cli_empty_subcomplex_exits_2(tmp_path, capsys, command, complex_text,
+                                      sub_text, message):
+    # over a subcomplex with no simplex every compared degree is 0 = 0, a
+    # vacuous true
     cplx = tmp_path / "x.cplx"
-    cplx.write_text("order: 0 1 2\n" + facets)
+    cplx.write_text(complex_text)
     sub = tmp_path / "empty.sub"
-    sub.write_text("vertices:\n")
+    sub.write_text(sub_text)
     code, err = run_cli_error(capsys, *command, "--complex", str(cplx),
                               "--subcomplex", str(sub))
     assert code == 2
-    assert err == "error: subcomplex file lists no vertices\n"
+    assert err == message
 
 
 def test_fixture_files_match_builtins(capsys):

@@ -2,18 +2,20 @@
 stalks."""
 
 import os
+from collections import Counter
 
 import pytest
 
-from lochom import homology
+from lochom import cli, homology, localhomology, sectionsduality
 from lochom.cli import main
 from lochom.complexes import Subcomplex
 from lochom.fixtures import (FIXTURES, bowtie, circle3, hexagon, rp2_six,
                              sphere2, triangle)
-from lochom.homology import ChainComplex, HomologyPresentation
-from lochom.localhomology import (cm_check, link_crosscheck, local_cm_check,
-                                  local_cohomology, local_complex,
-                                  local_homology, uct_check, uct_report)
+from lochom.homology import (ChainComplex, CokerPresentation,
+                            HomologyPresentation)
+from lochom.localhomology import (LocalContext, cm_check, link_crosscheck,
+                                  local_cm_check, local_cohomology,
+                                  local_complex, local_homology, uct_report)
 from lochom.rings import GF, QQ, ZZ
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -108,11 +110,99 @@ def test_local_command_factors_once_and_presents_only_degree_n(
         assert factored and max(factored.values()) == 1
 
 
+def _record_local_presentations(monkeypatch):
+    """Record each presentation built on local generators as (complex
+    identity, simplex, degree, kind).  A local presentation's generators are
+    the labels of one local basis tuple: the ambient basis of a homology
+    presentation, the rows of the cokernel of a transposed local
+    differential."""
+    owner, built, alive = {}, [], []
+    build = localhomology.local_complex
+    coker_init = CokerPresentation.__init__
+    homology_init = HomologyPresentation.__init__
+
+    def recorded_complex(X, ring, simplex):
+        cx = build(X, ring, simplex)
+        alive.append((X, cx))  # keeps every id in owner unique
+        for k, basis in cx.spaces.items():
+            owner[id(basis)] = (id(X), tuple(simplex), k)
+        for k, d in cx.diffs.items():
+            owner[id(d.col_labels)] = (id(X), tuple(simplex), k)
+        return cx
+
+    def recorded_coker(self, ring, relations):
+        if id(relations.row_labels) in owner:
+            built.append((*owner[id(relations.row_labels)], "cokernel"))
+        coker_init(self, ring, relations)
+
+    def recorded_homology(self, ring, ambient, d_out, d_in):
+        if id(ambient) in owner:
+            built.append((*owner[id(ambient)], "homology"))
+        homology_init(self, ring, ambient, d_out, d_in)
+
+    monkeypatch.setattr(localhomology, "local_complex", recorded_complex)
+    monkeypatch.setattr(CokerPresentation, "__init__", recorded_coker)
+    monkeypatch.setattr(HomologyPresentation, "__init__", recorded_homology)
+    return built
+
+
+def _run_once_each(built, argv, out):
+    built.clear()
+    assert main([*argv, "--out", out]) in (0, 1)
+    repeated = [key for key, c in Counter(built).items() if c > 1]
+    assert not repeated, (argv, repeated[:3])
+    return len(built)
+
+
+@pytest.mark.parametrize("name", ["bowtie", "c3", "delta2", "hex", "rp6",
+                                  "t4"])
+def test_no_command_builds_a_local_presentation_twice(monkeypatch, tmp_path,
+                                                      name):
+    built = _record_local_presentations(monkeypatch)
+    cplx = os.path.join(FIXDIR, f"{name}.cplx")
+    n = str(FIXTURES[name]().dim)
+    total = sum(
+        _run_once_each(built, [*command, "--complex", cplx],
+                       str(tmp_path / "report.json"))
+        for command in (["homology"], ["duality", "--item", "1ai"],
+                        ["duality", "--item", "2bi"], ["local", "--dim", n]))
+    assert total
+
+
+def test_sections_and_naturality_build_each_local_presentation_once(
+        monkeypatch, tmp_path):
+    built = _record_local_presentations(monkeypatch)
+    calls = Counter()
+    stages = ("lf_h0_check", "build_restriction_system",
+              "semistability_check")
+    for stage in stages:
+        def counted(*args, _run=getattr(sectionsduality, stage), _name=stage):
+            calls[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(sectionsduality, stage, counted)
+        monkeypatch.setattr(cli, stage, counted)
+    out = str(tmp_path / "report.json")
+    # --dim 2 on the circle refuses and still reports semistability
+    sizes = []
+    for dim in ("1", "2"):
+        calls.clear()
+        sizes.append(_run_once_each(built, [
+            "sections", "--dim", dim,
+            "--complex", os.path.join(FIXDIR, "c3.cplx"),
+            "--filtration", os.path.join(FIXDIR, "c3_arcs.filt")], out))
+        assert calls == {stage: 1 for stage in stages}, dim
+    assert sizes[0]
+    assert _run_once_each(built, [
+        "naturality", "--complex", os.path.join(FIXDIR, "hex.cplx"),
+        "--target", os.path.join(FIXDIR, "c3.cplx"),
+        "--map", os.path.join(FIXDIR, "hex_to_c3.map")], out)
+
+
 def test_link_crosscheck_all_fixtures():
     for fn in FIXTURES.values():
-        X = fn()
-        for s in X.all_simplices():
-            assert link_crosscheck(X, ZZ, s)
+        ctx = LocalContext(fn(), ZZ)
+        for s in ctx.X.all_simplices():
+            assert link_crosscheck(ctx, s)
 
 
 def test_cm_check_verdicts():
@@ -143,7 +233,7 @@ def test_local_cm_check_is_the_local_half_of_cm_check():
     X = bowtie()
     for L in (None, Subcomplex(X, (1, 2)), Subcomplex(X, (0, 1))):
         for ring in (ZZ, GF(2)):
-            local = local_cm_check(X, L, 2, ring)
+            local = local_cm_check(LocalContext(X, ring), L, 2)
             full = cm_check(X, L, 2, ring)
             assert local == {k: full[k] for k in
                              ("locally_cm_at_L", "locally_cm", "witnesses")}
@@ -158,14 +248,14 @@ def test_purity_flag():
 
 def test_uct_all_simplices_over_z():
     for fn, n in ((circle3, 1), (sphere2, 2), (rp2_six, 2)):
-        X = fn()
-        for s in X.all_simplices():
-            assert uct_check(X, ZZ, s, n)
+        ctx = LocalContext(fn(), ZZ)
+        for s in ctx.X.all_simplices():
+            assert uct_report(ctx, s, n)["ok"]
 
 
 def test_uct_report_fields():
     X = sphere2()
-    rep = uct_report(X, ZZ, (0,), 2)
+    rep = uct_report(LocalContext(X, ZZ), (0,), 2)
     assert rep["ok"] and rep["locally_cm_here"] and rep["pairing_unimodular"]
 
 

@@ -7,8 +7,7 @@ from lochom.identities import (collapse_suite, collapse_vs_cap,
                                mv_identity_sweep)
 from lochom.matrices import vec_clean
 from lochom.mv import (DUALITY_ITEMS, MVDoubleComplex, fundamental_class,
-                       fundamental_class_cosheaf_vector, naturality_report,
-                       verify_duality)
+                       naturality_report, verify_duality)
 from lochom.rings import GF, QQ, ZZ
 
 
@@ -46,14 +45,14 @@ def test_collapse_vs_cap_required_pairs():
 
 
 def test_fundamental_class_is_a_cycle_in_cosheaf_complex():
-    from lochom.localhomology import LocalCohomologyCosheaf
+    from lochom.localhomology import LocalCohomologyCosheaf, LocalContext
     from lochom.mv import project_stalks
     from lochom.sheaves import cosheaf_chain_complex
     for fn, n in ((circle3, 1), (sphere2, 2), (rp2_six, 2)):
         X = fn()
-        G = LocalCohomologyCosheaf(ZZ, X, n)
+        G = LocalCohomologyCosheaf(LocalContext(X, ZZ), n)
         cc = cosheaf_chain_complex(G)
-        vec = fundamental_class_cosheaf_vector(G)
+        vec = project_stalks(G, fundamental_class(X, ZZ))
         out = cc.differential(n).apply(vec)
         assert not vec_clean(ZZ, out)
 

@@ -5,6 +5,7 @@ import pytest
 
 from lochom.complexes import Subcomplex
 from lochom.fixtures import bowtie, circle3, hexagon, rp2_six, sphere2
+from lochom.localhomology import LocalContext
 from lochom.rings import GF, QQ, ZZ
 from lochom.sectionsduality import (RestrictionSystem,
                                     build_restriction_system,
@@ -13,9 +14,18 @@ from lochom.sectionsduality import (RestrictionSystem,
                                     lf_h0_check, semistability_check)
 
 
+def compactly_determined(X, L, n, ring, filtration):
+    """`compactly_determined_dual` from the three reports it reads, built on
+    one context as `lochom sections --filtration` builds them."""
+    ctx = LocalContext(X, ring)
+    system, gammas = build_restriction_system(ctx, L, n, filtration)
+    semi = semistability_check(system) if len(system) > 1 else None
+    return compactly_determined_dual(lf_h0_check(ctx, L, n), gammas, semi)
+
+
 def test_lf_h0_circle_and_sphere():
     for fn, n in ((circle3, 1), (sphere2, 2)):
-        rep = lf_h0_check(fn(), None, n, ZZ)
+        rep = lf_h0_check(LocalContext(fn(), ZZ), None, n)
         assert rep["verdict"]
         assert rep["h0"] == (1, []) and rep["dual_rank"] == 1
 
@@ -23,7 +33,7 @@ def test_lf_h0_circle_and_sphere():
 def test_lf_h0_star_region_in_sphere():
     X = sphere2()
     L = Subcomplex(X, (1, 2, 3))
-    rep = lf_h0_check(X, L, 2, ZZ)
+    rep = lf_h0_check(LocalContext(X, ZZ), L, 2)
     assert rep["verdict"]
     assert rep["h0"] == (1, []) and rep["dual_rank"] == 1
 
@@ -31,13 +41,13 @@ def test_lf_h0_star_region_in_sphere():
 def test_lf_h0_two_disjoint_edges():
     H = hexagon()
     L = Subcomplex(H, (0, 1, 3, 4))
-    rep = lf_h0_check(H, L, 1, ZZ)
+    rep = lf_h0_check(LocalContext(H, ZZ), L, 1)
     assert rep["verdict"]
     assert rep["h0"] == (2, []) and rep["dual_rank"] == 2
 
 
 def test_lf_h0_refuses_on_cm_failure():
-    rep = lf_h0_check(bowtie(), None, 2, ZZ)
+    rep = lf_h0_check(LocalContext(bowtie(), ZZ), None, 2)
     assert rep["refused"] and not rep["verdict"]
 
 
@@ -45,11 +55,11 @@ def test_lf_h0_projective_plane_torsion_obstruction():
     # integrally the comparison genuinely fails: degree-zero cosheaf homology
     # is 2-torsion while the orientation sheaf has no sections; over fields
     # the obstruction vanishes
-    rep = lf_h0_check(rp2_six(), None, 2, ZZ)
+    rep = lf_h0_check(LocalContext(rp2_six(), ZZ), None, 2)
     assert rep["h0"] == (0, [2]) and rep["dual_rank"] == 0
     assert not rep["verdict"]
-    assert lf_h0_check(rp2_six(), None, 2, GF(2))["verdict"]
-    assert lf_h0_check(rp2_six(), None, 2, QQ)["verdict"]
+    assert lf_h0_check(LocalContext(rp2_six(), GF(2)), None, 2)["verdict"]
+    assert lf_h0_check(LocalContext(rp2_six(), QQ), None, 2)["verdict"]
 
 
 def test_constant_system_semistable_with_splitting():
@@ -70,8 +80,8 @@ def test_doubling_system_stabilizes_over_q():
 
 
 def test_restriction_system_composition_invariant():
-    system, _, _ = build_restriction_system(
-        circle3(), None, 1, ZZ, [[0], [0, 1], [0, 1, 2]])
+    system, _ = build_restriction_system(
+        LocalContext(circle3(), ZZ), None, 1, [[0], [0, 1], [0, 1, 2]])
     # r_i^k = r_i^j r_j^k
     m02 = system.map(0, 2)
     assert (m02 - system.map(0, 1) @ system.map(1, 2)).is_zero()
@@ -87,15 +97,15 @@ def test_restriction_system_label_validation():
 
 
 def test_arc_filtration_of_circle():
-    rep = compactly_determined_dual(circle3(), None, 1, ZZ,
-                                    [[0], [0, 1], [0, 1, 2]])
+    rep = compactly_determined(circle3(), None, 1, ZZ,
+                               [[0], [0, 1], [0, 1, 2]])
     assert rep["verdict"] and rep["semistable"]
     assert rep["dual_ranks"] == [1, 1, 1]
     assert rep["colimit_rank"] == 1 and rep["h0"] == (1, [])
 
 
 def test_trivial_one_step_filtration():
-    rep = compactly_determined_dual(circle3(), None, 1, ZZ, [[0, 1, 2]])
+    rep = compactly_determined(circle3(), None, 1, ZZ, [[0, 1, 2]])
     assert rep["verdict"]
     assert rep["stages"] == 1 and rep["colimit_rank"] == 1
 
@@ -103,18 +113,19 @@ def test_trivial_one_step_filtration():
 def test_two_component_region_rank_two_dual():
     H = hexagon()
     L = Subcomplex(H, (0, 1, 3, 4))
-    rep = compactly_determined_dual(H, L, 1, ZZ, [[0, 1], [0, 1, 3, 4]])
+    rep = compactly_determined(H, L, 1, ZZ, [[0, 1], [0, 1, 3, 4]])
     assert rep["verdict"]
     assert rep["colimit_rank"] == 2
 
 
 def test_filtration_validation():
+    ctx = LocalContext(circle3(), ZZ)
     with pytest.raises(ValueError):
-        build_restriction_system(circle3(), None, 1, ZZ, [[0, 1], [0]])
+        build_restriction_system(ctx, None, 1, [[0, 1], [0]])
     with pytest.raises(ValueError):
-        build_restriction_system(circle3(), None, 1, ZZ, [[0], [0, 1]])
+        build_restriction_system(ctx, None, 1, [[0], [0, 1]])
 
 
 def test_cdd_refuses_on_cm_failure():
-    rep = compactly_determined_dual(bowtie(), None, 2, ZZ, [[0, 1, 2, 3, 4]])
+    rep = compactly_determined(bowtie(), None, 2, ZZ, [[0, 1, 2, 3, 4]])
     assert rep["refused"] and not rep["verdict"]

@@ -1,11 +1,14 @@
 """Sheaf/cosheaf chain complexes, sections, reorientation, and the DSL."""
 
+import gc
+import weakref
+
 import pytest
 
 from lochom.complexes import Subcomplex
 from lochom.fixtures import FIXTURES, circle3, sphere2, triangle
 from lochom.io import parse_sheaf, serialize_sheaf
-from lochom.localhomology import (LocalCohomologyCosheaf,
+from lochom.localhomology import (LocalCohomologyCosheaf, LocalContext,
                                   LocalHomologySheaf)
 from lochom.matrices import Matrix
 from lochom.rings import GF, QQ, ZZ
@@ -55,7 +58,7 @@ def test_sections_of_orientation_sheaf():
     from lochom.fixtures import rp2_six
     for fn, n, expected in ((circle3, 1, 1), (sphere2, 2, 1), (rp2_six, 2, 0)):
         X = fn()
-        F = LocalHomologySheaf(ZZ, X, n)
+        F = LocalHomologySheaf(LocalContext(X, ZZ), n)
         rep = sections(F)
         assert rep["iso"]
         assert rep["sections"].rank == expected
@@ -63,7 +66,7 @@ def test_sections_of_orientation_sheaf():
 
 def test_sections_determined_at_vertices():
     X = circle3()
-    F = LocalHomologySheaf(ZZ, X, 1)
+    F = LocalHomologySheaf(LocalContext(X, ZZ), 1)
     mod = SectionsModule(F)
     for sec in mod.basis:
         assert all(isinstance(lab, tuple) and len(lab[0]) == 1
@@ -126,7 +129,7 @@ def test_sheaf_dsl_rejects_malformed_sheaves(edit, message):
 def test_local_sheaf_restriction_functorial():
     # one-step restrictions compose to the two-step restriction
     X = sphere2()
-    F = LocalHomologySheaf(ZZ, X, 2)
+    F = LocalHomologySheaf(LocalContext(X, ZZ), 2)
     s, mid, t = (0,), (0, 1), (0, 1, 2)
     two_step = F.restriction(s, t)
     composed = F.restriction_step(mid, t) @ F.restriction_step(s, mid)
@@ -135,7 +138,7 @@ def test_local_sheaf_restriction_functorial():
 
 def test_local_cosheaf_corestriction_functorial():
     X = sphere2()
-    G = LocalCohomologyCosheaf(ZZ, X, 2)
+    G = LocalCohomologyCosheaf(LocalContext(X, ZZ), 2)
     s, mid, t = (0,), (0, 1), (0, 1, 2)
     two_step = G.corestriction(t, s)
     composed = G.corestriction_step(mid, s) @ G.corestriction_step(t, mid)
@@ -146,8 +149,25 @@ def test_local_cosheaf_corestriction_functorial():
 @pytest.mark.parametrize("name", ["c3", "delta2", "t4", "rp6", "hex"])
 def test_local_homology_sheaf_and_cosheaf_are_functorial(name, ring):
     X = FIXTURES[name]()
-    assert LocalHomologySheaf(ring, X, X.dim).check_functorial()
-    assert LocalCohomologyCosheaf(ring, X, X.dim).check_functorial()
+    ctx = LocalContext(X, ring)
+    assert LocalHomologySheaf(ctx, X.dim).check_functorial()
+    assert LocalCohomologyCosheaf(ctx, X.dim).check_functorial()
+
+
+def test_a_context_is_freed_without_the_cycle_collector():
+    # the sheaf views point at their context and never back, so dropping the
+    # last reference frees the context, and the presentations it holds, at
+    # once rather than at the next cyclic collection
+    ctx = LocalContext(sphere2(), ZZ)
+    assert sections(LocalHomologySheaf(ctx, 2))["iso"]
+    assert cosheaf_chain_complex(LocalCohomologyCosheaf(ctx, 2)).basis(2)
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_check_functorial_names_the_triple_of_a_sign_flipped_sheaf():
