@@ -29,6 +29,7 @@ COMMANDS = (("homology",), ("check-cm",), ("local",), ("sections",),
             ("identities",))
 SUBCOMPLEX_PAIRS = (("rp6", "rp6_345"), ("t4", "t4_edge23"))
 SUBCOMPLEX_ITEMS = ("1ai", "2bi")
+SUBCOMPLEX_COMMANDS = (("homology",), ("sections",))
 SUBCOMPLEX_IDENTITY_RINGS = ("z", "fp:2")
 # command lines that read extra input files, run over each ring
 EXTRA_LINES = (
@@ -56,6 +57,10 @@ def command_lines():
         for ring in RINGS:
             for item in SUBCOMPLEX_ITEMS:
                 lines.append(("duality", "--item", item, "--ring", ring,
+                              "--complex", f"fixtures/{name}.cplx",
+                              "--subcomplex", f"fixtures/{sub}.sub"))
+            for command in SUBCOMPLEX_COMMANDS:
+                lines.append((*command, "--ring", ring,
                               "--complex", f"fixtures/{name}.cplx",
                               "--subcomplex", f"fixtures/{sub}.sub"))
         for ring in SUBCOMPLEX_IDENTITY_RINGS:
