@@ -1,7 +1,7 @@
 """Chain complexes over exact rings and homology presentations via SNF."""
 
 from .matrices import (Matrix, hstack, invariant_factors, kernel_basis,
-                       smith_normal_form, solve, vec_clean, vec_is_zero)
+                       kernel_coordinates, smith_normal_form, vec_clean)
 
 
 class ChainComplex:
@@ -131,25 +131,22 @@ class HomologyPresentation(CokerPresentation):
     """ker(d_out)/im(d_in) as the cokernel of the incoming boundaries written
     in the coordinates of a kernel basis.
 
-    `kernel` holds that basis as columns over the ambient chain basis and
-    `kernel_snf` its SNF; `gens` are the generating cycles in ambient
+    `out_snf` is the one SNF of d_out: its V columns past the rank are the
+    kernel basis, held as the columns of `kernel` over the ambient chain
+    basis, and its V^-1 writes any cycle in that basis (`cycle_coordinates`,
+    None for a non-cycle).  `gens` are the generating cycles in ambient
     coordinates.  coordinates() expresses any cycle exactly in this
     presentation.
     """
 
     def __init__(self, ring, ambient, d_out, d_in):
-        ambient = tuple(ambient)
-        kvecs = kernel_basis(d_out) if ambient else []
+        self.out_snf = smith_normal_form(d_out)
+        kvecs = kernel_basis(d_out, self.out_snf)
         klabels = tuple(range(len(kvecs)))
-        self.kernel = Matrix.from_columns(ring, ambient, klabels, kvecs)
-        self.kernel_snf = smith_normal_form(self.kernel) if kvecs else None
+        self.kernel = Matrix.from_columns(ring, tuple(ambient), klabels, kvecs)
         ycols = []
         for c in d_in.col_labels:
-            b = d_in.column(c)
-            if vec_is_zero(ring, b):
-                ycols.append({})
-                continue
-            y = solve(self.kernel, b, self.kernel_snf)
+            y = self.cycle_coordinates(d_in.column(c))
             if y is None:
                 raise ValueError("incoming boundary is not a cycle (d∘d != 0?)")
             ycols.append(y)
@@ -157,20 +154,12 @@ class HomologyPresentation(CokerPresentation):
             ring, klabels, tuple(range(len(ycols))), ycols))
         self.gens = [self.kernel.apply(self.lift(j)) for j in range(len(self))]
 
-    def is_cycle(self, chain):
-        if vec_is_zero(self.ring, chain):
-            return True
-        if self.kernel_snf is None:
-            return False
-        return solve(self.kernel, chain, self.kernel_snf) is not None
+    def cycle_coordinates(self, chain):
+        return kernel_coordinates(self.out_snf, chain)
 
     def coordinates(self, chain):
         """Coordinates of a cycle in the presentation (torsion coords reduced)."""
-        chain = vec_clean(self.ring, chain)
-        if not chain:
-            return [self.ring.zero()] * len(self)
-        y = (solve(self.kernel, chain, self.kernel_snf)
-             if self.kernel_snf is not None else None)
+        y = self.cycle_coordinates(chain)
         if y is None:
             raise ValueError("chain is not a cycle")
         return self.project(y)

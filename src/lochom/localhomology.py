@@ -10,8 +10,8 @@ stalks, presented as cokernels of the local coboundary, form a cosheaf.
 
 from .homology import (ChainComplex, CokerPresentation,
                        HomologyPresentation)
-from .matrices import (Matrix, invariant_factors, kernel_basis, solve,
-                       vec_clean, vec_dot)
+from .matrices import (Matrix, invariant_factors, kernel_basis, vec_clean,
+                       vec_dot)
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
 
@@ -191,10 +191,7 @@ class LocalHomologySheaf(Sheaf):
         cols = []
         for lbl in src:
             img = self.push_chain(simplex, cosimplex, self.cycle(simplex, lbl))
-            if not img:
-                cols.append({})
-                continue
-            y = solve(tgt.kernel, img, tgt.kernel_snf)
+            y = tgt.cycle_coordinates(img)
             if y is None:
                 raise ValueError(
                     f"restriction image at {simplex}<{tuple(cosimplex)} is not a cycle")

@@ -450,3 +450,16 @@ def kernel_basis(M, snf=None):
     for j in range(s.rank, len(M.col_labels)):
         out.append(s.V.column(M.col_labels[j]))
     return out
+
+
+def kernel_coordinates(snf, vec):
+    """Coordinates of vec in `kernel_basis(snf.matrix, snf)`, keyed by basis
+    position, or None when vec is not in the kernel.  The basis is V's
+    columns past the rank, so these are the entries of V^-1 vec past the
+    rank, and vec is in the kernel exactly when those before it are zero;
+    being unique, they equal what `solve` finds against the basis."""
+    index, rank = snf.matrix.col_index, snf.rank
+    w = snf.Vinv.apply(vec)
+    if any(index[c] < rank for c in w):
+        return None
+    return {index[c] - rank: x for c, x in w.items()}

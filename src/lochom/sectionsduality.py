@@ -16,7 +16,8 @@ from .complexes import Subcomplex
 from .homology import ChainComplex, induced_matrix, is_isomorphism
 from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
                             local_cm_check)
-from .matrices import (Matrix, smith_normal_form, solve, vec_clean, vec_dot)
+from .matrices import (Matrix, kernel_coordinates, smith_normal_form, solve,
+                       vec_clean, vec_dot)
 from .sheaves import SectionsModule, cosheaf_chain_complex, region_sub
 
 
@@ -224,14 +225,11 @@ def build_restriction_system(ctx, L, n, filtration):
     steps = []
     for i in range(len(stages) - 1):
         small, big = gammas[i], gammas[i + 1]
-        kernel_mat = Matrix.from_columns(ring, small.vertex_labels,
-                                         bases[i], small.basis)
-        snf = smith_normal_form(kernel_mat)
         cols = []
         keep = set(small.vertex_labels)
         for sec in big.basis:
             restricted = {k: v for k, v in sec.items() if k in keep}
-            y = solve(kernel_mat, restricted, snf)
+            y = kernel_coordinates(small.snf, restricted)
             if y is None:
                 raise ValueError("restricted section is not a section")
             cols.append(y)

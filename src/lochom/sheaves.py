@@ -15,7 +15,7 @@ plain cochains are the transposed plain chains.
 from itertools import combinations
 
 from .homology import ChainComplex
-from .matrices import Matrix
+from .matrices import Matrix, kernel_basis, smith_normal_form
 from .complexes import perm_sign
 
 # region descriptors: ("X",), ("sub", L), ("rel", L)
@@ -254,15 +254,16 @@ def cosheaf_chain_complex(G, region=REGION_X):
 
 class SectionsModule:
     """Global sections of a sheaf over a region: the kernel of the degree-0
-    coboundary, with an explicit basis of vertex-value vectors."""
+    coboundary, with an explicit basis of vertex-value vectors read off `snf`,
+    the SNF of that coboundary (`kernel_coordinates` writes a section in it)."""
 
     def __init__(self, F, region=REGION_X):
-        from .matrices import kernel_basis
         self.F = F
         self.region = region
         self.complex = sheaf_cochain_complex(F, region)
         d0 = self.complex.differential(0)
-        self.basis = kernel_basis(d0)
+        self.snf = smith_normal_form(d0)
+        self.basis = kernel_basis(d0, self.snf)
         self.vertex_labels = self.complex.basis(0)
 
     @property
@@ -278,7 +279,7 @@ def sections(F, L=None):
     # H^0 = ker(delta^0) on the nose (nothing to quotient in degree 0), so the
     # witness is that every H^0 generator is a section and ranks agree exactly
     iso = (h0.free_rank == mod.rank and not h0.torsion
-           and all(h0.is_cycle(g) for g in mod.basis))
+           and all(h0.cycle_coordinates(g) is not None for g in mod.basis))
     return {"sections": mod, "h0": h0, "iso": iso}
 
 

@@ -17,7 +17,7 @@ from .complexes import Subcomplex, perm_sign
 from .homology import induced_matrix
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, local_cm_check)
-from .matrices import Matrix, solve, vec_clean
+from .matrices import Matrix, vec_clean
 from .mv import duality_map_matrices, fundamental_class
 
 
@@ -32,6 +32,11 @@ class SimplicialMap:
         for v in source.order:
             if (v,) in source._simplices and v not in self.vertex_map:
                 raise ValueError(f"vertex {v!r} has no image")
+        for v, w in self.vertex_map.items():
+            if not source.contains((v,)):
+                raise ValueError(f"vertex {v!r} is not in the source")
+            if not target.contains((w,)):
+                raise ValueError(f"image {w!r} of {v!r} is not in the target")
         self._images = {}
         for s in source.all_simplices():
             imgs = {self.vertex_map[v] for v in s}
@@ -256,14 +261,10 @@ def _sheaf_transfer_matrix(f, FX, FY, srcX, srcY, l, ring):
     for (s, lab) in srcX.basis(l):
         pushed = shriek_down(f, dict(FX.cycle(s, lab)), ring)
         fs = f.image(s)
-        pres = FY.presentation(fs)
-        col = {}
-        if pushed:
-            y = solve(pres.kernel, pushed, pres.kernel_snf)
-            if y is None:
-                raise ValueError(f"transfer image at {s} is not a cycle")
-            col = {(fs, klab): v for klab, v in y.items()}
-        cols.append(col)
+        y = FY.presentation(fs).cycle_coordinates(pushed)
+        if y is None:
+            raise ValueError(f"transfer image at {s} is not a cycle")
+        cols.append({(fs, klab): v for klab, v in y.items()})
     return Matrix.from_columns(ring, srcY.basis(l), srcX.basis(l), cols)
 
 
@@ -324,7 +325,8 @@ def verify_naturality(f, ring):
     if Y.dim != n:
         report["error"] = "dimension mismatch"
         return report
-    ctxX, ctxY = LocalContext(X, ring), LocalContext(Y, ring)
+    ctxX = LocalContext(X, ring)
+    ctxY = ctxX if Y is X else LocalContext(Y, ring)
     for ctx, tag in ((ctxX, "source"), (ctxY, "target")):
         rep = local_cm_check(ctx, None, n)
         report[f"{tag}_locally_cm"] = rep["locally_cm"]

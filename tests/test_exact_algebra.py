@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lochom.fixtures import bowtie, circle3, rp2_six, sphere2
+from lochom import homology, matrices
+from lochom.fixtures import FIXTURES, bowtie, circle3, rp2_six, sphere2
 from lochom.complexes import SimplicialComplex
-from lochom.homology import ChainComplex, induced_matrix, is_isomorphism
-from lochom.matrices import Matrix, kernel_basis, smith_normal_form, solve
+from lochom.homology import (ChainComplex, HomologyPresentation,
+                             induced_matrix, is_isomorphism)
+from lochom.localhomology import local_complex
+from lochom.matrices import (Matrix, kernel_basis, kernel_coordinates,
+                             smith_normal_form, solve, vec_add, vec_scale)
 from lochom.rings import GF, QQ, ZZ, PrimeField, ring_from_name
 from lochom.sheaves import simplicial_chain_complex, simplicial_cochain_complex
 
@@ -244,3 +248,86 @@ def test_snf_random_transform_consistency(rows):
         if a != 0:
             assert b % a == 0
     assert (s.Uinv @ d @ s.Vinv - m).is_zero()
+
+
+KERNEL_RINGS = (ZZ, QQ, GF(2), GF(3))
+
+
+def fixture_and_local_complexes(ring):
+    """Every fixture's chain complex and the local complex at each of its
+    simplices."""
+    for make in FIXTURES.values():
+        X = make()
+        yield simplicial_chain_complex(X, ring)
+        for s in X.all_simplices():
+            yield local_complex(X, ring, s)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+def test_kernel_coordinates_match_solve_against_the_kernel_matrix(ring):
+    rnd = random.Random(5)
+    found = {"cycle": 0, "boundary": 0, "non-cycle": 0}
+    for cx in fixture_and_local_complexes(ring):
+        for k in cx.degrees():
+            d_out = cx.differential(k)
+            s = smith_normal_form(d_out)
+            kvecs = kernel_basis(d_out, s)
+            K = Matrix.from_columns(ring, cx.basis(k), range(len(kvecs)), kvecs)
+            combos = [vec_add(ring, vec_scale(ring, ring.from_int(a), u),
+                              vec_scale(ring, ring.from_int(b), v))
+                      for u, v in zip(kvecs, kvecs[1:] + kvecs[:1])
+                      for a, b in ((rnd.randint(-3, 3), rnd.randint(-3, 3)),)]
+            d_in = cx.differential(k - cx.shift)
+            boundaries = [d_in.column(c) for c in d_in.col_labels]
+            singles = [{b: ring.one()} for b in cx.basis(k)]
+            strays = [vec_add(ring, z, e) for z, e in zip(kvecs, singles)]
+            for kind, vecs in (("cycle", [{}] + kvecs + combos),
+                               ("boundary", boundaries),
+                               ("non-cycle", singles + strays)):
+                for v in vecs:
+                    y = kernel_coordinates(s, v)
+                    assert y == solve(K, v), (cx.degrees(), k, v)
+                    if kind != "non-cycle":
+                        assert y is not None
+                    found[kind] += y is None if kind == "non-cycle" else 1
+    assert all(found.values()), found
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+def test_homology_factors_two_matrices(monkeypatch, ring):
+    # the SNF of d_out gives the kernel basis and the cycle coordinates; the
+    # other SNF is of the relations of the cokernel
+    shapes = []
+    factor = matrices.smith_normal_form
+
+    def counted(M):
+        shapes.append(M.shape)
+        return factor(M)
+
+    monkeypatch.setattr(matrices, "smith_normal_form", counted)
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    nonempty_kernels = 0
+    for cx in fixture_and_local_complexes(ring):
+        for k in cx.degrees():
+            shapes.clear()
+            h = cx.homology(k)
+            assert len(shapes) == 2, (k, shapes)
+            nonempty_kernels += bool(h.kernel.col_labels)
+    assert nonempty_kernels
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+def test_presentations_refuse_chains_that_are_not_cycles(ring):
+    one = ring.one()
+    d_out = Matrix(ring, ("v",), ("a", "b"), {("v", "a"): one})
+    with pytest.raises(ValueError, match="incoming boundary is not a cycle"):
+        HomologyPresentation(ring, ("a", "b"), d_out,
+                             Matrix(ring, ("a", "b"), ("t",), {("a", "t"): one}))
+    h = HomologyPresentation(ring, ("a", "b"), d_out,
+                             Matrix.zero(ring, ("a", "b"), ()))
+    assert h.coordinates({"b": one}) == [one]
+    assert h.coordinates({}) == [ring.zero()]
+    for chain in ({"a": one}, {"a": one, "b": one}):
+        assert h.cycle_coordinates(chain) is None
+        with pytest.raises(ValueError, match="chain is not a cycle"):
+            h.coordinates(chain)

@@ -226,6 +226,25 @@ def test_cli_empty_subcomplex_exits_2(tmp_path, capsys, command, complex_text,
     assert err == message
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("map: 5 -> 2\n", "map: 5 -> 9\n",
+     "error: image 9 of 5 is not in the target\n"),
+    ("map: 5 -> 2\n", "map: 5 -> 2\nmap: 77 -> 1\n",
+     "error: vertex 77 is not in the source\n")],
+    ids=["image-outside-target", "vertex-outside-source"])
+def test_cli_map_outside_its_complexes_exits_2(tmp_path, capsys, old, new,
+                                              message):
+    with open(fix("hex_to_c3.map"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / "bad.map"
+    path.write_text(text.replace(old, new))
+    code, err = run_cli_error(capsys, "naturality", "--complex", fix("hex.cplx"),
+                              "--target", fix("c3.cplx"), "--map", str(path))
+    assert code == 2
+    assert err == message
+
+
 def test_fixture_files_match_builtins(capsys):
     X = parse_complex(open(fix("c3.cplx")).read())
     assert set(X.all_simplices()) == set(circle3().all_simplices())

@@ -17,6 +17,7 @@ from lochom.localhomology import (LocalContext, cm_check, link_crosscheck,
                                   local_cm_check, local_cohomology,
                                   local_complex, local_homology, uct_report)
 from lochom.rings import GF, QQ, ZZ
+from lochom.simplicialmaps import SimplicialMap, verify_naturality
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -196,6 +197,16 @@ def test_sections_and_naturality_build_each_local_presentation_once(
         "naturality", "--complex", os.path.join(FIXDIR, "hex.cplx"),
         "--target", os.path.join(FIXDIR, "c3.cplx"),
         "--map", os.path.join(FIXDIR, "hex_to_c3.map")], out)
+
+
+def test_a_self_map_builds_each_local_presentation_once(monkeypatch):
+    # source and target are one complex object, so they share one context
+    built = _record_local_presentations(monkeypatch)
+    X = circle3()
+    rep = verify_naturality(SimplicialMap(X, X, {v: v for v in X.order}), ZZ)
+    assert rep["ok"] and rep["orientation_preserving"]
+    repeated = [key for key, c in Counter(built).items() if c > 1]
+    assert built and not repeated, repeated[:3]
 
 
 def test_link_crosscheck_all_fixtures():
