@@ -273,10 +273,11 @@ def test_kernel_coordinates_match_solve_against_the_kernel_matrix(ring):
             s = smith_normal_form(d_out)
             kvecs = kernel_basis(d_out, s)
             K = Matrix.from_columns(ring, cx.basis(k), range(len(kvecs)), kvecs)
-            combos = [vec_add(ring, vec_scale(ring, ring.from_int(a), u),
-                              vec_scale(ring, ring.from_int(b), v))
-                      for u, v in zip(kvecs, kvecs[1:] + kvecs[:1])
-                      for a, b in ((rnd.randint(-3, 3), rnd.randint(-3, 3)),)]
+            combos = []
+            for u, v in zip(kvecs, kvecs[1:] + kvecs[:1]):
+                a, b = (ring.from_int(rnd.randint(-3, 3)) for _ in "ab")
+                combos.append(vec_add(ring, vec_scale(ring, a, u),
+                                      vec_scale(ring, b, v)))
             d_in = cx.differential(k - cx.shift)
             boundaries = [d_in.column(c) for c in d_in.col_labels]
             singles = [{b: ring.one()} for b in cx.basis(k)]
@@ -286,10 +287,12 @@ def test_kernel_coordinates_match_solve_against_the_kernel_matrix(ring):
                                ("non-cycle", singles + strays)):
                 for v in vecs:
                     y = kernel_coordinates(s, v)
-                    assert y == solve(K, v), (cx.degrees(), k, v)
-                    if kind != "non-cycle":
+                    assert y == solve(K, v), (k, v)
+                    if kind == "non-cycle":
+                        found[kind] += y is None
+                    else:
                         assert y is not None
-                    found[kind] += y is None if kind == "non-cycle" else 1
+                        found[kind] += 1
     assert all(found.values()), found
 
 
