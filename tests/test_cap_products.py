@@ -1,7 +1,10 @@
 """Cap products: values on generators, the Leibniz rule sweeps, relative
 variants, and orientation-swap homotopies with homology-level independence."""
 
+import hashlib
 import os
+
+import pytest
 
 from lochom import caps, identities
 from lochom.caps import (OrientationSwap, cap_plain, cap_v1, cap_v2,
@@ -46,7 +49,6 @@ def test_leibniz_sweep_all_required_complexes():
 
 
 def test_relative_caps_respect_support():
-    import pytest
     X = sphere2()
     X2, L2 = reorient_vc_before(X, Subcomplex(X, (2, 3)))
     vc = L2.vertex_complement()
@@ -125,13 +127,37 @@ def test_sweeps_evaluate_every_pair_they_count(monkeypatch):
         assert leibniz["checked"] == calls["leibniz"] == leibniz_checked, name
 
 
-def test_swap_sweep_catches_a_sign_flipped_homotopy(monkeypatch):
+def _flip_homotopy(monkeypatch):
     homotopy = caps._b_homotopy_plain
 
     def flipped(ring, *args):
         return {key: ring.neg(v) for key, v in homotopy(ring, *args).items()}
 
     monkeypatch.setattr(caps, "_b_homotopy_plain", flipped)
+
+
+def _negate_coface_signs(monkeypatch):
+    coface_sign = caps._coface_sign
+    monkeypatch.setattr(caps, "_coface_sign",
+                        lambda *args: -coface_sign(*args))
+
+
+def _break_cap_v1_off_sorted(monkeypatch):
+    """A first cap that is wrong only on carriers whose tuple is not sorted
+    by label, i.e. only after a transposition of the vertex order."""
+    cap = caps.cap_v1
+
+    def broken(ring, xi, phi, l):
+        out = cap(ring, xi, phi, l)
+        if any(list(s) != sorted(s) for s, _ in xi):
+            out = {key: ring.neg(v) for key, v in out.items()}
+        return out
+
+    monkeypatch.setattr(caps, "cap_v1", broken)
+
+
+def test_swap_sweep_catches_a_sign_flipped_homotopy(monkeypatch):
+    _flip_homotopy(monkeypatch)
     rep = swap_sweep(sphere2(), ZZ, max_witnesses=1000)
     assert not rep["ok"]
     assert {w[0] for w in rep["witnesses"]} == {"plain", "v2", "v1"}
@@ -142,13 +168,51 @@ def test_swap_sweep_catches_a_sign_flipped_homotopy(monkeypatch):
 
 
 def test_leibniz_sweep_catches_negated_coface_signs(monkeypatch):
-    coface_sign = caps._coface_sign
-    monkeypatch.setattr(caps, "_coface_sign",
-                        lambda *args: -coface_sign(*args))
+    _negate_coface_signs(monkeypatch)
     rep = leibniz_sweep(sphere2(), ZZ, max_witnesses=1000)
     assert not rep["ok"]
     assert {w[0] for w in rep["witnesses"]} == {"v1", "v2"}
     assert len(rep["witnesses"]) == 112
+
+
+# fault -> (nonzero defects, sha256 of the defect sequence) over both sweeps
+# on t4 and rp6 over Z, taken from the sweeps that recomputed every
+# boundary, cap and sign for each generator pair
+DEFECT_PINS = {
+    _flip_homotopy: (360, "4dc3f3fd025d155a55b4e801528e6f39"
+                          "48696fc1adc9308275f9b6fcd4b8b078"),
+    _negate_coface_signs: (656, "43722430df9ff29a1ff6e830f1f63835"
+                                "f4780cae1718df3c6e50aabdfcb3a282"),
+    _break_cap_v1_off_sorted: (96, "4df6d18046cdf9dd74347a0e4577d2a2"
+                                   "390d43368d7bbc31d1b8ac0fee96ac83"),
+}
+
+
+@pytest.mark.parametrize("fault", list(DEFECT_PINS),
+                         ids=lambda fault: fault.__name__)
+def test_sweep_defects_are_pinned_under_fault_injection(monkeypatch, fault):
+    digest, nonzero = hashlib.sha256(), [0]
+
+    def recorded(fn):
+        def wrapper(*args):
+            d = fn(*args)
+            nonzero[0] += bool(d)
+            digest.update(repr(sorted(d.items())).encode())
+            return d
+        return wrapper
+
+    fault(monkeypatch)
+    monkeypatch.setattr(OrientationSwap, "defect",
+                        recorded(OrientationSwap.defect))
+    for name in ("leibniz_defect_v1", "leibniz_defect_v2"):
+        monkeypatch.setattr(identities, name,
+                            recorded(getattr(identities, name)))
+    for name in ("t4", "rp6"):
+        with open(os.path.join(FIXDIR, f"{name}.cplx"), encoding="utf-8") as fh:
+            X = parse_complex(fh.read())
+        swap_sweep(X, ZZ)
+        leibniz_sweep(X, ZZ)
+    assert (nonzero[0], digest.hexdigest()) == DEFECT_PINS[fault]
 
 
 def _homology_cap_conjugation(X, swap_index, ring):
