@@ -17,6 +17,8 @@ where front/back split s after position k - l.  All formulas read tuple
 positions in the canonical vertex order of the complex they are applied in.
 """
 
+from itertools import combinations
+
 from .complexes import is_vc_before, perm_sign
 from .matrices import vec_clean
 
@@ -143,25 +145,24 @@ def _subtract(ring, out, chain, a):
         out[key] = ring.sub(out.get(key, ring.zero()), ring.mul(a, v))
 
 
-def leibniz_defect_v1(X, ring, xi, phi, k, l):
+def leibniz_defect_v1(X, ring, xi, dxi, phi, dphi, k, l):
     """d(xi cap phi) - (d xi cap phi + (-1)^(k-l) xi cap delta phi); zero dict
-    iff the first cap satisfies the Leibniz rule on this input."""
+    iff the first cap satisfies the Leibniz rule on this input.  The caller
+    passes dxi = d_chain_local(xi) and dphi = delta_cochain_local(phi), so a
+    sweep computes each once per generator rather than once per pair."""
     out = d_chain_plain(X, ring, cap_v1(ring, xi, phi, l))
-    _subtract(ring, out, cap_v1(ring, d_chain_local(X, ring, xi), phi, l),
-              ring.one())
-    _subtract(ring, out,
-              cap_v1(ring, xi, delta_cochain_local(X, ring, phi), l + 1),
+    _subtract(ring, out, cap_v1(ring, dxi, phi, l), ring.one())
+    _subtract(ring, out, cap_v1(ring, xi, dphi, l + 1),
               ring.from_int((-1) ** (k - l)))
     return vec_clean(ring, out)
 
 
-def leibniz_defect_v2(X, ring, xi, psi, k, l):
-    """Same defect for the second cap (stalk-carrying output)."""
+def leibniz_defect_v2(X, ring, xi, dxi, psi, dpsi, k, l):
+    """Same defect for the second cap (stalk-carrying output), with
+    dpsi = delta_cochain_plain(psi)."""
     out = d_chain_local(X, ring, cap_v2(ring, xi, psi, l))
-    _subtract(ring, out, cap_v2(ring, d_chain_local(X, ring, xi), psi, l),
-              ring.one())
-    _subtract(ring, out,
-              cap_v2(ring, xi, delta_cochain_plain(X, ring, psi), l + 1),
+    _subtract(ring, out, cap_v2(ring, dxi, psi, l), ring.one())
+    _subtract(ring, out, cap_v2(ring, xi, dpsi, l + 1),
               ring.from_int((-1) ** (k - l)))
     return vec_clean(ring, out)
 
@@ -238,18 +239,29 @@ def _b_homotopy_v1(ring, u, w, s, b, t, c, coeff):
     return _b_homotopy_plain(ring, u, w, s, b, t, c, coeff)
 
 
+def _subtract_resorted(ring, out, res, bt, chain):
+    """out -= chain, each label re-sorted through res without a sign: a
+    simplex as res[f], a second-cap label (f, b) as (res[f], bt)."""
+    for label, v in chain.items():
+        key = res[label][0] if bt is None else (res[label[0]][0], bt)
+        out[key] = ring.sub(out.get(key, ring.zero()), v)
+
+
 class OrientationSwap:
     """The swap of the adjacent vertices u = X.order[i] and w = X.order[i + 1]:
     Xt is X with u and w exchanged in the vertex order.  Each simplex's tuple
-    re-sorted into the order of Xt, with the sign of that permutation, and
-    its faces and its cofaces in X, with their signs, are computed once here
-    for all the generator pairs `defect` is asked about."""
+    re-sorted into the order of Xt, with the sign of that permutation, its
+    faces and its cofaces in X, with their signs, and the cofaces of each
+    face t of a simplex c that lie in c are computed once here for all the
+    generator pairs `defect` is asked about."""
 
     def __init__(self, X, ring, i):
         order = list(X.order)
         self.u, self.w = order[i], order[i + 1]
         order[i], order[i + 1] = self.w, self.u
         self.ring, self.Xt = ring, X.with_order(order)
+        self.one = ring.one()
+        self.signs = (self.one, ring.from_int(-1))
         key = self.Xt.pos.__getitem__
         self.resorted = {s: (tuple(sorted(s, key=key)),
                              ring.from_int(perm_sign(s, key)))
@@ -260,6 +272,10 @@ class OrientationSwap:
         self.faces = {s: [(s[:j] + s[j + 1:], ring.from_int((-1) ** j))
                           for j in range(len(s)) if len(s) > 1]
                       for s in self.resorted}
+        self.cofaces_in = {
+            (t, c): [x for x in self.cofaces[t] if set(c).issuperset(x[0])]
+            for c in self.resorted for r in range(1, len(c) + 1)
+            for t in combinations(c, r)}
 
     def defect(self, s, t, b=None, c=None):
         """Chain-homotopy defect of the swap on one generator pair: zero iff
@@ -271,52 +287,49 @@ class OrientationSwap:
         b == c, where the two signs cancel.  The homotopy outputs are written
         without signs (a tuple denotes the canonical generator of its vertex
         set); the orientation signs appear in the caps' terms instead."""
-        ring, res, u, w = self.ring, self.resorted, self.u, self.w
-        one = ring.one()
-        k, l = len(s) - 1, len(t) - 1
+        ring, res, one = self.ring, self.resorted, self.one
+        u, w = self.u, self.w
+        l = len(t) - 1
         (st, s_sign), (tt, t_sign) = res[s], res[t]
-        cofaces = self.cofaces[t]
+        # a swap that moves no tuple of the pair repeats the cap's call
+        same = st == s and tt == t
+        bt, cofaces = None, self.cofaces[t]
         if b is None:
+            homotopy, d_chain = _b_homotopy_plain, d_chain_plain
             old = cap_plain(ring, {s: one}, {t: one}, l)
-            new = cap_plain(ring, {st: one}, {tt: one}, l)
-            homotopy = _b_homotopy_plain
-            relabel, d_chain = res.__getitem__, d_chain_plain
+            new = old if same else cap_plain(ring, {st: one}, {tt: one}, l)
         elif c is None:
             bt = res[b][0]
+            homotopy, d_chain = _b_homotopy_v2, d_chain_local
             old = cap_v2(ring, {(s, b): one}, {t: one}, l)
-            new = cap_v2(ring, {(st, bt): one}, {tt: one}, l)
-            homotopy = _b_homotopy_v2
-            d_chain = d_chain_local
-
-            def relabel(label):
-                f, sign = res[label[0]]
-                return (f, bt), sign
+            new = old if same and bt == b else cap_v2(
+                ring, {(st, bt): one}, {tt: one}, l)
         else:
+            homotopy, d_chain = _b_homotopy_v1, d_chain_plain
+            cofaces = self.cofaces_in[t, c]
+            (b2, _), (c2, _) = res[b], res[c]
             old = cap_v1(ring, {(s, b): one}, {(t, c): one}, l)
-            new = cap_v1(ring, {(st, res[b][0]): one},
-                         {(tt, res[c][0]): one}, l)
-            homotopy = _b_homotopy_v1
-            relabel, d_chain = res.__getitem__, d_chain_plain
-            cset = set(c)
-            cofaces = [x for x in cofaces if cset.issuperset(x[0])]
+            new = old if same and b2 == b and c2 == c else cap_v1(
+                ring, {(st, b2): one}, {(tt, c2): one}, l)
         out = {}
         for label, v in old.items():
-            label, sign = relabel(label)
-            out[label] = ring.add(out.get(label, ring.zero()),
-                                  ring.mul(sign, v))
+            f, sign = res[label if bt is None else label[0]]
+            key = f if bt is None else (f, bt)
+            out[key] = ring.add(out.get(key, ring.zero()), ring.mul(sign, v))
         _subtract(ring, out, new, ring.mul(s_sign, t_sign))
         # d~ B(s (x) t*) + B d(s (x) t*), where
         # d(s (x) t*) = ds (x) t* + (-1)^(k-l) s (x) delta t*
-        b0 = {relabel(label)[0]: v for label, v
-              in homotopy(ring, u, w, s, b, t, c, one).items()}
-        _subtract(ring, out, d_chain(self.Xt, ring, b0), one)
-        terms = [homotopy(ring, u, w, f, b, t, c, sign)
-                 for f, sign in self.faces[s]]
-        sign = ring.from_int((-1) ** (k - l))
-        terms += [homotopy(ring, u, w, s, b, tp, c, ring.mul(sign, cs))
-                  for tp, cs in cofaces]
-        for term in terms:
-            for label, v in term.items():
-                label = relabel(label)[0]
-                out[label] = ring.sub(out.get(label, ring.zero()), v)
-        return vec_clean(ring, out)
+        image = homotopy(ring, u, w, s, b, t, c, one)
+        if image:
+            image = {(res[f][0] if bt is None else (res[f[0]][0], bt)): v
+                     for f, v in image.items()}
+            _subtract(ring, out, d_chain(self.Xt, ring, image), one)
+        for f, sign in self.faces[s]:
+            _subtract_resorted(ring, out, res, bt,
+                               homotopy(ring, u, w, f, b, t, c, sign))
+        sign = self.signs[(len(s) - 1 - l) % 2]
+        for tp, cs in cofaces:
+            _subtract_resorted(ring, out, res, bt,
+                               homotopy(ring, u, w, s, b, tp, c,
+                                        ring.mul(sign, cs)))
+        return vec_clean(ring, out) if out else out

@@ -12,8 +12,9 @@ arithmetic is exact; a defect is a failure exactly when it is a nonzero
 vector.
 """
 
-from .caps import (OrientationSwap, cap_v1, cap_v2, leibniz_defect_v1,
-                   leibniz_defect_v2)
+from .caps import (OrientationSwap, cap_v1, cap_v2, d_chain_local,
+                   delta_cochain_local, delta_cochain_plain,
+                   leibniz_defect_v1, leibniz_defect_v2)
 from .complexes import is_vc_before, reorient_vc_before
 from .localhomology import LocalCohomologyCosheaf, LocalContext
 from .matrices import vec_add, vec_clean, vec_eq, vec_sub
@@ -36,26 +37,35 @@ def _pairs_with_tops(X):
 
 
 def leibniz_sweep(X, ring, max_witnesses=3):
-    """Both cap products satisfy the Leibniz rule on every generator pair."""
+    """Both cap products satisfy the Leibniz rule on every generator pair;
+    each generator's boundary or coboundary is computed once."""
+    one = ring.one()
     pairs = _pairs_with_tops(X)
+    local, plain = [], []
+    for (t, c) in pairs:
+        phi = {(t, c): one}
+        local.append((t, c, len(t) - 1, phi,
+                      delta_cochain_local(X, ring, phi)))
+    for t in X.all_simplices():
+        psi = {t: one}
+        plain.append((t, len(t) - 1, psi, delta_cochain_plain(X, ring, psi)))
     checked = 0
     witnesses = []
     for (s, b) in pairs:
         k = len(s) - 1
-        xi = {(s, b): ring.one()}
-        for (t, c) in pairs:
-            l = len(t) - 1
+        xi = {(s, b): one}
+        dxi = d_chain_local(X, ring, xi)
+        for t, c, l, phi, dphi in local:
             if l > k:
                 continue
             checked += 1
-            if leibniz_defect_v1(X, ring, xi, {(t, c): ring.one()}, k, l):
+            if leibniz_defect_v1(X, ring, xi, dxi, phi, dphi, k, l):
                 witnesses.append(("v1", s, b, t, c))
-        for t in X.all_simplices():
-            l = len(t) - 1
+        for t, l, psi, dpsi in plain:
             if l > k:
                 continue
             checked += 1
-            if leibniz_defect_v2(X, ring, xi, {t: ring.one()}, k, l):
+            if leibniz_defect_v2(X, ring, xi, dxi, psi, dpsi, k, l):
                 witnesses.append(("v2", s, b, t))
     return {"checked": checked, "witnesses": witnesses[:max_witnesses],
             "ok": not witnesses}
