@@ -147,9 +147,8 @@ def _subtract(ring, out, chain, a):
 
 def leibniz_defect_v1(X, ring, xi, dxi, phi, dphi, k, l):
     """d(xi cap phi) - (d xi cap phi + (-1)^(k-l) xi cap delta phi); zero dict
-    iff the first cap satisfies the Leibniz rule on this input.  The caller
-    passes dxi = d_chain_local(xi) and dphi = delta_cochain_local(phi), so a
-    sweep computes each once per generator rather than once per pair."""
+    iff the first cap satisfies the Leibniz rule on this input, given
+    dxi = d_chain_local(xi) and dphi = delta_cochain_local(phi)."""
     out = d_chain_plain(X, ring, cap_v1(ring, xi, phi, l))
     _subtract(ring, out, cap_v1(ring, dxi, phi, l), ring.one())
     _subtract(ring, out, cap_v1(ring, xi, dphi, l + 1),
@@ -250,9 +249,9 @@ def _subtract_resorted(ring, out, res, bt, chain):
 class OrientationSwap:
     """The swap of the adjacent vertices u = X.order[i] and w = X.order[i + 1]:
     Xt is X with u and w exchanged in the vertex order.  Each simplex's tuple
-    re-sorted into the order of Xt, with the sign of that permutation, its
-    faces and its cofaces in X, with their signs, and the cofaces of each
-    face t of a simplex c that lie in c are computed once here for all the
+    re-sorted into the order of Xt, with the sign of that permutation, and
+    its faces and its cofaces in X, with their signs (the cofaces also as
+    those inside each simplex c), are computed once here for all the
     generator pairs `defect` is asked about."""
 
     def __init__(self, X, ring, i):

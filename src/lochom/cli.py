@@ -274,6 +274,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "dim", None) is not None and args.dim < 0:
+            raise ValueError(f"--dim must be at least 0, not {args.dim}")
         report, ok = COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

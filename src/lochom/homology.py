@@ -21,6 +21,16 @@ class ChainComplex:
         self._factors = {}
         self.check_complex()
 
+    def dual(self):
+        """The evaluation dual (same bases, differentials transposed), not
+        checked again: a transpose keeps d∘d = 0."""
+        dual = ChainComplex.__new__(ChainComplex)
+        dual.ring, dual.spaces, dual.shift = self.ring, self.spaces, -self.shift
+        dual.diffs = {k + self.shift: d.transpose()
+                      for k, d in self.diffs.items()}
+        dual._factors = {}
+        return dual
+
     def degrees(self):
         return sorted(self.spaces)
 

@@ -8,8 +8,7 @@ longer contain s.  The top local homology stalks form a sheaf (generator rule
 stalks, presented as cokernels of the local coboundary, form a cosheaf.
 """
 
-from .homology import (ChainComplex, CokerPresentation,
-                       HomologyPresentation)
+from .homology import ChainComplex, CokerPresentation
 from .matrices import (Matrix, invariant_factors, kernel_basis, vec_clean,
                        vec_dot)
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
@@ -48,10 +47,7 @@ def local_homology(X, ring, simplex, k):
 def local_cohomology(X, ring, simplex, k):
     """Degree-k homology of the evaluation dual of the local chain complex
     (same labels, transposed differentials)."""
-    cx = local_complex(X, ring, simplex)
-    return HomologyPresentation(ring, cx.basis(k),
-                                cx.differential(k + 1).transpose(),
-                                cx.differential(k).transpose())
+    return local_complex(X, ring, simplex).dual().homology(k)
 
 
 class LocalContext:

@@ -201,10 +201,7 @@ def simplicial_cochain_complex(X, ring, region=REGION_X):
     evaluation dual of `simplicial_chain_complex`, with the same bases and
     delta_(k-1) the transpose of d_k.  Basis labels are the simplices
     themselves."""
-    chains = simplicial_chain_complex(X, ring, region)
-    return ChainComplex(ring, chains.spaces,
-                        {k - 1: d.transpose() for k, d in chains.diffs.items()},
-                        shift=+1)
+    return simplicial_chain_complex(X, ring, region).dual()
 
 
 def _coefficient_complex(A, region):

@@ -328,7 +328,8 @@ def verify_naturality(f, ring):
     ctxX = LocalContext(X, ring)
     ctxY = ctxX if Y is X else LocalContext(Y, ring)
     for ctx, tag in ((ctxX, "source"), (ctxY, "target")):
-        rep = local_cm_check(ctx, None, n)
+        if tag == "source" or ctx is not ctxX:
+            rep = local_cm_check(ctx, None, n)
         report[f"{tag}_locally_cm"] = rep["locally_cm"]
         if not rep["locally_cm"]:
             report["witness"] = rep["witnesses"][:1]
@@ -342,14 +343,16 @@ def verify_naturality(f, ring):
     FX, FY = LocalHomologySheaf(ctxX, n), LocalHomologySheaf(ctxY, n)
     GX = LocalCohomologyCosheaf(ctxX, n)
     GY = LocalCohomologyCosheaf(ctxY, n)
-    capX1_src, capX1_tgt, capX1 = duality_map_matrices(
-        ctxX, Subcomplex(X, X.order), "1ai")
-    capY1_src, capY1_tgt, capY1 = duality_map_matrices(
-        ctxY, Subcomplex(Y, Y.order), "1ai")
-    capX2_src, capX2_tgt, capX2 = duality_map_matrices(
-        ctxX, Subcomplex(X, X.order), "2bii")
-    capY2_src, capY2_tgt, capY2 = duality_map_matrices(
-        ctxY, Subcomplex(Y, Y.order), "2bii")
+    maps = {}  # a self-map's target maps are its source maps
+    for item in ("1ai", "2bii"):
+        for ctx in (ctxX, ctxY):
+            if (ctx, item) not in maps:
+                maps[ctx, item] = duality_map_matrices(
+                    ctx, Subcomplex(ctx.X, ctx.X.order), item)
+    capX1_src, capX1_tgt, capX1 = maps[ctxX, "1ai"]
+    capY1_src, capY1_tgt, capY1 = maps[ctxY, "1ai"]
+    capX2_src, capX2_tgt, capX2 = maps[ctxX, "2bii"]
+    capY2_src, capY2_tgt, capY2 = maps[ctxY, "2bii"]
 
     covariant = {}
     for l in range(0, n + 1):

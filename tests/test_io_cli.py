@@ -189,6 +189,17 @@ def test_cli_empty_complex_exits_2(tmp_path, capsys, command):
     assert err == "error: complex has no simplices\n"
 
 
+@pytest.mark.parametrize("command, dim", [("homology", "-1"), ("local", "-1"),
+                                          ("check-cm", "-2"),
+                                          ("sections", "-1")])
+def test_cli_negative_dim_exits_2(capsys, command, dim):
+    # no degree below 0 exists, so any verdict about one would be vacuous
+    code, err = run_cli_error(capsys, command, "--complex", fix("t4.cplx"),
+                              "--dim", dim)
+    assert code == 2
+    assert err == f"error: --dim must be at least 0, not {dim}\n"
+
+
 # a vertex named in the order header but in no simplex of the complex
 GHOST = ("order: 0 1 2 3 9\nsimplex: 0 1 2\nsimplex: 0 1 3\n"
          "simplex: 0 2 3\nsimplex: 1 2 3\n", "vertices: 9\n",

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from lochom import cli, homology, localhomology, sectionsduality
+from lochom import (cli, homology, localhomology, sectionsduality,
+                    simplicialmaps)
 from lochom.cli import main
 from lochom.complexes import Subcomplex
 from lochom.fixtures import (FIXTURES, bowtie, circle3, hexagon, rp2_six,
@@ -200,13 +201,22 @@ def test_sections_and_naturality_build_each_local_presentation_once(
 
 
 def test_a_self_map_builds_each_local_presentation_once(monkeypatch):
-    # source and target are one complex object, so they share one context
+    # source and target are one complex object, so they share one context,
+    # one local CM check and one duality map per item
     built = _record_local_presentations(monkeypatch)
+    calls = Counter()
+    for name in ("duality_map_matrices", "local_cm_check"):
+        def counted(*args, _run=getattr(simplicialmaps, name), _name=name):
+            calls[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(simplicialmaps, name, counted)
     X = circle3()
     rep = verify_naturality(SimplicialMap(X, X, {v: v for v in X.order}), ZZ)
     assert rep["ok"] and rep["orientation_preserving"]
+    assert rep["source_locally_cm"] and rep["target_locally_cm"]
     repeated = [key for key, c in Counter(built).items() if c > 1]
     assert built and not repeated, repeated[:3]
+    assert calls == {"duality_map_matrices": 2, "local_cm_check": 1}
 
 
 def test_link_crosscheck_all_fixtures():
