@@ -22,6 +22,9 @@ FIXDIR = os.path.join(HERE, os.pardir, "fixtures")
 MANIFEST = os.path.join(HERE, "golden_reports.json")
 
 FIXTURES = ("bowtie", "c3", "delta2", "hex", "rp6", "t4")
+# each fixture's dimension n, for `local --dim n`
+FIXTURE_DIMS = {"bowtie": 2, "c3": 1, "delta2": 2, "hex": 1, "rp6": 2,
+                "t4": 2}
 RINGS = ("z", "q", "fp:2")
 COMMANDS = (("homology",), ("check-cm",), ("local",), ("sections",),
             ("duality", "--item", "1ai"), ("duality", "--item", "2ai"),
@@ -50,6 +53,8 @@ def command_lines():
             for command in COMMANDS:
                 lines.append((*command, "--ring", ring,
                               "--complex", f"fixtures/{name}.cplx"))
+            lines.append(("local", "--dim", str(FIXTURE_DIMS[name]),
+                          "--ring", ring, "--complex", f"fixtures/{name}.cplx"))
     for ring in RINGS:
         for extra in EXTRA_LINES:
             lines.append((extra[0], "--ring", ring, *extra[1:]))
