@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .complexes import parse_complex, parse_subcomplex
 from .homology import HomologyPresentation
@@ -68,8 +69,54 @@ def _key(k):
     return repr(k)
 
 
+def _write(obj, out, pad):
+    """Append to `out` the text of `json.dumps(_jsonable(obj),
+    sort_keys=True, indent=2)` at indent `pad`, converting and writing in one
+    walk: exact dicts, lists, tuples, strs, bools, ints and None are written
+    here, every other value goes through `_jsonable` and `json.dumps`."""
+    t = type(obj)
+    if t is str:
+        out.append(_encode_str(obj))
+    elif obj is None or t is bool:
+        out.append(_SCALARS[obj])
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{"
+        items = {_key(k): v for k, v in obj.items()}
+        for k in sorted(items):
+            out.append(sep + inner + _encode_str(k) + ": ")
+            _write(items[k], out, inner)
+            sep = ","
+        out.append(pad + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "["
+        for v in obj:
+            out.append(sep + inner)
+            _write(v, out, inner)
+            sep = ","
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(_jsonable(obj), sort_keys=True,
+                              indent=2).replace("\n", pad))
+
+
+_SCALARS = {None: "null", True: "true", False: "false"}
+
+
 def _emit(report, out_path):
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    parts = []
+    _write(report, parts, "\n")
+    parts.append("\n")
+    text = "".join(parts)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -124,17 +171,16 @@ def cmd_local(args):
     ctx = LocalContext(X, ring)
     stalks = {}
     all_ok = True
+    degrees = range(X.dim + 1)
     for s in X.all_simplices():
         cx = ctx.complex(s)
-        entry = {"local_homology": {}, "local_cohomology": {}}
-        for k in range(X.dim + 1):
-            entry["local_homology"][k] = _jsonable(cx.homology_summary(k))
-            entry["local_cohomology"][k] = _jsonable(
-                cx.cohomology_summary(k))
-        entry["link_crosscheck"] = link_crosscheck(ctx, s)
+        entry = {"local_homology": {k: cx.homology_summary(k)
+                                    for k in degrees},
+                 "local_cohomology": {k: cx.cohomology_summary(k)
+                                      for k in degrees},
+                 "link_crosscheck": link_crosscheck(ctx, s)}
         if args.dim is not None:
-            entry["uct"] = {kk: _jsonable(vv) for kk, vv in
-                            uct_report(ctx, s, args.dim).items()}
+            entry["uct"] = uct_report(ctx, s, args.dim)
             all_ok = all_ok and entry["uct"]["ok"]
         all_ok = all_ok and entry["link_crosscheck"]
         stalks[s] = entry

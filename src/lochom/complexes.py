@@ -132,14 +132,24 @@ class SimplicialComplex:
         return frozenset(out)
 
     def link_complex(self, simplex):
-        """The link {a minus simplex : a in the open star, a != simplex},
-        already closed under faces, as a complex in the inherited order."""
+        """The link {a minus simplex : a in the open star, a != simplex} as a
+        complex in the inherited order, built without the constructor: the
+        link is already closed under faces, and removing the same vertices
+        from simplices of one dimension keeps their order, so the open
+        star's lists are already the link's `by_dim` lists."""
         s = set(simplex)
-        lk = [tuple(v for v in a if v not in s)
-              for a in self.open_star(simplex)[1:]]
-        verts = {v for t in lk for v in t}
-        return SimplicialComplex(
-            lk, order=tuple(v for v in self.order if v in verts))
+        by_dim = {}
+        for a in self.open_star(simplex)[1:]:
+            t = tuple(v for v in a if v not in s)
+            by_dim.setdefault(len(t) - 1, []).append(t)
+        link = SimplicialComplex.__new__(SimplicialComplex)
+        link.order = tuple(t[0] for t in by_dim.get(0, ()))
+        link.pos = {v: i for i, v in enumerate(link.order)}
+        link._simplices = {t for level in by_dim.values() for t in level}
+        link.by_dim = by_dim
+        link.dim = max(by_dim, default=-1)
+        link._coface_cache = None
+        return link
 
     # -- orientation -------------------------------------------------------
     def with_order(self, new_order):

@@ -175,17 +175,27 @@ class SNF:
     """Smith normal form data: U * M * V = D with U, V invertible.
 
     diagonals lists the nonzero invariant factors d_1 | d_2 | ... (canonical
-    associates); rank = len(diagonals).
+    associates); rank = len(diagonals).  Each transform is given either as a
+    `Matrix` or as a function returning one; a function is called the first
+    time its transform is read, and only then.
     """
 
     def __init__(self, matrix, U, Uinv, V, Vinv, diagonals):
         self.matrix = matrix
-        self.U = U
-        self.Uinv = Uinv
-        self.V = V
-        self.Vinv = Vinv
+        self._transforms = {"U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
         self.diagonals = diagonals
         self.rank = len(diagonals)
+
+    def _transform(self, name):
+        t = self._transforms[name]
+        if not isinstance(t, Matrix):
+            t = self._transforms[name] = t()
+        return t
+
+    U = property(lambda self: self._transform("U"))
+    Uinv = property(lambda self: self._transform("Uinv"))
+    V = property(lambda self: self._transform("V"))
+    Vinv = property(lambda self: self._transform("Vinv"))
 
 
 def _gcd_combine(ring, x, y):
@@ -209,6 +219,10 @@ def _gcd_combine(ring, x, y):
 
 def smith_normal_form(M):
     """Return SNF of M with all four transformation matrices, exactly.
+
+    The elimination tracks all four; each becomes a `Matrix` only when a
+    caller first reads it (`kernel_basis` reads V, `kernel_coordinates`
+    V^-1, `solve` U and V, a cokernel's `project` U and its `lift` U^-1).
 
     The pivot of step t is the first nonzero of least `abs` in row-major
     order within the trailing block.  It is moved to (t, t); its column and
@@ -257,8 +271,9 @@ def smith_normal_form(M):
         return by_rows(labels, rows)
 
     rows, cols = M.row_labels, M.col_labels
-    return SNF(M, by_rows(rows, U), by_columns(rows, UinvT),
-               by_columns(cols, VT), by_rows(cols, Vinv), diagonals)
+    return SNF(M, lambda: by_rows(rows, U), lambda: by_columns(rows, UinvT),
+               lambda: by_columns(cols, VT), lambda: by_rows(cols, Vinv),
+               diagonals)
 
 
 def invariant_factors(M):

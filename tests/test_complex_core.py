@@ -121,6 +121,27 @@ def test_star_link_duality():
                             if not (set(t) & sset)}
 
 
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["given_order", "reversed_order"])
+def test_link_complex_equals_the_constructed_link(reverse):
+    for fn in FIXTURES.values():
+        X = fn()
+        if reverse:
+            X = X.with_order(X.order[::-1])
+        for s in X.all_simplices():
+            lk = [tuple(v for v in a if v not in s)
+                  for a in X.all_simplices() if set(s) < set(a)]
+            verts = {v for t in lk for v in t}
+            built = SimplicialComplex(
+                lk, order=[v for v in X.order if v in verts])
+            link = X.link_complex(s)
+            assert link.order == built.order
+            assert link.pos == built.pos
+            assert link.by_dim == built.by_dim
+            assert set(link.all_simplices()) == set(built.all_simplices())
+            assert link.dim == built.dim
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4,
                          unique=True), min_size=1, max_size=6))

@@ -79,6 +79,27 @@ def test_snf_transforms_are_inverse_witnesses():
             assert ZZ.is_zero(v)
 
 
+def test_snf_builds_each_transform_once_and_only_when_read(monkeypatch):
+    m = dense_matrix(ZZ, [[2, 4, 0], [0, 6, 3]])
+    built = []
+    init = Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    assert len(kernel_basis(m)) == 1
+    assert len(built) == 1
+    built.clear()
+    s = smith_normal_form(m)
+    assert built == []
+    assert s.U is s.U
+    assert len(built) == 1
+    s.Uinv, s.V, s.Vinv, s.U, s.V
+    assert len(built) == 4
+
+
 def test_solve_respects_divisibility():
     m = dense_matrix(ZZ, [[2]])
     assert solve(m, {0: ZZ.from_int(4)}) is not None

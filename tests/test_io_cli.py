@@ -3,16 +3,19 @@
 import json
 import os
 import time
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
-from lochom.cli import main
+from lochom.cli import _emit, _jsonable, main
 from lochom.complexes import parse_complex, serialize_complex
-from lochom.fixtures import circle3, hexagon, hexagon_cover_map
+from lochom.fixtures import circle3, hexagon, hexagon_cover_map, rp2_six
 from lochom.io import (parse_filtration, parse_map, parse_sheaf,
                        serialize_map, serialize_sheaf)
-from lochom.rings import ZZ
-from lochom.sheaves import ConstantSheaf
+from lochom.matrices import Matrix
+from lochom.rings import QQ, ZZ
+from lochom.sheaves import ConstantSheaf, simplicial_chain_complex
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -271,3 +274,57 @@ def test_cli_directory_as_input_exits_2(capsys, flag):
                               "--subcomplex", paths["--subcomplex"])
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class Degree(IntEnum):
+    TOP = 2
+
+
+class Labels(dict):
+    pass
+
+
+def writer_cases():
+    """Values the report writer must write as `json.dumps` would."""
+    fr = Fraction(-3, 4)
+    m = Matrix(QQ, ((0,), (1,)), ("a", "b", "c"),
+               {((0,), "a"): fr, ((1,), "c"): Fraction(5)})
+    h = simplicial_chain_complex(rp2_six(), ZZ).homology(1)
+    return {
+        "fraction": {"x": fr, "list": [fr, Fraction(0)]},
+        "sets": {"set": {(1, 2), (0,), (2, 1, 0)},
+                 "frozen": frozenset({("b",), ("a", 1)}),
+                 "empty": set(),
+                 "nested": ((1, (2, (3, ()))), [(), ((),)])},
+        "keys": {1: "int", (0, 1): "tuple", ((0, 1), (2,)): "nested",
+                 ((0, 1), 2): "mixed", True: "bool", None: "none",
+                 fr: "fraction", Degree.TOP: "enum"},
+        "collide": {1: "int first", "1": "str last"},
+        "collide_reversed": {"1": "str first", 1: "int last"},
+        "empty": {"dict": {}, "list": [], "tuple": (),
+                  "nested": [{}, [], [[]], {"": {}}]},
+        "strings": ["σ ∈ ℤ/2", "tab\there", "nl\n cr\r", "\x00\x1f\x7f",
+                    'quote " and \\ backslash', "\u2028\ud83d", ""],
+        "scalars": [True, False, None, 0, -7, 10 ** 30, 0.1, -2.5e-12,
+                    float("inf")],
+        "subclasses": [Labels({"b": 1, (1, 2): Labels()}), Degree.TOP,
+                       {"enum": Degree.TOP}],
+        "matrix": m,
+        "empty_matrix": Matrix(ZZ, (), ("a",)),
+        "presentation": h,
+        "deep": [[[{"m": m, "h": [h]}]]],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(writer_cases()))
+def test_report_writer_matches_json_dumps(tmp_path, capsys, name):
+    # the reference is the writer this one replaced
+    value = writer_cases()[name]
+    for report in (value, {name: value}, [value, value]):
+        expected = json.dumps(_jsonable(report), sort_keys=True,
+                              indent=2) + "\n"
+        out = tmp_path / "report.json"
+        _emit(report, str(out))
+        assert out.read_text(encoding="utf-8") == expected
+        _emit(report, None)
+        assert capsys.readouterr().out == expected

@@ -26,6 +26,27 @@ def test_double_complex_identities_proper_subcomplexes():
         assert rep["ok"], rep["witnesses"]
 
 
+def test_identity_sweep_takes_each_shift_power_from_the_last(monkeypatch):
+    # per generator: powers 1..m (the first also checked against its closed
+    # form, the last reused as the top power), m more for the top power's
+    # idempotence, and m in each of the two homotopy_to_identity calls
+    calls = []
+    shift = MVDoubleComplex.diagonal_shift
+
+    def counted(self, chain):
+        calls.append(chain)
+        return shift(self, chain)
+
+    X = rp2_six()
+    X2, L2 = reorient_vc_before(X, Subcomplex(X, (3, 4, 5)))
+    D = MVDoubleComplex(X2, L2, ZZ)
+    gens = sum(len(D.diagonal_basis(q)) for q in range(X.dim + 1))
+    monkeypatch.setattr(MVDoubleComplex, "diagonal_shift", counted)
+    rep = mv_identity_sweep(X2, L2, ZZ)
+    assert rep["ok"] and rep["checked"] == 68 and gens == 43
+    assert len(calls) == 4 * D.power * gens == 516
+
+
 def test_collapse_suite():
     for X, verts in [(circle3(), None), (sphere2(), (2, 3)),
                      (rp2_six(), (3, 4, 5))]:
