@@ -30,9 +30,9 @@ from .sectionsduality import (RestrictionSystem, build_restriction_system,
                               doubling_system, lf_h0_check,
                               semistability_check)
 from .sheaves import (ConstantCosheaf, ConstantSheaf, DictSheaf,
-                      SectionsModule, cosheaf_chain_complex, region_rel,
-                      region_sub, sections, sheaf_cochain_complex,
-                      simplicial_chain_complex, simplicial_cochain_complex)
+                      cosheaf_chain_complex, region_rel, region_sub, sections,
+                      sheaf_cochain_complex, simplicial_chain_complex,
+                      simplicial_cochain_complex)
 from .simplicialmaps import (SimplicialMap, check_star_local,
                              pullback_cochain, pushforward_chain,
                              shriek_down, shriek_up, verify_naturality)

@@ -90,12 +90,6 @@ class SimplicialComplex:
     def face(self, simplex, j):
         return simplex[:j] + simplex[j + 1:]
 
-    def front(self, simplex, j):
-        return simplex[:j + 1]
-
-    def back(self, simplex, j):
-        return simplex[j:]
-
     def cofaces(self, simplex):
         """Simplices one dimension up containing `simplex`."""
         if self._coface_cache is None:
@@ -235,15 +229,21 @@ def _parse_token(tok):
         return tok
 
 
+def _strip(text):
+    """(line without its `#` comment, raw line) for each line that is not
+    blank after the cut; error messages quote the raw line."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line, raw
+
+
 def parse_complex(text):
     """Complex file: optional `order: v1 v2 ...` line, then `simplex: v1 v2 ...`
     lines listing maximal simplices; `#` starts a comment."""
     order = None
     maximal = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line, raw in _strip(text):
         if line.startswith("order:"):
             order = [_parse_token(t) for t in line[len("order:"):].split()]
         elif line.startswith("simplex:"):
@@ -272,10 +272,7 @@ def serialize_complex(X):
 def parse_subcomplex(text, X):
     """Subcomplex file: `vertices: v1 v2 ...` (whitespace/newline separated)."""
     verts = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line, raw in _strip(text):
         if line.startswith("vertices:"):
             verts += [_parse_token(t) for t in line[len("vertices:"):].split()]
         else:

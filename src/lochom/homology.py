@@ -58,7 +58,7 @@ class ChainComplex:
     def homology(self, deg):
         d_out = self.differential(deg)
         d_in = self.differential(deg - self.shift)
-        return HomologyPresentation(self.ring, self.basis(deg), d_out, d_in)
+        return HomologyPresentation(self.ring, d_out, d_in)
 
     def homology_summary(self, deg):
         """`homology(deg).rank_summary` from invariant factors alone: over a
@@ -142,18 +142,16 @@ class HomologyPresentation(CokerPresentation):
     in the coordinates of a kernel basis.
 
     `out_snf` is the one SNF of d_out: its V columns past the rank are the
-    kernel basis, held as the columns of `kernel` over the ambient chain
-    basis, and its V^-1 writes any cycle in that basis (`cycle_coordinates`,
-    None for a non-cycle).  `gens` are the generating cycles in ambient
-    coordinates.  coordinates() expresses any cycle exactly in this
-    presentation.
+    kernel basis `cycles` (chains over d_out's source basis), and its V^-1
+    writes any cycle in that basis (`cycle_coordinates`, None for a
+    non-cycle).  `gens` are the generating cycles in ambient coordinates.
+    coordinates() expresses any cycle exactly in this presentation.
     """
 
-    def __init__(self, ring, ambient, d_out, d_in):
+    def __init__(self, ring, d_out, d_in):
         self.out_snf = smith_normal_form(d_out)
-        kvecs = kernel_basis(d_out, self.out_snf)
-        klabels = tuple(range(len(kvecs)))
-        self.kernel = Matrix.from_columns(ring, tuple(ambient), klabels, kvecs)
+        self.cycles = kernel_basis(d_out, self.out_snf)
+        klabels = tuple(range(len(self.cycles)))
         ycols = []
         for c in d_in.col_labels:
             y = self.cycle_coordinates(d_in.column(c))
@@ -162,7 +160,15 @@ class HomologyPresentation(CokerPresentation):
             ycols.append(y)
         super().__init__(ring, Matrix.from_columns(
             ring, klabels, tuple(range(len(ycols))), ycols))
-        self.gens = [self.kernel.apply(self.lift(j)) for j in range(len(self))]
+        # a generator is its lift's combination of cycles, summed in basis
+        # order (which fixes its key order) and cleaned once
+        self.gens = []
+        for j in range(len(self)):
+            out = {}
+            for i, x in sorted(self.lift(j).items()):
+                for r, v in self.cycles[i].items():
+                    out[r] = ring.add(out.get(r, ring.zero()), ring.mul(v, x))
+            self.gens.append(vec_clean(ring, out))
 
     def cycle_coordinates(self, chain):
         return kernel_coordinates(self.out_snf, chain)
@@ -196,6 +202,19 @@ def induced_matrix(src, tgt, image_fn):
         cols.append({i: c for i, c in enumerate(coords) if not ring.is_zero(c)})
     rows = tuple(range(len(tgt.gens)))
     return Matrix.from_columns(ring, rows, tuple(range(len(src.gens))), cols)
+
+
+def maps_agree(first, second, src, l, tgt, k, chain_level):
+    """Whether two maps from degree l of src to degree k of tgt agree: as
+    matrices at chain level, otherwise on homology."""
+    if chain_level:
+        return (first - second).is_zero()
+    src_h = src.homology(l)
+    tgt_h = tgt.homology(k)
+    if src_h.is_trivial() and tgt_h.is_trivial():
+        return True
+    return (induced_matrix(src_h, tgt_h, first.apply)
+            == induced_matrix(src_h, tgt_h, second.apply))
 
 
 def _relation_matrix(ring, pres, tag):

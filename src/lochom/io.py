@@ -9,17 +9,10 @@ the sheaf DSL (`stalk: <simplex> rank r` and
 
 import ast
 
-from .complexes import _parse_token
+from .complexes import _parse_token, _strip
 from .matrices import Matrix
 from .sheaves import DictSheaf
 from .simplicialmaps import SimplicialMap
-
-
-def _strip(text):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line, raw
 
 
 def parse_map(text, source, target):

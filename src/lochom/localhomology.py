@@ -164,11 +164,11 @@ class LocalHomologySheaf(Sheaf):
         return self.ctx.presentation(simplex, self.n, dual=False)
 
     def stalk(self, simplex):
-        return self.presentation(simplex).kernel.col_labels
+        return tuple(range(len(self.presentation(simplex).cycles)))
 
     def cycle(self, simplex, label):
         """The ambient cycle carried by a stalk basis label."""
-        return self.presentation(simplex).kernel.column(label)
+        return self.presentation(simplex).cycles[label]
 
     def push_chain(self, simplex, cosimplex, chain):
         """Generator rule on an ambient chain: (s, a) -> (t, a), kill t != face
@@ -192,7 +192,7 @@ class LocalHomologySheaf(Sheaf):
                 raise ValueError(
                     f"restriction image at {simplex}<{tuple(cosimplex)} is not a cycle")
             cols.append(y)
-        return Matrix.from_columns(ring, tgt.kernel.col_labels, src, cols)
+        return Matrix.from_columns(ring, self.stalk(cosimplex), src, cols)
 
 
 class LocalCohomologyCosheaf(Cosheaf):

@@ -67,9 +67,6 @@ class Matrix:
     def shape(self):
         return (len(self.row_labels), len(self.col_labels))
 
-    def entry(self, r, c):
-        return self.entries.get((r, c), self.ring.zero())
-
     @classmethod
     def zero(cls, ring, row_labels, col_labels):
         return cls(ring, row_labels, col_labels)

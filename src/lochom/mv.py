@@ -22,7 +22,8 @@ Sign conventions (all non-standard signs used in this module):
 
 from .caps import relative_cap
 from .complexes import Subcomplex, is_vc_before, reorient_vc_before
-from .homology import ChainComplex, induced_matrix, is_isomorphism
+from .homology import (ChainComplex, induced_matrix, is_isomorphism,
+                       maps_agree)
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, local_cm_check)
 from .matrices import Matrix, vec_add, vec_clean, vec_scale, vec_sub
@@ -263,14 +264,14 @@ class MVDoubleComplex:
 
     def c_matrices(self, tot, bar):
         """The collapse map as degree-wise matrices total -> bar-relative."""
-        return _degree_matrices(self.ring, self.c_map, tot, bar, self.X.dim)
+        return degree_matrices(self.ring, self.c_map, tot, bar, self.X.dim)
 
     def epsilon_matrices(self, tot, bar):
         """The augmentation as degree-wise matrices bar-relative -> total."""
-        return _degree_matrices(self.ring, self.epsilon, bar, tot, self.X.dim)
+        return degree_matrices(self.ring, self.epsilon, bar, tot, self.X.dim)
 
 
-def _degree_matrices(ring, gen_map, src, tgt, top):
+def degree_matrices(ring, gen_map, src, tgt, top):
     """A generator map as degree-wise matrices src -> tgt in degrees 0..top."""
     out = {}
     for q in range(top + 1):
@@ -567,8 +568,8 @@ def naturality_report(X, K, Kp, ring):
         keep = {g for q in cx.degrees() for g in cx.basis(q)}
         return lambda chain: {g: v for g, v in chain.items() if g in keep}
 
-    proj = _degree_matrices(ring, kept_by(tot_k), tot_kp, tot_k, X2.dim)
-    quot = _degree_matrices(ring, kept_by(bar_k), bar_kp, bar_k, X2.dim)
+    proj = degree_matrices(ring, kept_by(tot_k), tot_kp, tot_k, X2.dim)
+    quot = degree_matrices(ring, kept_by(bar_k), bar_kp, bar_k, X2.dim)
     chain_maps = True
     for q in range(1, X2.dim + 1):
         if not (tot_k.differential(q) @ proj[q]
@@ -577,24 +578,16 @@ def naturality_report(X, K, Kp, ring):
         if not (bar_k.differential(q) @ quot[q]
                 - quot[q - 1] @ bar_kp.differential(q)).is_zero():
             chain_maps = False
-    collapse_square = all(
-        (c_k[q] @ proj[q] - quot[q] @ c_kp[q]).is_zero()
-        for q in range(X2.dim + 1))
+    degrees = range(X2.dim + 1)
+    via_k = [c_k[q] @ proj[q] for q in degrees]
+    via_kp = [quot[q] @ c_kp[q] for q in degrees]
+    collapse_square = all([maps_agree(via_k[q], via_kp[q], tot_kp, q, bar_k,
+                                      q, True) for q in degrees])
     augment_square = all(
         (e_k[q] @ quot[q] - proj[q] @ e_kp[q]).is_zero()
-        for q in range(X2.dim + 1))
-    homology_square = True
-    for q in range(X2.dim + 1):
-        src_h = tot_kp.homology(q)
-        tgt_h = bar_k.homology(q)
-        if src_h.is_trivial() and tgt_h.is_trivial():
-            continue
-        via_k = induced_matrix(src_h, tgt_h,
-                               lambda ch, q=q: c_k[q].apply(proj[q].apply(ch)))
-        via_kp = induced_matrix(src_h, tgt_h,
-                                lambda ch, q=q: quot[q].apply(c_kp[q].apply(ch)))
-        if via_k != via_kp:
-            homology_square = False
+        for q in degrees)
+    homology_square = all([maps_agree(via_k[q], via_kp[q], tot_kp, q, bar_k,
+                                      q, False) for q in degrees])
     return {
         "chain_maps": chain_maps,
         "collapse_square": collapse_square,

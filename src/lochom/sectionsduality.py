@@ -16,9 +16,8 @@ from .complexes import Subcomplex
 from .homology import ChainComplex, induced_matrix, is_isomorphism
 from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
                             local_cm_check)
-from .matrices import (Matrix, kernel_coordinates, smith_normal_form, solve,
-                       vec_clean, vec_dot)
-from .sheaves import SectionsModule, cosheaf_chain_complex, region_sub
+from .matrices import Matrix, smith_normal_form, solve, vec_clean, vec_dot
+from .sheaves import cosheaf_chain_complex, region_sub, sections
 
 
 def _section_ambient_value(F, section, vertex):
@@ -55,16 +54,16 @@ def lf_h0_check(ctx, L, n):
         return report
     F = LocalHomologySheaf(ctx, n)
     G = LocalCohomologyCosheaf(ctx, n)
-    gamma = SectionsModule(F, region_sub(L))
+    gamma = sections(F, L)
     cc = cosheaf_chain_complex(G, region_sub(L))
-    dual_labels = tuple(range(gamma.rank))
+    dual_labels = tuple(range(gamma.free_rank))
     # evaluation matrix: column per degree-0 cosheaf generator, row per
     # section basis element
     cols = []
     for (v, j) in cc.basis(0):
         rep = G.presentation(v).lift(j)
         col = {}
-        for gi, sec in enumerate(gamma.basis):
+        for gi, sec in enumerate(gamma.cycles):
             val = vec_dot(ring, rep, _section_ambient_value(F, sec, v))
             if not ring.is_zero(val):
                 col[gi] = val
@@ -78,7 +77,7 @@ def lf_h0_check(ctx, L, n):
     target = dual_complex.homology(0)
     induced = induced_matrix(h0, target, ev.apply)
     report["h0"] = h0.rank_summary
-    report["dual_rank"] = gamma.rank
+    report["dual_rank"] = gamma.free_rank
     report["iso"] = is_isomorphism(h0, target, induced)
     report["verdict"] = vanishes and report["iso"]
     return report
@@ -220,16 +219,16 @@ def build_restriction_system(ctx, L, n, filtration):
     if prev != set(L.vertex_set):
         raise ValueError("filtration must exhaust the subcomplex")
     F = LocalHomologySheaf(ctx, n)
-    gammas = [SectionsModule(F, region_sub(K)) for K in stages]
-    bases = [tuple(range(g.rank)) for g in gammas]
+    gammas = [sections(F, K) for K in stages]
+    bases = [tuple(range(g.free_rank)) for g in gammas]
     steps = []
     for i in range(len(stages) - 1):
         small, big = gammas[i], gammas[i + 1]
         cols = []
-        keep = set(small.vertex_labels)
-        for sec in big.basis:
-            restricted = {k: v for k, v in sec.items() if k in keep}
-            y = kernel_coordinates(small.snf, restricted)
+        for sec in big.cycles:
+            restricted = {k: v for k, v in sec.items()
+                          if stages[i].contains(k[0])}
+            y = small.cycle_coordinates(restricted)
             if y is None:
                 raise ValueError("restricted section is not a section")
             cols.append(y)
@@ -250,10 +249,10 @@ def compactly_determined_dual(lf, gammas, semistability):
         report["verdict"] = False
         return report
     report["stages"] = len(gammas)
-    report["dual_ranks"] = [g.rank for g in gammas]
+    report["dual_ranks"] = [g.free_rank for g in gammas]
     # the dual system runs forward (precompose with the restriction maps);
     # with a finite index set its colimit is the dual of the final stage
-    report["colimit_rank"] = gammas[-1].rank
+    report["colimit_rank"] = gammas[-1].free_rank
     report["finite_note"] = ("finite filtration: every homomorphism on "
                              "sections is compactly determined")
     report["semistable"] = (semistability is None

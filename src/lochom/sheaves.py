@@ -15,7 +15,7 @@ plain cochains are the transposed plain chains.
 from itertools import combinations
 
 from .homology import ChainComplex
-from .matrices import Matrix, kernel_basis, smith_normal_form
+from .matrices import Matrix
 from .complexes import perm_sign
 
 # region descriptors: ("X",), ("sub", L), ("rel", L)
@@ -249,35 +249,14 @@ def cosheaf_chain_complex(G, region=REGION_X):
 
 # -- sections -----------------------------------------------------------------
 
-class SectionsModule:
-    """Global sections of a sheaf over a region: the kernel of the degree-0
-    coboundary, with an explicit basis of vertex-value vectors read off `snf`,
-    the SNF of that coboundary (`kernel_coordinates` writes a section in it)."""
-
-    def __init__(self, F, region=REGION_X):
-        self.F = F
-        self.region = region
-        self.complex = sheaf_cochain_complex(F, region)
-        d0 = self.complex.differential(0)
-        self.snf = smith_normal_form(d0)
-        self.basis = kernel_basis(d0, self.snf)
-        self.vertex_labels = self.complex.basis(0)
-
-    @property
-    def rank(self):
-        return len(self.basis)
-
 def sections(F, L=None):
-    """Sections over the full subcomplex L (or all of X) plus the comparison
-    with H^0: both are literally the kernel of the degree-0 coboundary."""
+    """Global sections of F over the full subcomplex L (or all of X): the
+    kernel of the degree-0 coboundary, which is H^0 on the nose (nothing
+    to quotient in degree 0).  The degree-0 presentation's `cycles` are the
+    section basis, `free_rank` its rank, and `cycle_coordinates` writes a
+    section in it."""
     region = region_sub(L) if L is not None else REGION_X
-    mod = SectionsModule(F, region)
-    h0 = mod.complex.homology(0)
-    # H^0 = ker(delta^0) on the nose (nothing to quotient in degree 0), so the
-    # witness is that every H^0 generator is a section and ranks agree exactly
-    iso = (h0.free_rank == mod.rank and not h0.torsion
-           and all(h0.cycle_coordinates(g) is not None for g in mod.basis))
-    return {"sections": mod, "h0": h0, "iso": iso}
+    return sheaf_cochain_complex(F, region).homology(0)
 
 
 # -- reorientation ------------------------------------------------------------

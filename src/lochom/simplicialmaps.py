@@ -14,11 +14,12 @@ carriers through the star bijections).
 
 from .caps import cap_v1, cap_v2
 from .complexes import Subcomplex, perm_sign
-from .homology import induced_matrix
+from .homology import maps_agree
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, local_cm_check)
 from .matrices import Matrix, vec_clean
-from .mv import duality_map_matrices, fundamental_class
+from .mv import (degree_matrices, duality_map_matrices, fundamental_class,
+                 project_stalks)
 
 
 class SimplicialMap:
@@ -274,32 +275,9 @@ def _cosheaf_transfer_matrix(f, cert, GX, GY, tgtY, tgtX, q, ring):
     the source presentations."""
     cols = []
     for (s, j) in tgtY.basis(q):
-        rep = GY.presentation(s).lift(j)
-        moved = shriek_up(f, cert, rep, ring)
-        col = {}
-        for (tau, a), v in moved.items():
-            coords = GX.presentation(tau).project({(tau, a): ring.one()})
-            for i, cval in enumerate(coords):
-                if ring.is_zero(cval):
-                    continue
-                key = (tau, i)
-                col[key] = ring.add(col.get(key, ring.zero()),
-                                    ring.mul(v, cval))
-        cols.append(vec_clean(ring, col))
+        moved = shriek_up(f, cert, GY.presentation(s).lift(j), ring)
+        cols.append(project_stalks(GX, moved))
     return Matrix.from_columns(ring, tgtX.basis(q), tgtY.basis(q), cols)
-
-
-def _square_commutes(first, second, src, l, tgt, k, chain_level):
-    """Whether two maps from degree l of src to degree k of tgt agree: as
-    matrices at chain level, otherwise on homology."""
-    if chain_level:
-        return (first - second).is_zero()
-    src_h = src.homology(l)
-    tgt_h = tgt.homology(k)
-    if src_h.is_trivial() and tgt_h.is_trivial():
-        return True
-    return (induced_matrix(src_h, tgt_h, first.apply)
-            == induced_matrix(src_h, tgt_h, second.apply))
 
 
 def verify_naturality(f, ring):
@@ -354,30 +332,24 @@ def verify_naturality(f, ring):
     capX2_src, capX2_tgt, capX2 = maps[ctxX, "2bii"]
     capY2_src, capY2_tgt, capY2 = maps[ctxY, "2bii"]
 
+    push = degree_matrices(ring, lambda c: pushforward_chain(f, c, ring),
+                           capX1_tgt, capY1_tgt, n)
+    pull = degree_matrices(ring, lambda c: pullback_cochain(f, c, ring),
+                           capY2_src, capX2_src, n)
     covariant = {}
     for l in range(0, n + 1):
         down = _sheaf_transfer_matrix(f, FX, FY, capX1_src, capY1_src, l, ring)
-        push_cols = [pushforward_chain(f, {a: ring.one()}, ring)
-                     for a in capX1_tgt.basis(n - l)]
-        push = Matrix.from_columns(ring, capY1_tgt.basis(n - l),
-                                   capX1_tgt.basis(n - l), push_cols)
-        covariant[l] = _square_commutes(capY1[l] @ down, push @ capX1[l],
-                                        capX1_src, l, capY1_tgt, n - l,
-                                        orientation)
+        covariant[l] = maps_agree(capY1[l] @ down, push[n - l] @ capX1[l],
+                                  capX1_src, l, capY1_tgt, n - l, orientation)
     report["covariant"] = covariant
 
     contravariant = {}
     for l in range(0, n + 1):
-        pull_cols = []
-        for t in capY2_src.basis(l):
-            pull_cols.append(pullback_cochain(f, {t: ring.one()}, ring))
-        pull = Matrix.from_columns(ring, capX2_src.basis(l),
-                                   capY2_src.basis(l), pull_cols)
         up = _cosheaf_transfer_matrix(f, cert, GX, GY, capY2_tgt, capX2_tgt,
                                       n - l, ring)
-        contravariant[l] = _square_commutes(capX2[l] @ pull, up @ capY2[l],
-                                            capY2_src, l, capX2_tgt, n - l,
-                                            orientation)
+        contravariant[l] = maps_agree(capX2[l] @ pull[l], up @ capY2[l],
+                                      capY2_src, l, capX2_tgt, n - l,
+                                      orientation)
     report["contravariant"] = contravariant
     report["ok"] = (report["fundamental_class_transfers"]
                     and all(covariant.values())

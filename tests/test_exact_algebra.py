@@ -336,7 +336,7 @@ def test_homology_factors_two_matrices(monkeypatch, ring):
             shapes.clear()
             h = cx.homology(k)
             assert len(shapes) == 2, (k, shapes)
-            nonempty_kernels += bool(h.kernel.col_labels)
+            nonempty_kernels += bool(h.cycles)
     assert nonempty_kernels
 
 
@@ -345,9 +345,9 @@ def test_presentations_refuse_chains_that_are_not_cycles(ring):
     one = ring.one()
     d_out = Matrix(ring, ("v",), ("a", "b"), {("v", "a"): one})
     with pytest.raises(ValueError, match="incoming boundary is not a cycle"):
-        HomologyPresentation(ring, ("a", "b"), d_out,
+        HomologyPresentation(ring, d_out,
                              Matrix(ring, ("a", "b"), ("t",), {("a", "t"): one}))
-    h = HomologyPresentation(ring, ("a", "b"), d_out,
+    h = HomologyPresentation(ring, d_out,
                              Matrix.zero(ring, ("a", "b"), ()))
     assert h.coordinates({"b": one}) == [one]
     assert h.coordinates({}) == [ring.zero()]

@@ -115,8 +115,8 @@ def test_local_command_factors_once_and_presents_only_degree_n(
 def _record_local_presentations(monkeypatch):
     """Record each presentation built on local generators as (complex
     identity, simplex, degree, kind).  A local presentation's generators are
-    the labels of one local basis tuple: the ambient basis of a homology
-    presentation, the rows of the cokernel of a transposed local
+    the labels of one local basis tuple: the source basis of a homology
+    presentation's d_out, the rows of the cokernel of a transposed local
     differential."""
     owner, built, alive = {}, [], []
     build = localhomology.local_complex
@@ -137,10 +137,10 @@ def _record_local_presentations(monkeypatch):
             built.append((*owner[id(relations.row_labels)], "cokernel"))
         coker_init(self, ring, relations)
 
-    def recorded_homology(self, ring, ambient, d_out, d_in):
-        if id(ambient) in owner:
-            built.append((*owner[id(ambient)], "homology"))
-        homology_init(self, ring, ambient, d_out, d_in)
+    def recorded_homology(self, ring, d_out, d_in):
+        if id(d_out.col_labels) in owner:
+            built.append((*owner[id(d_out.col_labels)], "homology"))
+        homology_init(self, ring, d_out, d_in)
 
     monkeypatch.setattr(localhomology, "local_complex", recorded_complex)
     monkeypatch.setattr(CokerPresentation, "__init__", recorded_coker)

@@ -148,3 +148,24 @@ def test_collapse_naturality_for_nested_subcomplexes():
     H = hexagon()
     rep = naturality_report(H, (2,), (2, 3), ZZ)
     assert rep["ok"]
+
+
+def test_naturality_report_sees_a_collapse_that_does_not_commute(
+        monkeypatch):
+    # negating the collapse of the smaller subcomplex alone keeps every map
+    # a chain map and leaves the augmentation alone, but breaks the collapse
+    # square at chain level and on homology
+    X = sphere2()
+    collapse = MVDoubleComplex.c_matrices
+
+    def negated_for_small(self, tot, bar):
+        mats = collapse(self, tot, bar)
+        if self.L.vertex_set != {3}:
+            return mats
+        return {q: m.scale(ZZ.from_int(-1)) for q, m in mats.items()}
+
+    monkeypatch.setattr(MVDoubleComplex, "c_matrices", negated_for_small)
+    rep = naturality_report(X, (3,), (2, 3), ZZ)
+    assert rep["chain_maps"] and rep["augment_square"]
+    assert not rep["collapse_square"] and not rep["homology_square"]
+    assert not rep["ok"]

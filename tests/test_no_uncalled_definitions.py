@@ -1,9 +1,11 @@
 """Every function, method and class in the package has a caller.
 
-A definition counts as used when its name appears, as a whole word, on some
-line of `src/`, `tests/` or `demos/` that does not itself define that name.
-Names re-exported from `lochom/__init__.py` appear on its import lines, so
-they count as used.  Dunder methods are exempt.
+A function or class counts as used when its name appears, as a whole word,
+on some line of `src/`, `tests/` or `demos/` that does not itself define
+that name.  Names re-exported from `lochom/__init__.py` appear on its import
+lines, so they count as used.  A method counts as used only where some file
+there reads it as an attribute (`.name`), since a method's name often also
+occurs as a variable.  Dunder methods are exempt.
 """
 
 import ast
@@ -23,30 +25,43 @@ def _python_files(top):
 
 
 def _definitions():
+    """(module, line, name, is_method) for each definition in the package."""
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 if not (node.name.startswith("__")
                         and node.name.endswith("__")):
-                    yield name, node.lineno, node.name
+                    yield name, node.lineno, node.name, id(node) in methods
 
 
 def test_every_definition_has_a_caller():
     lines = []
+    attributes = set()
     for top in SEARCHED:
         for path in _python_files(top):
             with open(path, encoding="utf-8") as fh:
-                lines.extend(fh.read().splitlines())
+                text = fh.read()
+            lines.extend(text.splitlines())
+            attributes.update(node.attr for node in ast.walk(ast.parse(text))
+                              if isinstance(node, ast.Attribute)
+                              and isinstance(node.ctx, ast.Load))
     uncalled = []
-    for module, lineno, name in _definitions():
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"^\s*(async\s+def|def|class)\s+{re.escape(name)}\b")
-        if not any(word.search(line) and not own.match(line)
-                   for line in lines):
+    for module, lineno, name, is_method in _definitions():
+        if is_method:
+            used = name in attributes
+        else:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            own = re.compile(
+                rf"^\s*(async\s+def|def|class)\s+{re.escape(name)}\b")
+            used = any(word.search(line) and not own.match(line)
+                       for line in lines)
+        if not used:
             uncalled.append(f"{module}:{lineno} {name}")
     assert not uncalled, "definitions without a caller: " + ", ".join(uncalled)

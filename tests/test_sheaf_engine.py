@@ -1,6 +1,7 @@
 """Sheaf/cosheaf chain complexes, sections, reorientation, and the DSL."""
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -11,12 +12,12 @@ from lochom.homology import ChainComplex
 from lochom.io import parse_sheaf, serialize_sheaf
 from lochom.localhomology import (LocalCohomologyCosheaf, LocalContext,
                                   LocalHomologySheaf)
+from lochom import matrices
 from lochom.matrices import Matrix
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import (ConstantCosheaf, ConstantSheaf, Cosheaf,
-                            DictSheaf, SectionsModule,
-                            cosheaf_chain_complex, region_rel, region_sub,
-                            reorientation_iso, sections,
+                            DictSheaf, cosheaf_chain_complex, region_rel,
+                            region_sub, reorientation_iso, sections,
                             sheaf_cochain_complex, simplicial_chain_complex,
                             simplicial_cochain_complex)
 
@@ -77,16 +78,34 @@ def test_sections_of_orientation_sheaf():
     for fn, n, expected in ((circle3, 1, 1), (sphere2, 2, 1), (rp2_six, 2, 0)):
         X = fn()
         F = LocalHomologySheaf(LocalContext(X, ZZ), n)
-        rep = sections(F)
-        assert rep["iso"]
-        assert rep["sections"].rank == expected
+        h0 = sections(F)
+        assert h0.free_rank == expected and not h0.torsion
+
+
+def test_sections_factor_the_degree_zero_coboundary_once(monkeypatch):
+    # the sections are the degree-0 presentation: the SNF that gives its
+    # cycles is the only factorization of delta^0
+    F = LocalHomologySheaf(LocalContext(sphere2(), ZZ), 2)
+    d0 = sheaf_cochain_complex(F).differential(0)
+    factor, factored = matrices.smith_normal_form, []
+
+    def counted(M):
+        if (M.row_labels, M.col_labels) == (d0.row_labels, d0.col_labels):
+            factored.append(M.shape)
+        return factor(M)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("lochom")
+                and getattr(mod, "smith_normal_form", None) is factor):
+            monkeypatch.setattr(mod, "smith_normal_form", counted)
+    assert sections(F).free_rank == 1
+    assert factored == [d0.shape]
 
 
 def test_sections_determined_at_vertices():
     X = circle3()
     F = LocalHomologySheaf(LocalContext(X, ZZ), 1)
-    mod = SectionsModule(F)
-    for sec in mod.basis:
+    for sec in sections(F).cycles:
         assert all(isinstance(lab, tuple) and len(lab[0]) == 1
                    for lab in sec)
 
@@ -177,7 +196,8 @@ def test_a_context_is_freed_without_the_cycle_collector():
     # last reference frees the context, and the presentations it holds, at
     # once rather than at the next cyclic collection
     ctx = LocalContext(sphere2(), ZZ)
-    assert sections(LocalHomologySheaf(ctx, 2))["iso"]
+    h0 = sections(LocalHomologySheaf(ctx, 2))
+    assert h0.free_rank == 1 and not h0.torsion
     assert cosheaf_chain_complex(LocalCohomologyCosheaf(ctx, 2)).basis(2)
     ref = weakref.ref(ctx)
     gc.disable()
