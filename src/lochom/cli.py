@@ -1,11 +1,13 @@
 """Batch command-line front end.
 
 Commands: homology, local, check-cm, duality, naturality, sections,
-identities.  Every command reads text inputs (complex, subcomplex, map,
-filtration files), runs the corresponding verification pipeline, and emits a
-deterministic JSON report.  Exit code 0 means every mathematical verdict in
-the report is true, 1 means some verdict is false (including refusals on
-failed hypotheses), 2 means a usage error.
+identities.  `main` reads and checks the inputs every command shares (the
+ring, a complex with at least one simplex, the subcomplex) and starts the
+report; each command reads its own further files (target, map, filtration),
+runs its verification pipeline and fills in the deterministic JSON report.
+Exit code 0 means every mathematical verdict in the report is true, 1 means
+some verdict is false (including refusals on failed hypotheses), 2 means a
+usage error.
 """
 
 import argparse
@@ -124,26 +126,21 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
-def _load_complex(args):
-    with open(args.complex, encoding="utf-8") as fh:
-        return parse_complex(fh.read())
+def _read(path, parse, *extra):
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh.read(), *extra)
 
 
-def _load_subcomplex(args, X):
-    if not args.subcomplex:
-        return None
-    with open(args.subcomplex, encoding="utf-8") as fh:
-        return parse_subcomplex(fh.read(), X)
+def _read_complex(path):
+    X = _read(path, parse_complex)
+    if X.dim < 0:
+        raise ValueError("complex has no simplices")
+    return X
 
 
-def cmd_homology(args):
-    ring = ring_from_name(args.ring)
-    X = _load_complex(args)
-    L = _load_subcomplex(args, X)
-    n = args.dim if args.dim is not None else X.dim
+def cmd_homology(args, ring, X, L, report):
+    n = report["n"] = args.dim if args.dim is not None else X.dim
     region = region_sub(L) if L is not None else REGION_X
-    report = {"schema": SCHEMA_VERSION, "command": "homology",
-              "ring": ring.name, "order": list(X.order), "n": n}
     cx = simplicial_chain_complex(X, ring, region)
     degrees = ([args.degree] if args.degree is not None
                else list(range(X.dim + 1)))
@@ -160,14 +157,10 @@ def cmd_homology(args):
                                    for k in degrees}
         report["cosheaf_chain"] = {k: _jsonable(cc.homology(k))
                                    for k in degrees}
-    return report, True
+    return True
 
 
-def cmd_local(args):
-    ring = ring_from_name(args.ring)
-    X = _load_complex(args)
-    report = {"schema": SCHEMA_VERSION, "command": "local",
-              "ring": ring.name, "order": list(X.order)}
+def cmd_local(args, ring, X, L, report):
     ctx = LocalContext(X, ring)
     stalks = {}
     all_ok = True
@@ -186,62 +179,40 @@ def cmd_local(args):
         stalks[s] = entry
     report["simplices"] = stalks
     report["ok"] = all_ok
-    return report, all_ok
+    return all_ok
 
 
-def cmd_check_cm(args):
-    ring = ring_from_name(args.ring)
-    X = _load_complex(args)
-    L = _load_subcomplex(args, X)
-    n = args.dim if args.dim is not None else X.dim
+def cmd_check_cm(args, ring, X, L, report):
+    n = report["n"] = args.dim if args.dim is not None else X.dim
     cm = cm_check(X, L, n, ring)
-    report = {"schema": SCHEMA_VERSION, "command": "check-cm",
-              "ring": ring.name, "order": list(X.order), "n": n}
     report.update({k: _jsonable(v) for k, v in cm.items()})
     report["verdict"] = cm["locally_cm_at_L"] if L is not None \
         else cm["locally_cm"]
-    return report, report["verdict"]
+    return report["verdict"]
 
 
-def cmd_duality(args):
-    ring = ring_from_name(args.ring)
-    X = _load_complex(args)
-    L = _load_subcomplex(args, X)
+def cmd_duality(args, ring, X, L, report):
     rep = verify_duality(X, L, args.item, ring)
-    report = {"schema": SCHEMA_VERSION, "command": "duality",
-              "order": list(X.order)}
     report.update(rep)
-    return report, bool(rep.get("verdict"))
+    return bool(rep.get("verdict"))
 
 
-def cmd_naturality(args):
-    ring = ring_from_name(args.ring)
-    X = _load_complex(args)
-    with open(args.target, encoding="utf-8") as fh:
-        Y = parse_complex(fh.read())
-    with open(args.map, encoding="utf-8") as fh:
-        f = parse_map(fh.read(), X, Y)
-    rep = verify_naturality(f, ring)
-    report = {"schema": SCHEMA_VERSION, "command": "naturality",
-              "source_order": list(X.order), "target_order": list(Y.order)}
+def cmd_naturality(args, ring, X, L, report):
+    Y = _read_complex(args.target)
+    rep = verify_naturality(_read(args.map, parse_map, X, Y), ring)
+    report["target_order"] = list(Y.order)
     report.update(rep)
-    return report, bool(rep.get("ok"))
+    return bool(rep.get("ok"))
 
 
-def cmd_sections(args):
-    ring = ring_from_name(args.ring)
-    X = _load_complex(args)
-    L = _load_subcomplex(args, X)
-    n = args.dim if args.dim is not None else X.dim
-    report = {"schema": SCHEMA_VERSION, "command": "sections",
-              "ring": ring.name, "order": list(X.order), "n": n}
+def cmd_sections(args, ring, X, L, report):
+    n = report["n"] = args.dim if args.dim is not None else X.dim
     ctx = LocalContext(X, ring)
     lf = lf_h0_check(ctx, L, n)
     report["lf_h0"] = lf
     ok = lf["verdict"]
     if args.filtration:
-        with open(args.filtration, encoding="utf-8") as fh:
-            stages = parse_filtration(fh.read())
+        stages = _read(args.filtration, parse_filtration)
         system, gammas = build_restriction_system(ctx, L, n, stages)
         semi = semistability_check(system) if len(system) > 1 else None
         cdd = compactly_determined_dual(lf, gammas, semi)
@@ -250,18 +221,13 @@ def cmd_sections(args):
             report["semistability"] = semi
         ok = ok and cdd["verdict"]
     report["ok"] = ok
-    return report, ok
+    return ok
 
 
-def cmd_identities(args):
-    ring = ring_from_name(args.ring)
-    X = _load_complex(args)
-    L = _load_subcomplex(args, X)
+def cmd_identities(args, ring, X, L, report):
     rep = full_identity_report(X, L, ring)
-    report = {"schema": SCHEMA_VERSION, "command": "identities",
-              "ring": ring.name, "order": list(X.order)}
     report.update(rep)
-    return report, rep["ok"]
+    return rep["ok"]
 
 
 COMMANDS = {
@@ -319,10 +285,18 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    flags = FLAGS[args.command]
     try:
         if getattr(args, "dim", None) is not None and args.dim < 0:
             raise ValueError(f"--dim must be at least 0, not {args.dim}")
-        report, ok = COMMANDS[args.command](args)
+        ring = ring_from_name(args.ring)
+        X = _read_complex(args.complex)
+        L = (_read(args.subcomplex, parse_subcomplex, X)
+             if "subcomplex" in flags and args.subcomplex else None)
+        order = "source_order" if "target" in flags else "order"
+        report = {"schema": SCHEMA_VERSION, "command": args.command,
+                  "ring": ring.name, order: list(X.order)}
+        ok = COMMANDS[args.command](args, ring, X, L, report)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -232,7 +232,6 @@ def is_isomorphism(src, tgt, matrix):
     """Exact bijectivity test for a map of f.g. modules given by `matrix`
     between the generator sets of two presentations."""
     ring = src.ring
-    rel_src = _relation_matrix(ring, src, "rs")
     rel_tgt = _relation_matrix(ring, tgt, "rt")
     rows = tuple(range(len(tgt.gens)))
     big = hstack(ring, rows, [matrix, rel_tgt])

@@ -19,8 +19,8 @@ from .complexes import is_vc_before, reorient_vc_before
 from .localhomology import LocalCohomologyCosheaf, LocalContext
 from .matrices import vec_add, vec_clean, vec_eq, vec_sub
 from .mv import (MVDoubleComplex, c_dual, c_dual_reversed,
-                 cap_fundamental_v1, fundamental_class, pair_dual,
-                 project_stalks)
+                 cap_fundamental_v1, degree_matrices, fundamental_class,
+                 pair_dual, project_stalks)
 from .sheaves import in_region, region_rel, region_sub
 
 
@@ -183,8 +183,8 @@ def collapse_suite(X, L, ring, max_witnesses=3):
     # chain-map property as matrices
     tot = D.total_complex()
     bar = D.bar_relative_complex()
-    cms = D.c_matrices(tot, bar)
-    ems = D.epsilon_matrices(tot, bar)
+    cms = degree_matrices(ring, D.c_map, tot, bar, X.dim)
+    ems = degree_matrices(ring, D.epsilon, bar, tot, X.dim)
     for q in range(1, X.dim + 1):
         checked += 2
         if not (cms[q - 1] @ tot.differential(q)

@@ -262,14 +262,6 @@ class MVDoubleComplex:
             diffs[k] = d.scale(ring.from_int((-1) ** k))
         return ChainComplex(ring, cx.spaces, diffs, shift=-1)
 
-    def c_matrices(self, tot, bar):
-        """The collapse map as degree-wise matrices total -> bar-relative."""
-        return degree_matrices(self.ring, self.c_map, tot, bar, self.X.dim)
-
-    def epsilon_matrices(self, tot, bar):
-        """The augmentation as degree-wise matrices bar-relative -> total."""
-        return degree_matrices(self.ring, self.epsilon, bar, tot, self.X.dim)
-
 
 def degree_matrices(ring, gen_map, src, tgt, top):
     """A generator map as degree-wise matrices src -> tgt in degrees 0..top."""
@@ -558,10 +550,10 @@ def naturality_report(X, K, Kp, ring):
     dkp = MVDoubleComplex(X2, Kp2, ring)
     tot_k, bar_k = dk.total_complex(), dk.bar_relative_complex()
     tot_kp, bar_kp = dkp.total_complex(), dkp.bar_relative_complex()
-    c_k = dk.c_matrices(tot_k, bar_k)
-    c_kp = dkp.c_matrices(tot_kp, bar_kp)
-    e_k = dk.epsilon_matrices(tot_k, bar_k)
-    e_kp = dkp.epsilon_matrices(tot_kp, bar_kp)
+    c_k = degree_matrices(ring, dk.c_map, tot_k, bar_k, X2.dim)
+    c_kp = degree_matrices(ring, dkp.c_map, tot_kp, bar_kp, X2.dim)
+    e_k = degree_matrices(ring, dk.epsilon, bar_k, tot_k, X2.dim)
+    e_kp = degree_matrices(ring, dkp.epsilon, bar_kp, tot_kp, X2.dim)
 
     def kept_by(cx):
         """Generator map keeping the generators in cx's bases."""

@@ -119,10 +119,6 @@ def _span_contains(ring, A, B):
     return all(solve(A, B.column(c), s) is not None for c in B.col_labels)
 
 
-def _spans_equal(ring, A, B):
-    return (_span_contains(ring, A, B) and _span_contains(ring, B, A))
-
-
 def semistability_check(system):
     """Image stabilization of a truncated inverse system.  For each stage i,
     the images of the composite maps from later stages form a descending
@@ -138,8 +134,9 @@ def semistability_check(system):
         chain = [system.map(i, k) for k in range(i, N + 1)]
         stabilized_at = None
         for idx in range(len(chain) - 1):
-            if all(_spans_equal(ring, chain[idx], later)
-                   for later in chain[idx + 1:]):
+            # each image contains the next, so it equals every later one
+            # exactly when the last one contains it
+            if _span_contains(ring, chain[-1], chain[idx]):
                 stabilized_at = i + idx
                 break
         entry = {"stage": i, "stabilized": stabilized_at is not None,

@@ -83,7 +83,6 @@ def index_face_compatibility(f):
     for every dimension-preserving simplex and face position j, the index of
     the face matches the index of the simplex corrected by the position of
     the removed vertex in the image."""
-    Y = f.target
     for s in f.source.all_simplices():
         if not f.is_dimension_preserving(s):
             continue

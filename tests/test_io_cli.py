@@ -182,12 +182,29 @@ def test_cli_bad_prime_field_exits_2(capsys, p):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", [["duality", "--item", "1ai"],
-                                     ["check-cm"]], ids=["duality", "check-cm"])
+EMPTY = "order: 0 1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["homology", "--complex", EMPTY],
+    ["local", "--complex", EMPTY],
+    ["local", "--complex", EMPTY, "--dim", "0"],
+    ["check-cm", "--complex", EMPTY],
+    ["duality", "--item", "1ai", "--complex", EMPTY],
+    ["sections", "--complex", EMPTY],
+    ["identities", "--complex", EMPTY],
+    ["naturality", "--complex", EMPTY, "--target", fix("c3.cplx"),
+     "--map", fix("hex_to_c3.map")],
+    ["naturality", "--complex", fix("hex.cplx"), "--target", EMPTY,
+     "--map", fix("hex_to_c3.map")]],
+    ids=["homology", "local", "local-dim", "check-cm", "duality", "sections",
+         "identities", "naturality-source", "naturality-target"])
 def test_cli_empty_complex_exits_2(tmp_path, capsys, command):
+    # a verdict over a complex with no simplices would be vacuous
     path = tmp_path / "empty.cplx"
-    path.write_text("order: 0 1\n")
-    code, err = run_cli_error(capsys, *command, "--complex", str(path))
+    path.write_text(EMPTY)
+    argv = [str(path) if a == EMPTY else a for a in command]
+    code, err = run_cli_error(capsys, *argv)
     assert code == 2
     assert err == "error: complex has no simplices\n"
 

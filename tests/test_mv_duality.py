@@ -156,15 +156,15 @@ def test_naturality_report_sees_a_collapse_that_does_not_commute(
     # a chain map and leaves the augmentation alone, but breaks the collapse
     # square at chain level and on homology
     X = sphere2()
-    collapse = MVDoubleComplex.c_matrices
+    collapse = MVDoubleComplex.c_map
 
-    def negated_for_small(self, tot, bar):
-        mats = collapse(self, tot, bar)
+    def negated_for_small(self, chain):
+        out = collapse(self, chain)
         if self.L.vertex_set != {3}:
-            return mats
-        return {q: m.scale(ZZ.from_int(-1)) for q, m in mats.items()}
+            return out
+        return {s: self.ring.neg(v) for s, v in out.items()}
 
-    monkeypatch.setattr(MVDoubleComplex, "c_matrices", negated_for_small)
+    monkeypatch.setattr(MVDoubleComplex, "c_map", negated_for_small)
     rep = naturality_report(X, (3,), (2, 3), ZZ)
     assert rep["chain_maps"] and rep["augment_square"]
     assert not rep["collapse_square"] and not rep["homology_square"]

@@ -65,3 +65,29 @@ def test_every_definition_has_a_caller():
         if not used:
             uncalled.append(f"{module}:{lineno} {name}")
     assert not uncalled, "definitions without a caller: " + ", ".join(uncalled)
+
+
+def test_every_local_is_read():
+    # a name a function binds and never reads is work done for nothing
+    unread = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, read = {}, set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Store):
+                        stored.setdefault(node.id, node.lineno)
+                    else:
+                        read.add(node.id)
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    read.update(node.names)
+            unread.extend(f"{name}:{line} {fn.name}.{var}"
+                          for var, line in stored.items()
+                          if var != "_" and var not in read)
+    assert not unread, "locals bound and never read: " + ", ".join(unread)
