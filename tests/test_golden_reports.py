@@ -43,6 +43,12 @@ EXTRA_LINES = (
     ("naturality", "--complex", "fixtures/hex.cplx",
      "--target", "fixtures/c3.cplx", "--map", "fixtures/hex_to_c3.map"),
 )
+# barycentric subdivisions, whose boundary matrices are far larger than the
+# small fixtures' (up to 90 x 60 on sd_rp6)
+SD_FIXTURES = ("sd_rp6", "sd_torus")
+SD_RINGS = ("z", "fp:2")
+SD_COMMANDS = (("duality", "--item", "1ai"), ("check-cm",),
+               ("local", "--dim", "2"))
 
 
 def command_lines():
@@ -72,6 +78,11 @@ def command_lines():
             lines.append(("identities", "--ring", ring,
                           "--complex", f"fixtures/{name}.cplx",
                           "--subcomplex", f"fixtures/{sub}.sub"))
+    for name in SD_FIXTURES:
+        for ring in SD_RINGS:
+            for command in SD_COMMANDS:
+                lines.append((*command, "--ring", ring,
+                              "--complex", f"fixtures/{name}.cplx"))
     return lines
 
 
