@@ -11,6 +11,7 @@ usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -71,8 +72,25 @@ def _key(k):
     return repr(k)
 
 
+class _Parts(list):
+    """Parts of a report's text, written to `fh` a slice at a time, so that
+    the text of a large report is never held whole."""
+
+    def __init__(self, fh):
+        super().__init__()
+        self.fh = fh
+
+    def flush(self):
+        self.fh.write("".join(self))
+        self.clear()
+
+
+# parts a report holds before they are written out
+_SLICE = 4096
+
+
 def _write(obj, out, pad):
-    """Append to `out` the text of `json.dumps(_jsonable(obj),
+    """Append to `out` (a `_Parts`) the text of `json.dumps(_jsonable(obj),
     sort_keys=True, indent=2)` at indent `pad`, converting and writing in one
     walk: exact dicts, lists, tuples, strs, bools, ints and None are written
     here, every other value goes through `_jsonable` and `json.dumps`."""
@@ -94,6 +112,8 @@ def _write(obj, out, pad):
             out.append(sep + inner + _encode_str(k) + ": ")
             _write(items[k], out, inner)
             sep = ","
+            if len(out) > _SLICE:
+                out.flush()
         out.append(pad + "}")
     elif t is list or t is tuple:
         if not obj:
@@ -105,6 +125,8 @@ def _write(obj, out, pad):
             out.append(sep + inner)
             _write(v, out, inner)
             sep = ","
+            if len(out) > _SLICE:
+                out.flush()
         out.append(pad + "]")
     else:
         out.append(json.dumps(_jsonable(obj), sort_keys=True,
@@ -115,15 +137,15 @@ _SCALARS = {None: "null", True: "true", False: "false"}
 
 
 def _emit(report, out_path):
-    parts = []
-    _write(report, parts, "\n")
-    parts.append("\n")
-    text = "".join(parts)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    fh = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
+    try:
+        parts = _Parts(fh)
+        _write(report, parts, "\n")
+        parts.append("\n")
+        parts.flush()
+    finally:
+        if out_path:
+            fh.close()
 
 
 def _read(path, parse, *extra):
@@ -265,7 +287,10 @@ FLAG_SPECS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on its first call (not at import, so
+    that importing lochom stays cheap) and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="lochom",
         description="Exact verification of local-homology duality on finite "

@@ -163,6 +163,10 @@ class Subcomplex:
         unknown = self.vertex_set - set(parent.order)
         if unknown:
             raise ValueError(f"unknown vertices {sorted(map(str, unknown))}")
+        self._complement = None
+        # (order, whether it puts the vertex complement first), for the
+        # last order `is_vc_before` was asked about
+        self._vc_before = (None, None)
 
     def contains(self, simplex):
         return (self.parent.contains(simplex)
@@ -181,8 +185,11 @@ class Subcomplex:
                      and (v,) in self.parent._simplices)
 
     def vertex_complement(self):
-        rest = [v for v in self.parent.order if v not in self.vertex_set]
-        return Subcomplex(self.parent, rest)
+        """The full subcomplex on the other vertices, built once."""
+        if self._complement is None:
+            rest = [v for v in self.parent.order if v not in self.vertex_set]
+            self._complement = Subcomplex(self.parent, rest)
+        return self._complement
 
     def __repr__(self):
         return f"Subcomplex({sorted(map(str, self.vertex_set))})"
@@ -196,14 +203,21 @@ def orient_vc_before(X, L):
 
 
 def is_vc_before(X, L):
-    inside = set(L.vertex_set)
-    seen_inside = False
-    for v in X.order:
-        if v in inside:
-            seen_inside = True
-        elif seen_inside:
-            return False
-    return True
+    """Whether X's order puts every vertex outside L before every vertex in
+    L; the answer is kept on L until it is asked about another order."""
+    order, holds = L._vc_before
+    if order is not X.order:
+        inside = L.vertex_set
+        seen_inside = False
+        holds = True
+        for v in X.order:
+            if v in inside:
+                seen_inside = True
+            elif seen_inside:
+                holds = False
+                break
+        L._vc_before = (X.order, holds)
+    return holds
 
 
 def reorient_vc_before(X, L):
@@ -238,11 +252,20 @@ def _strip(text):
             yield line, raw
 
 
+# The most faces the `simplex:` lines of a complex file may close to, counted
+# as the sum of 2^k - 1 over lines of k vertices.  The largest fixture or
+# benchmark input, sd(torus), counts 84 * 7 = 588; a single line of 17
+# vertices already passes the bound, one of 40 would need 2^40 subsets.
+MAX_CLOSURE = 100_000
+
+
 def parse_complex(text):
     """Complex file: optional `order: v1 v2 ...` line, then `simplex: v1 v2 ...`
-    lines listing maximal simplices; `#` starts a comment."""
+    lines listing maximal simplices; `#` starts a comment.  A file whose face
+    closure could pass MAX_CLOSURE faces is refused before it is built."""
     order = None
     maximal = []
+    closure = 0
     for line, raw in _strip(text):
         if line.startswith("order:"):
             order = [_parse_token(t) for t in line[len("order:"):].split()]
@@ -250,6 +273,10 @@ def parse_complex(text):
             verts = [_parse_token(t) for t in line[len("simplex:"):].split()]
             if len(set(verts)) != len(verts):
                 raise ValueError(f"duplicate vertices in line {raw!r}")
+            closure += (1 << len(verts)) - 1
+            if closure > MAX_CLOSURE:
+                raise ValueError(f"line {raw!r} takes the face closure past "
+                                 f"{MAX_CLOSURE} faces")
             maximal.append(verts)
         else:
             raise ValueError(f"unrecognized line {raw!r}")

@@ -92,12 +92,13 @@ class CokerPresentation:
     beyond the rank (`free_rank` free generators).  `positions` lists them as
     (row index, order or None).  project() sends a vector to its generator
     coordinates, torsion coordinates reduced; lift(j) returns a
-    representative of generator j.
+    representative of generator j.  The relations' SNF keeps only the U that
+    project reads and the U^-1 that lift reads.
     """
 
     def __init__(self, ring, relations):
         self.ring = ring
-        self.snf = smith_normal_form(relations)
+        self.snf = smith_normal_form(relations).keep("U", "Uinv")
         self._rows = relations.row_labels
         self.positions = []
         for i, d in enumerate(self.snf.diagonals):
@@ -142,15 +143,17 @@ class HomologyPresentation(CokerPresentation):
     in the coordinates of a kernel basis.
 
     `out_snf` is the one SNF of d_out: its V columns past the rank are the
-    kernel basis `cycles` (chains over d_out's source basis), and its V^-1
-    writes any cycle in that basis (`cycle_coordinates`, None for a
-    non-cycle).  `gens` are the generating cycles in ambient coordinates.
-    coordinates() expresses any cycle exactly in this presentation.
+    kernel basis `cycles` (chains over d_out's source basis), read once
+    here, and its V^-1, the one transform it keeps, writes any cycle in that
+    basis (`cycle_coordinates`, None for a non-cycle).  `gens` are the
+    generating cycles in ambient coordinates.  coordinates() expresses any
+    cycle exactly in this presentation.
     """
 
     def __init__(self, ring, d_out, d_in):
-        self.out_snf = smith_normal_form(d_out)
-        self.cycles = kernel_basis(d_out, self.out_snf)
+        snf = smith_normal_form(d_out)
+        self.cycles = kernel_basis(d_out, snf)
+        self.out_snf = snf.keep("Vinv")
         klabels = tuple(range(len(self.cycles)))
         ycols = []
         for c in d_in.col_labels:

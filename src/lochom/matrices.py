@@ -4,6 +4,10 @@ Vectors ("chains") are dicts mapping basis labels to nonzero ring elements.
 Matrices act on column vectors: (M v)[r] = sum_c M[r,c] v[c].
 """
 
+from operator import itemgetter
+
+_first = itemgetter(0)
+
 
 def vec_clean(ring, v):
     return {k: x for k, x in v.items() if not ring.is_zero(x)}
@@ -55,13 +59,53 @@ class Matrix:
             raise ValueError("duplicate row labels")
         if len(self.col_index) != len(self.col_labels):
             raise ValueError("duplicate column labels")
-        self.entries = {}
+        kept = {}
         if entries:
             for (r, c), val in entries.items():
                 if r not in self.row_index or c not in self.col_index:
                     raise KeyError(f"label ({r!r}, {c!r}) outside declared bases")
                 if not ring.is_zero(val):
-                    self.entries[(r, c)] = val
+                    kept[(r, c)] = val
+        self.entries = kept
+
+    # `entries` maps (row, column) to each nonzero.  The column index maps a
+    # column label to its nonzeros as (key, row label, value), ordered so
+    # that sorting every triple by (key, column position) gives the order of
+    # `entries`.  Either one may be built from the other on first read;
+    # assigning `entries` drops the index.
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            position = self.col_index
+            items = sorted((k, position[c], r, c, v)
+                           for c, col in self._columns.items()
+                           for k, r, v in col)
+            self._entries = {(r, c): v for _, _, r, c, v in items}
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries):
+        self._entries = entries
+        self._columns = None
+
+    def _index(self):
+        if self._columns is None:
+            columns = self._columns = {}
+            for k, ((r, c), v) in enumerate(self._entries.items()):
+                col = columns.get(c)
+                if col is None:
+                    columns[c] = [(k, r, v)]
+                else:
+                    col.append((k, r, v))
+        return self._columns
+
+    def _with_columns(self, columns):
+        """This matrix, with `columns` (nonzeros only) as its column index and
+        `entries` left to be built from it on first read."""
+        self._entries = None
+        self._columns = columns
+        return self
 
     @property
     def shape(self):
@@ -94,15 +138,22 @@ class Matrix:
         return out
 
     def column(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
+        """Column c as a vector, its keys in the order of `entries`."""
+        return {r: v for _, r, v in self._index().get(c, ())}
 
     def apply(self, vec):
-        """Matrix times column vector (dict keyed by col labels)."""
+        """Matrix times column vector (dict keyed by col labels).  Only the
+        columns of vec's keys are read; their products are summed in the
+        order of `entries`, which fixes the key order of the result."""
         ring = self.ring
+        mul, add, zero = ring.mul, ring.add, ring.zero()
+        columns = self._index()
+        hits = [(k, r, mul(v, x)) for c, x in vec.items() if c in columns
+                for k, r, v in columns[c]]
+        hits.sort(key=_first)
         out = {}
-        for (r, c), val in self.entries.items():
-            if c in vec:
-                out[r] = ring.add(out.get(r, ring.zero()), ring.mul(val, vec[c]))
+        for _, r, y in hits:
+            out[r] = add(out.get(r, zero), y)
         return vec_clean(ring, out)
 
     def __matmul__(self, other):
@@ -174,7 +225,8 @@ class SNF:
     diagonals lists the nonzero invariant factors d_1 | d_2 | ... (canonical
     associates); rank = len(diagonals).  Each transform is given either as a
     `Matrix` or as a function returning one; a function is called the first
-    time its transform is read, and only then.
+    time its transform is read, and only then.  `keep` drops the others, so
+    a holder keeps only the transforms it reads.
     """
 
     def __init__(self, matrix, U, Uinv, V, Vinv, diagonals):
@@ -182,6 +234,12 @@ class SNF:
         self._transforms = {"U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
         self.diagonals = diagonals
         self.rank = len(diagonals)
+
+    def keep(self, *names):
+        """Forget every transform not named; reading one then raises
+        KeyError."""
+        self._transforms = {name: self._transforms[name] for name in names}
+        return self
 
     def _transform(self, name):
         t = self._transforms[name]
@@ -246,28 +304,50 @@ def smith_normal_form(M):
       V^-1 by rows, U^-1 and V by columns, so every operation on them runs
       over one stored row and only its nonzeros.
 
+    - a matrix with no entries is not eliminated at all: it has no
+      diagonals and all four transforms are identities.
+
     This relies on canonical entries (ints over Z, `Fraction` over Q,
     residues in [0, p) over GF(p)): then an entry is nonzero exactly when it
     is truthy, and 1*x + 0*y is x itself.
+
+    Each transform's column index is built straight from the elimination's
+    sparse rows (keyed by row position, as its `entries` run row by row), so
+    `column` and `apply` never build its `entries`.
     """
     ring = M.ring
+    rows, cols = M.row_labels, M.col_labels
+    if not M.entries:
+        def identity(labels):
+            one = ring.one()
+            return Matrix(ring, labels, labels)._with_columns(
+                {lbl: [(i, lbl, one)] for i, lbl in enumerate(labels)})
+
+        return SNF(M, lambda: identity(rows), lambda: identity(rows),
+                   lambda: identity(cols), lambda: identity(cols), [])
     diagonals, (U, UinvT, VT, Vinv) = _eliminate(M, True)
 
     def by_rows(labels, rows):
-        out = Matrix(ring, labels, labels)
-        out.entries = {(labels[i], labels[j]): row[j]
-                       for i, row in enumerate(rows) for j in sorted(row)
-                       if row[j]}
-        return out
+        index = {}
+        for i, row in enumerate(rows):
+            r = labels[i]
+            for j, x in row.items():
+                if x:
+                    c = labels[j]
+                    if c in index:
+                        index[c].append((i, r, x))
+                    else:
+                        index[c] = [(i, r, x)]
+        return Matrix(ring, labels, labels)._with_columns(index)
 
     def by_columns(labels, cols):
-        rows = [{} for _ in cols]
+        index = {}
         for j, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][j] = x
-        return by_rows(labels, rows)
+            nonzeros = [(i, labels[i], col[i]) for i in sorted(col) if col[i]]
+            if nonzeros:
+                index[labels[j]] = nonzeros
+        return Matrix(ring, labels, labels)._with_columns(index)
 
-    rows, cols = M.row_labels, M.col_labels
     return SNF(M, lambda: by_rows(rows, U), lambda: by_columns(rows, UinvT),
                lambda: by_columns(cols, VT), lambda: by_rows(cols, Vinv),
                diagonals)
@@ -281,7 +361,7 @@ def invariant_factors(M):
     caller that needs only ranks and torsion orders skips every transform
     update and every `Matrix` the full form builds.
     """
-    return _eliminate(M, False)[0]
+    return _eliminate(M, False)[0] if M.entries else []
 
 
 def _eliminate(M, track):

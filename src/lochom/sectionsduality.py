@@ -112,10 +112,10 @@ class RestrictionSystem:
         return m
 
 
-def _span_contains(ring, A, B):
+def _span_contains(A, B, snf=None):
     """Every column of B lies in the column span of A (exactly, over the
-    active ring)."""
-    s = smith_normal_form(A)
+    active ring); `snf` is A's SNF when the caller has it."""
+    s = snf if snf is not None else smith_normal_form(A)
     return all(solve(A, B.column(c), s) is not None for c in B.col_labels)
 
 
@@ -131,12 +131,18 @@ def semistability_check(system):
     report = {"stages": N + 1, "per_stage": [], "stable_images": {}}
     semistable = True
     for i in range(N):
-        chain = [system.map(i, k) for k in range(i, N + 1)]
+        # map(i, k) for k = i..N, each the one before times step k - 1
+        chain = [Matrix.identity(ring, system.bases[i])]
+        for k in range(i, N):
+            chain.append(chain[-1] @ system.steps[k])
+        if i == 0:
+            first_chain = chain
+        last = smith_normal_form(chain[-1])
         stabilized_at = None
         for idx in range(len(chain) - 1):
             # each image contains the next, so it equals every later one
             # exactly when the last one contains it
-            if _span_contains(ring, chain[-1], chain[idx]):
+            if _span_contains(chain[-1], chain[idx], last):
                 stabilized_at = i + idx
                 break
         entry = {"stage": i, "stabilized": stabilized_at is not None,
@@ -151,13 +157,13 @@ def semistability_check(system):
         # splitting at stage 0: a section of the stabilized composite map
         # that composes to the identity on the stable image
         k = max(report["per_stage"][0]["stabilized_at"], 1)
-        r = system.map(0, k)
+        r = first_chain[k]
         snf = smith_normal_form(r)
         image_basis = []
         for c in r.col_labels:
             col = r.column(c)
             if col and not _span_contains(
-                    ring, Matrix.from_columns(
+                    Matrix.from_columns(
                         ring, r.row_labels, tuple(range(len(image_basis))),
                         image_basis), Matrix.from_columns(
                         ring, r.row_labels, ("b",), [col])):

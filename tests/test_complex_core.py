@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lochom.complexes import (SimplicialComplex, Subcomplex, is_vc_before,
+from lochom.complexes import (MAX_CLOSURE, SimplicialComplex, Subcomplex,
+                              is_vc_before,
                               orient_vc_before, parse_complex,
                               parse_subcomplex, perm_sign, reorient_vc_before,
                               serialize_complex)
@@ -59,6 +60,34 @@ def test_parse_rejects_duplicates_and_unknown_vertices():
         parse_complex("simplex: 0 0 1")
     with pytest.raises(ValueError):
         parse_complex("order: 0 1\nsimplex: 0 2")
+
+
+def test_parse_bounds_the_face_closure():
+    # every fixture is far below the bound; the line that passes it is named
+    for fn in FIXTURES.values():
+        faces = sum(2 ** len(s) - 1 for s in fn().maximal_simplices())
+        assert 100 * faces < MAX_CLOSURE
+    # 2^16 - 1 faces pass alone, a second such line passes the bound, and
+    # a line of 17 vertices passes it by itself
+    first = "simplex: " + " ".join(map(str, range(16)))
+    second = "simplex: " + " ".join(map(str, range(20, 36)))
+    big = "simplex: " + " ".join(map(str, range(40, 57)))
+    for lines, named in (([first, second], second), (["simplex: 0 1", big],
+                                                     big)):
+        with pytest.raises(ValueError,
+                           match=rf"^line '{named}' takes the face closure"):
+            parse_complex("\n".join(lines + ["simplex: 0 1 2"]))
+
+
+def test_vertex_complement_and_order_check_are_kept():
+    X = sphere2()
+    L = Subcomplex(X, (0, 1))
+    assert L.vertex_complement() is L.vertex_complement()
+    assert L.vertex_complement().vertex_set == {2, 3}
+    # the kept answer is for one order only
+    X2, _ = reorient_vc_before(X, L)
+    for Y, expected in ((X, False), (X2, True), (X, False), (X2, True)):
+        assert is_vc_before(Y, L) == expected
 
 
 def test_round_trip_all_fixtures():

@@ -17,6 +17,8 @@ import os
 import sys
 import tempfile
 
+import pytest
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXDIR = os.path.join(HERE, os.pardir, "fixtures")
 MANIFEST = os.path.join(HERE, "golden_reports.json")
@@ -106,6 +108,35 @@ def run(line, workdir):
 def current_reports():
     with tempfile.TemporaryDirectory() as workdir:
         return {" ".join(line): run(line, workdir) for line in command_lines()}
+
+
+# one command line of each command, in one process
+MIXED_LINES = ("homology --ring z --complex fixtures/rp6.cplx",
+               "local --dim 2 --ring fp:2 --complex fixtures/t4.cplx",
+               "duality --item 2bi --ring q --complex fixtures/bowtie.cplx",
+               "sections --ring z --dim 1 --complex fixtures/c3.cplx "
+               "--filtration fixtures/c3_arcs.filt",
+               "naturality --ring z --complex fixtures/hex.cplx --target "
+               "fixtures/c3.cplx --map fixtures/hex_to_c3.map",
+               "check-cm --ring z --complex fixtures/sd_torus.cplx",
+               "identities --ring fp:2 --complex fixtures/c3.cplx")
+
+
+def test_one_process_stays_golden_across_usage_errors(capsys):
+    # the parser is built once and shared; an argparse exit between two
+    # commands must leave no trace in the next report
+    from lochom import cli
+
+    with open(MANIFEST, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    with tempfile.TemporaryDirectory() as workdir:
+        for line in MIXED_LINES:
+            with pytest.raises(SystemExit) as usage:
+                cli.main(["duality", "--complex", "fixtures/rp6.cplx"])
+            assert usage.value.code == 2
+            assert "required: --item" in capsys.readouterr().err
+            assert run(tuple(line.split()), workdir) == golden[line], line
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_reports_match_golden_manifest():

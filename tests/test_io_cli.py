@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from lochom.cli import _emit, _jsonable, main
-from lochom.complexes import parse_complex, serialize_complex
+from lochom.complexes import (MAX_CLOSURE, parse_complex,
+                              serialize_complex)
 from lochom.fixtures import circle3, hexagon, hexagon_cover_map, rp2_six
 from lochom.io import (parse_filtration, parse_map, parse_sheaf,
                        serialize_map, serialize_sheaf)
@@ -218,6 +219,22 @@ def test_cli_negative_dim_exits_2(capsys, command, dim):
                               "--dim", dim)
     assert code == 2
     assert err == f"error: --dim must be at least 0, not {dim}\n"
+
+
+@pytest.mark.parametrize("command", [["sections"], ["local"],
+                                     ["duality", "--item", "1ai"]])
+def test_cli_refuses_a_complex_too_large_to_close(tmp_path, capsys, command):
+    # 2^40 faces would exhaust memory: the file is refused before any subset
+    # of the line is built, naming the line
+    line = "simplex: " + " ".join(map(str, range(40)))
+    path = tmp_path / "huge.cplx"
+    path.write_text(f"simplex: 0 1 2\n{line}\n")
+    start = time.perf_counter()
+    code, err = run_cli_error(capsys, *command, "--complex", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err == (f"error: line {line!r} takes the face closure past "
+                   f"{MAX_CLOSURE} faces\n")
 
 
 # a vertex named in the order header but in no simplex of the complex

@@ -3,9 +3,11 @@ truncated restriction systems."""
 
 import pytest
 
+from lochom import sectionsduality
 from lochom.complexes import Subcomplex
 from lochom.fixtures import bowtie, circle3, hexagon, rp2_six, sphere2
 from lochom.localhomology import LocalContext
+from lochom.matrices import smith_normal_form
 from lochom.rings import GF, QQ, ZZ
 from lochom.sectionsduality import (RestrictionSystem,
                                     build_restriction_system,
@@ -72,6 +74,22 @@ def test_doubling_system_never_stabilizes_over_z():
     rep = semistability_check(doubling_system(ZZ, 6))
     assert not rep["semistable"]
     assert all(not e["stabilized"] for e in rep["per_stage"])
+
+
+def test_semistability_factors_each_last_map_once(monkeypatch):
+    # over Z no stage stabilizes, so every stage tests every candidate
+    # image against its last map, with one factorization of that map
+    factored = []
+
+    def counted(M):
+        factored.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(sectionsduality, "smith_normal_form", counted)
+    rep = semistability_check(doubling_system(ZZ, 5))
+    assert not rep["semistable"]
+    assert [m.shape for m in factored] == [(1, 1)] * 4
+    assert [m.entries[(0, 0)] for m in factored] == [16, 8, 4, 2]
 
 
 def test_doubling_system_stabilizes_over_q():
