@@ -76,8 +76,7 @@ class ChainComplex:
         for k in (deg, deg - self.shift):
             if k not in self._factors:
                 d = self.diffs.get(k)
-                self._factors[k] = (invariant_factors(d)
-                                    if d is not None and d.entries else [])
+                self._factors[k] = invariant_factors(d) if d is not None else []
         free = (len(self.basis(deg)) - len(self._factors[deg])
                 - len(self._factors[deg - self.shift]))
         return (free, [d for d in self._factors[torsion_deg]

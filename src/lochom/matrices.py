@@ -316,16 +316,6 @@ def smith_normal_form(M):
     `column` and `apply` never build its `entries`.
     """
     ring = M.ring
-    rows, cols = M.row_labels, M.col_labels
-    if not M.entries:
-        def identity(labels):
-            one = ring.one()
-            return Matrix(ring, labels, labels)._with_columns(
-                {lbl: [(i, lbl, one)] for i, lbl in enumerate(labels)})
-
-        return SNF(M, lambda: identity(rows), lambda: identity(rows),
-                   lambda: identity(cols), lambda: identity(cols), [])
-    diagonals, (U, UinvT, VT, Vinv) = _eliminate(M, True)
 
     def by_rows(labels, rows):
         index = {}
@@ -348,6 +338,15 @@ def smith_normal_form(M):
                 index[labels[j]] = nonzeros
         return Matrix(ring, labels, labels)._with_columns(index)
 
+    rows, cols = M.row_labels, M.col_labels
+    if not M.entries:
+        def identity(labels):
+            one = ring.one()
+            return by_columns(labels, [{i: one} for i in range(len(labels))])
+
+        return SNF(M, lambda: identity(rows), lambda: identity(rows),
+                   lambda: identity(cols), lambda: identity(cols), [])
+    diagonals, (U, UinvT, VT, Vinv) = _eliminate(M, True)
     return SNF(M, lambda: by_rows(rows, U), lambda: by_columns(rows, UinvT),
                lambda: by_columns(cols, VT), lambda: by_rows(cols, Vinv),
                diagonals)

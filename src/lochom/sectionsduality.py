@@ -102,14 +102,19 @@ class RestrictionSystem:
     def __len__(self):
         return len(self.bases)
 
-    def map(self, i, j):
-        """Composite matrix from stage j down to stage i <= j."""
+    def composites(self, i, j):
+        """The composite matrices from stages i, i + 1, ..., j down to stage
+        i <= j, each the one before times the next step."""
         if i > j:
             raise ValueError("maps go downward in the system")
-        m = Matrix.identity(self.ring, self.bases[j])
-        for k in range(j - 1, i - 1, -1):
-            m = self.steps[k] @ m
-        return m
+        out = [Matrix.identity(self.ring, self.bases[i])]
+        for k in range(i, j):
+            out.append(out[-1] @ self.steps[k])
+        return out
+
+    def map(self, i, j):
+        """Composite matrix from stage j down to stage i <= j."""
+        return self.composites(i, j)[-1]
 
 
 def _span_contains(A, B, snf=None):
@@ -131,10 +136,7 @@ def semistability_check(system):
     report = {"stages": N + 1, "per_stage": [], "stable_images": {}}
     semistable = True
     for i in range(N):
-        # map(i, k) for k = i..N, each the one before times step k - 1
-        chain = [Matrix.identity(ring, system.bases[i])]
-        for k in range(i, N):
-            chain.append(chain[-1] @ system.steps[k])
+        chain = system.composites(i, N)
         if i == 0:
             first_chain = chain
         last = smith_normal_form(chain[-1])
