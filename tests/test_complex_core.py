@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lochom.complexes import (MAX_CLOSURE, SimplicialComplex, Subcomplex,
-                              is_vc_before,
-                              orient_vc_before, parse_complex,
+                              is_vc_before, orient_vc_before, parse_complex,
                               parse_subcomplex, perm_sign, reorient_vc_before,
                               serialize_complex)
 from lochom.fixtures import FIXTURES, circle3, sphere2, triangle
@@ -67,8 +66,8 @@ def test_parse_bounds_the_face_closure():
     for fn in FIXTURES.values():
         faces = sum(2 ** len(s) - 1 for s in fn().maximal_simplices())
         assert 100 * faces < MAX_CLOSURE
-    # 2^16 - 1 faces pass alone, a second such line passes the bound, and
-    # a line of 17 vertices passes it by itself
+    # a line of 16 vertices (2^16 - 1 faces) stays under the bound and a
+    # second one passes it; a line of 17 vertices passes it by itself
     first = "simplex: " + " ".join(map(str, range(16)))
     second = "simplex: " + " ".join(map(str, range(20, 36)))
     big = "simplex: " + " ".join(map(str, range(40, 57)))

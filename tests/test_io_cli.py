@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lochom.cli import _emit, _jsonable, main
-from lochom.complexes import (MAX_CLOSURE, parse_complex,
-                              serialize_complex)
+from lochom.complexes import MAX_CLOSURE, parse_complex, serialize_complex
 from lochom.fixtures import circle3, hexagon, hexagon_cover_map, rp2_six
 from lochom.io import (parse_filtration, parse_map, parse_sheaf,
                        serialize_map, serialize_sheaf)
