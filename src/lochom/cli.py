@@ -312,8 +312,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     flags = FLAGS[args.command]
     try:
-        if getattr(args, "dim", None) is not None and args.dim < 0:
-            raise ValueError(f"--dim must be at least 0, not {args.dim}")
+        for flag in ("dim", "degree"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ValueError(f"--{flag} must be at least 0, not {value}")
         ring = ring_from_name(args.ring)
         X = _read_complex(args.complex)
         L = (_read(args.subcomplex, parse_subcomplex, X)

@@ -164,9 +164,6 @@ class Subcomplex:
         if unknown:
             raise ValueError(f"unknown vertices {sorted(map(str, unknown))}")
         self._complement = None
-        # (order, whether it puts the vertex complement first), for the
-        # last order `is_vc_before` was asked about
-        self._vc_before = (None, None)
 
     def contains(self, simplex):
         return (self.parent.contains(simplex)
@@ -204,20 +201,14 @@ def orient_vc_before(X, L):
 
 def is_vc_before(X, L):
     """Whether X's order puts every vertex outside L before every vertex in
-    L; the answer is kept on L until it is asked about another order."""
-    order, holds = L._vc_before
-    if order is not X.order:
-        inside = L.vertex_set
-        seen_inside = False
-        holds = True
-        for v in X.order:
-            if v in inside:
-                seen_inside = True
-            elif seen_inside:
-                holds = False
-                break
-        L._vc_before = (X.order, holds)
-    return holds
+    L."""
+    seen_inside = False
+    for v in X.order:
+        if v in L.vertex_set:
+            seen_inside = True
+        elif seen_inside:
+            return False
+    return True
 
 
 def reorient_vc_before(X, L):

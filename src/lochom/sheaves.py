@@ -177,7 +177,8 @@ class DictSheaf(Sheaf):
 
 def simplicial_chain_complex(X, ring, region=REGION_X, reduced=False):
     """Plain simplicial chains of a region, boundary drops faces outside it.
-    Basis labels are the simplices themselves."""
+    Basis labels are the simplices themselves.  `reduced` adds the empty
+    simplex () in degree -1, the augmentation of X or of a sub region."""
     spaces = {k: region_simplices(X, region, k) for k in range(X.dim + 1)}
     if reduced:
         spaces[-1] = ((),)

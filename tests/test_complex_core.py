@@ -83,7 +83,7 @@ def test_vertex_complement_and_order_check_are_kept():
     L = Subcomplex(X, (0, 1))
     assert L.vertex_complement() is L.vertex_complement()
     assert L.vertex_complement().vertex_set == {2, 3}
-    # the kept answer is for one order only
+    # the answer follows the order it is asked about
     X2, _ = reorient_vc_before(X, L)
     for Y, expected in ((X, False), (X2, True), (X, False), (X2, True)):
         assert is_vc_before(Y, L) == expected

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from lochom.cli import _emit, _jsonable, main
+from lochom.cli import FLAGS, _emit, _jsonable, main
 from lochom.complexes import MAX_CLOSURE, parse_complex, serialize_complex
 from lochom.fixtures import circle3, hexagon, hexagon_cover_map, rp2_six
 from lochom.io import (parse_filtration, parse_map, parse_sheaf,
@@ -211,13 +211,17 @@ def test_cli_empty_complex_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, dim", [("homology", "-1"), ("local", "-1"),
                                           ("check-cm", "-2"),
-                                          ("sections", "-1")])
+                                          ("sections", "-1"),
+                                          ("homology", "-3")])
 def test_cli_negative_dim_exits_2(capsys, command, dim):
-    # no degree below 0 exists, so any verdict about one would be vacuous
-    code, err = run_cli_error(capsys, command, "--complex", fix("t4.cplx"),
-                              "--dim", dim)
-    assert code == 2
-    assert err == f"error: --dim must be at least 0, not {dim}\n"
+    # no degree below 0 exists, so any verdict or presentation of one would
+    # be vacuous: a negative --dim, or --degree where the command takes it
+    for flag in ("dim", "degree"):
+        if flag in FLAGS[command]:
+            code, err = run_cli_error(capsys, command, "--complex",
+                                      fix("t4.cplx"), "--" + flag, dim)
+            assert code == 2
+            assert err == f"error: --{flag} must be at least 0, not {dim}\n"
 
 
 @pytest.mark.parametrize("command", [["sections"], ["local"],
