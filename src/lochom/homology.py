@@ -1,6 +1,6 @@
 """Chain complexes over exact rings and homology presentations via SNF."""
 
-from .matrices import (Matrix, hstack, invariant_factors, kernel_basis,
+from .matrices import (Matrix, factored, factors, hstack, kernel_basis,
                        kernel_coordinates, smith_normal_form, vec_clean)
 
 
@@ -10,18 +10,21 @@ class ChainComplex:
     spaces: dict degree -> tuple of basis labels.
     diffs: dict degree -> Matrix from spaces[degree] to spaces[degree + shift].
     shift is -1 for homological (boundary) and +1 for cohomological complexes.
-    Each differential's invariant factors are computed at most once.
+    `memo` (`matrices.factored`) holds every factorization the complex, its
+    dual and its presentations make, so no matrix is eliminated twice;
+    `_factors` keeps each differential's invariant factors from it.
     The constructor does not check d∘d = 0: the tests check it on every
     complex lochom builds, `check_functorial` (run by `io.parse_sheaf`)
     assures it for a parsed sheaf, and a presentation refuses an incoming
     boundary that is not a cycle.
     """
 
-    def __init__(self, ring, spaces, diffs, shift=-1):
+    def __init__(self, ring, spaces, diffs, shift=-1, memo=None):
         self.ring = ring
         self.spaces = {d: tuple(b) for d, b in spaces.items() if len(b) > 0}
         self.diffs = dict(diffs)
         self.shift = shift
+        self.memo = {} if memo is None else memo
         self._factors = {}
 
     def dual(self):
@@ -31,7 +34,8 @@ class ChainComplex:
         builds, by `check_functorial` for a parsed sheaf."""
         return ChainComplex(self.ring, self.spaces,
                             {k + self.shift: d.transpose()
-                             for k, d in self.diffs.items()}, -self.shift)
+                             for k, d in self.diffs.items()}, -self.shift,
+                            self.memo)
 
     def degrees(self):
         return sorted(self.spaces)
@@ -47,7 +51,7 @@ class ChainComplex:
     def homology(self, deg):
         d_out = self.differential(deg)
         d_in = self.differential(deg - self.shift)
-        return HomologyPresentation(self.ring, d_out, d_in)
+        return HomologyPresentation(self.ring, d_out, d_in, self.memo)
 
     def homology_summary(self, deg):
         """`homology(deg).rank_summary` from invariant factors alone: over a
@@ -65,7 +69,7 @@ class ChainComplex:
         for k in (deg, deg - self.shift):
             if k not in self._factors:
                 d = self.diffs.get(k)
-                self._factors[k] = invariant_factors(d) if d is not None else []
+                self._factors[k] = factors(self.memo, d) if d is not None else []
         free = (len(self.basis(deg)) - len(self._factors[deg])
                 - len(self._factors[deg - self.shift]))
         return (free, [d for d in self._factors[torsion_deg]
@@ -80,13 +84,14 @@ class CokerPresentation:
     beyond the rank (`free_rank` free generators).  `positions` lists them as
     (row index, order or None).  project() sends a vector to its generator
     coordinates, torsion coordinates reduced; lift(j) returns a
-    representative of generator j.  The relations' SNF keeps only the U that
-    project reads and the U^-1 that lift reads.
+    representative of generator j.  The relations' SNF, through `memo`
+    (`matrices.factored`), keeps only the U that project reads and the U^-1
+    that lift reads.
     """
 
-    def __init__(self, ring, relations):
+    def __init__(self, ring, relations, memo=None):
         self.ring = ring
-        self.snf = smith_normal_form(relations).keep("U", "Uinv")
+        self.snf = factored(memo, relations).keep("U", "Uinv")
         self._rows = relations.row_labels
         self.positions = []
         for i, d in enumerate(self.snf.diagonals):
@@ -130,16 +135,16 @@ class HomologyPresentation(CokerPresentation):
     """ker(d_out)/im(d_in) as the cokernel of the incoming boundaries written
     in the coordinates of a kernel basis.
 
-    `out_snf` is the one SNF of d_out: its V columns past the rank are the
-    kernel basis `cycles` (chains over d_out's source basis), read once
-    here, and its V^-1, the one transform it keeps, writes any cycle in that
-    basis (`cycle_coordinates`, None for a non-cycle).  `gens` are the
-    generating cycles in ambient coordinates.  coordinates() expresses any
-    cycle exactly in this presentation.
+    `out_snf` is the one SNF of d_out, through `memo` as the relations' is:
+    its V columns past the rank are the kernel basis `cycles` (chains over
+    d_out's source basis), read once here, and its V^-1, the one transform
+    it keeps, writes any cycle in that basis (`cycle_coordinates`, None for
+    a non-cycle).  `gens` are the generating cycles in ambient coordinates.
+    coordinates() expresses any cycle exactly in this presentation.
     """
 
-    def __init__(self, ring, d_out, d_in):
-        snf = smith_normal_form(d_out)
+    def __init__(self, ring, d_out, d_in, memo=None):
+        snf = factored(memo, d_out)
         self.cycles = kernel_basis(d_out, snf)
         self.out_snf = snf.keep("Vinv")
         klabels = tuple(range(len(self.cycles)))
@@ -150,7 +155,7 @@ class HomologyPresentation(CokerPresentation):
                 raise ValueError("incoming boundary is not a cycle (d∘d != 0?)")
             ycols.append(y)
         super().__init__(ring, Matrix.from_columns(
-            ring, klabels, tuple(range(len(ycols))), ycols))
+            ring, klabels, tuple(range(len(ycols))), ycols), memo)
         # a generator is its lift's combination of cycles, summed in basis
         # order (which fixes its key order) and cleaned once
         self.gens = []

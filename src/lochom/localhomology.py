@@ -14,8 +14,9 @@ from .matrices import (Matrix, invariant_factors, kernel_basis, vec_clean,
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
 
-def local_complex(X, ring, simplex):
-    """Chain complex with degree-k basis {(s, a): a in X_k, a contains s}."""
+def local_complex(X, ring, simplex, memo=None):
+    """Chain complex with degree-k basis {(s, a): a in X_k, a contains s},
+    factored through `memo` (`ChainComplex`)."""
     simplex = tuple(simplex)
     if not simplex:
         raise ValueError("empty simplex: use the reduced chain complex")
@@ -36,7 +37,7 @@ def local_complex(X, ring, simplex):
                     entries[((simplex, f), (simplex, a))] = ring.from_int((-1) ** j)
         if src:
             diffs[k] = Matrix(ring, spaces.get(k - 1, ()), src, entries)
-    return ChainComplex(ring, spaces, diffs, shift=-1)
+    return ChainComplex(ring, spaces, diffs, shift=-1, memo=memo)
 
 
 def local_homology(X, ring, simplex, k):
@@ -52,8 +53,10 @@ def local_cohomology(X, ring, simplex, k):
 
 class LocalContext:
     """The local data of one complex over one ring, each piece built once:
-    the local chain complex at each simplex (with its invariant factors) and
-    the stalk presentations the sheaf views read.  Commands build one per
+    the local chain complex at each simplex, the stalk presentations the
+    sheaf views read, and `memo`, one factorization of each matrix these
+    and the link complexes eliminate (`matrices.factored`: the local
+    complexes come in few combinatorial types).  Commands build one per
     complex and drop it on return; views point at their context, never back,
     so no reference cycle keeps a context alive after its command."""
 
@@ -62,11 +65,13 @@ class LocalContext:
         self.ring = ring
         self._complexes = {}
         self._presentations = {}
+        self.memo = {}
 
     def complex(self, simplex):
         simplex = tuple(simplex)
         if simplex not in self._complexes:
-            self._complexes[simplex] = local_complex(self.X, self.ring, simplex)
+            self._complexes[simplex] = local_complex(self.X, self.ring,
+                                                     simplex, self.memo)
         return self._complexes[simplex]
 
     def presentation(self, simplex, n, dual):
@@ -76,8 +81,8 @@ class LocalContext:
         if key not in self._presentations:
             cx = self.complex(simplex)
             self._presentations[key] = (
-                CokerPresentation(self.ring, cx.differential(n).transpose())
-                if dual else cx.homology(n))
+                CokerPresentation(self.ring, cx.differential(n).transpose(),
+                                  self.memo) if dual else cx.homology(n))
         return self._presentations[key]
 
 
@@ -89,7 +94,7 @@ def link_crosscheck(ctx, simplex):
     l = len(simplex) - 1
     local = ctx.complex(simplex)
     link = simplicial_chain_complex(ctx.X.link_complex(simplex), ctx.ring,
-                                    reduced=True)
+                                    reduced=True, memo=ctx.memo)
     return all(local.homology_summary(i) == link.homology_summary(i - l - 1)
                for i in range(-1, ctx.X.dim + 1))
 

@@ -224,7 +224,8 @@ class SNF:
 
     diagonals lists the nonzero invariant factors d_1 | d_2 | ... (canonical
     associates); rank = len(diagonals).  Each transform is given either as a
-    `Matrix` or as a function returning one; a function is called the first
+    `Matrix` or as a function that builds one on its labels (M's rows for U
+    and U^-1, its columns for V and V^-1); a function is called the first
     time its transform is read, and only then.  `keep` drops the others, so
     a holder keeps only the transforms it reads.
     """
@@ -244,7 +245,9 @@ class SNF:
     def _transform(self, name):
         t = self._transforms[name]
         if not isinstance(t, Matrix):
-            t = self._transforms[name] = t()
+            M = self.matrix
+            t = self._transforms[name] = t(
+                M.row_labels if name.startswith("U") else M.col_labels)
         return t
 
     U = property(lambda self: self._transform("U"))
@@ -299,6 +302,9 @@ def smith_normal_form(M):
     - the row pass leaves column t clear below the pivot and the column pass
       leaves row t clear, so neither is rescanned: only a gcd step on
       columns refills column t;
+    - rows above t are zero in columns t.. and row t is clear but for the
+      pivot when it is scaled, so column operations and swaps run over rows
+      t.. only, and the scaling multiplies the pivot alone;
     - swaps exchange list entries;
     - the transforms start as the identity and are stored sparsely, U and
       V^-1 by rows, U^-1 and V by columns, so every operation on them runs
@@ -338,18 +344,52 @@ def smith_normal_form(M):
                 index[labels[j]] = nonzeros
         return Matrix(ring, labels, labels)._with_columns(index)
 
-    rows, cols = M.row_labels, M.col_labels
     if not M.entries:
         def identity(labels):
             one = ring.one()
             return by_columns(labels, [{i: one} for i in range(len(labels))])
 
-        return SNF(M, lambda: identity(rows), lambda: identity(rows),
-                   lambda: identity(cols), lambda: identity(cols), [])
+        return SNF(M, identity, identity, identity, identity, [])
     diagonals, (U, UinvT, VT, Vinv) = _eliminate(M, True)
-    return SNF(M, lambda: by_rows(rows, U), lambda: by_columns(rows, UinvT),
-               lambda: by_columns(cols, VT), lambda: by_rows(cols, Vinv),
-               diagonals)
+    return SNF(M, lambda rows: by_rows(rows, U),
+               lambda rows: by_columns(rows, UinvT),
+               lambda cols: by_columns(cols, VT),
+               lambda cols: by_rows(cols, Vinv), diagonals)
+
+
+def _positions(M):
+    """M's shape and its entries by position: all that `_eliminate` reads."""
+    row, col = M.row_index, M.col_index
+    return M.shape, frozenset([(row[r], col[c], v)
+                               for (r, c), v in M.entries.items()])
+
+
+def factored(memo, M):
+    """`smith_normal_form(M)` through `memo`, which maps `_positions` to an
+    SNF or, from `factors`, to invariant factors (None: no memo).
+
+    A hit is exact: the elimination reads M only by position, and entries
+    are canonical for each ring, so the stored diagonals and transforms are
+    those M would give, up to labels.  The stored SNF is never read: each
+    caller gets a fresh one on M whose transforms are built on M's labels
+    from the stored elimination, so its `keep` leaves the stored one whole."""
+    if memo is None:
+        return smith_normal_form(M)
+    key = _positions(M)
+    s = memo.get(key)
+    if not isinstance(s, SNF):
+        s = memo[key] = smith_normal_form(M)
+    return SNF(M, diagonals=s.diagonals, **s._transforms)
+
+
+def factors(memo, M):
+    """`invariant_factors(M)` through `memo` (see `factored`), read off a
+    stored SNF when there is one.  The list is shared: read it only."""
+    key = _positions(M)
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = invariant_factors(M)
+    return s.diagonals if isinstance(s, SNF) else s
 
 
 def invariant_factors(M):
@@ -402,7 +442,7 @@ def _eliminate(M, track):
 
     def col_transform(i, j, a, b, c, d):
         # det 1; V^-1 gets the inverse [[d, -c], [-b, a]] on rows i, j
-        for row in A:
+        for row in A[i:]:
             ci, cj = row[i], row[j]
             row[i] = add(mul(a, ci), mul(b, cj))
             row[j] = add(mul(c, ci), mul(d, cj))
@@ -442,7 +482,7 @@ def _eliminate(M, track):
                 U[t], U[pi] = U[pi], U[t]
                 UinvT[t], UinvT[pi] = UinvT[pi], UinvT[t]
         if pj != t:
-            for row in A:
+            for row in A[t:]:
                 row[t], row[pj] = row[pj], row[t]
             if track:
                 VT[t], VT[pj] = VT[pj], VT[t]
@@ -506,7 +546,7 @@ def _eliminate(M, track):
             row_transform(t, offender, one, one, zero, one)
         u = ring.canonical_unit(A[t][t])
         if not ring.is_zero(ring.sub(u, one)):
-            A[t] = [mul(u, x) for x in A[t]]
+            A[t][t] = mul(u, A[t][t])
             if track:
                 U[t] = {k: mul(u, x) for k, x in U[t].items()}
                 uinv = ring.inv(u)

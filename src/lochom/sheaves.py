@@ -175,12 +175,16 @@ class DictSheaf(Sheaf):
 
 # -- chain complexes ----------------------------------------------------------
 
-def simplicial_chain_complex(X, ring, region=REGION_X, reduced=False):
-    """Plain simplicial chains of a region, boundary drops faces outside it.
-    Basis labels are the simplices themselves.  `reduced` adds the empty
-    simplex () in degree -1, the augmentation of X or of a sub region."""
+def simplicial_chain_complex(X, ring, region=REGION_X, reduced=False,
+                             memo=None):
+    """Plain simplicial chains of a region, boundary drops faces outside it,
+    factored through `memo` (`ChainComplex`).  Basis labels are the
+    simplices themselves.  `reduced` adds the empty simplex () in degree -1,
+    the augmentation of X or of a sub region (a rel region has none)."""
     spaces = {k: region_simplices(X, region, k) for k in range(X.dim + 1)}
     if reduced:
+        if region[0] == "rel":
+            raise ValueError("a relative chain complex has no augmentation")
         spaces[-1] = ((),)
     diffs = {}
     for k in range(X.dim + 1):
@@ -194,7 +198,7 @@ def simplicial_chain_complex(X, ring, region=REGION_X, reduced=False):
                     entries[(f, s)] = ring.from_int((-1) ** j)
         if spaces[k]:
             diffs[k] = Matrix(ring, tgt, spaces[k], entries)
-    return ChainComplex(ring, spaces, diffs, shift=-1)
+    return ChainComplex(ring, spaces, diffs, shift=-1, memo=memo)
 
 
 def simplicial_cochain_complex(X, ring, region=REGION_X):

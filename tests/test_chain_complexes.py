@@ -84,7 +84,7 @@ def every_built_complex(X, ring, L):
     for region in (REGION_X, region_sub(L), region_rel(L)):
         yield simplicial_chain_complex(X, ring, region)
         if region[0] != "rel":
-            # a relative region has no augmentation
+            # a relative region has no augmentation (refused, see below)
             yield simplicial_chain_complex(X, ring, region, reduced=True)
         yield simplicial_cochain_complex(X, ring, region)
         yield sheaf_cochain_complex(LocalHomologySheaf(ctx, X.dim), region)
@@ -112,13 +112,13 @@ def _flip_one_sign(monkeypatch, module, degree):
     `degree`: the first, in the order the builder wrote them."""
     built = module.ChainComplex
 
-    def with_one_sign_flipped(ring, spaces, diffs, shift):
+    def with_one_sign_flipped(ring, spaces, diffs, *args, **kwargs):
         d = diffs[degree]
         key = next(iter(d.entries))
         entries = {**d.entries, key: ring.neg(d.entries[key])}
         diffs = {**diffs, degree: Matrix(ring, d.row_labels, d.col_labels,
                                          entries)}
-        return built(ring, spaces, diffs, shift=shift)
+        return built(ring, spaces, diffs, *args, **kwargs)
 
     monkeypatch.setattr(module, "ChainComplex", with_one_sign_flipped)
 
@@ -140,3 +140,13 @@ def test_d_squared_check_names_the_degree_of_a_flipped_sign(
     with pytest.raises(AssertionError,
                        match=rf"^d∘d != 0 at degree {dual_named}\b"):
         assert_is_complex(cx.dual())
+
+
+def test_reduced_chains_of_a_rel_region_are_refused():
+    # an edge with one vertex in L keeps the other in the rel region, which
+    # an augmentation would send to (): d0∘d1 would not be zero
+    X = sphere2()
+    with pytest.raises(ValueError, match="^a relative chain complex has no "
+                       "augmentation$"):
+        simplicial_chain_complex(X, ZZ, region_rel(Subcomplex(X, [0])),
+                                 reduced=True)

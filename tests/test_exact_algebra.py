@@ -320,24 +320,33 @@ def test_kernel_coordinates_match_solve_against_the_kernel_matrix(ring):
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
 def test_homology_factors_two_matrices(monkeypatch, ring):
     # the SNF of d_out gives the kernel basis and the cycle coordinates; the
-    # other SNF is of the relations of the cokernel
-    shapes = []
-    factor = matrices.smith_normal_form
+    # other SNF is of the relations of the cokernel.  Both go through the
+    # complex's memo, so no matrix is eliminated twice per complex: the
+    # relations of a degree whose d_out is zero are d_in by position
+    asked, eliminated = [], []
+    factor, eliminate = homology.factored, matrices.smith_normal_form
 
-    def counted(M):
-        shapes.append(M.shape)
-        return factor(M)
+    def counted(memo, M, *args):
+        asked.append(M.shape)
+        return factor(memo, M, *args)
 
-    monkeypatch.setattr(matrices, "smith_normal_form", counted)
-    monkeypatch.setattr(homology, "smith_normal_form", counted)
-    nonempty_kernels = 0
+    def recorded(M, *args):
+        eliminated.append(matrices._positions(M))
+        return eliminate(M, *args)
+
+    monkeypatch.setattr(homology, "factored", counted)
+    monkeypatch.setattr(matrices, "smith_normal_form", recorded)
+    nonempty_kernels = hits = 0
     for cx in fixture_and_local_complexes(ring):
+        eliminated.clear()
         for k in cx.degrees():
-            shapes.clear()
+            asked.clear()
             h = cx.homology(k)
-            assert len(shapes) == 2, (k, shapes)
+            assert len(asked) == 2, (k, asked)
             nonempty_kernels += bool(h.cycles)
-    assert nonempty_kernels
+        assert len(set(eliminated)) == len(eliminated)
+        hits += 2 * len(cx.degrees()) - len(eliminated)
+    assert nonempty_kernels and hits
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)

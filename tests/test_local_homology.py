@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from lochom import (cli, homology, localhomology, sectionsduality,
+from lochom import (cli, localhomology, matrices, sectionsduality,
                     simplicialmaps)
 from lochom.cli import main
 from lochom.complexes import Subcomplex
@@ -80,7 +80,7 @@ def test_local_command_factors_once_and_presents_only_degree_n(
         monkeypatch, tmp_path, name, n):
     degrees, built, factored = [], [0], {}
     present, init = ChainComplex.homology, HomologyPresentation.__init__
-    factors = homology.invariant_factors
+    factors = matrices.invariant_factors
 
     def counted_homology(self, deg):
         degrees.append(deg)
@@ -90,15 +90,15 @@ def test_local_command_factors_once_and_presents_only_degree_n(
         built[0] += 1
         init(self, *args)
 
-    def counted_factors(M):
+    def counted_factors(M, *args):
         if _is_local_differential(M):
             key = (M.row_labels, M.col_labels)
             factored[key] = factored.get(key, 0) + 1
-        return factors(M)
+        return factors(M, *args)
 
     monkeypatch.setattr(ChainComplex, "homology", counted_homology)
     monkeypatch.setattr(HomologyPresentation, "__init__", counted_init)
-    monkeypatch.setattr(homology, "invariant_factors", counted_factors)
+    monkeypatch.setattr(matrices, "invariant_factors", counted_factors)
     base = ["local", "--complex", os.path.join(FIXDIR, f"{name}.cplx"),
             "--out", str(tmp_path / "report.json")]
     for extra in ([], ["--dim", str(n)]):
@@ -112,6 +112,28 @@ def test_local_command_factors_once_and_presents_only_degree_n(
         assert factored and max(factored.values()) == 1
 
 
+@pytest.mark.parametrize("item", ["1ai", "2bii"])
+def test_duality_on_sd_torus_eliminates_32_matrices(monkeypatch, tmp_path,
+                                                     item):
+    # sd(torus)'s 252 local complexes come in few combinatorial types, a
+    # stalk's d_n is the one the CM check factored, and a relation matrix
+    # can equal a boundary by position: each owner's memo eliminates each
+    # matrix once (389 eliminations for either item without the memo; 2bii
+    # reads the cosheaf, whose stalk cokernels factor through the memo too)
+    runs = [0]
+    eliminate = matrices._eliminate
+
+    def counted(M, track):
+        runs[0] += 1
+        return eliminate(M, track)
+
+    monkeypatch.setattr(matrices, "_eliminate", counted)
+    assert main(["duality", "--item", item, "--ring", "z", "--complex",
+                 os.path.join(FIXDIR, "sd_torus.cplx"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert runs[0] == 32
+
+
 def _record_local_presentations(monkeypatch):
     """Record each presentation built on local generators as (complex
     identity, simplex, degree, kind).  A local presentation's generators are
@@ -123,8 +145,8 @@ def _record_local_presentations(monkeypatch):
     coker_init = CokerPresentation.__init__
     homology_init = HomologyPresentation.__init__
 
-    def recorded_complex(X, ring, simplex):
-        cx = build(X, ring, simplex)
+    def recorded_complex(X, ring, simplex, *args):
+        cx = build(X, ring, simplex, *args)
         alive.append((X, cx))  # keeps every id in owner unique
         for k, basis in cx.spaces.items():
             owner[id(basis)] = (id(X), tuple(simplex), k)
@@ -132,15 +154,15 @@ def _record_local_presentations(monkeypatch):
             owner[id(d.col_labels)] = (id(X), tuple(simplex), k)
         return cx
 
-    def recorded_coker(self, ring, relations):
+    def recorded_coker(self, ring, relations, *args):
         if id(relations.row_labels) in owner:
             built.append((*owner[id(relations.row_labels)], "cokernel"))
-        coker_init(self, ring, relations)
+        coker_init(self, ring, relations, *args)
 
-    def recorded_homology(self, ring, d_out, d_in):
+    def recorded_homology(self, ring, d_out, d_in, *args):
         if id(d_out.col_labels) in owner:
             built.append((*owner[id(d_out.col_labels)], "homology"))
-        homology_init(self, ring, d_out, d_in)
+        homology_init(self, ring, d_out, d_in, *args)
 
     monkeypatch.setattr(localhomology, "local_complex", recorded_complex)
     monkeypatch.setattr(CokerPresentation, "__init__", recorded_coker)

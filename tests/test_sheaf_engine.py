@@ -10,7 +10,7 @@ from lochom.complexes import Subcomplex
 from lochom.fixtures import FIXTURES, circle3, sphere2, triangle
 from lochom.io import parse_sheaf, serialize_sheaf
 from lochom.localhomology import (LocalCohomologyCosheaf, LocalContext,
-                                  LocalHomologySheaf)
+                                  LocalHomologySheaf, link_crosscheck)
 from lochom import matrices
 from lochom.matrices import Matrix
 from lochom.rings import GF, QQ, ZZ
@@ -71,10 +71,10 @@ def test_sections_factor_the_degree_zero_coboundary_once(monkeypatch):
     d0 = sheaf_cochain_complex(F).differential(0)
     factor, factored = matrices.smith_normal_form, []
 
-    def counted(M):
+    def counted(M, *args):
         if (M.row_labels, M.col_labels) == (d0.row_labels, d0.col_labels):
             factored.append(M.shape)
-        return factor(M)
+        return factor(M, *args)
 
     for name, mod in list(sys.modules.items()):
         if (name.startswith("lochom")
@@ -175,17 +175,21 @@ def test_local_homology_sheaf_and_cosheaf_are_functorial(name, ring):
 
 def test_a_context_is_freed_without_the_cycle_collector():
     # the sheaf views point at their context and never back, so dropping the
-    # last reference frees the context, and the presentations it holds, at
-    # once rather than at the next cyclic collection
+    # last reference frees the context, and the presentations and the
+    # factorizations it holds, at once rather than at the next cyclic
+    # collection; a presentation's SNF points at no stored one
     ctx = LocalContext(sphere2(), ZZ)
     h0 = sections(LocalHomologySheaf(ctx, 2))
     assert h0.free_rank == 1 and not h0.torsion
     assert cosheaf_chain_complex(LocalCohomologyCosheaf(ctx, 2)).basis(2)
-    ref = weakref.ref(ctx)
+    assert link_crosscheck(ctx, (0,))
+    refs = [weakref.ref(ctx)] + [weakref.ref(s) for s in ctx.memo.values()
+                                 if isinstance(s, matrices.SNF)]
+    assert len(refs) > 1
     gc.disable()
     try:
         del ctx
-        assert ref() is None
+        assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

@@ -3,7 +3,9 @@
 Both must pick the same pivots and perform the same elementary operations,
 so every output (diagonals, U, U^-1, V, V^-1) must agree entry for entry,
 in value, type and entry order.  The factors-only path, `invariant_factors`,
-must return the reference's diagonals in value, type and order.
+must return the reference's diagonals in value, type and order.  A
+factorization read from a memo (`factored`, `factors`) must equal a fresh
+one in the same way.
 """
 
 import os
@@ -14,7 +16,10 @@ from hypothesis import strategies as st
 
 import snf_reference
 from lochom.complexes import parse_complex
-from lochom.matrices import Matrix, invariant_factors, smith_normal_form
+from lochom.fixtures import FIXTURES
+from lochom.localhomology import LocalContext
+from lochom.matrices import (Matrix, factored, factors, invariant_factors,
+                             smith_normal_form)
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import simplicial_chain_complex
 
@@ -87,14 +92,71 @@ def test_snf_matches_dense_reference_on_gcd_and_offender_cases(ring, rows):
     assert_matches_reference(integer_matrix(ring, rows, len(rows[0])))
 
 
-@pytest.mark.parametrize("name", ["rp6", "t4"])
-@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+# sd(rp6) and sd(torus) give 90x60 and 126x84 boundaries; the dense
+# reference takes about 30 s on sd(torus) over Q, so they run over Z and
+# GF(3) only: both scale pivots by a unit other than 1, as GF(2) never does
+@pytest.mark.parametrize("ring, name", [
+    *((ring, name) for name in ("rp6", "t4") for ring in RINGS),
+    *((ring, name) for name in ("sd_rp6", "sd_torus") for ring in (ZZ, GF(3)))],
+    ids=lambda x: getattr(x, "name", x))
 def test_snf_matches_dense_reference_on_fixture_boundaries(ring, name):
     with open(os.path.join(FIXDIR, name + ".cplx"), encoding="utf-8") as fh:
         X = parse_complex(fh.read())
     for reduced in (False, True):
         cx = simplicial_chain_complex(X, ring, reduced=reduced)
-        for k in range(0, X.dim + 1):
+        # the augmentation changes d_0 alone
+        for k in range(0, 1 if reduced else X.dim + 1):
             d = cx.differential(k)
             assert_matches_reference(d)
             assert_matches_reference(d.transpose())
+
+
+def test_memo_tells_apart_matrices_that_differ_only_in_shape():
+    # equal entries by position, different zero rows or columns
+    memo = {}
+    for rows in ([[2]], [[2], [0]], [[2, 0]], [[2, 0], [0, 0]]):
+        M = integer_matrix(ZZ, rows, len(rows[0]))
+        assert snf_fingerprint(factored(memo, M)) == \
+            snf_fingerprint(smith_normal_form(M))
+    assert len(memo) == 4
+
+
+def _read(name):
+    if name in FIXTURES:
+        return FIXTURES[name]()
+    with open(os.path.join(FIXDIR, name + ".cplx"), encoding="utf-8") as fh:
+        return parse_complex(fh.read())
+
+
+def memo_owners(X, ring):
+    """Each memo with the complexes that factor through it: a context's
+    local and link complexes, and the global chains (the cochains are their
+    dual, whose differentials are the transposes)."""
+    ctx = LocalContext(X, ring)
+    yield ctx.memo, [cx for s in X.all_simplices() for cx in (
+        ctx.complex(s), simplicial_chain_complex(
+            X.link_complex(s), ring, reduced=True, memo=ctx.memo))]
+    chains = simplicial_chain_complex(X, ring)
+    yield chains.memo, [chains]
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "sd_rp6", "sd_torus"])
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), GF(3)), ids=lambda r: r.name)
+def test_memo_hits_equal_a_fresh_factorization(ring, name):
+    X = _read(name)
+    for memo, complexes in memo_owners(X, ring):
+        mats = [M for cx in complexes for d in cx.diffs.values()
+                for M in (d, d.transpose())]
+        fresh = [smith_normal_form(M) for M in mats]
+        # first the factors alone: stored, or read off stored factors
+        for M, s in zip(mats, fresh):
+            assert factors_fingerprint(factors(memo, M)) == \
+                factors_fingerprint(s.diagonals)
+        # then the full forms: stored, or a stored SNF on M's labels; and
+        # the factors read off a stored SNF
+        for M, s in zip(mats, fresh):
+            assert snf_fingerprint(factored(memo, M)) == snf_fingerprint(s)
+            assert factors_fingerprint(factors(memo, M)) == \
+                factors_fingerprint(s.diagonals)
+        if len(complexes) > 1:
+            assert len(memo) < len(mats), "no local matrix repeats"
