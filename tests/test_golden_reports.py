@@ -26,7 +26,7 @@ MANIFEST = os.path.join(HERE, "golden_reports.json")
 FIXTURES = ("bowtie", "c3", "delta2", "hex", "rp6", "t4")
 # each fixture's dimension n, for `local --dim n`
 FIXTURE_DIMS = {"bowtie": 2, "c3": 1, "delta2": 2, "hex": 1, "rp6": 2,
-                "t4": 2}
+                "t4": 2, "sd_rp6": 2, "sd_torus": 2}
 RINGS = ("z", "q", "fp:2")
 COMMANDS = (("homology",), ("check-cm",), ("local",), ("sections",),
             ("duality", "--item", "1ai"), ("duality", "--item", "2ai"),
@@ -51,6 +51,8 @@ SD_FIXTURES = ("sd_rp6", "sd_torus")
 SD_RINGS = ("z", "fp:2")
 SD_COMMANDS = (("duality", "--item", "1ai"), ("check-cm",),
                ("local", "--dim", "2"))
+# `local --dim n` over a ring of another characteristic, on every fixture
+LOCAL_EXTRA_RING = "fp:3"
 
 
 def command_lines():
@@ -85,6 +87,15 @@ def command_lines():
             for command in SD_COMMANDS:
                 lines.append((*command, "--ring", ring,
                               "--complex", f"fixtures/{name}.cplx"))
+    # below the top degree uct.ok is false and the pairing is still computed
+    for name in FIXTURES:
+        for ring in RINGS:
+            lines.append(("local", "--dim", str(FIXTURE_DIMS[name] - 1),
+                          "--ring", ring, "--complex", f"fixtures/{name}.cplx"))
+    for name in FIXTURES + SD_FIXTURES:
+        lines.append(("local", "--dim", str(FIXTURE_DIMS[name]),
+                      "--ring", LOCAL_EXTRA_RING,
+                      "--complex", f"fixtures/{name}.cplx"))
     return lines
 
 
