@@ -9,8 +9,8 @@ stalks, presented as cokernels of the local coboundary, form a cosheaf.
 """
 
 from .homology import ChainComplex, CokerPresentation
-from .matrices import (Matrix, invariant_factors, kernel_basis, vec_clean,
-                       vec_dot)
+from .matrices import (Matrix, _positions, invariant_factors, kernel_basis,
+                       vec_clean, vec_dot)
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
 
@@ -54,11 +54,12 @@ def local_cohomology(X, ring, simplex, k):
 class LocalContext:
     """The local data of one complex over one ring, each piece built once:
     the local chain complex at each simplex, the stalk presentations the
-    sheaf views read, and `memo`, one factorization of each matrix these
-    and the link complexes eliminate (`matrices.factored`: the local
-    complexes come in few combinatorial types).  Commands build one per
-    complex and drop it on return; views point at their context, never back,
-    so no reference cycle keeps a context alive after its command."""
+    sheaf views read, `memo`, one factorization of each matrix these and
+    the link complexes eliminate (`matrices.factored`: the local complexes
+    come in few combinatorial types), and `pairings`, one `uct_report`
+    result per top local differential.  Commands build one per complex and
+    drop it on return; views point at their context, never back, so no
+    reference cycle keeps a context alive after its command."""
 
     def __init__(self, X, ring):
         self.X = X
@@ -66,6 +67,7 @@ class LocalContext:
         self._complexes = {}
         self._presentations = {}
         self.memo = {}
+        self.pairings = {}
 
     def complex(self, simplex):
         simplex = tuple(simplex)
@@ -243,30 +245,33 @@ class LocalCohomologyCosheaf(Cosheaf):
 def uct_report(ctx, simplex, n):
     """Evaluation pairing between top local cohomology and the dual of top
     local homology at one simplex: both must be free of equal rank with a
-    unimodular pairing matrix.  Only a degree-n cycle basis and the degree-n
-    cokernel presentation are built, and not kept (`local` reads each simplex
-    once); concentration and unimodularity read invariant factors alone."""
+    unimodular pairing matrix.  All but the concentration is read from d_n
+    alone, by eliminations that read it by position, so a hit in `pairings`,
+    one small result (no SNF) per d_n by position, is exact."""
     simplex = tuple(simplex)
     ring = ctx.ring
     cx = ctx.complex(simplex)
     concentrated = all(cx.homology_summary(k) == (0, [])
                        for k in range(0, ctx.X.dim + 1) if k != n)
-    cycles = kernel_basis(cx.differential(n))
-    pres = CokerPresentation(ring, cx.differential(n).transpose())
-    lifts = [pres.lift(i) for i in range(len(pres))]
-    factors = invariant_factors(Matrix(
-        ring, range(len(lifts)), range(len(cycles)),
-        {(i, j): vec_dot(ring, lift, z) for i, lift in enumerate(lifts)
-         for j, z in enumerate(cycles)}))
-    unimodular = (len(factors) == len(lifts) == len(cycles)
-                  and all(ring.is_unit(d) for d in factors))
-    ok = (concentrated and not pres.torsion
-          and len(cycles) == pres.free_rank and unimodular)
+    d_n = cx.differential(n)
+    key = _positions(d_n)
+    if key not in ctx.pairings:
+        cycles = kernel_basis(d_n)
+        pres = CokerPresentation(ring, d_n.transpose())
+        lifts = [pres.lift(i) for i in range(len(pres))]
+        factors = invariant_factors(Matrix(
+            ring, range(len(lifts)), range(len(cycles)),
+            {(i, j): vec_dot(ring, lift, z) for i, lift in enumerate(lifts)
+             for j, z in enumerate(cycles)}))
+        unimodular = (len(factors) == len(lifts) == len(cycles)
+                      and all(ring.is_unit(d) for d in factors))
+        ctx.pairings[key] = (len(cycles), pres.rank_summary, unimodular)
+    h_rank, (free, torsion), unimodular = ctx.pairings[key]
     return {
         "simplex": simplex,
         "locally_cm_here": concentrated,
-        "h_rank": len(cycles),
-        "h_dual_summary": pres.rank_summary,
+        "h_rank": h_rank,
+        "h_dual_summary": (free, list(torsion)),
         "pairing_unimodular": unimodular,
-        "ok": ok,
+        "ok": concentrated and not torsion and h_rank == free and unimodular,
     }

@@ -9,7 +9,7 @@ import pytest
 from lochom import (cli, localhomology, matrices, sectionsduality,
                     simplicialmaps)
 from lochom.cli import main
-from lochom.complexes import Subcomplex
+from lochom.complexes import SimplicialComplex, Subcomplex
 from lochom.fixtures import (FIXTURES, bowtie, circle3, hexagon, rp2_six,
                              sphere2, triangle)
 from lochom.homology import (ChainComplex, CokerPresentation,
@@ -19,6 +19,7 @@ from lochom.localhomology import (LocalContext, cm_check, link_crosscheck,
                                   local_complex, local_homology, uct_report)
 from lochom.rings import GF, QQ, ZZ
 from lochom.simplicialmaps import SimplicialMap, verify_naturality
+from test_chain_complexes import COMPLEXES
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -132,6 +133,70 @@ def test_duality_on_sd_torus_eliminates_32_matrices(monkeypatch, tmp_path,
                  os.path.join(FIXDIR, "sd_torus.cplx"),
                  "--out", str(tmp_path / "report.json")]) == 0
     assert runs[0] == 32
+
+
+def test_local_dim_2_on_sd_torus_eliminates_53_matrices(monkeypatch,
+                                                        tmp_path):
+    # the UCT pairing is evaluated once per distinct top local differential
+    # (`LocalContext.pairings`); paired afresh at each of the 252 simplices
+    # it took 610 eliminations
+    runs = [0]
+    eliminate = matrices._eliminate
+
+    def counted(M, track):
+        runs[0] += 1
+        return eliminate(M, track)
+
+    monkeypatch.setattr(matrices, "_eliminate", counted)
+    assert main(["local", "--dim", "2", "--ring", "z", "--complex",
+                 os.path.join(FIXDIR, "sd_torus.cplx"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert runs[0] == 53
+
+
+# the top local differentials at vertices 0 and 5 have one shape, 4 x 3,
+# and kernels of ranks 1 (link: a triangle and a point) and 0 (a path)
+CONE_AND_FAN = [[0, 1, 2], [0, 2, 3], [0, 1, 3], [0, 4], [5, 6, 7], [5, 7, 8],
+                [5, 8, 9]]
+# the fixtures, sd(rp6), sd(torus) and eight seeded random complexes
+UCT_COMPLEXES = {**COMPLEXES,
+                 "cone_and_fan": lambda: SimplicialComplex(CONE_AND_FAN)}
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), GF(3)), ids=lambda r: r.name)
+@pytest.mark.parametrize("name", sorted(UCT_COMPLEXES))
+def test_uct_report_through_one_context_equals_a_fresh_one(name, ring):
+    X = UCT_COMPLEXES[name]()
+    for n in (X.dim, X.dim - 1):
+        shared = LocalContext(X, ring)
+        for s in X.all_simplices():
+            assert (uct_report(shared, s, n)
+                    == uct_report(LocalContext(X, ring), s, n)), (s, n)
+
+
+@pytest.mark.parametrize("name", ["c3", "hex", "rp6", "t4", "sd_rp6",
+                                  "sd_torus"])
+def test_a_broken_pairing_fails_at_every_simplex_on_both_paths(
+        monkeypatch, name):
+    # every top stalk of a closed pseudomanifold is nonzero, so a doubled
+    # evaluation pairing has an even invariant factor everywhere: a cached
+    # result must carry that failure to every simplex that hits it
+    X = UCT_COMPLEXES[name]()
+
+    def reports():
+        shared = LocalContext(X, ZZ)
+        return [(uct_report(shared, s, X.dim),
+                 uct_report(LocalContext(X, ZZ), s, X.dim))
+                for s in X.all_simplices()]
+
+    assert all(a["pairing_unimodular"] and b["pairing_unimodular"]
+               for a, b in reports())
+    dot = localhomology.vec_dot
+    monkeypatch.setattr(localhomology, "vec_dot",
+                        lambda ring, u, v: 2 * dot(ring, u, v))
+    for a, b in reports():
+        assert a == b
+        assert not a["pairing_unimodular"] and not a["ok"], a["simplex"]
 
 
 def _record_local_presentations(monkeypatch):
