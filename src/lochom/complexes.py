@@ -60,9 +60,6 @@ class SimplicialComplex:
         return tuple(self.pos[v] for v in simplex)
 
     # -- basic access ------------------------------------------------------
-    def vertices(self):
-        return tuple(v for v in self.order if (v,) in self._simplices)
-
     def canon(self, vs):
         vs = list(vs)
         if len(set(vs)) != len(vs):
@@ -171,11 +168,6 @@ class Subcomplex:
 
     def simplices(self, k):
         return tuple(s for s in self.parent.simplices(k) if self.contains(s))
-
-    def all_simplices(self):
-        for s in self.parent.all_simplices():
-            if self.contains(s):
-                yield s
 
     def vertices(self):
         return tuple(v for v in self.parent.order if v in self.vertex_set

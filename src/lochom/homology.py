@@ -46,7 +46,7 @@ class ChainComplex:
     def differential(self, deg):
         if deg in self.diffs:
             return self.diffs[deg]
-        return Matrix.zero(self.ring, self.basis(deg + self.shift), self.basis(deg))
+        return Matrix(self.ring, self.basis(deg + self.shift), self.basis(deg))
 
     def homology(self, deg):
         d_out = self.differential(deg)

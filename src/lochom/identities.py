@@ -21,7 +21,7 @@ from .matrices import vec_add, vec_clean, vec_eq, vec_sub
 from .mv import (MVDoubleComplex, c_dual, c_dual_reversed,
                  cap_fundamental_v1, degree_matrices, fundamental_class,
                  pair_dual, project_stalks)
-from .sheaves import in_region, region_rel, region_sub
+from .sheaves import in_region, region_rel, region_simplices, region_sub
 
 
 def _pairs_with_tops(X):
@@ -84,9 +84,6 @@ def mv_identity_sweep(X, L, ring, max_witnesses=3):
     checked = 0
     witnesses = []
 
-    def fail(tag, gen):
-        witnesses.append((tag, gen))
-
     for q in range(X.dim + 1):
         for gen in D.diagonal_basis(q):
             sigma, alpha = gen
@@ -94,13 +91,13 @@ def mv_identity_sweep(X, L, ring, max_witnesses=3):
             one = {gen: ring.one()}
             checked += 1
             if vec_clean(ring, D.total_d(D.total_d(one))):
-                fail("d_total^2", gen)
+                witnesses.append(("d_total^2", gen))
             # splitting of the horizontal extension by the lift
             comb = vec_add(ring, D.lambda_lift(D.horizontal_i(one)),
                            D.horizontal_i(D.lambda_lift(one)))
             if l > 0:
                 if not vec_eq(ring, comb, one):
-                    fail("lift_splits_extension", gen)
+                    witnesses.append(("lift_splits_extension", gen))
             # the powers 1..m of the diagonal shift, each one shift of the last
             powers = [D.diagonal_shift(one)]
             while len(powers) < m:
@@ -108,45 +105,43 @@ def mv_identity_sweep(X, L, ring, max_witnesses=3):
             # diagonal shift against its closed form
             if not vec_eq(ring, powers[0],
                           D.diagonal_shift_closed(sigma, alpha)):
-                fail("shift_closed_form", gen)
+                witnesses.append(("shift_closed_form", gen))
             # powers against closed forms
             for p in range(1, l + 1):
                 if not vec_eq(ring, powers[p - 1],
                               D.diagonal_shift_low_closed(sigma, alpha, p)):
-                    fail(f"shift_power_{p}_low", gen)
+                    witnesses.append((f"shift_power_{p}_low", gen))
             high = D.diagonal_shift_high_closed(sigma, alpha)
             for p in range(l + 1, m + 1):
                 if not vec_eq(ring, powers[p - 1], high):
-                    fail(f"shift_power_{p}_high", gen)
+                    witnesses.append((f"shift_power_{p}_high", gen))
             # idempotence of the top power and the kernel property
             top = powers[m - 1]
             if not vec_eq(ring, D.diagonal_shift_power(top, m), top):
-                fail("top_power_idempotent", gen)
+                witnesses.append(("top_power_idempotent", gen))
             if vec_clean(ring, D.horizontal_i(top)):
-                fail("top_power_in_kernel", gen)
+                witnesses.append(("top_power_in_kernel", gen))
             # explicit homotopy to the identity
             hom = vec_add(ring, D.total_d(D.homotopy_to_identity(one)),
                           D.homotopy_to_identity(D.total_d(one)))
             if not vec_eq(ring, vec_sub(ring, one, top), hom):
-                fail("homotopy_to_identity", gen)
+                witnesses.append(("homotopy_to_identity", gen))
             # zeroth column: augmentation after collapse
             if l == 0:
                 lhs = D.epsilon(D.kappa(one))
                 rhs = vec_sub(ring, one,
                               D.lambda_lift(D.horizontal_i(one)))
                 if not vec_eq(ring, lhs, rhs):
-                    fail("augment_after_collapse", gen)
+                    witnesses.append(("augment_after_collapse", gen))
     # collapse after augmentation is the identity on relative chains
     lvc = D.L.vertex_complement()
     rel = region_rel(lvc)
     for k in range(X.dim + 1):
-        for alpha in X.simplices(k):
-            if not in_region(X, rel, alpha):
-                continue
+        for alpha in region_simplices(X, rel, k):
             checked += 1
             one = {alpha: ring.one()}
             if not vec_eq(ring, D.kappa(D.epsilon(one)), one):
-                fail("collapse_after_augment", alpha)
+                witnesses.append(("collapse_after_augment", alpha))
     return {"checked": checked, "witnesses": witnesses[:max_witnesses],
             "ok": not witnesses, "power": m}
 
@@ -163,9 +158,7 @@ def collapse_suite(X, L, ring, max_witnesses=3):
     lvc = D.L.vertex_complement()
     rel = region_rel(lvc)
     for k in range(X.dim + 1):
-        for alpha in X.simplices(k):
-            if not in_region(X, rel, alpha):
-                continue
+        for alpha in region_simplices(X, rel, k):
             checked += 1
             one = {alpha: ring.one()}
             if not vec_eq(ring, D.c_map(D.epsilon(one)), one):
@@ -195,9 +188,7 @@ def collapse_suite(X, L, ring, max_witnesses=3):
             witnesses.append(("augment_chain_map", q))
     # evaluation duality of the dual collapse
     for q in range(X.dim + 1):
-        for tau in X.simplices(q):
-            if not in_region(X, rel, tau):
-                continue
+        for tau in region_simplices(X, rel, q):
             dual = c_dual(D, {tau: ring.one()}, q)
             for gen in D.diagonal_basis(q):
                 checked += 1
@@ -242,9 +233,7 @@ def collapse_vs_cap(X, L, ring, max_witnesses=3):
     rel = region_rel(L)
     sub_lvc = region_sub(lvc)
     for l in range(n + 1):
-        for tau in X.simplices(l):
-            if not in_region(X, rel, tau):
-                continue
+        for tau in region_simplices(X, rel, l):
             checked += 1
             psi = {tau: ring.one()}
             via_dual = c_dual_reversed(X, lvc, ring, psi, l)

@@ -112,10 +112,6 @@ class Matrix:
         return (len(self.row_labels), len(self.col_labels))
 
     @classmethod
-    def zero(cls, ring, row_labels, col_labels):
-        return cls(ring, row_labels, col_labels)
-
-    @classmethod
     def identity(cls, ring, labels):
         labels = tuple(labels)
         return cls(ring, labels, labels, {(l, l): ring.one() for l in labels})
@@ -126,8 +122,7 @@ class Matrix:
         entries = {}
         for j, col in enumerate(columns):
             for r, val in col.items():
-                if not ring.is_zero(val):
-                    entries[(r, col_labels[j])] = val
+                entries[(r, col_labels[j])] = val
         return cls(ring, row_labels, col_labels, entries)
 
     def to_dense(self):

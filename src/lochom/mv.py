@@ -26,7 +26,7 @@ from .homology import (ChainComplex, induced_matrix, is_isomorphism,
                        maps_agree)
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, local_cm_check)
-from .matrices import Matrix, vec_add, vec_clean, vec_scale, vec_sub
+from .matrices import Matrix, vec_add, vec_clean, vec_sub
 from .sheaves import (cosheaf_chain_complex, region_rel, region_sub,
                       sheaf_cochain_complex, simplicial_chain_complex,
                       simplicial_cochain_complex)
@@ -101,18 +101,11 @@ class MVDoubleComplex:
         return vec_clean(ring, out)
 
     def total_d(self, chain):
-        """(-1)^(k-l) * vertical + horizontal, applied generator-wise."""
+        """(-1)^(k-l) * vertical + horizontal."""
         ring = self.ring
-        out = {}
-        for (sigma, alpha), v in chain.items():
-            k, l = len(alpha) - 1, len(sigma) - 1
-            sign = ring.from_int((-1) ** (k - l))
-            piece = vec_add(
-                ring,
-                vec_scale(ring, sign, self.vertical_d({(sigma, alpha): v})),
-                self.horizontal_i({(sigma, alpha): v}))
-            out = vec_add(ring, out, piece)
-        return out
+        twisted = {(s, a): ring.mul(ring.from_int((-1) ** (len(a) - len(s))), v)
+                   for (s, a), v in chain.items()}
+        return vec_add(ring, self.vertical_d(twisted), self.horizontal_i(chain))
 
     # -- splitting maps ------------------------------------------------------
     def lambda_lift(self, chain):
@@ -434,7 +427,7 @@ def _chain_level_commutes(src, tgt, matrices, n, ring):
         lhs = tgt.differential(n - l) @ m
         m_next = matrices.get(l + 1)
         if m_next is None:
-            m_next = Matrix.zero(ring, tgt.basis(n - l - 1), src.basis(l + 1))
+            m_next = Matrix(ring, tgt.basis(n - l - 1), src.basis(l + 1))
         rhs = (m_next @ src.differential(l)).scale(
             ring.from_int((-1) ** (n - l)))
         if not (lhs - rhs).is_zero():

@@ -34,9 +34,6 @@ class Ring:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def is_zero(self, a):
-        return a == self.zero()
-
     def is_unit(self, a):
         raise NotImplementedError
 

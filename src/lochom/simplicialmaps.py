@@ -17,14 +17,14 @@ from .complexes import Subcomplex, perm_sign
 from .homology import maps_agree
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, local_cm_check)
-from .matrices import Matrix, vec_clean
+from .matrices import Matrix, vec_clean, vec_sub
 from .mv import (degree_matrices, duality_map_matrices, fundamental_class,
                  project_stalks)
 
 
 class SimplicialMap:
-    """A simplicial vertex map between oriented complexes with cached simplex
-    images, fibres and orientation indices."""
+    """Simplicial vertex map between oriented complexes: images and fibres are
+    cached, but `fiber` re-sorts and `ind` recomputes its sign on each call."""
 
     def __init__(self, source, target, vertex_map):
         self.source = source
@@ -228,10 +228,7 @@ def naturality_defect_v1(f, cert, ring, s, b, t, c):
     lhs_chain = cap_v1(ring, shriek_up(f, cert, xi, ring), phi, l)
     lhs = pushforward_chain(f, lhs_chain, ring)
     rhs = cap_v1(ring, xi, shriek_down(f, phi, ring), l)
-    out = dict(lhs)
-    for key, v in rhs.items():
-        out[key] = ring.sub(out.get(key, ring.zero()), v)
-    return vec_clean(ring, out)
+    return vec_sub(ring, lhs, rhs)
 
 
 def naturality_defect_v2(f, cert, ring, s, b, t):
@@ -246,10 +243,7 @@ def naturality_defect_v2(f, cert, ring, s, b, t):
     lhs = cap_v2(ring, shriek_up(f, cert, xi, ring),
                  pullback_cochain(f, psi, ring), l)
     rhs = shriek_up(f, cert, cap_v2(ring, xi, psi, l), ring)
-    out = dict(lhs)
-    for key, v in rhs.items():
-        out[key] = ring.sub(out.get(key, ring.zero()), v)
-    return vec_clean(ring, out)
+    return vec_sub(ring, lhs, rhs)
 
 
 # -- naturality of the duality isomorphisms -----------------------------------

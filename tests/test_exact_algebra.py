@@ -251,6 +251,38 @@ def test_induced_zero_map_not_isomorphism():
     assert not is_isomorphism(h1, h1, m)
 
 
+def _free_presentation(ring, labels):
+    """Homology of free modules on `labels` with no differentials: one free
+    generator per label."""
+    return HomologyPresentation(ring, Matrix(ring, (), labels),
+                                Matrix(ring, labels, ()))
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(2)), ids=lambda r: r.name)
+def test_a_projection_with_a_free_kernel_is_not_an_isomorphism(ring):
+    # R^2 -> R onto the first coordinate is onto, so only the kernel test
+    # can refuse it: the second generator is free and maps to zero
+    src = _free_presentation(ring, ("a", "b"))
+    tgt = _free_presentation(ring, ("c",))
+    assert is_isomorphism(src, src, induced_matrix(src, src, dict))
+    m = induced_matrix(src, tgt, lambda chain: {
+        "c": v for lbl, v in chain.items() if lbl == "a"})
+    assert m.to_dense() == [[ring.one(), ring.zero()]]
+    assert not is_isomorphism(src, tgt, m)
+
+
+def test_induced_matrix_refuses_a_torsion_generator_sent_to_a_free_one():
+    # Z/2 -> Z/2 is well defined; the same generator sent into Z is not,
+    # since twice its image is nonzero there
+    z2 = HomologyPresentation(ZZ, Matrix(ZZ, (), ("a",)),
+                              Matrix(ZZ, ("a",), ("r",), {("a", "r"): 2}))
+    assert z2.rank_summary == (0, [2])
+    assert induced_matrix(z2, z2, dict).to_dense() == [[1]]
+    z = _free_presentation(ZZ, ("c",))
+    with pytest.raises(ValueError, match="not well defined on torsion"):
+        induced_matrix(z2, z, lambda chain: {"c": chain["a"]})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                 min_size=2, max_size=4))
@@ -357,7 +389,7 @@ def test_presentations_refuse_chains_that_are_not_cycles(ring):
         HomologyPresentation(ring, d_out,
                              Matrix(ring, ("a", "b"), ("t",), {("a", "t"): one}))
     h = HomologyPresentation(ring, d_out,
-                             Matrix.zero(ring, ("a", "b"), ()))
+                             Matrix(ring, ("a", "b"), ()))
     assert h.coordinates({"b": one}) == [one]
     assert h.coordinates({}) == [ring.zero()]
     for chain in ({"a": one}, {"a": one, "b": one}):

@@ -5,7 +5,8 @@ import pytest
 
 from lochom import simplicialmaps
 from lochom.complexes import SimplicialComplex
-from lochom.fixtures import circle3, hexagon, hexagon_cover_map, sphere2
+from lochom.fixtures import (bowtie, circle3, hexagon, hexagon_cover_map,
+                             sphere2)
 from lochom.mv import fundamental_class
 from lochom.rings import GF, QQ, ZZ
 from lochom.simplicialmaps import (SimplicialMap, check_star_local,
@@ -62,6 +63,59 @@ def test_constant_map_fails_star_locality():
     cert = check_star_local(f)
     assert not cert["ok"]
     assert "witness" in cert
+
+
+# maps v -> v mod 3 that fail one star check each, at the target vertex 0
+STAR_FAILURES = {
+    # 0 passes, but 3 also maps to 0 and its star meets 0's at vertex 1
+    "stars meet": ([[0, 1], [0, 2], [1, 2], [1, 3]], [[0, 1], [1, 2], [0, 2]],
+                   ((0,), (3,)), "stars of (0,) and (3,) meet"),
+    # the path's end 0 has one neighbour, the circle's vertex 0 has two
+    "vertex sets": ([[0, 1], [1, 2], [2, 3]], [[0, 1], [1, 2], [0, 2]],
+                    ((0,), (0,)), "star vertex sets do not correspond"),
+    # the circle misses the edge 12 and the face of the filled triangle
+    "simplices": ([[0, 1], [1, 2], [0, 2]], [[0, 1, 2]],
+                  ((0,), (0,)), "star simplices do not correspond"),
+}
+
+
+@pytest.mark.parametrize("case", list(STAR_FAILURES))
+def test_star_local_failures_name_the_pair_and_the_reason(case):
+    source, target, witness, reason = STAR_FAILURES[case]
+    X, Y = SimplicialComplex(source), SimplicialComplex(target)
+    f = SimplicialMap(X, Y, {v: v % 3 for v in X.order})
+    cert = check_star_local(f)
+    assert (cert["ok"], cert["witness"], cert["reason"]) == (
+        False, witness, reason)
+    rep = verify_naturality(f, ZZ)
+    assert rep == {"ring": "Z", "n": X.dim, "star_local": False,
+                   "witness": witness, "reason": reason}
+
+
+def test_verify_naturality_refuses_unequal_dimensions():
+    # a point onto the isolated vertex 3 beside a filled triangle: only 3's
+    # fibre is nonempty, and the two stars of 3 agree
+    f = SimplicialMap(SimplicialComplex([[3]]),
+                      SimplicialComplex([[0, 1, 2], [3]]), {3: 3})
+    assert verify_naturality(f, ZZ) == {
+        "ring": "Z", "n": 0, "star_local": True,
+        "error": "dimension mismatch"}
+
+
+def test_verify_naturality_refuses_a_side_that_is_not_locally_cm():
+    X = bowtie()
+    rep = verify_naturality(SimplicialMap(X, X, {v: v for v in X.order}), ZZ)
+    assert rep == {"ring": "Z", "n": 2, "star_local": True,
+                   "source_locally_cm": False,
+                   "witness": [((0,), 1, (1, []))]}
+    # the circle into itself plus an isolated vertex, whose local homology
+    # sits in degree 0, below the top degree 1
+    Y = SimplicialComplex([[0, 1], [1, 2], [0, 2], [9]])
+    rep = verify_naturality(SimplicialMap(circle3(), Y, {0: 0, 1: 1, 2: 2}),
+                            ZZ)
+    assert rep == {"ring": "Z", "n": 1, "star_local": True,
+                   "source_locally_cm": True, "target_locally_cm": False,
+                   "witness": [((9,), 0, (1, []))]}
 
 
 def test_pushforward_on_fundamental_cycle():

@@ -14,6 +14,7 @@ from lochom.fixtures import circle3, hexagon, hexagon_cover_map, rp2_six
 from lochom.io import (parse_filtration, parse_map, parse_sheaf,
                        serialize_map, serialize_sheaf)
 from lochom.matrices import Matrix
+from lochom.mv import DUALITY_ITEMS
 from lochom.rings import QQ, ZZ
 from lochom.sheaves import ConstantSheaf, simplicial_chain_complex
 
@@ -100,6 +101,43 @@ def test_cli_identities_reorients_a_subcomplex_listed_first(tmp_path,
     assert code == 0 and "reoriented" not in plain
     for sweep in ("double_complex", "collapse", "collapse_vs_cap"):
         assert rep[sweep] == plain[sweep]
+
+
+@pytest.mark.parametrize("item", sorted(DUALITY_ITEMS))
+def test_cli_duality_refuses_a_complex_that_is_not_pure(tmp_path, capsys,
+                                                        item):
+    path = tmp_path / "mixed.cplx"
+    path.write_text("simplex: 0 1 2\nsimplex: 2 3\n", encoding="utf-8")
+    code, rep = run_cli(capsys, "duality", "--item", item,
+                        "--complex", str(path))
+    assert code == 1
+    assert rep["refused"] is True and rep["verdict"] is False
+    assert rep["hypothesis"] == {"name": "pure top dimension",
+                                 "holds": False, "witnesses": [[2, 3]]}
+
+
+@pytest.mark.parametrize("ring", ["z", "fp:2"])
+@pytest.mark.parametrize("item", ["1ai", "2bi"])
+def test_cli_duality_reorients_a_subcomplex_listed_first(tmp_path, capsys,
+                                                         item, ring):
+    # rp6 under `order: 3 4 5 0 1 2` lists the subcomplex 345 first; the
+    # verdict runs on the order that puts it last and says so
+    with open(fix("rp6.cplx"), encoding="utf-8") as fh:
+        text = fh.read()
+    shuffled = tmp_path / "rp6_345012.cplx"
+    shuffled.write_text(text.replace("order: 0 1 2 3 4 5",
+                                     "order: 3 4 5 0 1 2"), encoding="utf-8")
+    args = ("duality", "--item", item, "--ring", ring,
+            "--subcomplex", fix("rp6_345.sub"), "--complex")
+    code, rep = run_cli(capsys, *args, str(shuffled))
+    plain_code, plain = run_cli(capsys, *args, fix("rp6.cplx"))
+    assert rep["reoriented"] is True and plain["reoriented"] is False
+    assert (code, rep["verdict"]) == (plain_code, plain["verdict"])
+    assert rep["verdict"] is True
+    assert rep["degrees"].keys() == plain["degrees"].keys()
+    for l, deg in rep["degrees"].items():
+        for key in ("source", "target", "iso"):
+            assert deg[key] == plain["degrees"][l][key], (l, key)
 
 
 def test_cli_naturality(capsys):

@@ -1,11 +1,17 @@
 """The double complex, its collapse, and the duality verdicts."""
 
-from lochom.complexes import Subcomplex, reorient_vc_before
+import itertools
+
+import pytest
+
+from lochom import identities, mv
+from lochom.complexes import SimplicialComplex, Subcomplex, reorient_vc_before
 from lochom.fixtures import (bowtie, circle3, hexagon, rp2_six, sphere2,
                              triangle)
+from lochom.homology import ChainComplex
 from lochom.identities import (collapse_suite, collapse_vs_cap,
                                mv_identity_sweep)
-from lochom.matrices import vec_clean
+from lochom.matrices import vec_add, vec_clean
 from lochom.mv import (DUALITY_ITEMS, MVDoubleComplex, fundamental_class,
                        naturality_report, verify_duality)
 from lochom.rings import GF, QQ, ZZ
@@ -45,6 +51,120 @@ def test_identity_sweep_takes_each_shift_power_from_the_last(monkeypatch):
     rep = mv_identity_sweep(X2, L2, ZZ)
     assert rep["ok"] and rep["checked"] == 68 and gens == 43
     assert len(calls) == 4 * D.power * gens == 516
+
+
+@pytest.mark.parametrize("verts, checked, zero_forms", [
+    (None, (210, 1766, 75), (5, 5)), ((2, 3, 4), (96, 660, 46), (0, 0))],
+    ids=["whole", "three_vertices"])
+def test_double_complex_sweeps_on_the_boundary_of_the_4_simplex(
+        verts, checked, zero_forms):
+    # in dimension 3 a shift's closed form can have a zero coefficient: the
+    # last vertex of sigma sits before the last two of the carrier (a power
+    # p's form likewise when the back faces are not incident); below
+    # dimension 3 neither happens, and with L on the last three vertices
+    # sigma's last vertex is always among them
+    X = SimplicialComplex(itertools.combinations(range(5), 4))
+    L = None if verts is None else Subcomplex(X, verts)
+    reps = [sweep(X, L, ZZ)
+            for sweep in (mv_identity_sweep, collapse_suite, collapse_vs_cap)]
+    assert all(rep["ok"] for rep in reps), [rep["witnesses"] for rep in reps]
+    assert tuple(rep["checked"] for rep in reps) == checked
+    D = MVDoubleComplex(X, L, ZZ)
+    gens = [gen for q in range(X.dim + 1) for gen in D.diagonal_basis(q)]
+    zero_shift = sum(1 for sigma, alpha in gens if len(sigma) > 1
+                     and not D.diagonal_shift_closed(sigma, alpha))
+    zero_power = sum(1 for sigma, alpha in gens
+                     for p in range(1, len(sigma))
+                     if not D.diagonal_shift_low_closed(sigma, alpha, p))
+    assert (zero_shift, zero_power) == zero_forms
+
+
+def _negated(fn):
+    def wrapper(*args):
+        return {key: -v for key, v in fn(*args).items()}
+    return wrapper
+
+
+def _untwisted(fn):
+    # the total differential without its (-1)^(k-l) on the vertical part
+    def total_d(self, chain):
+        return vec_add(self.ring, self.vertical_d(chain),
+                       self.horizontal_i(chain))
+    return total_d
+
+
+def _bar_negated(fn):
+    def wrapper(self):
+        cx = fn(self)
+        return ChainComplex(cx.ring, cx.spaces, {
+            k: d.scale(-1) for k, d in cx.diffs.items()}, cx.shift)
+    return wrapper
+
+
+# (owner, name, fault) -> witness tags and count of mv_identity_sweep,
+# collapse_suite and collapse_vs_cap on sphere2 with L = {2, 3} over Z
+SWEEP_FAULTS = {
+    (MVDoubleComplex, "total_d", _untwisted): (
+        ({"d_total^2", "homotopy_to_identity", "shift_closed_form",
+          "shift_power_1_low", "shift_power_2_high", "shift_power_3_high"},
+         14),
+        ({"augment_chain_map", "augment_of_collapse", "collapse_chain_map",
+          "collapse_is_shifted_projection"}, 4),
+        (set(), 0)),
+    (MVDoubleComplex, "lambda_lift", _negated): (
+        ({"augment_after_collapse", "lift_splits_extension",
+          "shift_closed_form", "shift_power_1_high", "shift_power_1_low",
+          "shift_power_2_high", "shift_power_3_high", "top_power_idempotent",
+          "top_power_in_kernel"}, 60),
+        ({"augment_of_collapse", "collapse_is_shifted_projection"}, 12),
+        (set(), 0)),
+    (MVDoubleComplex, "kappa", _negated): (
+        ({"augment_after_collapse", "collapse_after_augment"}, 22),
+        ({"collapse_is_shifted_projection"}, 14),
+        (set(), 0)),
+    (MVDoubleComplex, "epsilon", _negated): (
+        ({"augment_after_collapse", "collapse_after_augment"}, 22),
+        ({"augment_of_collapse", "collapse_of_augment"}, 25),
+        (set(), 0)),
+    (MVDoubleComplex, "diagonal_shift_closed", _negated): (
+        ({"shift_closed_form"}, 14), (set(), 0), (set(), 0)),
+    (MVDoubleComplex, "diagonal_shift_low_closed", _negated): (
+        ({"shift_power_1_low"}, 3), (set(), 0), (set(), 0)),
+    (MVDoubleComplex, "diagonal_shift_high_closed", _negated): (
+        ({"shift_power_1_high", "shift_power_2_high", "shift_power_3_high"},
+         39), (set(), 0), (set(), 0)),
+    (MVDoubleComplex, "diagonal_shift_power", _negated): (
+        ({"top_power_idempotent"}, 14),
+        ({"augment_of_collapse", "collapse_is_shifted_projection"}, 28),
+        (set(), 0)),
+    (MVDoubleComplex, "homotopy_to_identity", _negated): (
+        ({"homotopy_to_identity"}, 9), (set(), 0), (set(), 0)),
+    (MVDoubleComplex, "bar_relative_complex", _bar_negated): (
+        (set(), 0), ({"augment_chain_map", "collapse_chain_map"}, 4),
+        (set(), 0)),
+    (identities, "c_dual", _negated): (
+        (set(), 0), ({"dual_collapse_pairing"}, 14), (set(), 0)),
+    (identities, "cap_fundamental_v1", _negated): (
+        (set(), 0), (set(), 0), ({"first_form"}, 6)),
+    (identities, "c_dual_reversed", _negated): (
+        (set(), 0), (set(), 0), ({"second_form"}, 6)),
+}
+
+
+@pytest.mark.parametrize("fault", list(SWEEP_FAULTS),
+                         ids=lambda fault: f"{fault[1]}-{fault[2].__name__}")
+def test_double_complex_sweeps_name_each_injected_fault(monkeypatch, fault):
+    owner, name, wrap = fault
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    X = sphere2()
+    X2, L2 = reorient_vc_before(X, Subcomplex(X, (2, 3)))
+    found = []
+    for sweep in (mv_identity_sweep, collapse_suite, collapse_vs_cap):
+        rep = sweep(X2, L2, ZZ, max_witnesses=1000)
+        witnesses = rep["witnesses"]
+        assert rep["ok"] == (not witnesses)
+        found.append(({w[0] for w in witnesses}, len(witnesses)))
+    assert tuple(found) == SWEEP_FAULTS[fault]
 
 
 def test_collapse_suite():
@@ -102,6 +222,25 @@ def test_duality_rp6_item_1ai_mod2_and_integral():
     assert repz["verdict"]
     assert repz["degrees"][1]["source"] == (0, [2])  # transported torsion
     assert repz["degrees"][0]["source"] == (0, [])   # top cohomology dies
+
+
+@pytest.mark.parametrize("item", ["1ai", "2bii"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_a_cap_off_by_a_sign_fails_only_the_chain_level_check(
+        monkeypatch, item, degree):
+    # the negated cap still sends cycles to cycles and is bijective on
+    # homology, so only the commutation with the differentials sees it
+    cap_matrices = mv.duality_map_matrices
+
+    def negated_in_one_degree(ctx, L, it):
+        src, tgt, matrices = cap_matrices(ctx, L, it)
+        matrices[degree] = matrices[degree].scale(-1)
+        return src, tgt, matrices
+
+    monkeypatch.setattr(mv, "duality_map_matrices", negated_in_one_degree)
+    rep = verify_duality(sphere2(), None, item, ZZ)
+    assert rep["chain_level_commutes"] is False and rep["verdict"] is False
+    assert all(deg["iso"] for deg in rep["degrees"].values())
 
 
 def test_duality_bowtie_refused_with_witness():
