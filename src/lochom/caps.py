@@ -250,9 +250,11 @@ class OrientationSwap:
     """The swap of the adjacent vertices u = X.order[i] and w = X.order[i + 1]:
     Xt is X with u and w exchanged in the vertex order.  Each simplex's tuple
     re-sorted into the order of Xt, with the sign of that permutation, and
-    its faces and its cofaces in X, with their signs (the cofaces also as
-    those inside each simplex c), are computed once here for all the
-    generator pairs `defect` is asked about."""
+    its faces in X with their signs, are computed once here for all the
+    generator pairs `defect` is asked about.  So are its cofaces tp in X
+    (also as those inside each simplex c), each with the coefficient the
+    homotopy term of tp takes: the coface sign times (-1)^(k-l), once for
+    each parity of k - l."""
 
     def __init__(self, X, ring, i):
         order = list(X.order)
@@ -260,21 +262,28 @@ class OrientationSwap:
         order[i], order[i + 1] = self.w, self.u
         self.ring, self.Xt = ring, X.with_order(order)
         self.one = ring.one()
-        self.signs = (self.one, ring.from_int(-1))
+        signs = (self.one, ring.from_int(-1))
         key = self.Xt.pos.__getitem__
         self.resorted = {s: (tuple(sorted(s, key=key)),
                              ring.from_int(perm_sign(s, key)))
                          for s in X.all_simplices()}
-        self.cofaces = {t: [(tp, ring.from_int(_coface_sign(X, t, tp)))
-                            for tp in X.cofaces(t)]
-                        for t in self.resorted}
+        cofaces = {t: [(tp, ring.from_int(_coface_sign(X, t, tp)))
+                       for tp in X.cofaces(t)]
+                   for t in self.resorted}
         self.faces = {s: [(s[:j] + s[j + 1:], ring.from_int((-1) ** j))
                           for j in range(len(s)) if len(s) > 1]
                       for s in self.resorted}
-        self.cofaces_in = {
-            (t, c): [x for x in self.cofaces[t] if set(c).issuperset(x[0])]
-            for c in self.resorted for r in range(1, len(c) + 1)
-            for t in combinations(c, r)}
+        # indexed by the parity of k - l first; tuples, as they are smaller
+        # than lists and the many empty ones share one object
+        self.cofaces = tuple(
+            {t: tuple((tp, ring.mul(sign, cs)) for tp, cs in signed)
+             for t, signed in cofaces.items()}
+            for sign in signs)
+        self.cofaces_in = tuple(
+            {(t, c): tuple(x for x in signed[t] if set(c).issuperset(x[0]))
+             for c in self.resorted for r in range(1, len(c) + 1)
+             for t in combinations(c, r)}
+            for signed in self.cofaces)
 
     def defect(self, s, t, b=None, c=None):
         """Chain-homotopy defect of the swap on one generator pair: zero iff
@@ -285,27 +294,31 @@ class OrientationSwap:
         unchanged in the second cap, and the first cap contributes only when
         b == c, where the two signs cancel.  The homotopy outputs are written
         without signs (a tuple denotes the canonical generator of its vertex
-        set); the orientation signs appear in the caps' terms instead."""
+        set); the orientation signs appear in the caps' terms instead.  Every
+        cap and homotopy term is evaluated; only empty ones are not added."""
         ring, res, one = self.ring, self.resorted, self.one
         u, w = self.u, self.w
         l = len(t) - 1
+        parity = (len(s) - 1 - l) % 2
         (st, s_sign), (tt, t_sign) = res[s], res[t]
         # a swap that moves no tuple of the pair repeats the cap's call
         same = st == s and tt == t
-        bt, cofaces = None, self.cofaces[t]
+        bt = None
         if b is None:
             homotopy, d_chain = _b_homotopy_plain, d_chain_plain
+            cofaces = self.cofaces[parity][t]
             old = cap_plain(ring, {s: one}, {t: one}, l)
             new = old if same else cap_plain(ring, {st: one}, {tt: one}, l)
         elif c is None:
             bt = res[b][0]
             homotopy, d_chain = _b_homotopy_v2, d_chain_local
+            cofaces = self.cofaces[parity][t]
             old = cap_v2(ring, {(s, b): one}, {t: one}, l)
             new = old if same and bt == b else cap_v2(
                 ring, {(st, bt): one}, {tt: one}, l)
         else:
             homotopy, d_chain = _b_homotopy_v1, d_chain_plain
-            cofaces = self.cofaces_in[t, c]
+            cofaces = self.cofaces_in[parity][t, c]
             (b2, _), (c2, _) = res[b], res[c]
             old = cap_v1(ring, {(s, b): one}, {(t, c): one}, l)
             new = old if same and b2 == b and c2 == c else cap_v1(
@@ -315,7 +328,8 @@ class OrientationSwap:
             f, sign = res[label if bt is None else label[0]]
             key = f if bt is None else (f, bt)
             out[key] = ring.add(out.get(key, ring.zero()), ring.mul(sign, v))
-        _subtract(ring, out, new, ring.mul(s_sign, t_sign))
+        if new:
+            _subtract(ring, out, new, ring.mul(s_sign, t_sign))
         # d~ B(s (x) t*) + B d(s (x) t*), where
         # d(s (x) t*) = ds (x) t* + (-1)^(k-l) s (x) delta t*
         image = homotopy(ring, u, w, s, b, t, c, one)
@@ -324,11 +338,11 @@ class OrientationSwap:
                      for f, v in image.items()}
             _subtract(ring, out, d_chain(self.Xt, ring, image), one)
         for f, sign in self.faces[s]:
-            _subtract_resorted(ring, out, res, bt,
-                               homotopy(ring, u, w, f, b, t, c, sign))
-        sign = self.signs[(len(s) - 1 - l) % 2]
-        for tp, cs in cofaces:
-            _subtract_resorted(ring, out, res, bt,
-                               homotopy(ring, u, w, s, b, tp, c,
-                                        ring.mul(sign, cs)))
-        return vec_clean(ring, out) if out else out
+            image = homotopy(ring, u, w, f, b, t, c, sign)
+            if image:
+                _subtract_resorted(ring, out, res, bt, image)
+        for tp, coeff in cofaces:
+            image = homotopy(ring, u, w, s, b, tp, c, coeff)
+            if image:
+                _subtract_resorted(ring, out, res, bt, image)
+        return vec_clean(ring, out)

@@ -252,28 +252,25 @@ def swap_sweep(X, ring, max_witnesses=3):
     vertex order and every generator pair, all three cap variants."""
     checked = 0
     witnesses = []
-    pairs = _pairs_with_tops(X)
+    pairs = [(s, b, len(s) - 1) for s, b in _pairs_with_tops(X)]
+    simplices = [(t, len(t) - 1) for t in X.all_simplices()]
     for i in range(len(X.order) - 1):
         swap = OrientationSwap(X, ring, i)
-        u, w = swap.u, swap.w
-        for (s, b) in pairs:
-            k = len(s) - 1
-            for t in X.all_simplices():
-                l = len(t) - 1
+        u, w, defect = swap.u, swap.w, swap.defect
+        for s, b, k in pairs:
+            for t, l in simplices:
                 if l > k:
                     continue
-                checked += 1
-                if swap.defect(s, t):
+                checked += 2
+                if defect(s, t):
                     witnesses.append(("plain", u, w, s, t))
-                checked += 1
-                if swap.defect(s, t, b):
+                if defect(s, t, b):
                     witnesses.append(("v2", u, w, s, b, t))
-            for (t, c) in pairs:
-                l = len(t) - 1
+            for t, c, l in pairs:
                 if l > k:
                     continue
                 checked += 1
-                if swap.defect(s, t, b, c):
+                if defect(s, t, b, c):
                     witnesses.append(("v1", u, w, s, b, t, c))
     return {"checked": checked, "witnesses": witnesses[:max_witnesses],
             "ok": not witnesses}

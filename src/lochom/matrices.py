@@ -10,7 +10,10 @@ _first = itemgetter(0)
 
 
 def vec_clean(ring, v):
-    return {k: x for k, x in v.items() if not ring.is_zero(x)}
+    if not v:
+        return {}
+    is_zero = ring.is_zero
+    return {k: x for k, x in v.items() if not is_zero(x)}
 
 
 def vec_add(ring, u, v):

@@ -439,7 +439,10 @@ def verify_duality(X, L, item, ring):
     """Duality report for one of the eight items: check the Cohen-Macaulay
     hypothesis (refusing with witnesses when it fails), build the cap with
     the fundamental class degree-wise, certify the chain-level commutation,
-    and test the induced map on homology for bijectivity in every degree."""
+    and test the induced map on homology for bijectivity in every degree.  A
+    degree where the cap induces no map (it sends a cycle to a non-cycle, or
+    is not well defined on a torsion generator) reports "iso": false and the
+    reason."""
     if item not in DUALITY_ITEMS:
         raise ValueError(f"unknown duality item {item!r}; "
                          f"expected one of {sorted(DUALITY_ITEMS)}")
@@ -493,14 +496,16 @@ def verify_duality(X, L, item, ring):
                 "source": src_h.rank_summary, "target": tgt_h.rank_summary,
                 "iso": True, "matrix": []}
             continue
-        m = induced_matrix(src_h, tgt_h, matrices[l].apply)
+        degree = report["degrees"][l] = {
+            "source": src_h.rank_summary, "target": tgt_h.rank_summary}
+        try:
+            m = induced_matrix(src_h, tgt_h, matrices[l].apply)
+        except ValueError as exc:
+            degree.update(iso=False, reason=str(exc))
+            all_iso = False
+            continue
         iso = is_isomorphism(src_h, tgt_h, m)
-        report["degrees"][l] = {
-            "source": src_h.rank_summary,
-            "target": tgt_h.rank_summary,
-            "iso": iso,
-            "matrix": m.to_dense(),
-        }
+        degree.update(iso=iso, matrix=m.to_dense())
         all_iso = all_iso and iso
     report["verdict"] = all_iso and report["chain_level_commutes"]
     return report

@@ -8,42 +8,20 @@ from fractions import Fraction
 
 
 class Ring:
-    """Base class for the three runtime rings. All arithmetic is exact."""
+    """Base class for the three runtime rings. All arithmetic is exact.
+
+    Each ring defines zero(), one(), from_int(n), add(a, b), neg(a),
+    mul(a, b), is_zero(a), is_unit(a), inv(a) (the inverse of a unit),
+    divmod(a, b) (Euclidean division a = q*b + r with r smaller than b) and
+    canonical_unit(a) (a unit u such that u*a is the canonical associate of
+    a: a positive integer, a monic rational, a nonzero residue normalized to
+    itself).  The operations below are built from those."""
 
     name = "?"
     is_field = False
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def is_unit(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        """Inverse of a unit."""
-        raise NotImplementedError
-
-    def divmod(self, a, b):
-        """Euclidean division a = q*b + r with r smaller than b."""
-        raise NotImplementedError
 
     def div(self, a, b):
         """Exact division; b must divide a."""
@@ -57,11 +35,6 @@ class Ring:
         if self.is_zero(a):
             return self.is_zero(b)
         return self.is_zero(self.divmod(b, a)[1])
-
-    def canonical_unit(self, a):
-        """Unit u such that u*a is the canonical associate of a (positive
-        integer, monic rational, nonzero residue normalized to itself)."""
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name

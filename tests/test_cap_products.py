@@ -14,7 +14,7 @@ from lochom.fixtures import circle3, rp2_six, sphere2, triangle
 from lochom.homology import induced_matrix
 from lochom.identities import leibniz_sweep, swap_sweep
 from lochom.matrices import Matrix
-from lochom.rings import GF, ZZ
+from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import (reorientation_iso, simplicial_chain_complex,
                             simplicial_cochain_complex)
 
@@ -213,6 +213,115 @@ def test_sweep_defects_are_pinned_under_fault_injection(monkeypatch, fault):
         swap_sweep(X, ZZ)
         leibniz_sweep(X, ZZ)
     assert (nonzero[0], digest.hexdigest()) == DEFECT_PINS[fault]
+
+
+def _record_defects(monkeypatch, fault, runs):
+    """(nonzero defects, sha256 of the defect sequence) of both sweeps under
+    the fault, for each (fixture name, ring) in runs."""
+    digest, nonzero = hashlib.sha256(), [0]
+
+    def recorded(fn):
+        def wrapper(*args):
+            d = fn(*args)
+            nonzero[0] += bool(d)
+            digest.update(repr(sorted(d.items())).encode())
+            return d
+        return wrapper
+
+    fault(monkeypatch)
+    monkeypatch.setattr(OrientationSwap, "defect",
+                        recorded(OrientationSwap.defect))
+    for name in ("leibniz_defect_v1", "leibniz_defect_v2"):
+        monkeypatch.setattr(identities, name,
+                            recorded(getattr(identities, name)))
+    for name, ring in runs:
+        X = _fixture(name)
+        swap_sweep(X, ring)
+        leibniz_sweep(X, ring)
+    return nonzero[0], digest.hexdigest()
+
+
+def _fixture(name):
+    with open(os.path.join(FIXDIR, f"{name}.cplx"), encoding="utf-8") as fh:
+        return parse_complex(fh.read())
+
+
+# the same two faults over F3 (t4 and rp6), where -1 is a residue other than
+# 1, and over Q (t4), whose Fraction elements the digest reads through repr
+OTHER_RING_DEFECT_PINS = {
+    (_flip_homotopy, "F3"): (360, "1476d9e5f749d2bf1ef79d4d6ed14c35"
+                                  "2ef3b1686df6324982d32747b114e327"),
+    (_flip_homotopy, "Q"): (135, "6c6f65b7ecde651a8683b3466478dce8"
+                                 "21f068aa620e2c4ffe687a6d8124ceb2"),
+    (_negate_coface_signs, "F3"): (656, "b6b5046dfeffd01706f15cc9cd75731f"
+                                        "8d4b15258ad0f844119f01d0601c2998"),
+    (_negate_coface_signs, "Q"): (211, "82a157e4f54ed313691683753743fdb1"
+                                       "c5c62c0b4541a44ac1ccf8db1e5f4f78"),
+}
+OTHER_RING_RUNS = {"F3": (("t4", GF(3)), ("rp6", GF(3))), "Q": (("t4", QQ),)}
+
+
+@pytest.mark.parametrize("fault, ring", list(OTHER_RING_DEFECT_PINS),
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_sweep_defects_are_pinned_over_fp3_and_q(monkeypatch, fault, ring):
+    assert (_record_defects(monkeypatch, fault, OTHER_RING_RUNS[ring])
+            == OTHER_RING_DEFECT_PINS[fault, ring])
+
+
+FORMULAS = ("cap_plain", "cap_v1", "cap_v2", "_b_homotopy_plain",
+            "_b_homotopy_v1", "_b_homotopy_v2", "d_chain_plain",
+            "d_chain_local", "delta_cochain_plain", "delta_cochain_local")
+# calls of each formula over Z, in FORMULAS order, taken from the sweeps
+# that multiplied each coface sign per generator pair; the swap sweep must
+# keep evaluating the caps and homotopies, not a closed form of them
+FORMULA_CALLS = {
+    ("t4", "swap"): (1281, 8451, 1485, 12534, 18396, 5220, 30, 15, 0, 0),
+    ("t4", "leibniz"): (0, 5436, 1044, 0, 0, 0, 1812, 398, 14, 50),
+    ("rp6", "swap"): (9210, 66390, 9850, 106215, 183605, 48755, 50, 25,
+                      0, 0),
+    ("rp6", "leibniz"): (0, 31683, 4953, 0, 0, 0, 10561, 1772, 31, 121),
+}
+# sha256 of the arguments of every formula call of both sweeps on t4 over Z
+FORMULA_ARGUMENTS_T4 = ("3fe57539ee904bd7654f12fd0abe7b00"
+                        "ee5799f98cd8d8a5a6594d9efc706ecd")
+
+
+def _plain(x):
+    """A call argument as comparable data."""
+    if isinstance(x, dict):
+        return sorted(x.items())
+    if hasattr(x, "order"):
+        return tuple(x.order)
+    return getattr(x, "name", x)
+
+
+def test_sweeps_call_every_formula_as_often_as_before(monkeypatch):
+    calls, digest = {}, hashlib.sha256()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            if args_digested:
+                digest.update(repr((name, [_plain(a) for a in args]))
+                              .encode())
+            return fn(*args)
+        return wrapper
+
+    # the sweeps reach the formulas through both modules' globals
+    for module in (caps, identities):
+        for name in FORMULAS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    for name in ("t4", "rp6"):
+        X = _fixture(name)
+        args_digested = name == "t4"
+        for kind, sweep in (("swap", swap_sweep), ("leibniz", leibniz_sweep)):
+            calls.clear()
+            assert sweep(X, ZZ)["ok"]
+            assert (tuple(calls.get(f, 0) for f in FORMULAS)
+                    == FORMULA_CALLS[name, kind]), (name, kind)
+    assert digest.hexdigest() == FORMULA_ARGUMENTS_T4
 
 
 def _homology_cap_conjugation(X, swap_index, ring):

@@ -38,6 +38,24 @@ def test_ring_selectors():
         ring_from_name("r")
 
 
+# the operations the Ring docstring says each ring defines
+RING_OPERATIONS = ("zero", "one", "from_int", "add", "neg", "mul", "is_zero",
+                   "is_unit", "inv", "divmod", "canonical_unit")
+
+
+@pytest.mark.parametrize("name", ["z", "q", "fp:2", "fp:3", "fp:7"])
+def test_every_ring_defines_the_required_operations(name):
+    ring = ring_from_name(name)
+    for op in RING_OPERATIONS:
+        assert callable(getattr(ring, op, None)), (name, op)
+    one, two = ring.one(), ring.from_int(2)
+    assert ring.is_zero(ring.zero()) and not ring.is_zero(one)
+    assert ring.sub(ring.add(one, two), two) == one
+    assert ring.mul(ring.inv(one), one) == one and ring.is_unit(one)
+    assert ring.div(ring.mul(two, one), one) == two
+    assert ring.mul(ring.canonical_unit(ring.neg(one)), ring.neg(one)) == one
+
+
 def test_prime_field_primality_matches_trial_division():
     for n in range(-2, 3000):
         prime = n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))

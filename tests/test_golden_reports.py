@@ -51,8 +51,9 @@ SD_FIXTURES = ("sd_rp6", "sd_torus")
 SD_RINGS = ("z", "fp:2")
 SD_COMMANDS = (("duality", "--item", "1ai"), ("check-cm",),
                ("local", "--dim", "2"))
-# `local --dim n` over a ring of another characteristic, on every fixture
-LOCAL_EXTRA_RING = "fp:3"
+# `local --dim n` over a ring of another characteristic, on every fixture,
+# and `identities` over it on the small ones
+EXTRA_RING = "fp:3"
 
 
 def command_lines():
@@ -94,7 +95,10 @@ def command_lines():
                           "--ring", ring, "--complex", f"fixtures/{name}.cplx"))
     for name in FIXTURES + SD_FIXTURES:
         lines.append(("local", "--dim", str(FIXTURE_DIMS[name]),
-                      "--ring", LOCAL_EXTRA_RING,
+                      "--ring", EXTRA_RING,
+                      "--complex", f"fixtures/{name}.cplx"))
+    for name in FIXTURES:
+        lines.append(("identities", "--ring", EXTRA_RING,
                       "--complex", f"fixtures/{name}.cplx"))
     return lines
 

@@ -1,17 +1,19 @@
 """The double complex, its collapse, and the duality verdicts."""
 
 import itertools
+import json
+import os
 
 import pytest
 
-from lochom import identities, mv
+from lochom import cli, identities, mv
 from lochom.complexes import SimplicialComplex, Subcomplex, reorient_vc_before
 from lochom.fixtures import (bowtie, circle3, hexagon, rp2_six, sphere2,
                              triangle)
 from lochom.homology import ChainComplex
 from lochom.identities import (collapse_suite, collapse_vs_cap,
                                mv_identity_sweep)
-from lochom.matrices import vec_add, vec_clean
+from lochom.matrices import Matrix, vec_add, vec_clean
 from lochom.mv import (DUALITY_ITEMS, MVDoubleComplex, fundamental_class,
                        naturality_report, verify_duality)
 from lochom.rings import GF, QQ, ZZ
@@ -241,6 +243,36 @@ def test_a_cap_off_by_a_sign_fails_only_the_chain_level_check(
     rep = verify_duality(sphere2(), None, item, ZZ)
     assert rep["chain_level_commutes"] is False and rep["verdict"] is False
     assert all(deg["iso"] for deg in rep["degrees"].values())
+
+
+def test_a_cap_sending_a_cycle_to_a_non_cycle_fails_its_degree(
+        monkeypatch, tmp_path):
+    # one negated entry of the degree-0 cap: the image of a 0-cocycle is no
+    # longer a cycle, so the cap induces no map on homology in degree 0
+    cap_matrices = mv.duality_map_matrices
+
+    def one_entry_negated(ctx, L, it):
+        src, tgt, matrices = cap_matrices(ctx, L, it)
+        m = matrices[0]
+        entries = dict(m.entries)
+        key = min(entries)
+        entries[key] = m.ring.neg(entries[key])
+        matrices[0] = Matrix(m.ring, m.row_labels, m.col_labels, entries)
+        return src, tgt, matrices
+
+    monkeypatch.setattr(mv, "duality_map_matrices", one_entry_negated)
+    rep = verify_duality(circle3(), None, "1ai", ZZ)
+    assert rep["verdict"] is False and rep["chain_level_commutes"] is False
+    assert rep["degrees"][0] == {"source": (1, []), "target": (1, []),
+                                 "iso": False,
+                                 "reason": "chain is not a cycle"}
+    assert rep["degrees"][1]["iso"] is True
+    c3 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                      "c3.cplx")
+    out = tmp_path / "report.json"
+    assert cli.main(["duality", "--item", "1ai", "--ring", "z", "--complex",
+                     c3, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["degrees"]["0"]["iso"] is False
 
 
 def test_duality_bowtie_refused_with_witness():
