@@ -34,6 +34,8 @@ COMMANDS = (("homology",), ("check-cm",), ("local",), ("sections",),
             ("identities",))
 SUBCOMPLEX_PAIRS = (("rp6", "rp6_345"), ("t4", "t4_edge23"))
 SUBCOMPLEX_ITEMS = ("1ai", "2bi")
+# the other six duality items, also run on a proper subcomplex
+SUBCOMPLEX_MORE_ITEMS = ("1aii", "1bi", "1bii", "2ai", "2aii", "2bii")
 SUBCOMPLEX_COMMANDS = (("homology",), ("sections",))
 SUBCOMPLEX_IDENTITY_RINGS = ("z", "fp:2")
 # command lines that read extra input files, run over each ring
@@ -83,6 +85,10 @@ def command_lines():
             lines.append(("identities", "--ring", ring,
                           "--complex", f"fixtures/{name}.cplx",
                           "--subcomplex", f"fixtures/{sub}.sub"))
+            for item in SUBCOMPLEX_MORE_ITEMS:
+                lines.append(("duality", "--item", item, "--ring", ring,
+                              "--complex", f"fixtures/{name}.cplx",
+                              "--subcomplex", f"fixtures/{sub}.sub"))
     for name in SD_FIXTURES:
         for ring in SD_RINGS:
             for command in SD_COMMANDS:
