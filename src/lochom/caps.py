@@ -246,44 +246,53 @@ def _subtract_resorted(ring, out, res, bt, chain):
         out[key] = ring.sub(out.get(key, ring.zero()), v)
 
 
+def swap_incidences(X, ring):
+    """What every adjacent swap of X's vertex order reads from X alone: each
+    simplex's faces with their signs, and its cofaces tp (also as those
+    inside each simplex c), each with the coefficient the homotopy term of
+    tp takes: the coface sign times (-1)^(k-l), once for each parity of
+    k - l.  No swap changes them, so a sweep builds them once."""
+    signs = (ring.one(), ring.from_int(-1))
+    simplices = list(X.all_simplices())
+    cofaces = {t: [(tp, ring.from_int(_coface_sign(X, t, tp)))
+                   for tp in X.cofaces(t)]
+               for t in simplices}
+    faces = {s: [(s[:j] + s[j + 1:], ring.from_int((-1) ** j))
+                 for j in range(len(s)) if len(s) > 1]
+             for s in simplices}
+    # indexed by the parity of k - l first; tuples, as they are smaller
+    # than lists and the many empty ones share one object
+    parity_cofaces = tuple(
+        {t: tuple((tp, ring.mul(sign, cs)) for tp, cs in signed)
+         for t, signed in cofaces.items()}
+        for sign in signs)
+    cofaces_in = tuple(
+        {(t, c): tuple(x for x in signed[t] if set(c).issuperset(x[0]))
+         for c in simplices for r in range(1, len(c) + 1)
+         for t in combinations(c, r)}
+        for signed in parity_cofaces)
+    return faces, parity_cofaces, cofaces_in
+
+
 class OrientationSwap:
     """The swap of the adjacent vertices u = X.order[i] and w = X.order[i + 1]:
     Xt is X with u and w exchanged in the vertex order.  Each simplex's tuple
-    re-sorted into the order of Xt, with the sign of that permutation, and
-    its faces in X with their signs, are computed once here for all the
-    generator pairs `defect` is asked about.  So are its cofaces tp in X
-    (also as those inside each simplex c), each with the coefficient the
-    homotopy term of tp takes: the coface sign times (-1)^(k-l), once for
-    each parity of k - l."""
+    re-sorted into the order of Xt, with the sign of that permutation, is
+    computed once here for all the generator pairs `defect` is asked about;
+    its signed faces and cofaces come from `swap_incidences(X, ring)`,
+    shared by every swap of X."""
 
-    def __init__(self, X, ring, i):
+    def __init__(self, X, ring, i, incidences):
         order = list(X.order)
         self.u, self.w = order[i], order[i + 1]
         order[i], order[i + 1] = self.w, self.u
         self.ring, self.Xt = ring, X.with_order(order)
         self.one = ring.one()
-        signs = (self.one, ring.from_int(-1))
         key = self.Xt.pos.__getitem__
         self.resorted = {s: (tuple(sorted(s, key=key)),
                              ring.from_int(perm_sign(s, key)))
                          for s in X.all_simplices()}
-        cofaces = {t: [(tp, ring.from_int(_coface_sign(X, t, tp)))
-                       for tp in X.cofaces(t)]
-                   for t in self.resorted}
-        self.faces = {s: [(s[:j] + s[j + 1:], ring.from_int((-1) ** j))
-                          for j in range(len(s)) if len(s) > 1]
-                      for s in self.resorted}
-        # indexed by the parity of k - l first; tuples, as they are smaller
-        # than lists and the many empty ones share one object
-        self.cofaces = tuple(
-            {t: tuple((tp, ring.mul(sign, cs)) for tp, cs in signed)
-             for t, signed in cofaces.items()}
-            for sign in signs)
-        self.cofaces_in = tuple(
-            {(t, c): tuple(x for x in signed[t] if set(c).issuperset(x[0]))
-             for c in self.resorted for r in range(1, len(c) + 1)
-             for t in combinations(c, r)}
-            for signed in self.cofaces)
+        self.faces, self.cofaces, self.cofaces_in = incidences
 
     def defect(self, s, t, b=None, c=None):
         """Chain-homotopy defect of the swap on one generator pair: zero iff

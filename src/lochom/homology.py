@@ -131,22 +131,35 @@ class CokerPresentation:
         return vec_clean(self.ring, self.snf.Uinv.column(self._rows[i]))
 
 
-class HomologyPresentation(CokerPresentation):
-    """ker(d_out)/im(d_in) as the cokernel of the incoming boundaries written
-    in the coordinates of a kernel basis.
+class CycleBasis:
+    """ker(d_out) with a basis: the kernel half of a homology presentation,
+    and all a cycle-module stalk reads.
 
-    `out_snf` is the one SNF of d_out, through `memo` as the relations' is:
+    `out_snf` is the one SNF of d_out, through `memo` (`matrices.factored`):
     its V columns past the rank are the kernel basis `cycles` (chains over
     d_out's source basis), read once here, and its V^-1, the one transform
     it keeps, writes any cycle in that basis (`cycle_coordinates`, None for
-    a non-cycle).  `gens` are the generating cycles in ambient coordinates.
+    a non-cycle).
+    """
+
+    def __init__(self, d_out, memo):
+        snf = factored(memo, d_out)
+        self.cycles = kernel_basis(d_out, snf)
+        self.out_snf = snf.keep("Vinv")
+
+    def cycle_coordinates(self, chain):
+        return kernel_coordinates(self.out_snf, chain)
+
+
+class HomologyPresentation(CycleBasis, CokerPresentation):
+    """ker(d_out)/im(d_in) as the cokernel of the incoming boundaries written
+    in the coordinates of the kernel basis its `CycleBasis` half holds.
+    `gens` are the generating cycles in ambient coordinates.
     coordinates() expresses any cycle exactly in this presentation.
     """
 
     def __init__(self, ring, d_out, d_in, memo=None):
-        snf = factored(memo, d_out)
-        self.cycles = kernel_basis(d_out, snf)
-        self.out_snf = snf.keep("Vinv")
+        CycleBasis.__init__(self, d_out, memo)
         klabels = tuple(range(len(self.cycles)))
         ycols = []
         for c in d_in.col_labels:
@@ -154,7 +167,7 @@ class HomologyPresentation(CokerPresentation):
             if y is None:
                 raise ValueError("incoming boundary is not a cycle (d∘d != 0?)")
             ycols.append(y)
-        super().__init__(ring, Matrix.from_columns(
+        CokerPresentation.__init__(self, ring, Matrix.from_columns(
             ring, klabels, tuple(range(len(ycols))), ycols), memo)
         # a generator is its lift's combination of cycles, summed in basis
         # order (which fixes its key order) and cleaned once
@@ -165,9 +178,6 @@ class HomologyPresentation(CokerPresentation):
                 for r, v in self.cycles[i].items():
                     out[r] = ring.add(out.get(r, ring.zero()), ring.mul(v, x))
             self.gens.append(vec_clean(ring, out))
-
-    def cycle_coordinates(self, chain):
-        return kernel_coordinates(self.out_snf, chain)
 
     def coordinates(self, chain):
         """Coordinates of a cycle in the presentation (torsion coords reduced)."""

@@ -14,7 +14,7 @@ vector.
 
 from .caps import (OrientationSwap, cap_v1, cap_v2, d_chain_local,
                    delta_cochain_local, delta_cochain_plain,
-                   leibniz_defect_v1, leibniz_defect_v2)
+                   leibniz_defect_v1, leibniz_defect_v2, swap_incidences)
 from .complexes import is_vc_before, reorient_vc_before
 from .localhomology import LocalCohomologyCosheaf, LocalContext
 from .matrices import vec_add, vec_clean, vec_eq, vec_sub
@@ -254,8 +254,9 @@ def swap_sweep(X, ring, max_witnesses=3):
     witnesses = []
     pairs = [(s, b, len(s) - 1) for s, b in _pairs_with_tops(X)]
     simplices = [(t, len(t) - 1) for t in X.all_simplices()]
+    incidences = swap_incidences(X, ring)
     for i in range(len(X.order) - 1):
-        swap = OrientationSwap(X, ring, i)
+        swap = OrientationSwap(X, ring, i, incidences)
         u, w, defect = swap.u, swap.w, swap.defect
         for s, b, k in pairs:
             for t, l in simplices:

@@ -8,7 +8,7 @@ longer contain s.  The top local homology stalks form a sheaf (generator rule
 stalks, presented as cokernels of the local coboundary, form a cosheaf.
 """
 
-from .homology import ChainComplex, CokerPresentation
+from .homology import ChainComplex, CokerPresentation, CycleBasis
 from .matrices import (Matrix, _positions, invariant_factors, kernel_basis,
                        vec_clean, vec_dot)
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
@@ -53,13 +53,14 @@ def local_cohomology(X, ring, simplex, k):
 
 class LocalContext:
     """The local data of one complex over one ring, each piece built once:
-    the local chain complex at each simplex, the stalk presentations the
-    sheaf views read, `memo`, one factorization of each matrix these and
-    the link complexes eliminate (`matrices.factored`: the local complexes
-    come in few combinatorial types), and `pairings`, one `uct_report`
-    result per top local differential.  Commands build one per complex and
-    drop it on return; views point at their context, never back, so no
-    reference cycle keeps a context alive after its command."""
+    the local chain complex at each simplex; the stalks the sheaf views
+    read, a `CycleBasis` of the local cycles for the sheaf and a cokernel
+    presentation for the cosheaf; `memo`, one factorization of each matrix
+    these and the link complexes eliminate (`matrices.factored`: the local
+    complexes come in few combinatorial types); and `pairings`, one
+    `uct_report` result per top local differential.  Commands build one
+    per complex and drop it on return; views point at their context, never
+    back, so no reference cycle keeps a context alive after its command."""
 
     def __init__(self, X, ring):
         self.X = X
@@ -77,14 +78,15 @@ class LocalContext:
         return self._complexes[simplex]
 
     def presentation(self, simplex, n, dual):
-        """Degree-n local homology at a simplex as a cycle presentation, or
-        with dual the cokernel of the local coboundary into degree n."""
+        """The degree-n local cycles at a simplex as a `CycleBasis` (the
+        sheaf divides out no boundaries), or with dual the cokernel of the
+        local coboundary into degree n."""
         key = (tuple(simplex), n, dual)
         if key not in self._presentations:
-            cx = self.complex(simplex)
+            d_n = self.complex(simplex).differential(n)
             self._presentations[key] = (
-                CokerPresentation(self.ring, cx.differential(n).transpose(),
-                                  self.memo) if dual else cx.homology(n))
+                CokerPresentation(self.ring, d_n.transpose(), self.memo)
+                if dual else CycleBasis(d_n, self.memo))
         return self._presentations[key]
 
 
@@ -156,10 +158,12 @@ def cm_check(X, L, n, ring):
 class LocalHomologySheaf(Sheaf):
     """Top local homology as a combinatorial sheaf.
 
-    The stalk at s is the cycle module ker(boundary) in top local degree n,
-    stored with an explicit basis; the restriction along s < t relabels
-    (s, a) -> (t, a), kills generators whose carrier a does not contain t,
-    and re-expresses the result in the target cycle basis.
+    The stalk at s is the cycle module ker(boundary) in top local degree n:
+    stalk = cycle basis, no quotient.  It is the context's `CycleBasis`; for
+    n = dim X nothing bounds, so it is the local homology itself.  The
+    restriction along s < t relabels (s, a) -> (t, a), kills generators
+    whose carrier a does not contain t, and re-expresses the result in the
+    target cycle basis.
     """
 
     def __init__(self, ctx, n):

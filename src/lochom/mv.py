@@ -385,7 +385,10 @@ def duality_map_matrices(ctx, L, item):
     """Source complex, target complex, and the degree-l matrices of capping
     with the fundamental class, for one of the eight duality items.  The
     source is a cochain complex in degrees l, the target a chain complex in
-    degrees n - l."""
+    degrees n - l.  Each column is one `relative_cap` call with the part of
+    the class whose back face alpha[n-l:] is the column's simplex, grouped
+    once per degree in the class's order: the other generators add nothing,
+    so values, value types and key order are those of the whole class."""
     X, ring = ctx.X, ctx.ring
     variant, src_region, tgt_region, _, _, _ = DUALITY_ITEMS[item]
     n = X.dim
@@ -398,23 +401,28 @@ def duality_map_matrices(ctx, L, item):
         src = sheaf_cochain_complex(F, src_reg)
         tgt = simplicial_chain_complex(X, ring, tgt_reg)
 
-        def image(label):
+        def image(label, part):
             s, lab = label
-            return relative_cap(X, L, ring, fund, F.cycle(s, lab), len(s) - 1,
+            return relative_cap(X, L, ring, part, F.cycle(s, lab), len(s) - 1,
                                 variant, src_region)
     else:
         G = LocalCohomologyCosheaf(ctx, n)
         src = simplicial_cochain_complex(X, ring, src_reg)
         tgt = cosheaf_chain_complex(G, tgt_reg)
 
-        def image(label):
+        def image(label, part):
             return project_stalks(G, relative_cap(
-                X, L, ring, fund, {label: ring.one()}, len(label) - 1,
+                X, L, ring, part, {label: ring.one()}, len(label) - 1,
                 variant, src_region))
 
     matrices = {}
     for l in range(0, n + 1):
-        cols = [image(label) for label in src.basis(l)]
+        by_back = {}
+        for key, v in fund.items():
+            by_back.setdefault(key[0][n - l:], {})[key] = v
+        cols = [image(label, by_back.get(
+                    label[0] if variant == "v1" else label, {}))
+                for label in src.basis(l)]
         matrices[l] = Matrix.from_columns(ring, tgt.basis(n - l),
                                           src.basis(l), cols)
     return src, tgt, matrices

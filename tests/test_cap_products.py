@@ -324,6 +324,23 @@ def test_sweeps_call_every_formula_as_often_as_before(monkeypatch):
     assert digest.hexdigest() == FORMULA_ARGUMENTS_T4
 
 
+def test_a_swap_sweep_signs_each_coface_once(monkeypatch):
+    # no swap changes X's faces and cofaces, so every swap of one sweep
+    # shares a single signed copy of them
+    signed = []
+    sign = caps._coface_sign
+
+    def recorded(X, t, tp):
+        signed.append((t, tp))
+        return sign(X, t, tp)
+
+    monkeypatch.setattr(caps, "_coface_sign", recorded)
+    X = _fixture("rp6")
+    assert swap_sweep(X, ZZ)["ok"]
+    assert sorted(signed) == sorted((t, tp) for t in X.all_simplices()
+                                    for tp in X.cofaces(t))
+
+
 def _homology_cap_conjugation(X, swap_index, ring):
     """Capping a fundamental cycle is orientation independent on homology:
     the induced maps computed in two adjacent-transposition orders agree

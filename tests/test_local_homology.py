@@ -12,7 +12,7 @@ from lochom.cli import main
 from lochom.complexes import SimplicialComplex, Subcomplex
 from lochom.fixtures import (FIXTURES, bowtie, circle3, hexagon, rp2_six,
                              sphere2, triangle)
-from lochom.homology import (ChainComplex, CokerPresentation,
+from lochom.homology import (ChainComplex, CokerPresentation, CycleBasis,
                             HomologyPresentation)
 from lochom.localhomology import (LocalContext, cm_check, link_crosscheck,
                                   local_cm_check, local_cohomology,
@@ -202,12 +202,14 @@ def test_a_broken_pairing_fails_at_every_simplex_on_both_paths(
 def _record_local_presentations(monkeypatch):
     """Record each presentation built on local generators as (complex
     identity, simplex, degree, kind).  A local presentation's generators are
-    the labels of one local basis tuple: the source basis of a homology
-    presentation's d_out, the rows of the cokernel of a transposed local
-    differential."""
+    the labels of one local basis tuple: the source basis of the d_out of a
+    cycle basis (a sheaf stalk, or the kernel half of a homology
+    presentation, which records both kinds), the rows of the cokernel of a
+    transposed local differential."""
     owner, built, alive = {}, [], []
     build = localhomology.local_complex
     coker_init = CokerPresentation.__init__
+    cycles_init = CycleBasis.__init__
     homology_init = HomologyPresentation.__init__
 
     def recorded_complex(X, ring, simplex, *args):
@@ -224,6 +226,11 @@ def _record_local_presentations(monkeypatch):
             built.append((*owner[id(relations.row_labels)], "cokernel"))
         coker_init(self, ring, relations, *args)
 
+    def recorded_cycles(self, d_out, *args):
+        if id(d_out.col_labels) in owner:
+            built.append((*owner[id(d_out.col_labels)], "cycles"))
+        cycles_init(self, d_out, *args)
+
     def recorded_homology(self, ring, d_out, d_in, *args):
         if id(d_out.col_labels) in owner:
             built.append((*owner[id(d_out.col_labels)], "homology"))
@@ -231,6 +238,7 @@ def _record_local_presentations(monkeypatch):
 
     monkeypatch.setattr(localhomology, "local_complex", recorded_complex)
     monkeypatch.setattr(CokerPresentation, "__init__", recorded_coker)
+    monkeypatch.setattr(CycleBasis, "__init__", recorded_cycles)
     monkeypatch.setattr(HomologyPresentation, "__init__", recorded_homology)
     return built
 
@@ -373,3 +381,56 @@ def test_stalk_field_dimensions_match_scalars():
     for s in X.all_simplices():
         assert (local_homology(X, QQ, s, 2).rank_summary
                 == local_homology(X, ZZ, s, 2).rank_summary)
+
+
+def _items_and_types(vec):
+    return [(k, v, type(v)) for k, v in vec.items()]
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), GF(3)), ids=lambda r: r.name)
+@pytest.mark.parametrize("name", [*sorted(FIXTURES), "sd_rp6"])
+def test_kernel_only_stalks_equal_the_homology_presentations_kernel(name,
+                                                                   ring):
+    # the sheaf's stalk is the kernel half alone: its cycles and cycle
+    # coordinates are those of the full presentation on the same local
+    # complex, in value, type and key order, and it holds no quotient
+    X = COMPLEXES[name]()
+    ctx = LocalContext(X, ring)
+    for s in X.all_simplices():
+        for k in range(X.dim + 1):
+            stalk = ctx.presentation(s, k, False)
+            full = local_homology(X, ring, s, k)
+            assert type(stalk) is CycleBasis and not hasattr(stalk, "gens")
+            assert ([_items_and_types(z) for z in stalk.cycles]
+                    == [_items_and_types(z) for z in full.cycles]), (s, k)
+            for z in full.cycles:
+                assert (_items_and_types(stalk.cycle_coordinates(z))
+                        == _items_and_types(full.cycle_coordinates(z)))
+            d = ctx.complex(s).differential(k)
+            moved = [c for c in d.col_labels if d.column(c)]
+            if moved:
+                chain = {moved[0]: ring.one()}
+                assert stalk.cycle_coordinates(chain) is None
+                assert full.cycle_coordinates(chain) is None
+
+
+@pytest.mark.parametrize("fault", ["torsion", "extra free generator"])
+@pytest.mark.parametrize("name", ["c3", "t4", "rp6"])
+def test_uct_fails_on_a_cokernel_summary_that_disagrees(monkeypatch, name,
+                                                        fault):
+    # concentration and unimodularity still hold, so only the cokernel's
+    # summary can fail the report: its torsion, or a free rank other than
+    # the cycles' rank
+    X = UCT_COMPLEXES[name]()
+    assert all(uct_report(LocalContext(X, ZZ), s, X.dim)["ok"]
+               for s in X.all_simplices())
+    if fault == "torsion":
+        summary = property(lambda self: (self.free_rank, [2]))
+    else:
+        summary = property(lambda self: (self.free_rank + 1, []))
+    monkeypatch.setattr(CokerPresentation, "rank_summary", summary)
+    ctx = LocalContext(X, ZZ)
+    for s in X.all_simplices():
+        rep = uct_report(ctx, s, X.dim)
+        assert rep["locally_cm_here"] and rep["pairing_unimodular"], s
+        assert not rep["ok"], s

@@ -3,7 +3,7 @@ what a scan of every entry gives (the code below is the scan they replaced):
 the same values, value types and key order, on plain sparse matrices, on
 SNF transforms (whose index is built from the elimination's sparse rows) and
 on matrices whose `entries` were assigned after construction.  Also: the SNF
-of a matrix with no entries runs no elimination, and the presentations a
+of a matrix with no entries runs no elimination, and the stalks a
 `LocalContext` caches hold only the transforms they read."""
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import snf_reference
 from lochom import matrices
 from lochom.fixtures import rp2_six, sphere2
-from lochom.homology import HomologyPresentation
+from lochom.homology import CokerPresentation, CycleBasis
 from lochom.localhomology import LocalContext
 from lochom.matrices import Matrix, invariant_factors, smith_normal_form
 from lochom.rings import GF, QQ, ZZ
@@ -122,7 +122,7 @@ def test_zero_matrices_skip_the_elimination(monkeypatch, ring, shape):
             [type(v) for v in theirs.entries.values()]
 
 
-# the transforms each presentation never reads
+# the transforms each stalk never reads
 UNREAD = {"snf": ("V", "Vinv"), "out_snf": ("U", "Uinv", "V")}
 
 
@@ -130,25 +130,24 @@ UNREAD = {"snf": ("V", "Vinv"), "out_snf": ("U", "Uinv", "V")}
 @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
 def test_cached_presentations_hold_no_unread_transform(X, ring):
     ctx = LocalContext(X, ring)
-    held = []
-    for s in X.all_simplices():
-        for dual in (False, True):
-            held.append(ctx.presentation(s, X.dim, dual))
-    for pres in held:
-        owners = ["snf"]
-        if isinstance(pres, HomologyPresentation):
-            owners.append("out_snf")
-        for owner in owners:
+    held = {dual: [ctx.presentation(s, X.dim, dual)
+                   for s in X.all_simplices()] for dual in (False, True)}
+    # the sheaf's stalks are kernel bases alone (no relations, no
+    # generators), the cosheaf's cokernel presentations
+    assert {type(pres) for pres in held[False]} == {CycleBasis}
+    assert {type(pres) for pres in held[True]} == {CokerPresentation}
+    for dual, owner in ((False, "out_snf"), (True, "snf")):
+        for pres in held[dual]:
             for name in UNREAD[owner]:
                 with pytest.raises(KeyError):
                     getattr(getattr(pres, owner), name)
     # what they keep still answers: a generator projects to its own
     # coordinate, and a cycle has coordinates in the cycle basis
-    for pres in held:
+    for pres in held[True]:
         for j in range(len(pres)):
             assert pres.project(pres.lift(j)) == [
                 ring.one() if k == j else ring.zero()
                 for k in range(len(pres))]
-        if isinstance(pres, HomologyPresentation):
-            for i, z in enumerate(pres.cycles):
-                assert pres.cycle_coordinates(z) == {i: ring.one()}
+    for pres in held[False]:
+        for i, z in enumerate(pres.cycles):
+            assert pres.cycle_coordinates(z) == {i: ring.one()}

@@ -7,12 +7,15 @@ import os
 import pytest
 
 from lochom import cli, identities, mv
-from lochom.complexes import SimplicialComplex, Subcomplex, reorient_vc_before
+from lochom.complexes import (SimplicialComplex, Subcomplex, is_vc_before,
+                              parse_complex, parse_subcomplex,
+                              reorient_vc_before)
 from lochom.fixtures import (bowtie, circle3, hexagon, rp2_six, sphere2,
                              triangle)
 from lochom.homology import ChainComplex
 from lochom.identities import (collapse_suite, collapse_vs_cap,
                                mv_identity_sweep)
+from lochom.localhomology import LocalContext
 from lochom.matrices import Matrix, vec_add, vec_clean
 from lochom.mv import (DUALITY_ITEMS, MVDoubleComplex, fundamental_class,
                        naturality_report, verify_duality)
@@ -340,3 +343,52 @@ def test_naturality_report_sees_a_collapse_that_does_not_commute(
     assert rep["chain_maps"] and rep["augment_square"]
     assert not rep["collapse_square"] and not rep["homology_square"]
     assert not rep["ok"]
+
+
+FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+def _fixture_pair(name, sub):
+    """(X, L) from the fixture files, in the order the duality maps need;
+    L is the whole complex when sub is None."""
+    def read(fname):
+        with open(os.path.join(FIXDIR, fname), encoding="utf-8") as fh:
+            return fh.read()
+    X = parse_complex(read(f"{name}.cplx"))
+    if sub is None:
+        return X, Subcomplex(X, X.order)
+    L = parse_subcomplex(read(f"{sub}.sub"), X)
+    return (X, L) if is_vc_before(X, L) else reorient_vc_before(X, L)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
+@pytest.mark.parametrize("name, sub", [("rp6", None), ("rp6", "rp6_345"),
+                                       ("t4", None), ("t4", "t4_edge23")])
+@pytest.mark.parametrize("item", sorted(DUALITY_ITEMS))
+def test_map_columns_equal_caps_with_the_whole_class(monkeypatch, item, name,
+                                                     sub, ring):
+    # each column caps with only the part of the fundamental class whose
+    # back face is the column's simplex; with the whole class relative_cap
+    # gives the same value, value types and key order
+    X, L = _fixture_pair(name, sub)
+    whole = fundamental_class(X, ring)
+    cap = mv.relative_cap
+    calls = []
+
+    def compared(X_, L_, ring_, part, cochain, l, variant, support):
+        out = cap(X_, L_, ring_, part, cochain, l, variant, support)
+        ref = cap(X_, L_, ring_, whole, cochain, l, variant, support)
+        assert [(k, v, type(v)) for k, v in out.items()] == \
+            [(k, v, type(v)) for k, v in ref.items()], (l, cochain)
+        assert all(whole[key] == v for key, v in part.items())
+        calls.append((l, len(part)))
+        return out
+
+    monkeypatch.setattr(mv, "relative_cap", compared)
+    src, _, matrices = mv.duality_map_matrices(LocalContext(X, ring), L, item)
+    # one cap per source basis element (none when the source is relative
+    # to L = X), each with a proper part
+    assert [l for l, _ in calls] == [l for l in range(X.dim + 1)
+                                     for _ in src.basis(l)]
+    assert all(size < len(whole) for _, size in calls)
+    assert set(matrices) == set(range(X.dim + 1))
