@@ -198,17 +198,6 @@ def relative_cap(X, L, ring, xi, cochain, l, variant, support):
 
 # -- orientation change: resorting isomorphisms and the homotopies ------------
 
-def resort_plain(X2, ring, chain):
-    """Reorientation isomorphism on plain chains/cochains: re-sort each tuple
-    into the canonical order of X2, with the permutation sign."""
-    out = {}
-    for s, v in chain.items():
-        t = tuple(sorted(s, key=X2.pos.__getitem__))
-        sign = ring.from_int(perm_sign(s, X2.pos.__getitem__))
-        out[t] = ring.add(out.get(t, ring.zero()), ring.mul(sign, v))
-    return vec_clean(ring, out)
-
-
 def _b_homotopy_plain(ring, u, w, s, b, t, c, coeff):
     """Orientation-swap homotopy on an R-coefficient generator pair (s, t*):
     nonzero only when u, w sit at the split positions, output the extended

@@ -87,8 +87,9 @@ class SimplicialComplex:
     def face(self, simplex, j):
         return simplex[:j] + simplex[j + 1:]
 
-    def cofaces(self, simplex):
-        """Simplices one dimension up containing `simplex`."""
+    def _coface_table(self):
+        """simplex -> its cofaces in position order, and simplex -> its
+        position within its dimension; built on first use."""
         if self._coface_cache is None:
             cache = {s: [] for s in self._simplices}
             for s in self._simplices:
@@ -96,51 +97,39 @@ class SimplicialComplex:
                     f = self.face(s, j)
                     if f:
                         cache[f].append(s)
+            self._rank = {s: i for level in self.by_dim.values()
+                          for i, s in enumerate(level)}
             for lst in cache.values():
-                lst.sort(key=self._position_key)
+                lst.sort(key=self._rank.__getitem__)
             self._coface_cache = cache
-        return tuple(self._coface_cache.get(tuple(simplex), ()))
+        return self._coface_cache
 
-    def open_star(self, simplex):
-        """Simplices containing `simplex` (a simplex of this complex), in the
-        order of `all_simplices`: read from the coface table one dimension
-        up at a time."""
-        level = [tuple(simplex)] if self.contains(simplex) else []
+    def cofaces(self, simplex):
+        """Simplices one dimension up containing `simplex`."""
+        return tuple(self._coface_table().get(tuple(simplex), ()))
+
+    def star_levels(self, simplex):
+        """The simplices containing `simplex` (a simplex of this complex),
+        one tuple per dimension from its own up, each in the order of
+        `all_simplices`: read from the coface table one dimension up at a
+        time."""
+        if not self.contains(simplex):
+            return []
+        table = self._coface_table()
+        rank = self._rank.__getitem__
+        level = (tuple(simplex),)
         out = []
         while level:
-            out.extend(level)
-            level = sorted({c for s in level for c in self.cofaces(s)},
-                           key=self._position_key)
-        return tuple(out)
+            out.append(level)
+            level = tuple(sorted({c for s in level for c in table[s]},
+                                 key=rank))
+        return out
 
     def star(self, simplex):
         """Closed star: all faces of simplices containing `simplex`."""
-        out = set()
-        for a in self.open_star(simplex):
-            for sub in _subsets(a):
-                if sub:
-                    out.add(self.canon(sub))
-        return frozenset(out)
-
-    def link_complex(self, simplex):
-        """The link {a minus simplex : a in the open star, a != simplex} as a
-        complex in the inherited order, built without the constructor: the
-        link is already closed under faces, and removing the same vertices
-        from simplices of one dimension keeps their order, so the open
-        star's lists are already the link's `by_dim` lists."""
-        s = set(simplex)
-        by_dim = {}
-        for a in self.open_star(simplex)[1:]:
-            t = tuple(v for v in a if v not in s)
-            by_dim.setdefault(len(t) - 1, []).append(t)
-        link = SimplicialComplex.__new__(SimplicialComplex)
-        link.order = tuple(t[0] for t in by_dim.get(0, ()))
-        link.pos = {v: i for i, v in enumerate(link.order)}
-        link._simplices = {t for level in by_dim.values() for t in level}
-        link.by_dim = by_dim
-        link.dim = max(by_dim, default=-1)
-        link._coface_cache = None
-        return link
+        return frozenset(self.canon(sub)
+                         for level in self.star_levels(simplex)
+                         for a in level for sub in _subsets(a) if sub)
 
     # -- orientation -------------------------------------------------------
     def with_order(self, new_order):

@@ -1,18 +1,49 @@
 """Chain complexes over exact rings and homology presentations via SNF."""
 
-from .matrices import (Matrix, factored, factors, hstack, kernel_basis,
-                       kernel_coordinates, smith_normal_form, vec_clean)
+from .matrices import (Matrix, _positions, factored, factors, hstack,
+                       kernel_basis, kernel_coordinates, smith_normal_form,
+                       vec_clean)
 
 
-class ChainComplex:
+class FactorSummaries:
+    """Rank summaries from invariant factors alone, the one formula for a
+    labelled complex (`ChainComplex`) and a positional one
+    (`localhomology.LocalComplex`).  Over a PID ker d_out is a direct
+    summand, so the free rank is dim C - rank d_out - rank d_in and the
+    torsion the non-unit factors of d_in; a transpose has the same factors,
+    so the evaluation dual's torsion is d_out's.  A subclass sets `ring`,
+    `shift`, `memo` (`matrices.factored`) and `_factors` = {}, and gives
+    `_size(deg)`, the basis size, and `_key(deg)`, d_deg's
+    `matrices._positions` (None for no differential)."""
+
+    def homology_summary(self, deg):
+        """`homology(deg).rank_summary`, from invariant factors."""
+        return self._summary(deg, deg - self.shift)
+
+    def cohomology_summary(self, deg):
+        """The same for the evaluation dual."""
+        return self._summary(deg, deg)
+
+    def _summary(self, deg, torsion_deg):
+        found = self._factors
+        for k in (deg, deg - self.shift):
+            if k not in found:
+                key = self._key(k)
+                found[k] = ([] if key is None
+                            else factors(self.memo, self.ring, key))
+        free = self._size(deg) - len(found[deg]) - len(found[deg - self.shift])
+        is_unit = self.ring.is_unit
+        return (free, [d for d in found[torsion_deg] if not is_unit(d)])
+
+
+class ChainComplex(FactorSummaries):
     """A finitely generated complex of free modules with labelled bases.
 
     spaces: dict degree -> tuple of basis labels.
     diffs: dict degree -> Matrix from spaces[degree] to spaces[degree + shift].
     shift is -1 for homological (boundary) and +1 for cohomological complexes.
     `memo` (`matrices.factored`) holds every factorization the complex, its
-    dual and its presentations make, so no matrix is eliminated twice;
-    `_factors` keeps each differential's invariant factors from it.
+    dual and its presentations make, so no matrix is eliminated twice.
     The constructor does not check d∘d = 0: the tests check it on every
     complex lochom builds, `check_functorial` (run by `io.parse_sheaf`)
     assures it for a parsed sheaf, and a presentation refuses an incoming
@@ -53,27 +84,12 @@ class ChainComplex:
         d_in = self.differential(deg - self.shift)
         return HomologyPresentation(self.ring, d_out, d_in, self.memo)
 
-    def homology_summary(self, deg):
-        """`homology(deg).rank_summary` from invariant factors alone: over a
-        PID ker d_out is a direct summand, so the free rank is
-        dim C - rank d_out - rank d_in, the torsion the non-unit factors of
-        d_in."""
-        return self._summary(deg, deg - self.shift)
+    def _size(self, deg):
+        return len(self.basis(deg))
 
-    def cohomology_summary(self, deg):
-        """The same for the evaluation dual (transposed differentials): a
-        transpose has the same factors, so the torsion is d_out's."""
-        return self._summary(deg, deg)
-
-    def _summary(self, deg, torsion_deg):
-        for k in (deg, deg - self.shift):
-            if k not in self._factors:
-                d = self.diffs.get(k)
-                self._factors[k] = factors(self.memo, d) if d is not None else []
-        free = (len(self.basis(deg)) - len(self._factors[deg])
-                - len(self._factors[deg - self.shift]))
-        return (free, [d for d in self._factors[torsion_deg]
-                       if not self.ring.is_unit(d)])
+    def _key(self, deg):
+        d = self.diffs.get(deg)
+        return None if d is None else _positions(d)
 
 
 class CokerPresentation:

@@ -3,52 +3,112 @@
 The local chain complex at a simplex s is the relative complex of the pair
 (X, X minus the open star of s): its degree-k basis is the set of generators
 (s, a) for k-simplices a containing s, and the boundary drops faces that no
-longer contain s.  The top local homology stalks form a sheaf (generator rule
-(s, a) -> (t, a), killed when t is not a face of a); the top local cohomology
-stalks, presented as cokernels of the local coboundary, form a cosheaf.
+longer contain s.  It is built by position (`LocalComplex`), and only
+a reader that needs labels gets a labelled differential.  The top local
+homology stalks form a sheaf (generator rule (s, a) -> (t, a), killed when
+t is not a face of a); the top local cohomology stalks, presented as
+cokernels of the local coboundary, form a cosheaf.
 """
 
-from .homology import ChainComplex, CokerPresentation, CycleBasis
-from .matrices import (Matrix, _positions, invariant_factors, kernel_basis,
-                       vec_clean, vec_dot)
+from .homology import (ChainComplex, CokerPresentation, CycleBasis,
+                       FactorSummaries)
+from .matrices import (Matrix, invariant_factors, kernel_basis, vec_clean,
+                       vec_dot)
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
 
+class LocalComplex(FactorSummaries):
+    """The local chain complex at `simplex` by position, or with `link` the
+    reduced chain complex of its link.  `levels[i]`, the open star's
+    simplices of dimension dim s + i in the order of `all_simplices`, is
+    the basis of degree low + i: generators (s, a) from low = dim s, or the
+    link's simplices a minus s from low = -1 (s itself the augmentation's
+    empty simplex).  `entries[i]` lists the differential out of that degree
+    column by column as (row position, column position, +-1): each face of
+    a dropping a vertex outside s, signed by its index in a, or for the
+    link in a minus s.  `keys[deg]` is its `matrices._positions`, all the
+    summaries read, through `memo`.  It holds no `LocalContext`."""
+
+    shift = -1
+
+    def __init__(self, ring, simplex, levels, memo, link=False):
+        self.ring, self.simplex, self.levels = ring, simplex, levels
+        self.memo = {} if memo is None else memo
+        self.low = -1 if link else len(simplex) - 1
+        units = (ring.from_int(1), ring.from_int(-1))
+        self.entries = [[]]
+        self.keys = {}
+        self._key = self.keys.get
+        for i in range(1, len(levels)):
+            row = {f: r for r, f in enumerate(levels[i - 1])}
+            entries = []
+            for c, a in enumerate(levels[i]):
+                skipped = 0
+                for j, v in enumerate(a):
+                    if v in simplex:
+                        skipped += 1
+                    else:
+                        entries.append((row[a[:j] + a[j + 1:]], c, units[
+                            (j - skipped if link else j) & 1]))
+            self.entries.append(entries)
+            self.keys[self.low + i] = ((len(row), len(levels[i])),
+                                       frozenset(entries))
+        self._factors = {}
+
+    def _size(self, deg):
+        i = deg - self.low
+        return len(self.levels[i]) if 0 <= i < len(self.levels) else 0
+
+    def key(self, deg):
+        """d_deg's `matrices._positions`, in every degree."""
+        return self.keys.get(deg) or (
+            (self._size(deg - 1), self._size(deg)), frozenset())
+
+    def basis(self, deg):
+        i = deg - self.low
+        return (tuple((self.simplex, a) for a in self.levels[i])
+                if 0 <= i < len(self.levels) else ())
+
+    def differential(self, deg):
+        """The labelled d_deg, built afresh, entries in their order."""
+        rows, cols = self.basis(deg - 1), self.basis(deg)
+        i = deg - self.low
+        return Matrix(self.ring, rows, cols, {
+            (rows[r], cols[c]): v
+            for r, c, v in (self.entries[i] if cols else ())})
+
+    def chain_complex(self):
+        """The labelled `ChainComplex`, for reference computations."""
+        degrees = range(self.low, self.low + len(self.levels))
+        return ChainComplex(self.ring, {k: self.basis(k) for k in degrees},
+                            {k: self.differential(k) for k in degrees},
+                            memo=self.memo)
+
+    def link(self):
+        """The link's reduced chain complex, from the same levels and memo."""
+        return LocalComplex(self.ring, self.simplex, self.levels, self.memo,
+                            link=True)
+
+
 def local_complex(X, ring, simplex, memo=None):
-    """Chain complex with degree-k basis {(s, a): a in X_k, a contains s},
-    factored through `memo` (`ChainComplex`)."""
+    """The `LocalComplex` at a simplex of X, factored through `memo`."""
     simplex = tuple(simplex)
     if not simplex:
         raise ValueError("empty simplex: use the reduced chain complex")
     if not X.contains(simplex):
         raise ValueError(f"{simplex!r} not in complex")
-    spaces = {}
-    for a in X.open_star(simplex):
-        spaces.setdefault(len(a) - 1, []).append((simplex, a))
-    diffs = {}
-    for k in sorted(spaces):
-        src = spaces[k]
-        tgtset = set(spaces.get(k - 1, ()))
-        entries = {}
-        for (_, a) in src:
-            for j in range(len(a)):
-                f = a[:j] + a[j + 1:]
-                if (simplex, f) in tgtset:
-                    entries[((simplex, f), (simplex, a))] = ring.from_int((-1) ** j)
-        if src:
-            diffs[k] = Matrix(ring, spaces.get(k - 1, ()), src, entries)
-    return ChainComplex(ring, spaces, diffs, shift=-1, memo=memo)
+    return LocalComplex(ring, simplex, X.star_levels(simplex), memo)
 
 
 def local_homology(X, ring, simplex, k):
     """Degree-k local homology, built afresh (a reference for the tests)."""
-    return local_complex(X, ring, simplex).homology(k)
+    return local_complex(X, ring, simplex).chain_complex().homology(k)
 
 
 def local_cohomology(X, ring, simplex, k):
     """Degree-k homology of the evaluation dual of the local chain complex
     (same labels, transposed differentials)."""
-    return local_complex(X, ring, simplex).dual().homology(k)
+    return local_complex(X, ring, simplex).chain_complex().dual().homology(k)
 
 
 class LocalContext:
@@ -71,11 +131,13 @@ class LocalContext:
         self.pairings = {}
 
     def complex(self, simplex):
+        """The `LocalComplex` at a simplex, built once."""
         simplex = tuple(simplex)
-        if simplex not in self._complexes:
-            self._complexes[simplex] = local_complex(self.X, self.ring,
-                                                     simplex, self.memo)
-        return self._complexes[simplex]
+        cx = self._complexes.get(simplex)
+        if cx is None:
+            cx = self._complexes[simplex] = local_complex(
+                self.X, self.ring, simplex, self.memo)
+        return cx
 
     def presentation(self, simplex, n, dual):
         """The degree-n local cycles at a simplex as a `CycleBasis` (the
@@ -93,14 +155,12 @@ class LocalContext:
 def link_crosscheck(ctx, simplex):
     """True iff h_i(s) matches the reduced homology of the link shifted by
     dim s + 1, as free rank + torsion, in every degree.  Both sides are
-    summaries from invariant factors (`ChainComplex.homology_summary`)."""
-    simplex = tuple(simplex)
-    l = len(simplex) - 1
+    summaries from invariant factors, of the local complex and of its
+    `link`, built from the same star."""
     local = ctx.complex(simplex)
-    link = simplicial_chain_complex(ctx.X.link_complex(simplex), ctx.ring,
-                                    reduced=True, memo=ctx.memo)
-    return all(local.homology_summary(i) == link.homology_summary(i - l - 1)
-               for i in range(-1, ctx.X.dim + 1))
+    link = local.link()
+    return all(local.homology_summary(i) == link.homology_summary(
+        i - local.low - 1) for i in range(-1, ctx.X.dim + 1))
 
 
 def local_cm_check(ctx, L, n):
@@ -257,9 +317,9 @@ def uct_report(ctx, simplex, n):
     cx = ctx.complex(simplex)
     concentrated = all(cx.homology_summary(k) == (0, [])
                        for k in range(0, ctx.X.dim + 1) if k != n)
-    d_n = cx.differential(n)
-    key = _positions(d_n)
+    key = cx.key(n)
     if key not in ctx.pairings:
+        d_n = cx.differential(n)
         cycles = kernel_basis(d_n)
         pres = CokerPresentation(ring, d_n.transpose())
         lifts = [pres.lift(i) for i in range(len(pres))]

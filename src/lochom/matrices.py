@@ -380,13 +380,16 @@ def factored(memo, M):
     return SNF(M, diagonals=s.diagonals, **s._transforms)
 
 
-def factors(memo, M):
-    """`invariant_factors(M)` through `memo` (see `factored`), read off a
-    stored SNF when there is one.  The list is shared: read it only."""
-    key = _positions(M)
+def factors(memo, ring, key):
+    """The invariant factors of a matrix over `ring` whose `_positions` is
+    `key`, through `memo` (see `factored`): read off a stored SNF, else
+    eliminated from the key, all the elimination reads.  The list is
+    shared: read it only."""
     s = memo.get(key)
     if s is None:
-        s = memo[key] = invariant_factors(M)
+        (m, n), entries = key
+        s = memo[key] = invariant_factors(Matrix(
+            ring, range(m), range(n), {(i, j): v for i, j, v in entries}))
     return s.diagonals if isinstance(s, SNF) else s
 
 
@@ -562,11 +565,10 @@ def solve(M, b, snf=None):
     c = s.U.apply(b)
     z = {}
     for i, d in enumerate(s.diagonals):
-        lbl = M.row_labels[i]
-        ci = c.pop(lbl, ring.zero())
-        if not ring.divides(d, ci):
+        q, r = ring.divmod(c.pop(M.row_labels[i], ring.zero()), d)
+        if not ring.is_zero(r):
             return None
-        z[M.col_labels[i]] = ring.div(ci, d)
+        z[M.col_labels[i]] = q
     if not vec_is_zero(ring, c):
         return None
     return vec_clean(ring, s.V.apply(z))

@@ -1,5 +1,5 @@
 """Combinatorial sheaves and cosheaves on a simplicial complex, their (co)chain
-complexes, sections and reorientation isomorphisms.
+complexes and sections.
 
 A sheaf assigns a basis-labelled free module to each simplex and a restriction
 matrix to each face relation (covariantly along sigma <= tau); a cosheaf maps
@@ -16,7 +16,6 @@ from itertools import combinations
 
 from .homology import ChainComplex
 from .matrices import Matrix
-from .complexes import perm_sign
 
 # region descriptors: ("X",), ("sub", L), ("rel", L)
 REGION_X = ("X",)
@@ -49,16 +48,14 @@ def region_simplices(X, region, k):
 class _FacePosetFunctor:
     """What sheaves and cosheaves share: free stalks with bases, maps of any
     codimension composed from codimension-one steps, and the check that this
-    composition is functorial."""
+    composition is functorial.  A subclass defines `stalk(simplex)`, the
+    tuple of basis labels, and its codimension-one step."""
 
     covariant = True
 
     def __init__(self, ring, X):
         self.ring = ring
         self.X = X
-
-    def stalk(self, simplex):
-        raise NotImplementedError
 
     def _along(self, lo, hi):
         """The map between the stalks of lo <= hi: lo -> hi for a sheaf,
@@ -104,27 +101,23 @@ class _FacePosetFunctor:
 
 
 class Sheaf(_FacePosetFunctor):
-    """Covariant functor on the face poset; values are free modules with bases."""
+    """Covariant functor on the face poset; values are free modules with
+    bases.  Its step `restriction_step(simplex, cosimplex)` is the matrix
+    stalk(simplex) -> stalk(cosimplex) for a codim-1 coface."""
 
     kind = "sheaf"
-
-    def restriction_step(self, simplex, cosimplex):
-        """Matrix stalk(simplex) -> stalk(cosimplex) for a codim-1 coface."""
-        raise NotImplementedError
 
     def restriction(self, simplex, cosimplex):
         return self._compose(simplex, cosimplex, self.restriction_step)
 
 
 class Cosheaf(_FacePosetFunctor):
-    """Contravariant functor on the face poset."""
+    """Contravariant functor on the face poset.  Its step
+    `corestriction_step(cosimplex, simplex)` is the matrix stalk(cosimplex)
+    -> stalk(simplex) for a codim-1 face."""
 
     kind = "cosheaf"
     covariant = False
-
-    def corestriction_step(self, cosimplex, simplex):
-        """Matrix stalk(cosimplex) -> stalk(simplex) for a codim-1 face."""
-        raise NotImplementedError
 
     def corestriction(self, cosimplex, simplex):
         return self._compose(simplex, cosimplex, self.corestriction_step)
@@ -263,31 +256,3 @@ def sections(F, L=None):
     region = region_sub(L) if L is not None else REGION_X
     return sheaf_cochain_complex(F, region).homology(0)
 
-
-# -- reorientation ------------------------------------------------------------
-
-def _label_to_simplex(label):
-    if isinstance(label, tuple) and label and isinstance(label[0], tuple):
-        return label[0], label[1:]
-    return label, ()
-
-
-def reorientation_iso(complex1, complex2, X1, X2):
-    """Diagonal sign isomorphism between complexes built over two vertex
-    orders: each simplex-indexed basis element maps to its re-sorted twin with
-    the sign of the vertex permutation."""
-    ring = complex1.ring
-    out = {}
-    degs = sorted(set(complex1.degrees()) | set(complex2.degrees()))
-    for deg in degs:
-        src = complex1.basis(deg)
-        tgt = complex2.basis(deg)
-        entries = {}
-        for lab in src:
-            simplex, rest = _label_to_simplex(lab)
-            resorted = tuple(sorted(simplex, key=X2.pos.__getitem__))
-            sign = perm_sign(simplex, X2.pos.__getitem__)
-            tlab = (resorted,) + tuple(rest) if rest else resorted
-            entries[(tlab, lab)] = ring.from_int(sign)
-        out[deg] = Matrix(ring, tgt, src, entries)
-    return out

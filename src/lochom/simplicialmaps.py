@@ -75,29 +75,6 @@ class SimplicialMap:
                    if self.is_dimension_preserving(s))
 
 
-def index_face_compatibility(f):
-    """(-1)^i ind(sigma with face i removed) == (-1)^j ind(sigma) cannot hold
-    literally for independent i and j; the executable identity is that the
-    boundary commutes with the signed pushforward -- checked as a chain map in
-    `pushforward_matrices`.  Here we check the two-sided generator identity:
-    for every dimension-preserving simplex and face position j, the index of
-    the face matches the index of the simplex corrected by the position of
-    the removed vertex in the image."""
-    for s in f.source.all_simplices():
-        if not f.is_dimension_preserving(s):
-            continue
-        img = f.image(s)
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1:]
-            if not face or not f.is_dimension_preserving(face):
-                continue
-            removed = f.vertex_map[s[j]]
-            jj = img.index(removed)
-            if (-1) ** jj * f.ind(face) != (-1) ** j * f.ind(s):
-                return (s, j)
-    return None
-
-
 def pushforward_chain(f, chain, ring):
     """Signed pushforward on plain chains; raises when the support collapses."""
     out = {}

@@ -1,0 +1,59 @@
+"""Labelled reference builders for the local layer, kept beside the tests.
+
+lochom builds the local complex at a simplex and the reduced complex of its
+link by position (`localhomology.LocalComplex`).  These build the same
+complexes the labelled way, from the definitions, so the tests can compare:
+
+- `reference_local_complex`: generators (s, a) for the simplices a
+  containing s, the boundary dropping faces that no longer contain s, with
+  the face sign (-1)^j of the dropped vertex's index j in a;
+- `link_complex`: the link {a minus s : s < a} as a `SimplicialComplex` in
+  the inherited vertex order, whose reduced chains
+  (`sheaves.simplicial_chain_complex(..., reduced=True)`) are the link's
+  side of the Munkres cross-check;
+- `as_chain_complex`: a positional complex read as a `ChainComplex` whose
+  labels are basis positions.
+"""
+
+from lochom.complexes import SimplicialComplex
+from lochom.homology import ChainComplex
+from lochom.matrices import Matrix
+
+
+def reference_local_complex(X, ring, simplex):
+    simplex = tuple(simplex)
+    spaces = {}
+    for a in X.all_simplices():
+        if set(simplex) <= set(a):
+            spaces.setdefault(len(a) - 1, []).append((simplex, a))
+    diffs = {}
+    for k, src in spaces.items():
+        tgt = set(spaces.get(k - 1, ()))
+        entries = {}
+        for (_, a) in src:
+            for j in range(len(a)):
+                f = a[:j] + a[j + 1:]
+                if (simplex, f) in tgt:
+                    entries[((simplex, f), (simplex, a))] = \
+                        ring.from_int((-1) ** j)
+        diffs[k] = Matrix(ring, spaces.get(k - 1, ()), src, entries)
+    return ChainComplex(ring, spaces, diffs)
+
+
+def link_complex(X, simplex):
+    s = set(simplex)
+    link = [tuple(v for v in a if v not in s)
+            for a in X.all_simplices() if s < set(a)]
+    verts = {v for t in link for v in t}
+    return SimplicialComplex(link, order=[v for v in X.order if v in verts])
+
+
+def as_chain_complex(pc):
+    """`pc`'s bases as positions and its differentials as matrices on
+    them, entries in their written order."""
+    sizes = {pc.low + i: len(level) for i, level in enumerate(pc.levels)}
+    spaces = {k: tuple(range(n)) for k, n in sizes.items()}
+    diffs = {k: Matrix(pc.ring, spaces.get(k - 1, ()), spaces[k],
+                       {(r, c): v for r, c, v in pc.entries[k - pc.low]})
+             for k in spaces if pc.entries[k - pc.low]}
+    return ChainComplex(pc.ring, spaces, diffs, memo=pc.memo)

@@ -15,8 +15,9 @@ from lochom.homology import induced_matrix
 from lochom.identities import leibniz_sweep, swap_sweep
 from lochom.matrices import Matrix
 from lochom.rings import GF, QQ, ZZ
-from lochom.sheaves import (reorientation_iso, simplicial_chain_complex,
+from lochom.sheaves import (simplicial_chain_complex,
                             simplicial_cochain_complex)
+from reorientation import reorientation_iso, resort_plain
 
 
 def test_cap_v1_generator_values():
@@ -357,7 +358,6 @@ def _homology_cap_conjugation(X, swap_index, ring):
     iso_chain = reorientation_iso(chain_x, chain_t, X, Xt)
     iso_cochain = reorientation_iso(cochain_x, cochain_t, X, Xt)
     z = chain_x.homology(n).gens[0]
-    from lochom.caps import resort_plain
     zt = resort_plain(Xt, ring, z)
 
     for l in range(n + 1):

@@ -1,9 +1,10 @@
 """Every chain complex lochom builds is a complex: d∘d = 0 and matching labels.
 
 `ChainComplex` checks neither when it is built, so these tests are where the
-builders are held to it: the local complexes at every simplex, the reduced
-link complexes, plain (co)chains of X and of the sub and rel regions of a
-subcomplex, the complexes with coefficients in the local-homology sheaf, the
+builders are held to it: the positional local complexes at every simplex
+and the reduced complexes of their links (read with position labels), plain
+(co)chains of X and of the sub and rel regions of a subcomplex, the
+complexes with coefficients in the local-homology sheaf, the
 local-cohomology cosheaf and the constant ones, the Mayer-Vietoris total and
 barred relative complexes, and the evaluation dual of each.  They run on the
 fixtures, on sd(rp6) and sd(torus), and on seeded random complexes, over ZZ,
@@ -28,6 +29,7 @@ from lochom.sheaves import (REGION_X, ConstantCosheaf, ConstantSheaf,
                             cosheaf_chain_complex, region_rel, region_sub,
                             sheaf_cochain_complex, simplicial_chain_complex,
                             simplicial_cochain_complex)
+from local_reference import as_chain_complex
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -79,8 +81,9 @@ def every_built_complex(X, ring, L):
     """Each complex lochom builds from X, its subcomplex L and the ring."""
     ctx = LocalContext(X, ring)
     for s in X.all_simplices():
-        yield local_complex(X, ring, s)
-        yield simplicial_chain_complex(X.link_complex(s), ring, reduced=True)
+        local = local_complex(X, ring, s)
+        yield as_chain_complex(local)
+        yield as_chain_complex(local.link())
     for region in (REGION_X, region_sub(L), region_rel(L)):
         yield simplicial_chain_complex(X, ring, region)
         if region[0] != "rel":
@@ -110,6 +113,19 @@ def test_every_built_complex_has_d_squared_zero(name, ring):
 def _flip_one_sign(monkeypatch, module, degree):
     """Make `module`'s complexes negate one entry of the differential out of
     `degree`: the first, in the order the builder wrote them."""
+    if module is localhomology:
+        # the positional builder writes the differential out of level i
+        # (degree low + i) as a list
+        built = module.LocalComplex.__init__
+
+        def with_one_sign_flipped(self, ring, *args, **kwargs):
+            built(self, ring, *args, **kwargs)
+            (r, c, v), *rest = self.entries[degree - self.low]
+            self.entries[degree - self.low] = [(r, c, ring.neg(v)), *rest]
+
+        monkeypatch.setattr(module.LocalComplex, "__init__",
+                            with_one_sign_flipped)
+        return
     built = module.ChainComplex
 
     def with_one_sign_flipped(ring, spaces, diffs, *args, **kwargs):
@@ -124,7 +140,8 @@ def _flip_one_sign(monkeypatch, module, degree):
 
 
 @pytest.mark.parametrize("module, flipped, build, named", [
-    (localhomology, 2, lambda X: local_complex(X, ZZ, (0,)), 2),
+    (localhomology, 2,
+     lambda X: as_chain_complex(local_complex(X, ZZ, (0,))), 2),
     (sheaves, 1, lambda X: sheaf_cochain_complex(ConstantSheaf(ZZ, X)), 0),
 ], ids=["local_complex", "coefficient_complex"])
 def test_d_squared_check_names_the_degree_of_a_flipped_sign(

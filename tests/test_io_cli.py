@@ -403,3 +403,31 @@ def test_report_writer_matches_json_dumps(tmp_path, capsys, name):
         assert out.read_text(encoding="utf-8") == expected
         _emit(report, None)
         assert capsys.readouterr().out == expected
+
+
+def test_cli_dim_above_the_complex_is_a_verdict_not_an_error(capsys):
+    # every local group of the circle in degree 99 is zero, so the circle
+    # is not locally Cohen-Macaulay there: each command that reads --dim
+    # reports that (exit 1, `homology` only reports), and the 0 x 0
+    # evaluation pairing of the zero modules is perfect, not a false pass
+    code, rep = run_cli(capsys, "local", "--complex", fix("c3.cplx"),
+                        "--dim", "99")
+    assert code == 1 and rep["ok"] is False
+    assert len(rep["simplices"]) == 6
+    for entry in rep["simplices"].values():
+        assert entry["uct"]["locally_cm_here"] is False
+        assert entry["uct"]["h_rank"] == 0
+        assert entry["uct"]["h_dual_summary"] == [0, []]
+        assert entry["uct"]["pairing_unimodular"] is True
+        assert entry["uct"]["ok"] is False
+    code, rep = run_cli(capsys, "check-cm", "--complex", fix("c3.cplx"),
+                        "--dim", "99")
+    assert code == 1 and rep["verdict"] is False and rep["n"] == 99
+    assert [w[1:] for w in rep["witnesses"]] == [[1, [1, []]]] * 6
+    code, rep = run_cli(capsys, "sections", "--complex", fix("c3.cplx"),
+                        "--dim", "99")
+    assert code == 1 and rep["lf_h0"]["refused"] is True
+    code, rep = run_cli(capsys, "homology", "--complex", fix("c3.cplx"),
+                        "--dim", "99")
+    assert code == 0 and rep["locally_cm_at_region"] is False
+    assert "sheaf_cochain" not in rep

@@ -60,7 +60,9 @@ def test_bowtie_pinch_point():
 
 @pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), GF(3)), ids=lambda r: r.name)
 def test_local_factor_summaries_match_presentations(ring):
-    for fn in FIXTURES.values():
+    # the positional summaries against full presentations of the labelled
+    # complex, on the fixtures, sd(rp6), sd(torus) and random complexes
+    for fn in COMPLEXES.values():
         X = fn()
         for s in X.all_simplices():
             cx = local_complex(X, ring, s)
@@ -71,16 +73,17 @@ def test_local_factor_summaries_match_presentations(ring):
                     local_cohomology(X, ring, s, k).rank_summary), (s, k)
 
 
-def _is_local_differential(M):
-    # local chain labels are (simplex, carrier); link chains are simplices
-    return all(isinstance(c[0], tuple) for c in M.col_labels)
-
-
 @pytest.mark.parametrize("name, n", [("c3", 1), ("t4", 2), ("rp6", 2)])
 def test_local_command_factors_once_and_presents_only_degree_n(
         monkeypatch, tmp_path, name, n):
-    degrees, built, factored = [], [0], {}
+    # every local and link differential is factored once, through the
+    # context's memo, by position; --dim n presents each distinct d_n once
+    # (`LocalContext.pairings`) and builds no homology presentation
+    degrees, built, positional = [], [0], set()
+    factored, presented = Counter(), Counter()
     present, init = ChainComplex.homology, HomologyPresentation.__init__
+    positional_init = localhomology.LocalComplex.__init__
+    coker_init = CokerPresentation.__init__
     factors = matrices.invariant_factors
 
     def counted_homology(self, deg):
@@ -91,26 +94,40 @@ def test_local_command_factors_once_and_presents_only_degree_n(
         built[0] += 1
         init(self, *args)
 
+    def recorded_positional(self, *args, **kwargs):
+        positional_init(self, *args, **kwargs)
+        positional.update(self.keys.values())
+
+    def counted_coker(self, ring, relations, *args):
+        presented[matrices._positions(relations)] += 1
+        coker_init(self, ring, relations, *args)
+
     def counted_factors(M, *args):
-        if _is_local_differential(M):
-            key = (M.row_labels, M.col_labels)
-            factored[key] = factored.get(key, 0) + 1
+        factored[matrices._positions(M)] += 1
         return factors(M, *args)
 
     monkeypatch.setattr(ChainComplex, "homology", counted_homology)
     monkeypatch.setattr(HomologyPresentation, "__init__", counted_init)
+    monkeypatch.setattr(localhomology.LocalComplex, "__init__",
+                        recorded_positional)
+    monkeypatch.setattr(CokerPresentation, "__init__", counted_coker)
     monkeypatch.setattr(matrices, "invariant_factors", counted_factors)
     base = ["local", "--complex", os.path.join(FIXDIR, f"{name}.cplx"),
             "--out", str(tmp_path / "report.json")]
     for extra in ([], ["--dim", str(n)]):
         degrees.clear()
         built[0] = 0
+        positional.clear()
         factored.clear()
+        presented.clear()
         assert main(base + extra) == 0
         # --dim n pairs a degree-n cycle basis with the degree-n cokernel
         # presentation, so neither run builds a homology presentation
         assert built[0] == len(degrees) == 0
-        assert factored and max(factored.values()) == 1
+        local = [factored[key] for key in positional if key in factored]
+        assert local and max(local) == 1
+        assert bool(presented) == bool(extra)
+        assert max(presented.values(), default=1) == 1
 
 
 @pytest.mark.parametrize("item", ["1ai", "2bii"])
@@ -202,12 +219,14 @@ def test_a_broken_pairing_fails_at_every_simplex_on_both_paths(
 def _record_local_presentations(monkeypatch):
     """Record each presentation built on local generators as (complex
     identity, simplex, degree, kind).  A local presentation's generators are
-    the labels of one local basis tuple: the source basis of the d_out of a
+    the labels of one labelled local differential's source basis, which
+    `LocalComplex.differential` builds: the source basis of the d_out of a
     cycle basis (a sheaf stalk, or the kernel half of a homology
     presentation, which records both kinds), the rows of the cokernel of a
     transposed local differential."""
-    owner, built, alive = {}, [], []
+    owner, built, alive, complexes = {}, [], [], {}
     build = localhomology.local_complex
+    differential = localhomology.LocalComplex.differential
     coker_init = CokerPresentation.__init__
     cycles_init = CycleBasis.__init__
     homology_init = HomologyPresentation.__init__
@@ -215,11 +234,16 @@ def _record_local_presentations(monkeypatch):
     def recorded_complex(X, ring, simplex, *args):
         cx = build(X, ring, simplex, *args)
         alive.append((X, cx))  # keeps every id in owner unique
-        for k, basis in cx.spaces.items():
-            owner[id(basis)] = (id(X), tuple(simplex), k)
-        for k, d in cx.diffs.items():
-            owner[id(d.col_labels)] = (id(X), tuple(simplex), k)
+        complexes[id(cx)] = id(X)
         return cx
+
+    def recorded_differential(self, deg):
+        d = differential(self, deg)
+        alive.append(d)
+        if d.col_labels:
+            owner[id(d.col_labels)] = (complexes[id(self)], self.simplex,
+                                       deg)
+        return d
 
     def recorded_coker(self, ring, relations, *args):
         if id(relations.row_labels) in owner:
@@ -237,6 +261,8 @@ def _record_local_presentations(monkeypatch):
         homology_init(self, ring, d_out, d_in, *args)
 
     monkeypatch.setattr(localhomology, "local_complex", recorded_complex)
+    monkeypatch.setattr(localhomology.LocalComplex, "differential",
+                        recorded_differential)
     monkeypatch.setattr(CokerPresentation, "__init__", recorded_coker)
     monkeypatch.setattr(CycleBasis, "__init__", recorded_cycles)
     monkeypatch.setattr(HomologyPresentation, "__init__", recorded_homology)

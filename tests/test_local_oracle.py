@@ -81,7 +81,7 @@ def test_local_reports_match_the_open_star_oracle(tmp_path, ring):
         simplices = json.loads(out.read_text(encoding="utf-8"))["simplices"]
         assert sorted(simplices) == sorted(map(_key, X.all_simplices()))
         for s in X.all_simplices():
-            star = list(X.open_star(s))
+            star = [a for level in X.star_levels(s) for a in level]
             betti = {p: oracle.region_betti(star, p) for p in PRIMES}
             entry = simplices[_key(s)]
             homology = [entry["local_homology"][str(k)]

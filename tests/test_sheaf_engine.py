@@ -15,10 +15,11 @@ from lochom import matrices
 from lochom.matrices import Matrix
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import (ConstantCosheaf, ConstantSheaf, Cosheaf,
-                            DictSheaf, cosheaf_chain_complex, region_rel,
-                            region_sub, reorientation_iso, sections,
+                            DictSheaf, Sheaf, cosheaf_chain_complex,
+                            region_rel, region_sub, sections,
                             sheaf_cochain_complex, simplicial_chain_complex,
                             simplicial_cochain_complex)
+from reorientation import reorientation_iso
 
 
 def test_constant_sheaf_cohomology_matches_simplicial():
@@ -203,6 +204,33 @@ def test_check_functorial_names_the_triple_of_a_sign_flipped_sheaf():
     with pytest.raises(ValueError, match=r"^sheaf not functorial on "
                        r"\(0,\) < \(0, 2\) < \(0, 1, 2\)$"):
         F.check_functorial()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_sheaf_and_cosheaf_defines_its_stalk_and_step():
+    # the base classes declare neither: a concrete class that forgot one
+    # would fail only when it is first read
+    import lochom
+    package = [cls for base in (Sheaf, Cosheaf) for cls in _subclasses(base)
+               if cls.__module__.startswith("lochom.")]
+    assert {cls.__name__ for cls in package} == {
+        "ConstantSheaf", "ConstantCosheaf", "DictSheaf",
+        "LocalHomologySheaf", "LocalCohomologyCosheaf"}
+    for cls in package:
+        step = ("restriction_step" if issubclass(cls, Sheaf)
+                else "corestriction_step")
+        for name in ("stalk", step):
+            assert callable(getattr(cls, name, None)), (cls.__name__, name)
+        assert getattr(lochom, cls.__name__) is cls
+    for base in (Sheaf, Cosheaf):
+        assert not hasattr(base, "stalk")
+    assert not hasattr(Sheaf, "restriction_step")
+    assert not hasattr(Cosheaf, "corestriction_step")
 
 
 class SignedCosheaf(Cosheaf):

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snf_reference
+from local_reference import as_chain_complex
 from lochom.complexes import parse_complex
 from lochom.fixtures import FIXTURES
 from lochom.localhomology import LocalContext
-from lochom.matrices import (Matrix, factored, factors, invariant_factors,
-                             smith_normal_form)
+from lochom.matrices import (Matrix, _positions, factored, factors,
+                             invariant_factors, smith_normal_form)
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import simplicial_chain_complex
 
@@ -130,12 +131,13 @@ def _read(name):
 
 def memo_owners(X, ring):
     """Each memo with the complexes that factor through it: a context's
-    local and link complexes, and the global chains (the cochains are their
-    dual, whose differentials are the transposes)."""
+    local and link complexes (the local ones labelled, the links with
+    position labels), and the global chains (the cochains are their dual,
+    whose differentials are the transposes)."""
     ctx = LocalContext(X, ring)
     yield ctx.memo, [cx for s in X.all_simplices() for cx in (
-        ctx.complex(s), simplicial_chain_complex(
-            X.link_complex(s), ring, reduced=True, memo=ctx.memo))]
+        ctx.complex(s).chain_complex(), as_chain_complex(
+            ctx.complex(s).link()))]
     chains = simplicial_chain_complex(X, ring)
     yield chains.memo, [chains]
 
@@ -150,13 +152,15 @@ def test_memo_hits_equal_a_fresh_factorization(ring, name):
         fresh = [smith_normal_form(M) for M in mats]
         # first the factors alone: stored, or read off stored factors
         for M, s in zip(mats, fresh):
-            assert factors_fingerprint(factors(memo, M)) == \
+            assert factors_fingerprint(factors(
+                memo, M.ring, _positions(M))) == \
                 factors_fingerprint(s.diagonals)
         # then the full forms: stored, or a stored SNF on M's labels; and
         # the factors read off a stored SNF
         for M, s in zip(mats, fresh):
             assert snf_fingerprint(factored(memo, M)) == snf_fingerprint(s)
-            assert factors_fingerprint(factors(memo, M)) == \
+            assert factors_fingerprint(factors(
+                memo, M.ring, _positions(M))) == \
                 factors_fingerprint(s.diagonals)
         if len(complexes) > 1:
             assert len(memo) < len(mats), "no local matrix repeats"
