@@ -65,6 +65,7 @@ class LocalComplex(FactorSummaries):
             (self._size(deg - 1), self._size(deg)), frozenset())
 
     def basis(self, deg):
+        """The local complex's generators (s, a) in degree deg."""
         i = deg - self.low
         return (tuple((self.simplex, a) for a in self.levels[i])
                 if 0 <= i < len(self.levels) else ())
