@@ -269,7 +269,8 @@ def serialize_complex(X):
 
 
 def parse_subcomplex(text, X):
-    """Subcomplex file: `vertices: v1 v2 ...` (whitespace/newline separated)."""
+    """Subcomplex file: `vertices: v1 v2 ...` (whitespace/newline separated),
+    each vertex once."""
     verts = []
     for line, raw in _strip(text):
         if line.startswith("vertices:"):
@@ -278,6 +279,8 @@ def parse_subcomplex(text, X):
             raise ValueError(f"unrecognized line {raw!r}")
     if not verts:
         raise ValueError("subcomplex file lists no vertices")
+    if len(set(verts)) != len(verts):
+        raise ValueError("duplicate vertices in subcomplex file")
     L = Subcomplex(X, verts)
     if not L.vertices():
         raise ValueError("subcomplex has no vertex of the complex")

@@ -12,8 +12,7 @@ cokernels of the local coboundary, form a cosheaf.
 
 from .homology import (ChainComplex, CokerPresentation, CycleBasis,
                        FactorSummaries)
-from .matrices import (Matrix, invariant_factors, kernel_basis, vec_clean,
-                       vec_dot)
+from .matrices import Matrix, invariant_factors, kernel_basis, vec_dot
 from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
 
 
@@ -115,19 +114,24 @@ def local_cohomology(X, ring, simplex, k):
 class LocalContext:
     """The local data of one complex over one ring, each piece built once:
     the local chain complex at each simplex; the stalks the sheaf views
-    read, a `CycleBasis` of the local cycles for the sheaf and a cokernel
-    presentation for the cosheaf; `memo`, one factorization of each matrix
-    these and the link complexes eliminate (`matrices.factored`: the local
-    complexes come in few combinatorial types); and `pairings`, one
-    `uct_report` result per top local differential.  Commands build one
-    per complex and drop it on return; views point at their context, never
-    back, so no reference cycle keeps a context alive after its command."""
+    read, by position; `memo`, one factorization of each matrix these and
+    the link complexes eliminate (`matrices.factored`: the local complexes
+    come in few combinatorial types); and `pairings`, one `uct_report`
+    result per top local differential.  A stalk is built once per distinct
+    `LocalComplex.key(n)`, on d_n with basis positions for labels: a
+    `CycleBasis` for the sheaf, a `CokerPresentation` of d_n's transpose
+    for the cosheaf; a simplex reads it through its own degree-n level, so
+    labels are built only for a caller that reads them.  Commands build
+    one per complex and drop it on return; views point at their context,
+    never back, so no reference cycle keeps a context alive after its
+    command."""
 
     def __init__(self, X, ring):
         self.X = X
         self.ring = ring
         self._complexes = {}
-        self._presentations = {}
+        # (simplex, n, dual) -> (stalk, level); (dual, key) -> the stalk
+        self._stalks = {}
         self.memo = {}
         self.pairings = {}
 
@@ -140,17 +144,31 @@ class LocalContext:
                 self.X, self.ring, simplex, self.memo)
         return cx
 
-    def presentation(self, simplex, n, dual):
-        """The degree-n local cycles at a simplex as a `CycleBasis` (the
-        sheaf divides out no boundaries), or with dual the cokernel of the
-        local coboundary into degree n."""
-        key = (tuple(simplex), n, dual)
-        if key not in self._presentations:
-            d_n = self.complex(simplex).differential(n)
-            self._presentations[key] = (
-                CokerPresentation(self.ring, d_n.transpose(), self.memo)
-                if dual else CycleBasis(d_n, self.memo))
-        return self._presentations[key]
+    def positional_stalk(self, simplex, n, dual):
+        """(stalk, level): the degree-n local cycles at a simplex as a
+        positional `CycleBasis` (the sheaf divides out no boundaries), or
+        with dual the positional cokernel of the local coboundary into
+        degree n; and the carriers a of the generators (s, a) whose
+        positions it reads, in basis order."""
+        at = (tuple(simplex), n, dual)
+        found = self._stalks.get(at)
+        if found is None:
+            cx = self.complex(simplex)
+            key, i = cx.key(n), n - cx.low
+            stalk = self._stalks.get((dual, key))
+            if stalk is None:
+                (rows, cols), _ = key
+                entries = cx.entries[i] if 0 <= i < len(cx.entries) else ()
+                stalk = self._stalks[dual, key] = (
+                    CokerPresentation(self.ring, Matrix(
+                        self.ring, range(cols), range(rows),
+                        {(c, r): v for r, c, v in entries}), self.memo)
+                    if dual else CycleBasis(Matrix(
+                        self.ring, range(rows), range(cols),
+                        {(r, c): v for r, c, v in entries}), self.memo))
+            found = self._stalks[at] = (
+                stalk, cx.levels[i] if 0 <= i < len(cx.levels) else ())
+        return found
 
 
 def link_crosscheck(ctx, simplex):
@@ -216,58 +234,102 @@ def cm_check(X, L, n, ring):
     }
 
 
-class LocalHomologySheaf(Sheaf):
-    """Top local homology as a combinatorial sheaf.
-
-    The stalk at s is the cycle module ker(boundary) in top local degree n:
-    stalk = cycle basis, no quotient.  It is the context's `CycleBasis`; for
-    n = dim X nothing bounds, so it is the local homology itself.  The
-    restriction along s < t relabels (s, a) -> (t, a), kills generators
-    whose carrier a does not contain t, and re-expresses the result in the
-    target cycle basis.
-    """
+class _LocalView:
+    """What the local sheaf and cosheaf share: the context's positional
+    stalks in top degree n, labelled chains read and written through a
+    simplex's level, and the codimension-one steps computed by position,
+    each once per view (`_steps`: the view, not the context, holds them, so
+    they die with the build that asked for them)."""
 
     def __init__(self, ctx, n):
         super().__init__(ctx.ring, ctx.X)
         self.ctx = ctx
         self.n = n
+        self._steps = {}
 
-    def presentation(self, simplex):
-        return self.ctx.presentation(simplex, self.n, dual=False)
+    def _stalk(self, simplex):
+        return self.ctx.positional_stalk(simplex, self.n, self.dual)
+
+    def _labelled(self, simplex, chain):
+        """A positional chain at a simplex with labels (s, a)."""
+        s = tuple(simplex)
+        level = self._stalk(s)[1]
+        return {(s, level[p]): v for p, v in chain.items()}
+
+    def _positional(self, simplex, chain):
+        """A labelled chain at a simplex by position; a label outside the
+        basis is dropped, as `Matrix.apply` drops it."""
+        s = tuple(simplex)
+        index = {(s, a): p for p, a in enumerate(self._stalk(s)[1])}
+        return {index[k]: v for k, v in chain.items() if k in index}
+
+    def step(self, lo, hi):
+        """The codimension-one map between the stalks of lo < hi (lo -> hi
+        for the sheaf, hi -> lo for the cosheaf), one column per source
+        label, each {target label: nonzero}.  The carriers a of hi's
+        generators are those of lo's that hold hi's extra vertex, in the
+        same order, so `kept[q]` is the position at lo of the carrier at
+        position q at hi."""
+        lo, hi = tuple(lo), tuple(hi)
+        cols = self._steps.get((lo, hi))
+        if cols is None:
+            (v,) = set(hi).difference(lo)
+            kept = [p for p, a in enumerate(self._stalk(lo)[1]) if v in a]
+            cols = self._steps[lo, hi] = self._columns(lo, hi, kept)
+        return cols
+
+    def step_entries(self, lo, hi):
+        return [((r, c), v) for c, col in enumerate(self.step(lo, hi))
+                for r, v in col.items()]
+
+
+class LocalHomologySheaf(_LocalView, Sheaf):
+    """Top local homology as a combinatorial sheaf.
+
+    The stalk at s is the cycle module ker(boundary) in top local degree n:
+    stalk = cycle basis, no quotient.  It is the context's positional
+    `CycleBasis`; for n = dim X nothing bounds, so it is the local homology
+    itself.  The restriction along s < t relabels (s, a) -> (t, a), kills
+    generators whose carrier a does not contain t, and re-expresses the
+    result in the target cycle basis.
+    """
+
+    dual = False
 
     def stalk(self, simplex):
-        return tuple(range(len(self.presentation(simplex).cycles)))
+        return tuple(range(len(self._stalk(simplex)[0].cycles)))
 
     def cycle(self, simplex, label):
         """The ambient cycle carried by a stalk basis label."""
-        return self.presentation(simplex).cycles[label]
+        return self._labelled(simplex,
+                              self._stalk(simplex)[0].cycles[label])
 
-    def push_chain(self, simplex, cosimplex, chain):
-        """Generator rule on an ambient chain: (s, a) -> (t, a), kill t != face
-        of a."""
-        t = set(cosimplex)
-        out = {}
-        for (_, a), v in chain.items():
-            if t.issubset(a):
-                out[(tuple(cosimplex), a)] = v
-        return vec_clean(self.ring, out)
+    def cycle_coordinates(self, simplex, chain):
+        """A labelled chain at a simplex in its stalk's cycle basis, or
+        None for a non-cycle."""
+        return self._stalk(simplex)[0].cycle_coordinates(
+            self._positional(simplex, chain))
 
-    def restriction_step(self, simplex, cosimplex):
-        ring = self.ring
-        src = self.stalk(simplex)
-        tgt = self.presentation(cosimplex)
+    def _columns(self, s, t, kept):
+        back = {p: q for q, p in enumerate(kept)}
+        tgt = self._stalk(t)[0]
         cols = []
-        for lbl in src:
-            img = self.push_chain(simplex, cosimplex, self.cycle(simplex, lbl))
-            y = tgt.cycle_coordinates(img)
+        for z in self._stalk(s)[0].cycles:
+            y = tgt.cycle_coordinates(
+                {back[p]: v for p, v in z.items() if p in back})
             if y is None:
                 raise ValueError(
-                    f"restriction image at {simplex}<{tuple(cosimplex)} is not a cycle")
+                    f"restriction image at {s}<{t} is not a cycle")
             cols.append(y)
-        return Matrix.from_columns(ring, self.stalk(cosimplex), src, cols)
+        return cols
+
+    def restriction_step(self, simplex, cosimplex):
+        return Matrix.from_columns(self.ring, self.stalk(cosimplex),
+                                   self.stalk(simplex),
+                                   self.step(simplex, cosimplex))
 
 
-class LocalCohomologyCosheaf(Cosheaf):
+class LocalCohomologyCosheaf(_LocalView, Cosheaf):
     """Top local cohomology as a combinatorial cosheaf.
 
     The stalk at s is the cokernel of the local coboundary into top degree n;
@@ -277,34 +339,31 @@ class LocalCohomologyCosheaf(Cosheaf):
     stalks are free (the locally Cohen-Macaulay case used for duality).
     """
 
-    def __init__(self, ctx, n):
-        super().__init__(ctx.ring, ctx.X)
-        self.ctx = ctx
-        self.n = n
-
-    def presentation(self, simplex):
-        return self.ctx.presentation(simplex, self.n, dual=True)
+    dual = True
 
     def stalk(self, simplex):
-        return tuple(range(len(self.presentation(simplex))))
+        return tuple(range(len(self._stalk(simplex)[0])))
+
+    def lift(self, simplex, j):
+        """A labelled representative of stalk generator j."""
+        return self._labelled(simplex, self._stalk(simplex)[0].lift(j))
+
+    def project(self, simplex, chain):
+        """A labelled cochain at a simplex in its stalk's generators."""
+        return self._stalk(simplex)[0].project(
+            self._positional(simplex, chain))
+
+    def _columns(self, s, t, kept):
+        is_zero = self.ring.is_zero
+        src, tgt = self._stalk(t)[0], self._stalk(s)[0]
+        return [{i: c for i, c in enumerate(tgt.project(
+                    {kept[q]: v for q, v in src.lift(j).items()}))
+                 if not is_zero(c)} for j in range(len(src))]
 
     def corestriction_step(self, cosimplex, simplex):
-        ring = self.ring
-        pres_t = self.presentation(cosimplex)
-        pres_s = self.presentation(simplex)
-        cols = []
-        for j in range(len(pres_t)):
-            rep = self.push_cochain(cosimplex, simplex, pres_t.lift(j))
-            cols.append({i: c for i, c in enumerate(pres_s.project(rep))
-                         if not ring.is_zero(c)})
-        return Matrix.from_columns(ring, tuple(range(len(pres_s))),
-                                   tuple(range(len(pres_t))), cols)
-
-    def push_cochain(self, cosimplex, simplex, cochain):
-        """Inclusion of local cochains at t into local cochains at its face s:
-        relabel (t, a) -> (s, a) (every carrier of t also carries s)."""
-        s = tuple(simplex)
-        return {(s, a): v for (_, a), v in cochain.items()}
+        return Matrix.from_columns(self.ring, self.stalk(simplex),
+                                   self.stalk(cosimplex),
+                                   self.step(simplex, cosimplex))
 
 
 def uct_report(ctx, simplex, n):

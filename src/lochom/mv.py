@@ -349,7 +349,7 @@ def project_stalks(G, chain):
     ring = G.ring
     out = {}
     for (f, b), v in chain.items():
-        coords = G.presentation(f).project({(f, b): ring.one()})
+        coords = G.project(f, {(f, b): ring.one()})
         for j, c in enumerate(coords):
             if ring.is_zero(c):
                 continue
@@ -492,7 +492,7 @@ def verify_duality(X, L, item, ring):
         report["refused"] = True
         return report
     src, tgt, matrices = duality_map_matrices(ctx, L, item)
-    del ctx  # frees the stalk presentations before the homology below
+    del ctx  # frees the stalks before the homology below
     report["chain_level_commutes"] = _chain_level_commutes(
         src, tgt, matrices, n, ring)
     all_iso = True

@@ -61,7 +61,7 @@ def lf_h0_check(ctx, L, n):
     # section basis element
     cols = []
     for (v, j) in cc.basis(0):
-        rep = G.presentation(v).lift(j)
+        rep = G.lift(v, j)
         col = {}
         for gi, sec in enumerate(gamma.cycles):
             val = vec_dot(ring, rep, _section_ambient_value(F, sec, v))

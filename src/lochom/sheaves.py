@@ -63,6 +63,12 @@ class _FacePosetFunctor:
         return (self.restriction(lo, hi) if self.covariant
                 else self.corestriction(hi, lo))
 
+    def step_entries(self, lo, hi):
+        """The nonzeros ((row, column), value) of the map between the
+        stalks of a codimension-one pair lo < hi, in the order of its
+        matrix's `entries`."""
+        return self._along(lo, hi).entries.items()
+
     def _compose(self, lo, hi, step):
         """Product of the codimension-one steps along the chain
         lo = c_0 < c_1 < ... < c_r = hi that adds hi's extra vertices in
@@ -224,7 +230,7 @@ def _coefficient_complex(A, region):
                     continue
                 sign = ring.from_int((-1) ** j)
                 rows, cols = (t, f) if A.covariant else (f, t)
-                for (rl, cl), v in A._along(f, t).entries.items():
+                for (rl, cl), v in A.step_entries(f, t):
                     key = ((rows, rl), (cols, cl))
                     entries[key] = ring.add(entries.get(key, ring.zero()),
                                             ring.mul(sign, v))

@@ -228,7 +228,7 @@ def _sheaf_transfer_matrix(f, FX, FY, srcX, srcY, l, ring):
     for (s, lab) in srcX.basis(l):
         pushed = shriek_down(f, dict(FX.cycle(s, lab)), ring)
         fs = f.image(s)
-        y = FY.presentation(fs).cycle_coordinates(pushed)
+        y = FY.cycle_coordinates(fs, pushed)
         if y is None:
             raise ValueError(f"transfer image at {s} is not a cycle")
         cols.append({(fs, klab): v for klab, v in y.items()})
@@ -241,7 +241,7 @@ def _cosheaf_transfer_matrix(f, cert, GX, GY, tgtY, tgtX, q, ring):
     the source presentations."""
     cols = []
     for (s, j) in tgtY.basis(q):
-        moved = shriek_up(f, cert, GY.presentation(s).lift(j), ring)
+        moved = shriek_up(f, cert, GY.lift(s, j), ring)
         cols.append(project_stalks(GX, moved))
     return Matrix.from_columns(ring, tgtX.basis(q), tgtY.basis(q), cols)
 

@@ -12,12 +12,19 @@ complexes the labelled way, from the definitions, so the tests can compare:
   (`sheaves.simplicial_chain_complex(..., reduced=True)`) are the link's
   side of the Munkres cross-check;
 - `as_chain_complex`: a positional complex read as a `ChainComplex` whose
-  labels are basis positions.
+  labels are basis positions;
+- `reference_stalk`, `reference_restriction_step` and
+  `reference_corestriction_step`: the stalks and codimension-one maps of
+  the local homology sheaf and cohomology cosheaf, built the labelled way
+  on the reference local complexes: a cycle basis of d_n with labels
+  (s, a) pushed along (s, a) -> (t, a) where t is a face of a, and a
+  cokernel generator of d_n's transpose at t lifted and relabelled
+  (t, a) -> (s, a).
 """
 
 from lochom.complexes import SimplicialComplex
-from lochom.homology import ChainComplex
-from lochom.matrices import Matrix
+from lochom.homology import ChainComplex, CokerPresentation, CycleBasis
+from lochom.matrices import Matrix, vec_clean
 
 
 def reference_local_complex(X, ring, simplex):
@@ -57,3 +64,40 @@ def as_chain_complex(pc):
                        {(r, c): v for r, c, v in pc.entries[k - pc.low]})
              for k in spaces if pc.entries[k - pc.low]}
     return ChainComplex(pc.ring, spaces, diffs, memo=pc.memo)
+
+
+def reference_stalk(X, ring, simplex, n, dual):
+    """The labelled degree-n stalk at a simplex: a cycle basis of the
+    reference d_n, or with dual the cokernel of its transpose."""
+    d_n = reference_local_complex(X, ring, simplex).differential(n)
+    return (CokerPresentation(ring, d_n.transpose()) if dual
+            else CycleBasis(d_n, None))
+
+
+def reference_restriction_step(ring, src, tgt, simplex, cosimplex):
+    """The sheaf's step between the `reference_stalk`s src at simplex and
+    tgt at cosimplex."""
+    t = set(cosimplex)
+    cols = []
+    for z in src.cycles:
+        img = vec_clean(ring, {(tuple(cosimplex), a): v
+                               for (_, a), v in z.items() if t.issubset(a)})
+        y = tgt.cycle_coordinates(img)
+        if y is None:
+            raise ValueError(f"restriction image at {simplex}<"
+                             f"{tuple(cosimplex)} is not a cycle")
+        cols.append(y)
+    return Matrix.from_columns(ring, tuple(range(len(tgt.cycles))),
+                               tuple(range(len(src.cycles))), cols)
+
+
+def reference_corestriction_step(ring, pres_t, pres_s, simplex):
+    """The cosheaf's step from the dual `reference_stalk` pres_t at a
+    coface to pres_s at simplex."""
+    cols = []
+    for j in range(len(pres_t)):
+        rep = {(tuple(simplex), a): v for (_, a), v in pres_t.lift(j).items()}
+        cols.append({i: c for i, c in enumerate(pres_s.project(rep))
+                     if not ring.is_zero(c)})
+    return Matrix.from_columns(ring, tuple(range(len(pres_s))),
+                               tuple(range(len(pres_t))), cols)

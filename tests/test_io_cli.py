@@ -431,3 +431,45 @@ def test_cli_dim_above_the_complex_is_a_verdict_not_an_error(capsys):
                         "--dim", "99")
     assert code == 0 and rep["locally_cm_at_region"] is False
     assert "sheaf_cochain" not in rep
+
+
+def test_cli_duplicate_subcomplex_vertex_exits_2(tmp_path, capsys):
+    # a vertex listed twice is refused, as in a complex's `simplex:` and
+    # `order:` lines: the list is most likely mistyped
+    sub = tmp_path / "dup.sub"
+    sub.write_text("vertices: 0 0\n")
+    code, err = run_cli_error(capsys, "check-cm", "--complex", fix("t4.cplx"),
+                              "--subcomplex", str(sub))
+    assert code == 2
+    assert err == "error: duplicate vertices in subcomplex file\n"
+
+
+def test_cli_complex_without_an_order_line_takes_the_sorted_order(tmp_path,
+                                                                  capsys):
+    # `order:` is optional: without it the vertices are ordered by value
+    # (numbers before names), and the report's header names that order
+    cplx = tmp_path / "no_order.cplx"
+    cplx.write_text("simplex: 2 0 1\nsimplex: 3 1 2\nsimplex: 3 0 2\n"
+                    "simplex: 3 0 1\n")
+    code, rep = run_cli(capsys, "check-cm", "--complex", str(cplx))
+    assert code == 0 and rep["verdict"] is True
+    assert rep["order"] == [0, 1, 2, 3]
+    code, unordered = run_cli(capsys, "duality", "--item", "1ai",
+                             "--complex", str(cplx))
+    code_t4, t4 = run_cli(capsys, "duality", "--item", "1ai",
+                          "--complex", fix("t4.cplx"))
+    assert code == code_t4 == 0 and unordered == t4
+
+
+def test_cli_degree_far_above_the_complex_reports_zero_groups(capsys):
+    # as for --dim 99: a degree above dim X has zero homology, a true
+    # statement and not a vacuous one, reported without building anything
+    # of that size
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "homology", "--complex", fix("c3.cplx"),
+                        "--degree", "99999999999")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and rep["locally_cm_at_region"] is True
+    zero = {"generators": [], "rank": 0, "torsion": []}
+    for part in ("simplicial", "sheaf_cochain", "cosheaf_chain"):
+        assert rep[part] == {"99999999999": zero}, part

@@ -14,9 +14,10 @@ from lochom.fixtures import (FIXTURES, bowtie, circle3, hexagon, rp2_six,
                              sphere2, triangle)
 from lochom.homology import (ChainComplex, CokerPresentation, CycleBasis,
                             HomologyPresentation)
-from lochom.localhomology import (LocalContext, cm_check, link_crosscheck,
-                                  local_cm_check, local_cohomology,
-                                  local_complex, local_homology, uct_report)
+from lochom.localhomology import (LocalContext, LocalHomologySheaf, cm_check,
+                                  link_crosscheck, local_cm_check,
+                                  local_cohomology, local_complex,
+                                  local_homology, uct_report)
 from lochom.rings import GF, QQ, ZZ
 from lochom.simplicialmaps import SimplicialMap, verify_naturality
 from test_chain_complexes import COMPLEXES
@@ -137,19 +138,29 @@ def test_duality_on_sd_torus_eliminates_32_matrices(monkeypatch, tmp_path,
     # stalk's d_n is the one the CM check factored, and a relation matrix
     # can equal a boundary by position: each owner's memo eliminates each
     # matrix once (389 eliminations for either item without the memo; 2bii
-    # reads the cosheaf, whose stalk cokernels factor through the memo too)
-    runs = [0]
+    # reads the cosheaf, whose stalk cokernels factor through the memo too).
+    # The stalks and steps are positional, so few `Matrix` objects are
+    # built (101 for 1ai, 105 for 2bii; 1,294 and 1,550 with a labelled
+    # stalk per simplex and a `Matrix` per step)
+    runs, built = [0], [0]
     eliminate = matrices._eliminate
+    init = matrices.Matrix.__init__
 
     def counted(M, track):
         runs[0] += 1
         return eliminate(M, track)
 
+    def counted_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
     monkeypatch.setattr(matrices, "_eliminate", counted)
+    monkeypatch.setattr(matrices.Matrix, "__init__", counted_init)
     assert main(["duality", "--item", item, "--ring", "z", "--complex",
                  os.path.join(FIXDIR, "sd_torus.cplx"),
                  "--out", str(tmp_path / "report.json")]) == 0
     assert runs[0] == 32
+    assert built[0] <= {"1ai": 110, "2bii": 115}[item]
 
 
 def test_local_dim_2_on_sd_torus_eliminates_53_matrices(monkeypatch,
@@ -217,55 +228,39 @@ def test_a_broken_pairing_fails_at_every_simplex_on_both_paths(
 
 
 def _record_local_presentations(monkeypatch):
-    """Record each presentation built on local generators as (complex
-    identity, simplex, degree, kind).  A local presentation's generators are
-    the labels of one labelled local differential's source basis, which
-    `LocalComplex.differential` builds: the source basis of the d_out of a
-    cycle basis (a sheaf stalk, or the kernel half of a homology
-    presentation, which records both kinds), the rows of the cokernel of a
-    transposed local differential."""
-    owner, built, alive, complexes = {}, [], [], {}
-    build = localhomology.local_complex
-    differential = localhomology.LocalComplex.differential
+    """Record each presentation built on a local differential as (memo
+    identity, kind, matrix by position): the stalks a `LocalContext`
+    builds through its memo, a `CycleBasis` of a positional d_n for the
+    sheaf and a `CokerPresentation` of its transpose for the cosheaf, and
+    `uct_report`'s cokernel of d_n's transpose, which takes no memo.
+    Presentations of global complexes have their own memos and are not
+    recorded."""
+    built, contexts = [], []
+    context_init = LocalContext.__init__
     coker_init = CokerPresentation.__init__
     cycles_init = CycleBasis.__init__
-    homology_init = HomologyPresentation.__init__
 
-    def recorded_complex(X, ring, simplex, *args):
-        cx = build(X, ring, simplex, *args)
-        alive.append((X, cx))  # keeps every id in owner unique
-        complexes[id(cx)] = id(X)
-        return cx
+    def recorded_context(self, *args):
+        context_init(self, *args)
+        contexts.append(self)  # keeps every memo id unique
 
-    def recorded_differential(self, deg):
-        d = differential(self, deg)
-        alive.append(d)
-        if d.col_labels:
-            owner[id(d.col_labels)] = (complexes[id(self)], self.simplex,
-                                       deg)
-        return d
+    def local(memo):
+        return any(ctx.memo is memo for ctx in contexts)
 
-    def recorded_coker(self, ring, relations, *args):
-        if id(relations.row_labels) in owner:
-            built.append((*owner[id(relations.row_labels)], "cokernel"))
-        coker_init(self, ring, relations, *args)
+    def recorded_coker(self, ring, relations, memo=None):
+        if memo is None or local(memo):
+            built.append((id(memo), "cokernel",
+                          matrices._positions(relations)))
+        coker_init(self, ring, relations, memo)
 
-    def recorded_cycles(self, d_out, *args):
-        if id(d_out.col_labels) in owner:
-            built.append((*owner[id(d_out.col_labels)], "cycles"))
-        cycles_init(self, d_out, *args)
+    def recorded_cycles(self, d_out, memo):
+        if local(memo):
+            built.append((id(memo), "cycles", matrices._positions(d_out)))
+        cycles_init(self, d_out, memo)
 
-    def recorded_homology(self, ring, d_out, d_in, *args):
-        if id(d_out.col_labels) in owner:
-            built.append((*owner[id(d_out.col_labels)], "homology"))
-        homology_init(self, ring, d_out, d_in, *args)
-
-    monkeypatch.setattr(localhomology, "local_complex", recorded_complex)
-    monkeypatch.setattr(localhomology.LocalComplex, "differential",
-                        recorded_differential)
+    monkeypatch.setattr(LocalContext, "__init__", recorded_context)
     monkeypatch.setattr(CokerPresentation, "__init__", recorded_coker)
     monkeypatch.setattr(CycleBasis, "__init__", recorded_cycles)
-    monkeypatch.setattr(HomologyPresentation, "__init__", recorded_homology)
     return built
 
 
@@ -417,26 +412,29 @@ def _items_and_types(vec):
 @pytest.mark.parametrize("name", [*sorted(FIXTURES), "sd_rp6"])
 def test_kernel_only_stalks_equal_the_homology_presentations_kernel(name,
                                                                    ring):
-    # the sheaf's stalk is the kernel half alone: its cycles and cycle
-    # coordinates are those of the full presentation on the same local
-    # complex, in value, type and key order, and it holds no quotient
+    # the sheaf's stalk is the kernel half alone, by position: the labelled
+    # cycles and cycle coordinates the sheaf hands out are those of the full
+    # presentation on the same local complex, in value, type and key order,
+    # and it holds no quotient
     X = COMPLEXES[name]()
     ctx = LocalContext(X, ring)
-    for s in X.all_simplices():
-        for k in range(X.dim + 1):
-            stalk = ctx.presentation(s, k, False)
+    for k in range(X.dim + 1):
+        F = LocalHomologySheaf(ctx, k)
+        for s in X.all_simplices():
+            stalk = ctx.positional_stalk(s, k, False)[0]
             full = local_homology(X, ring, s, k)
             assert type(stalk) is CycleBasis and not hasattr(stalk, "gens")
-            assert ([_items_and_types(z) for z in stalk.cycles]
+            assert F.stalk(s) == tuple(range(len(full.cycles)))
+            assert ([_items_and_types(F.cycle(s, i)) for i in F.stalk(s)]
                     == [_items_and_types(z) for z in full.cycles]), (s, k)
             for z in full.cycles:
-                assert (_items_and_types(stalk.cycle_coordinates(z))
+                assert (_items_and_types(F.cycle_coordinates(s, z))
                         == _items_and_types(full.cycle_coordinates(z)))
             d = ctx.complex(s).differential(k)
             moved = [c for c in d.col_labels if d.column(c)]
             if moved:
                 chain = {moved[0]: ring.one()}
-                assert stalk.cycle_coordinates(chain) is None
+                assert F.cycle_coordinates(s, chain) is None
                 assert full.cycle_coordinates(chain) is None
 
 

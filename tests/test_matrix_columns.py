@@ -130,7 +130,7 @@ UNREAD = {"snf": ("V", "Vinv"), "out_snf": ("U", "Uinv", "V")}
 @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
 def test_cached_presentations_hold_no_unread_transform(X, ring):
     ctx = LocalContext(X, ring)
-    held = {dual: [ctx.presentation(s, X.dim, dual)
+    held = {dual: [ctx.positional_stalk(s, X.dim, dual)[0]
                    for s in X.all_simplices()] for dual in (False, True)}
     # the sheaf's stalks are kernel bases alone (no relations, no
     # generators), the cosheaf's cokernel presentations

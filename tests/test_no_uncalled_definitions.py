@@ -36,6 +36,11 @@ UNRESOLVED = {
         "identities.collapse_vs_cap: L.simplices(l), L a parameter",
     "Matrix.is_zero":
         "homology.maps_agree: (first - second).is_zero(), a difference",
+    "LocalHomologySheaf.cycle_coordinates":
+        "simplicialmaps._sheaf_transfer_matrix: FY.cycle_coordinates(fs, "
+        "pushed), FY a parameter",
+    "LocalCohomologyCosheaf.project":
+        "mv.project_stalks: G.project(f, ...), G a parameter",
 }
 
 

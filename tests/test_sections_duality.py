@@ -6,7 +6,7 @@ import pytest
 from lochom import sectionsduality
 from lochom.complexes import Subcomplex
 from lochom.fixtures import bowtie, circle3, hexagon, rp2_six, sphere2
-from lochom.localhomology import LocalContext
+from lochom.localhomology import LocalContext, LocalHomologySheaf
 from lochom.matrices import smith_normal_form
 from lochom.rings import GF, QQ, ZZ
 from lochom.sectionsduality import (RestrictionSystem,
@@ -14,6 +14,7 @@ from lochom.sectionsduality import (RestrictionSystem,
                                     compactly_determined_dual,
                                     constant_system, doubling_system,
                                     lf_h0_check, semistability_check)
+from test_chain_complexes import COMPLEXES
 
 
 def compactly_determined(X, L, n, ring, filtration):
@@ -147,3 +148,28 @@ def test_filtration_validation():
 def test_cdd_refuses_on_cm_failure():
     rep = compactly_determined(bowtie(), None, 2, ZZ, [[0, 1, 2, 3, 4]])
     assert rep["refused"] and not rep["verdict"]
+
+
+def test_a_restriction_system_computes_each_step_once(monkeypatch):
+    # each stage's sections read every codimension-one pair inside it, and
+    # the stages of a filtration nest, so without the view's step cache
+    # the pairs of the first stages are recomputed at every later one; the
+    # build owns one sheaf view, which computes each pair once: 504 pairs
+    # of sd(torus) over seven stages of six more vertices each
+    computed = []
+    columns = LocalHomologySheaf._columns
+
+    def counted(self, s, t, kept):
+        computed.append((s, t))
+        return columns(self, s, t, kept)
+
+    monkeypatch.setattr(LocalHomologySheaf, "_columns", counted)
+    X = COMPLEXES["sd_torus"]()
+    stages = [X.order[:6 * i] for i in range(1, 8)]
+    system, gammas = build_restriction_system(LocalContext(X, ZZ), None, 2,
+                                              stages)
+    pairs = {(t[:j] + t[j + 1:], t) for t in X.all_simplices()
+             for j in range(len(t)) if len(t) > 1}
+    assert len(pairs) == 504
+    assert sorted(computed) == sorted(pairs)
+    assert len(system) == 7 and gammas[-1].free_rank == 1
