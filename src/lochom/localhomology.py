@@ -269,13 +269,16 @@ class _LocalView:
         label, each {target label: nonzero}.  The carriers a of hi's
         generators are those of lo's that hold hi's extra vertex, in the
         same order, so `kept[q]` is the position at lo of the carrier at
-        position q at hi."""
+        position q at hi.  The step reads only the two stalks and `kept`,
+        so the view computes it once for each distinct triple."""
         lo, hi = tuple(lo), tuple(hi)
-        cols = self._steps.get((lo, hi))
+        (v,) = set(hi).difference(lo)
+        at_lo, level = self._stalk(lo)
+        kept = tuple(p for p, a in enumerate(level) if v in a)
+        at = (at_lo, self._stalk(hi)[0], kept)
+        cols = self._steps.get(at)
         if cols is None:
-            (v,) = set(hi).difference(lo)
-            kept = [p for p, a in enumerate(self._stalk(lo)[1]) if v in a]
-            cols = self._steps[lo, hi] = self._columns(lo, hi, kept)
+            cols = self._steps[at] = self._columns(lo, hi, kept)
         return cols
 
     def step_entries(self, lo, hi):

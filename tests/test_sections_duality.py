@@ -152,24 +152,30 @@ def test_cdd_refuses_on_cm_failure():
 
 def test_a_restriction_system_computes_each_step_once(monkeypatch):
     # each stage's sections read every codimension-one pair inside it, and
-    # the stages of a filtration nest, so without the view's step cache
-    # the pairs of the first stages are recomputed at every later one; the
-    # build owns one sheaf view, which computes each pair once: 504 pairs
-    # of sd(torus) over seven stages of six more vertices each
-    computed = []
-    columns = LocalHomologySheaf._columns
+    # the stages of a filtration nest, so the pairs of the first stages are
+    # read again at every later one: 1,104 reads of the 504 pairs of
+    # sd(torus) over seven stages of six more vertices each.  The build owns
+    # one sheaf view, which computes each step once, and pairs whose local
+    # complexes agree by position share it: 86 computations
+    read, computed = [], []
+    step, columns = LocalHomologySheaf.step, LocalHomologySheaf._columns
 
-    def counted(self, s, t, kept):
-        computed.append((s, t))
+    def counted_step(self, lo, hi):
+        read.append((lo, hi))
+        return step(self, lo, hi)
+
+    def counted_columns(self, s, t, kept):
+        computed.append((id(self._stalk(s)[0]), id(self._stalk(t)[0]), kept))
         return columns(self, s, t, kept)
 
-    monkeypatch.setattr(LocalHomologySheaf, "_columns", counted)
+    monkeypatch.setattr(LocalHomologySheaf, "step", counted_step)
+    monkeypatch.setattr(LocalHomologySheaf, "_columns", counted_columns)
     X = COMPLEXES["sd_torus"]()
     stages = [X.order[:6 * i] for i in range(1, 8)]
     system, gammas = build_restriction_system(LocalContext(X, ZZ), None, 2,
                                               stages)
     pairs = {(t[:j] + t[j + 1:], t) for t in X.all_simplices()
              for j in range(len(t)) if len(t) > 1}
-    assert len(pairs) == 504
-    assert sorted(computed) == sorted(pairs)
+    assert len(read) == 1104 and set(read) == pairs and len(pairs) == 504
+    assert len(computed) == len(set(computed)) == 86
     assert len(system) == 7 and gammas[-1].free_rank == 1
