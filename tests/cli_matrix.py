@@ -11,7 +11,8 @@ root, and compare the outputs:
     diff parent.jsonl change.jsonl
 
 The matrix covers every command and every duality item on the fixtures and
-the two barycentric subdivisions, both subcomplex pairs, the filtration and
+the two barycentric subdivisions, the golden manifest's lines on the second
+subdivision sd2_rp6, both subcomplex pairs, the filtration and
 the naturality map, over z, q, fp:2 and fp:3.  It also runs bad input:
 missing or unreadable files, bad flags, rings and degrees, empty complexes
 and subcomplexes, maps outside their complexes (each exits 2 with one
@@ -37,6 +38,8 @@ SUBCOMPLEX_PAIRS = (("rp6", "rp6_345"), ("t4", "t4_edge23"))
 # the identity sweeps on a subdivision take seconds each, so they run on
 # the small fixtures only
 SWEPT = ("bowtie", "c3", "delta2", "hex", "rp6", "t4")
+# the second subdivision sd2(rp6) runs only the golden manifest's lines
+SCALED = "sd2_rp6"
 
 # bad input: (command line, {file name: text}); "<tmp>/" names a file
 # written to the temporary directory
@@ -118,6 +121,11 @@ def command_lines():
                          "--filtration fixtures/c3_arcs.filt")
         lines.append(f"naturality --ring {ring} --complex fixtures/hex.cplx "
                      "--target fixtures/c3.cplx --map fixtures/hex_to_c3.map")
+    for ring in ("z", "fp:2"):
+        on = f"--ring {ring} --complex fixtures/{SCALED}.cplx"
+        lines += [f"duality --item 1ai {on}", f"check-cm {on}",
+                  f"local --dim 2 {on}"]
+    lines.append(f"local --dim 2 --ring fp:3 --complex fixtures/{SCALED}.cplx")
     return lines + [line for line, _ in BAD_LINES]
 
 

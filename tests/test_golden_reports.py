@@ -26,7 +26,7 @@ MANIFEST = os.path.join(HERE, "golden_reports.json")
 FIXTURES = ("bowtie", "c3", "delta2", "hex", "rp6", "t4")
 # each fixture's dimension n, for `local --dim n`
 FIXTURE_DIMS = {"bowtie": 2, "c3": 1, "delta2": 2, "hex": 1, "rp6": 2,
-                "t4": 2, "sd_rp6": 2, "sd_torus": 2}
+                "t4": 2, "sd_rp6": 2, "sd_torus": 2, "sd2_rp6": 2}
 RINGS = ("z", "q", "fp:2")
 COMMANDS = (("homology",), ("check-cm",), ("local",), ("sections",),
             ("duality", "--item", "1ai"), ("duality", "--item", "2ai"),
@@ -48,8 +48,8 @@ EXTRA_LINES = (
      "--target", "fixtures/c3.cplx", "--map", "fixtures/hex_to_c3.map"),
 )
 # barycentric subdivisions, whose boundary matrices are far larger than the
-# small fixtures' (up to 90 x 60 on sd_rp6)
-SD_FIXTURES = ("sd_rp6", "sd_torus")
+# small fixtures' (up to 90 x 60 on sd_rp6, 540 x 360 on sd2_rp6)
+SD_FIXTURES = ("sd_rp6", "sd_torus", "sd2_rp6")
 SD_RINGS = ("z", "fp:2")
 SD_COMMANDS = (("duality", "--item", "1ai"), ("check-cm",),
                ("local", "--dim", "2"))
