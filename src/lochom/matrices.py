@@ -280,40 +280,36 @@ def smith_normal_form(M):
     caller first reads it (`kernel_basis` reads V, `kernel_coordinates`
     V^-1, `solve` U and V, a cokernel's `project` U and its `lift` U^-1).
 
-    The pivot of step t is the first nonzero of least `abs` in row-major
-    order within the trailing block.  It is moved to (t, t); its column and
-    row are cleared by elementary operations (the extended-Euclid
-    `_gcd_combine` step where it does not divide an entry); while some entry
-    of the trailing block is not divisible by it, the first row holding one
-    is added to row t and the clearing repeats; row t is then scaled by the
-    canonical unit.
+    Step t works on the trailing block, rows and columns t..  Its pivot is,
+    over Z and GF(p), the first row holding a 1 or -1 at its least such
+    column; otherwise (and over Q) the nonzero of least (abs, column) in
+    the first row that holds the least abs.  The pivot is swapped to
+    (t, t).  The row pass visits column t's nonzeros below the pivot in
+    ascending row order and the column pass row t's right of it in
+    ascending column order: each entry the pivot divides is eliminated, and
+    each other is combined with the pivot by the extended-Euclid
+    `_gcd_combine` step.  A gcd step on columns refills column t, so the
+    passes repeat.  A pivot that is not a unit and does not divide some
+    entry of the trailing block then adds the first row holding one to row
+    t (the offender step) and the passes repeat.  Row t is then scaled by
+    the canonical unit.
 
-    Work whose result is known is skipped, so U, U^-1, V, V^-1 and the
-    diagonals equal those of the plain dense elimination entry for entry:
-
-    - a unit pivot divides everything, so the divisibility rescan is skipped;
-    - over Z and GF(p) no nonzero has `abs` below 1, so the pivot search
-      stops at the first row holding a 1 or -1;
-    - an elimination r_i <- r_i - q r_t leaves row t as it is and touches
-      row i only where row t is nonzero; U^-1 gets col_t += q col_i only
-      where col_i is nonzero; column eliminations, V and V^-1 likewise;
-    - the row pass leaves column t clear below the pivot and the column pass
-      leaves row t clear, so neither is rescanned: only a gcd step on
-      columns refills column t;
-    - rows above t are zero in columns t.. and row t is clear but for the
-      pivot when it is scaled, so column operations and swaps run over rows
-      t.. only, and the scaling multiplies the pivot alone;
-    - swaps exchange list entries;
-    - the transforms start as the identity and are stored sparsely, U and
-      V^-1 by rows, U^-1 and V by columns, so every operation on them runs
-      over one stored row and only its nonzeros.
-
-    - a matrix with no entries is not eliminated at all: it has no
-      diagonals and all four transforms are identities.
+    The matrix is read by position (`_positions`) and held sparsely: rows
+    as dicts of nonzeros, and for each column the set of rows nonzero in
+    it.  Cancelled entries are deleted; swaps move the set membership.  So
+    every step above visits only nonzeros, and under a unit pivot p an
+    entry x has the quotient x * p^-1, which is `ring.divmod`'s over Z
+    (p = 1, -1), GF(p) and Q, with remainder zero.  The transforms start as
+    the identity and are stored sparsely, U and V^-1 by rows, U^-1 and V by
+    columns, so every operation on them runs over one stored row and only
+    its nonzeros; entries of a transform that cancel stay stored as zeros.
+    A matrix with no entries is not eliminated at all: it has no diagonals
+    and all four transforms are identities.
 
     This relies on canonical entries (ints over Z, `Fraction` over Q,
     residues in [0, p) over GF(p)): then an entry is nonzero exactly when it
-    is truthy, and 1*x + 0*y is x itself.
+    is truthy, and 1*x + 0*y is x itself.  The result does not depend on
+    the order of the entries: every choice above is made by position.
 
     Each transform's column index is built straight from the elimination's
     sparse rows (keyed by row position, as its `entries` run row by row), so
@@ -348,7 +344,7 @@ def smith_normal_form(M):
             return by_columns(labels, [{i: one} for i in range(len(labels))])
 
         return SNF(M, identity, identity, identity, identity, [])
-    diagonals, (U, UinvT, VT, Vinv) = _eliminate(M, True)
+    diagonals, (U, UinvT, VT, Vinv) = _eliminate((ring, _positions(M)), True)
     return SNF(M, lambda rows: by_rows(rows, U),
                lambda rows: by_columns(rows, UinvT),
                lambda cols: by_columns(cols, VT),
@@ -356,7 +352,10 @@ def smith_normal_form(M):
 
 
 def _positions(M):
-    """M's shape and its entries by position: all that `_eliminate` reads."""
+    """M's shape and its nonzeros as (row position, column position,
+    value): all that `_eliminate` reads of M besides its ring, and the key
+    of every factorization memo.  The one place where labels become
+    positions."""
     row, col = M.row_index, M.col_index
     return M.shape, frozenset([(row[r], col[c], v)
                                for (r, c), v in M.entries.items()])
@@ -383,13 +382,10 @@ def factored(memo, M):
 def factors(memo, ring, key):
     """The invariant factors of a matrix over `ring` whose `_positions` is
     `key`, through `memo` (see `factored`): read off a stored SNF, else
-    eliminated from the key, all the elimination reads.  The list is
-    shared: read it only."""
+    eliminated straight from the key.  The list is shared: read it only."""
     s = memo.get(key)
     if s is None:
-        (m, n), entries = key
-        s = memo[key] = invariant_factors(Matrix(
-            ring, range(m), range(n), {(i, j): v for i, j, v in entries}))
+        s = memo[key] = _eliminate((ring, key), False)[0] if key[1] else []
     return s.diagonals if isinstance(s, SNF) else s
 
 
@@ -401,17 +397,25 @@ def invariant_factors(M):
     caller that needs only ranks and torsion orders skips every transform
     update and every `Matrix` the full form builds.
     """
-    return _eliminate(M, False)[0] if M.entries else []
+    if not M.entries:
+        return []
+    return _eliminate((M.ring, _positions(M)), False)[0]
 
 
-def _eliminate(M, track):
-    """The elimination `smith_normal_form` describes: the diagonals, and the
-    transforms (U, U^-1, V, V^-1 stored sparsely) only when `track`."""
-    ring = M.ring
+def _eliminate(matrix, track):
+    """The elimination `smith_normal_form` describes, of `matrix`, a ring
+    and a `_positions` key: the diagonals, and the transforms (U, U^-1, V,
+    V^-1 stored sparsely) only when `track`."""
+    ring, ((m, n), nonzeros) = matrix
     add, mul, neg = ring.add, ring.mul, ring.neg
+    is_unit, is_zero = ring.is_unit, ring.is_zero
     zero, one = ring.zero(), ring.one()
-    m, n = M.shape
-    A = M.to_dense()
+    # A[i] = {column: nonzero}; cols[j] = the rows nonzero in column j
+    A = [{} for _ in range(m)]
+    cols = [set() for _ in range(n)]
+    for i, j, v in nonzeros:
+        A[i][j] = v
+        cols[j].add(i)
     # dicts {index: entry}; entries that cancel stay stored as zeros
     U = [{i: one} for i in range(m)] if track else None
     UinvT = [{i: one} for i in range(m)] if track else None
@@ -435,18 +439,46 @@ def _eliminate(M, track):
     def row_transform(i, j, a, b, c, d):
         # det 1; U^-1 gets the inverse [[d, -b], [-c, a]] on columns i, j
         ri, rj = A[i], A[j]
-        A[i] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rj)]
-        A[j] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rj)]
+        new_i, new_j = {}, {}
+        for k in ri.keys() | rj.keys():
+            x, y = ri.get(k, zero), rj.get(k, zero)
+            col = cols[k]
+            u = add(mul(a, x), mul(b, y))
+            if u:
+                new_i[k] = u
+                col.add(i)
+            else:
+                col.discard(i)
+            u = add(mul(c, x), mul(d, y))
+            if u:
+                new_j[k] = u
+                col.add(j)
+            else:
+                col.discard(j)
+        A[i], A[j] = new_i, new_j
         if track:
             combine(U, i, j, a, b, c, d)
             combine(UinvT, i, j, d, neg(c), neg(b), a)
 
     def col_transform(i, j, a, b, c, d):
         # det 1; V^-1 gets the inverse [[d, -c], [-b, a]] on rows i, j
-        for row in A[i:]:
-            ci, cj = row[i], row[j]
-            row[i] = add(mul(a, ci), mul(b, cj))
-            row[j] = add(mul(c, ci), mul(d, cj))
+        new_i, new_j = set(), set()
+        for r in cols[i] | cols[j]:
+            row = A[r]
+            x, y = row.get(i, zero), row.get(j, zero)
+            u = add(mul(a, x), mul(b, y))
+            if u:
+                row[i] = u
+                new_i.add(r)
+            else:
+                row.pop(i, None)
+            u = add(mul(c, x), mul(d, y))
+            if u:
+                row[j] = u
+                new_j.add(r)
+            else:
+                row.pop(j, None)
+        cols[i], cols[j] = new_i, new_j
         if track:
             combine(VT, i, j, a, b, c, d)
             combine(Vinv, i, j, d, neg(c), neg(b), a)
@@ -454,20 +486,19 @@ def _eliminate(M, track):
     int_ring = isinstance(one, int)
 
     def find_pivot(t):
-        # the first nonzero of least abs in row-major order; rows t.. are
-        # zero left of column t, and over int rings a 1 or -1 is least
+        # rows t.. are zero left of column t, and over int rings a 1 or -1
+        # is least
         if int_ring:
             for i in range(t, m):
-                row = A[i]
-                js = [row.index(u) for u in (1, -1) if u in row]
+                js = [j for j, x in A[i].items() if x == 1 or x == -1]
                 if js:
                     return i, min(js)
         best = None
         for i in range(t, m):
-            least = min(((abs(x), j) for j, x in enumerate(A[i]) if x),
-                        default=None)
-            if least and (best is None or least[0] < best[0]):
-                best = (least[0], i, least[1])
+            if A[i]:
+                least = min((abs(x), j) for j, x in A[i].items())
+                if best is None or least[0] < best[0]:
+                    best = (least[0], i, least[1])
         return best and best[1:]
 
     t = 0
@@ -478,75 +509,106 @@ def _eliminate(M, track):
             break
         pi, pj = pivot
         if pi != t:
-            A[t], A[pi] = A[pi], A[t]
+            rt, rp = A[t], A[pi]
+            for k in rt:
+                cols[k].discard(t)
+            for k in rp:
+                cols[k].discard(pi)
+                cols[k].add(t)
+            for k in rt:
+                cols[k].add(pi)
+            A[t], A[pi] = rp, rt
             if track:
                 U[t], U[pi] = U[pi], U[t]
                 UinvT[t], UinvT[pi] = UinvT[pi], UinvT[t]
         if pj != t:
-            for row in A[t:]:
-                row[t], row[pj] = row[pj], row[t]
+            for r in cols[t] | cols[pj]:
+                row = A[r]
+                x, y = row.pop(t, None), row.pop(pj, None)
+                if y is not None:
+                    row[t] = y
+                if x is not None:
+                    row[pj] = x
+            cols[t], cols[pj] = cols[pj], cols[t]
             if track:
                 VT[t], VT[pj] = VT[pj], VT[t]
                 Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
         while True:
-            # columns where row t is nonzero: row t only changes in a
-            # row_transform
-            support = None
-            for i in range(t + 1, m):
-                if not A[i][t]:
+            p = A[t][t]
+            pinv = ring.inv(p) if is_unit(p) else None
+            # rows below t where column t is nonzero; an elimination or gcd
+            # step on row i leaves the rows after it as they are
+            for i in sorted(cols[t]):
+                if i <= t:
                     continue
-                q, r = ring.divmod(A[i][t], A[t][t])
-                if ring.is_zero(r):
+                ri = A[i]
+                if pinv is not None:
+                    q, exact = mul(ri[t], pinv), True
+                else:
+                    q, r = ring.divmod(ri[t], p)
+                    exact = is_zero(r)
+                if exact:
                     # r_i <- r_i - q r_t
-                    if support is None:
-                        support = [k for k, x in enumerate(A[t]) if x]
-                    c, rt, ri = neg(q), A[t], A[i]
-                    for k in support:
-                        ri[k] = add(ri[k], mul(c, rt[k]))
+                    c = neg(q)
+                    for k, x in A[t].items():
+                        y = add(ri.get(k, zero), mul(c, x))
+                        if y:
+                            ri[k] = y
+                            cols[k].add(i)
+                        else:
+                            del ri[k]
+                            cols[k].discard(i)
                     if track:
                         axpy(U[i], c, U[t])
                         axpy(UinvT[t], q, UinvT[i])
                 else:
-                    a, b, c, d, _ = _gcd_combine(ring, A[t][t], A[i][t])
+                    a, b, c, d, _ = _gcd_combine(ring, p, ri[t])
                     row_transform(t, i, a, b, c, d)
-                    support = None
-            # rows where column t is nonzero (rows above t are zero there):
-            # column t only changes in a col_transform
-            support = None
+                    p = A[t][t]
+                    pinv = ring.inv(p) if is_unit(p) else None
+            # columns right of t where row t is nonzero; a column step on
+            # column j leaves the columns after it as they are
             refilled = False
-            for j in range(t + 1, n):
-                if not A[t][j]:
-                    continue
-                q, r = ring.divmod(A[t][j], A[t][t])
-                if ring.is_zero(r):
+            for j in sorted(k for k in A[t] if k > t):
+                if pinv is not None:
+                    q, exact = mul(A[t][j], pinv), True
+                else:
+                    q, r = ring.divmod(A[t][j], p)
+                    exact = is_zero(r)
+                if exact:
                     # c_j <- c_j - q c_t
-                    if support is None:
-                        support = [A[k] for k in range(t, m) if A[k][t]]
-                    c = neg(q)
-                    for row in support:
-                        row[j] = add(row[j], mul(c, row[t]))
+                    c, col = neg(q), cols[j]
+                    for k in cols[t]:
+                        row = A[k]
+                        y = add(row.get(j, zero), mul(c, row[t]))
+                        if y:
+                            row[j] = y
+                            col.add(k)
+                        else:
+                            del row[j]
+                            col.discard(k)
                     if track:
                         axpy(VT[j], c, VT[t])
                         axpy(Vinv[t], q, Vinv[j])
                 else:
-                    a, b, c, d, _ = _gcd_combine(ring, A[t][t], A[t][j])
+                    a, b, c, d, _ = _gcd_combine(ring, p, A[t][j])
                     col_transform(t, j, a, b, c, d)
-                    support = None
+                    p = A[t][t]
+                    pinv = ring.inv(p) if is_unit(p) else None
                     refilled = True
             if refilled:
                 continue
-            if ring.is_unit(A[t][t]):
+            if pinv is not None:
                 break
-            p = A[t][t]
             offender = next((i for i in range(t + 1, m)
-                             if any(x and not ring.divides(p, x)
-                                    for x in A[i][t + 1:])), None)
+                             if any(not ring.divides(p, x)
+                                    for x in A[i].values())), None)
             if offender is None:
                 break
             # pull the offending row up so its entries join the pivot's orbit
             row_transform(t, offender, one, one, zero, one)
         u = ring.canonical_unit(A[t][t])
-        if not ring.is_zero(ring.sub(u, one)):
+        if not is_zero(ring.sub(u, one)):
             A[t][t] = mul(u, A[t][t])
             if track:
                 U[t] = {k: mul(u, x) for k, x in U[t].items()}
@@ -554,7 +616,7 @@ def _eliminate(M, track):
                 UinvT[t] = {k: mul(x, uinv) for k, x in UinvT[t].items()}
         t += 1
 
-    diagonals = [A[i][i] for i in range(t) if not ring.is_zero(A[i][i])]
+    diagonals = [A[i][i] for i in range(t) if not is_zero(A[i][i])]
     return diagonals, ((U, UinvT, VT, Vinv) if track else None)
 
 

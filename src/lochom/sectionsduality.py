@@ -55,7 +55,8 @@ def lf_h0_check(ctx, L, n):
     F = LocalHomologySheaf(ctx, n)
     G = LocalCohomologyCosheaf(ctx, n)
     gamma = sections(F, L)
-    cc = cosheaf_chain_complex(G, region_sub(L))
+    # degree-0 chains and the boundaries into them: all the pairing reads
+    cc = cosheaf_chain_complex(G, region_sub(L), max_degree=1)
     dual_labels = tuple(range(gamma.free_rank))
     # evaluation matrix: column per degree-0 cosheaf generator, row per
     # section basis element

@@ -208,19 +208,21 @@ def simplicial_cochain_complex(X, ring, region=REGION_X):
     return simplicial_chain_complex(X, ring, region).dual()
 
 
-def _coefficient_complex(A, region):
+def _coefficient_complex(A, region, max_degree=None):
     """Simplicial (co)chains of a region with coefficients in the sheaf or
-    cosheaf A; basis labels are (simplex, stalk label).  Each face f of a
-    simplex t contributes (-1)^j times the map between their stalks: the
-    restriction f -> t, a coboundary, for a sheaf; the corestriction
-    t -> f, a boundary, for a cosheaf."""
+    cosheaf A, in degrees up to `max_degree` (dim X when None); basis
+    labels are (simplex, stalk label).  Each face f of a simplex t
+    contributes (-1)^j times the map between their stalks: the restriction
+    f -> t, a coboundary, for a sheaf; the corestriction t -> f, a
+    boundary, for a cosheaf.  No step above `max_degree` is computed."""
     X, ring = A.X, A.ring
+    top = X.dim if max_degree is None else min(max_degree, X.dim)
     spaces = {}
-    for k in range(X.dim + 1):
+    for k in range(top + 1):
         spaces[k] = tuple((s, lab) for s in region_simplices(X, region, k)
                           for lab in A.stalk(s))
     diffs = {}
-    for k in range(X.dim):
+    for k in range(top):
         src, tgt = (k, k + 1) if A.covariant else (k + 1, k)
         entries = {}
         for t in region_simplices(X, region, k + 1):
@@ -239,16 +241,18 @@ def _coefficient_complex(A, region):
     return ChainComplex(ring, spaces, diffs, shift=1 if A.covariant else -1)
 
 
-def sheaf_cochain_complex(F, region=REGION_X):
-    """Cochains with coefficients in the sheaf F over a region.  Basis labels
-    are (simplex, stalk label)."""
-    return _coefficient_complex(F, region)
+def sheaf_cochain_complex(F, region=REGION_X, max_degree=None):
+    """Cochains with coefficients in the sheaf F over a region, in degrees
+    up to `max_degree` (all when None).  Basis labels are (simplex, stalk
+    label)."""
+    return _coefficient_complex(F, region, max_degree)
 
 
-def cosheaf_chain_complex(G, region=REGION_X):
+def cosheaf_chain_complex(G, region=REGION_X, max_degree=None):
     """Chains with coefficients in the cosheaf G over a region (relative =
-    cokernel, spanned by simplices outside L)."""
-    return _coefficient_complex(G, region)
+    cokernel, spanned by simplices outside L), in degrees up to
+    `max_degree` (all when None)."""
+    return _coefficient_complex(G, region, max_degree)
 
 
 # -- sections -----------------------------------------------------------------
@@ -258,7 +262,8 @@ def sections(F, L=None):
     kernel of the degree-0 coboundary, which is H^0 on the nose (nothing
     to quotient in degree 0).  The degree-0 presentation's `cycles` are the
     section basis, `free_rank` its rank, and `cycle_coordinates` writes a
-    section in it."""
+    section in it.  Only degrees 0 and 1 are built: the presentation reads
+    the degree-0 coboundary alone."""
     region = region_sub(L) if L is not None else REGION_X
-    return sheaf_cochain_complex(F, region).homology(0)
+    return sheaf_cochain_complex(F, region, max_degree=1).homology(0)
 

@@ -85,7 +85,7 @@ def test_local_command_factors_once_and_presents_only_degree_n(
     present, init = ChainComplex.homology, HomologyPresentation.__init__
     positional_init = localhomology.LocalComplex.__init__
     coker_init = CokerPresentation.__init__
-    factors = matrices.invariant_factors
+    eliminate = matrices._eliminate
 
     def counted_homology(self, deg):
         degrees.append(deg)
@@ -103,16 +103,18 @@ def test_local_command_factors_once_and_presents_only_degree_n(
         presented[matrices._positions(relations)] += 1
         coker_init(self, ring, relations, *args)
 
-    def counted_factors(M, *args):
-        factored[matrices._positions(M)] += 1
-        return factors(M, *args)
+    def counted_factors(source, track):
+        # factors-only eliminations, keyed by the `_positions` they read
+        if not track:
+            factored[source[1]] += 1
+        return eliminate(source, track)
 
     monkeypatch.setattr(ChainComplex, "homology", counted_homology)
     monkeypatch.setattr(HomologyPresentation, "__init__", counted_init)
     monkeypatch.setattr(localhomology.LocalComplex, "__init__",
                         recorded_positional)
     monkeypatch.setattr(CokerPresentation, "__init__", counted_coker)
-    monkeypatch.setattr(matrices, "invariant_factors", counted_factors)
+    monkeypatch.setattr(matrices, "_eliminate", counted_factors)
     base = ["local", "--complex", os.path.join(FIXDIR, f"{name}.cplx"),
             "--out", str(tmp_path / "report.json")]
     for extra in ([], ["--dim", str(n)]):

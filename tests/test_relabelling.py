@@ -1,4 +1,4 @@
-"""Duality verdicts do not depend on the names or the order of the vertices.
+"""Verdicts do not depend on the names or the order of the vertices.
 
 The local sheaf and cosheaf read their stalks by basis position, and a stalk
 is shared by every simplex whose local differential is equal by position, so
@@ -7,17 +7,26 @@ vertices are named and ordered.  Each case relabels the vertices of a
 complex by a seeded injection, shuffles the vertex order, and checks that
 `verify_duality` gives the same verdict, the same refusal and the same
 source and target rank summaries in every degree, with the hypothesis
-witnesses mapped back to the old labels.
+witnesses mapped back to the old labels; that `cm_check` gives the same
+report with its witnesses mapped back; and that `local --dim n` gives the
+same summaries, link cross-check and UCT fields at each simplex mapped back.
+A new order permutes the rows and columns of every matrix the elimination
+kernel sees, so these checks do not rest on the kernel's own output.
 """
 
+import argparse
 import random
 
 import pytest
 
+from lochom.cli import cmd_local
 from lochom.complexes import SimplicialComplex
+from lochom.localhomology import cm_check
 from lochom.mv import verify_duality
 from lochom.rings import GF, ZZ
 from test_chain_complexes import COMPLEXES
+
+NAMES = ["bowtie", "c3", "delta2", "hex", "rp6", "t4", "sd_rp6"]
 
 
 def relabelled(X, seed):
@@ -46,8 +55,7 @@ def summary(report, back):
 
 @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
 @pytest.mark.parametrize("item", ["1ai", "2bii"])
-@pytest.mark.parametrize("name", ["bowtie", "c3", "delta2", "hex", "rp6",
-                                  "t4", "sd_rp6"])
+@pytest.mark.parametrize("name", NAMES)
 def test_duality_is_invariant_under_relabelling(name, item, ring):
     X = COMPLEXES[name]()
     Y, back = relabelled(X, f"{name}:{item}:{ring.name}")
@@ -55,3 +63,50 @@ def test_duality_is_invariant_under_relabelling(name, item, ring):
     before = summary(verify_duality(X, None, item, ring),
                      {v: v for v in X.order})
     assert summary(verify_duality(Y, None, item, ring), back) == before
+
+
+def back_simplex(s, back):
+    return tuple(sorted(back[v] for v in s))
+
+
+def cm_summary(report, back):
+    """A `cm_check` report with each witness's simplex as old labels."""
+    out = dict(report)
+    out["witnesses"] = sorted(repr((back_simplex(s, back), k, ranks))
+                              for s, k, ranks in report["witnesses"])
+    return out
+
+
+def local_summary(X, ring, n, back):
+    """`local --dim n`'s entry at each simplex, keyed by its old labels."""
+    report = {}
+    ok = cmd_local(argparse.Namespace(dim=n), ring, X, None, report)
+    out = {}
+    for s, entry in report["simplices"].items():
+        entry = dict(entry, uct=dict(entry["uct"]))
+        entry["uct"]["simplex"] = back_simplex(entry["uct"]["simplex"], back)
+        out[back_simplex(s, back)] = entry
+    return ok, out
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
+@pytest.mark.parametrize("name", NAMES)
+def test_cm_check_is_invariant_under_relabelling(name, ring):
+    X = COMPLEXES[name]()
+    Y, back = relabelled(X, f"{name}:cm:{ring.name}")
+    same = {v: v for v in X.order}
+    for n in (X.dim, X.dim - 1):
+        before = cm_summary(cm_check(X, None, n, ring), same)
+        assert cm_summary(cm_check(Y, None, n, ring), back) == before, n
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
+@pytest.mark.parametrize("name", NAMES)
+def test_local_dim_n_is_invariant_under_relabelling(name, ring):
+    X = COMPLEXES[name]()
+    Y, back = relabelled(X, f"{name}:local:{ring.name}")
+    same = {v: v for v in X.order}
+    for n in (X.dim, X.dim - 1):
+        ok, before = local_summary(X, ring, n, same)
+        assert len(before) == len(list(X.all_simplices()))
+        assert local_summary(Y, ring, n, back) == (ok, before), n

@@ -1,9 +1,12 @@
 """Section duals of degree-zero cosheaf homology and semistability of
 truncated restriction systems."""
 
+from collections import Counter
+
 import pytest
 
-from lochom import sectionsduality
+from lochom import localhomology, sectionsduality
+from lochom.cli import main
 from lochom.complexes import Subcomplex
 from lochom.fixtures import bowtie, circle3, hexagon, rp2_six, sphere2
 from lochom.localhomology import LocalContext, LocalHomologySheaf
@@ -151,12 +154,13 @@ def test_cdd_refuses_on_cm_failure():
 
 
 def test_a_restriction_system_computes_each_step_once(monkeypatch):
-    # each stage's sections read every codimension-one pair inside it, and
-    # the stages of a filtration nest, so the pairs of the first stages are
-    # read again at every later one: 1,104 reads of the 504 pairs of
-    # sd(torus) over seven stages of six more vertices each.  The build owns
-    # one sheaf view, which computes each step once, and pairs whose local
-    # complexes agree by position share it: 86 computations
+    # each stage's sections read every vertex < edge pair inside it (a
+    # section basis reads the degree-0 coboundary alone), and the stages of
+    # a filtration nest, so the pairs of the first stages are read again at
+    # every later one: 672 reads of the 252 vertex < edge pairs of
+    # sd(torus) over seven stages of six more vertices each.  The build
+    # owns one sheaf view, which computes each step once, and pairs whose
+    # local complexes agree by position share it: 82 computations
     read, computed = [], []
     step, columns = LocalHomologySheaf.step, LocalHomologySheaf._columns
 
@@ -174,8 +178,40 @@ def test_a_restriction_system_computes_each_step_once(monkeypatch):
     stages = [X.order[:6 * i] for i in range(1, 8)]
     system, gammas = build_restriction_system(LocalContext(X, ZZ), None, 2,
                                               stages)
-    pairs = {(t[:j] + t[j + 1:], t) for t in X.all_simplices()
-             for j in range(len(t)) if len(t) > 1}
-    assert len(read) == 1104 and set(read) == pairs and len(pairs) == 504
-    assert len(computed) == len(set(computed)) == 86
+    pairs = {(t[:j] + t[j + 1:], t) for t in X.simplices(1) for j in (0, 1)}
+    assert len(read) == 672 and set(read) == pairs and len(pairs) == 252
+    assert len(computed) == len(set(computed)) == 82
     assert len(system) == 7 and gammas[-1].free_rank == 1
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("name", ["t4", "sd_torus"])
+def test_sections_computes_no_step_above_degree_one(monkeypatch, tmp_path,
+                                                    name, filtered):
+    # a section basis reads the degree-0 coboundary alone, and the pairing
+    # with degree-0 cosheaf homology the boundaries of edges alone, so a
+    # `sections` run, with or without a filtration, steps from vertices to
+    # edges and never from edges to triangles
+    dims = Counter()
+    step = localhomology._LocalView.step
+
+    def counted(self, lo, hi):
+        dims[(len(lo) - 1, len(hi) - 1)] += 1
+        return step(self, lo, hi)
+
+    monkeypatch.setattr(localhomology._LocalView, "step", counted)
+    X = COMPLEXES[name]()
+    path = tmp_path / "x.cplx"
+    path.write_text("order: " + " ".join(map(str, X.order)) + "\n" + "".join(
+        "simplex: " + " ".join(map(str, s)) + "\n"
+        for s in X.maximal_simplices()), encoding="utf-8")
+    argv = ["sections", "--ring", "z", "--complex", str(path),
+            "--out", str(tmp_path / "report.json")]
+    if filtered:
+        half = len(X.order) // 2
+        (tmp_path / "x.filt").write_text(
+            "".join("stage: " + " ".join(map(str, X.order[:k])) + "\n"
+                    for k in (half, len(X.order))), encoding="utf-8")
+        argv += ["--filtration", str(tmp_path / "x.filt")]
+    assert main(argv) == 0
+    assert dims[(0, 1)] and set(dims) == {(0, 1)}, dict(dims)
