@@ -397,15 +397,13 @@ def invariant_factors(M):
     caller that needs only ranks and torsion orders skips every transform
     update and every `Matrix` the full form builds.
     """
-    if not M.entries:
-        return []
-    return _eliminate((M.ring, _positions(M)), False)[0]
+    return _eliminate((M.ring, _positions(M)), False)[0] if M.entries else []
 
 
 def _eliminate(matrix, track):
-    """The elimination `smith_normal_form` describes, of `matrix`, a ring
-    and a `_positions` key: the diagonals, and the transforms (U, U^-1, V,
-    V^-1 stored sparsely) only when `track`."""
+    """The elimination `smith_normal_form` describes, of `matrix` =
+    (ring, key) with key a `_positions`: the diagonals, and the transforms
+    (U, U^-1, V, V^-1 stored sparsely) only when `track`."""
     ring, ((m, n), nonzeros) = matrix
     add, mul, neg = ring.add, ring.mul, ring.neg
     is_unit, is_zero = ring.is_unit, ring.is_zero
@@ -436,26 +434,23 @@ def _eliminate(matrix, track):
         X[i] = {k: add(mul(a, x), mul(b, y)) for k, x, y in pairs}
         X[j] = {k: add(mul(c, x), mul(d, y)) for k, x, y in pairs}
 
+    def put_row(i, row):
+        # A[i] <- row, moving i between the column sets
+        for k in A[i].keys() - row.keys():
+            cols[k].discard(i)
+        for k in row.keys() - A[i].keys():
+            cols[k].add(i)
+        A[i] = row
+
     def row_transform(i, j, a, b, c, d):
         # det 1; U^-1 gets the inverse [[d, -b], [-c, a]] on columns i, j
         ri, rj = A[i], A[j]
-        new_i, new_j = {}, {}
-        for k in ri.keys() | rj.keys():
-            x, y = ri.get(k, zero), rj.get(k, zero)
-            col = cols[k]
-            u = add(mul(a, x), mul(b, y))
-            if u:
-                new_i[k] = u
-                col.add(i)
-            else:
-                col.discard(i)
-            u = add(mul(c, x), mul(d, y))
-            if u:
-                new_j[k] = u
-                col.add(j)
-            else:
-                col.discard(j)
-        A[i], A[j] = new_i, new_j
+        pairs = [(k, ri.get(k, zero), rj.get(k, zero))
+                 for k in ri.keys() | rj.keys()]
+        put_row(i, {k: u for k, x, y in pairs
+                    if (u := add(mul(a, x), mul(b, y)))})
+        put_row(j, {k: u for k, x, y in pairs
+                    if (u := add(mul(c, x), mul(d, y)))})
         if track:
             combine(U, i, j, a, b, c, d)
             combine(UinvT, i, j, d, neg(c), neg(b), a)
@@ -510,14 +505,8 @@ def _eliminate(matrix, track):
         pi, pj = pivot
         if pi != t:
             rt, rp = A[t], A[pi]
-            for k in rt:
-                cols[k].discard(t)
-            for k in rp:
-                cols[k].discard(pi)
-                cols[k].add(t)
-            for k in rt:
-                cols[k].add(pi)
-            A[t], A[pi] = rp, rt
+            put_row(t, rp)
+            put_row(pi, rt)
             if track:
                 U[t], U[pi] = U[pi], U[t]
                 UinvT[t], UinvT[pi] = UinvT[pi], UinvT[t]

@@ -81,13 +81,19 @@ def test_snf_matches_dense_reference_on_small_matrices(M):
 # [[2, 0], [0, 3]] takes the offender step and then the gcd step; the 3x3
 # matrix has invariant factors 2, 6, 12; the 4x3 matrix and its transpose
 # clear a row (column) with the pivot 2, then take a gcd step that widens
-# row (column) 0, then clear another row (column) with the new pivot 1
-@pytest.mark.parametrize("rows", [[[2, 0], [0, 3]],
-                                  [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
-                                  [[4, 6], [6, 9], [2, 3]],
-                                  [[0, 0, 0], [0, 6, 0], [0, 0, 4]],
-                                  [[2, 0, 0], [4, 0, 6], [3, 5, 0], [8, 0, 0]],
-                                  [[2, 4, 3, 8], [0, 0, 5, 0], [0, 6, 0, 0]]])
+# row (column) 0, then clear another row (column) with the new pivot 1; the
+# pivot 3 of the last matrix divides 6 and 9, so over Z it eliminates them
+# by `divmod` and not by a unit's inverse
+GCD_AND_OFFENDER_CASES = [[[2, 0], [0, 3]],
+                          [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+                          [[4, 6], [6, 9], [2, 3]],
+                          [[0, 0, 0], [0, 6, 0], [0, 0, 4]],
+                          [[2, 0, 0], [4, 0, 6], [3, 5, 0], [8, 0, 0]],
+                          [[2, 4, 3, 8], [0, 0, 5, 0], [0, 6, 0, 0]],
+                          [[3, 6, 9], [9, 0, 6], [6, 9, 0]]]
+
+
+@pytest.mark.parametrize("rows", GCD_AND_OFFENDER_CASES)
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_snf_matches_dense_reference_on_gcd_and_offender_cases(ring, rows):
     assert_matches_reference(integer_matrix(ring, rows, len(rows[0])))

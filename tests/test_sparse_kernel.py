@@ -20,7 +20,7 @@ import dense_reference
 from lochom import matrices
 from lochom.cli import main
 from lochom.matrices import Matrix
-from lochom.rings import GF, QQ, ZZ
+from test_snf_oracle import GCD_AND_OFFENDER_CASES, RINGS
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -83,20 +83,8 @@ def test_kernel_equals_the_dense_kernel_on_captured_eliminations(line,
         assert_kernels_agree(ring, key)
 
 
-# [[2, 0], [0, 3]] takes the offender step and then the gcd step; the 3x3
-# matrix has invariant factors 2, 6, 12; the 4x3 matrix and its transpose
-# clear a row (column) with the pivot 2, then take a gcd step that widens
-# row (column) 0, then clear another row (column) with the new pivot 1; a
-# pivot 3 with entries 6 and 9 divides them, so it eliminates by divmod
-@pytest.mark.parametrize("rows", [[[2, 0], [0, 3]],
-                                  [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
-                                  [[4, 6], [6, 9], [2, 3]],
-                                  [[0, 0, 0], [0, 6, 0], [0, 0, 4]],
-                                  [[2, 0, 0], [4, 0, 6], [3, 5, 0], [8, 0, 0]],
-                                  [[2, 4, 3, 8], [0, 0, 5, 0], [0, 6, 0, 0]],
-                                  [[3, 6, 9], [9, 0, 6], [6, 9, 0]]])
-@pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), GF(3), GF(7)),
-                         ids=lambda r: r.name)
+@pytest.mark.parametrize("rows", GCD_AND_OFFENDER_CASES)
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_kernel_equals_the_dense_kernel_on_gcd_and_offender_cases(ring, rows):
     entries = frozenset((i, j, ring.from_int(v))
                         for i, row in enumerate(rows)
