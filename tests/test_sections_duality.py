@@ -1,13 +1,14 @@
 """Section duals of degree-zero cosheaf homology and semistability of
 truncated restriction systems."""
 
+import os
 from collections import Counter
 
 import pytest
 
 from lochom import localhomology, sectionsduality
 from lochom.cli import main
-from lochom.complexes import Subcomplex
+from lochom.complexes import Subcomplex, parse_complex
 from lochom.fixtures import bowtie, circle3, hexagon, rp2_six, sphere2
 from lochom.localhomology import LocalContext, LocalHomologySheaf
 from lochom.matrices import smith_normal_form
@@ -18,6 +19,8 @@ from lochom.sectionsduality import (RestrictionSystem,
                                     constant_system, doubling_system,
                                     lf_h0_check, semistability_check)
 from test_chain_complexes import COMPLEXES
+
+FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def compactly_determined(X, L, n, ring, filtration):
@@ -200,18 +203,15 @@ def test_sections_computes_no_step_above_degree_one(monkeypatch, tmp_path,
         return step(self, lo, hi)
 
     monkeypatch.setattr(localhomology._LocalView, "step", counted)
-    X = COMPLEXES[name]()
-    path = tmp_path / "x.cplx"
-    path.write_text("order: " + " ".join(map(str, X.order)) + "\n" + "".join(
-        "simplex: " + " ".join(map(str, s)) + "\n"
-        for s in X.maximal_simplices()), encoding="utf-8")
-    argv = ["sections", "--ring", "z", "--complex", str(path),
+    path = os.path.join(FIXDIR, f"{name}.cplx")
+    argv = ["sections", "--ring", "z", "--complex", path,
             "--out", str(tmp_path / "report.json")]
     if filtered:
-        half = len(X.order) // 2
+        with open(path, encoding="utf-8") as fh:
+            order = parse_complex(fh.read()).order
         (tmp_path / "x.filt").write_text(
-            "".join("stage: " + " ".join(map(str, X.order[:k])) + "\n"
-                    for k in (half, len(X.order))), encoding="utf-8")
+            "".join("stage: " + " ".join(map(str, order[:k])) + "\n"
+                    for k in (len(order) // 2, len(order))), encoding="utf-8")
         argv += ["--filtration", str(tmp_path / "x.filt")]
     assert main(argv) == 0
     assert dims[(0, 1)] and set(dims) == {(0, 1)}, dict(dims)
