@@ -1,8 +1,8 @@
 """Chain complexes over exact rings and homology presentations via SNF."""
 
-from .matrices import (Matrix, _positions, factored, factors, hstack,
-                       kernel_basis, kernel_coordinates, smith_normal_form,
-                       vec_clean)
+from .matrices import (Matrix, _log_apply, _positions, factored, factors,
+                       hstack, kernel_basis, kernel_coordinates,
+                       smith_normal_form, vec_clean)
 
 
 class FactorSummaries:
@@ -101,22 +101,20 @@ class CokerPresentation:
     (row index, order or None).  project() sends a vector to its generator
     coordinates, torsion coordinates reduced; lift(j) returns a
     representative of generator j.  The relations' SNF, through `memo`
-    (`matrices.factored`), keeps only the U that project reads and the U^-1
-    that lift reads.
+    (`matrices.factored`), keeps no transform: project and lift replay its
+    log of row operations on one vector, U forwards and U^-1 backwards.
     """
 
     def __init__(self, ring, relations, memo=None):
         self.ring = ring
-        self.snf = factored(memo, relations).keep("U", "Uinv")
+        self.snf = factored(memo, relations).keep()
         self._rows = relations.row_labels
-        self.positions = []
-        for i, d in enumerate(self.snf.diagonals):
-            if not ring.is_unit(d):
-                self.positions.append((i, d))
-        for i in range(len(self.snf.diagonals), len(self._rows)):
-            self.positions.append((i, None))
+        diagonals, size = self.snf.diagonals, len(self._rows)
+        self.positions = [(i, d) for i, d in enumerate(diagonals)
+                          if not ring.is_unit(d)]
+        self.positions += [(i, None) for i in range(len(diagonals), size)]
         self.torsion = [d for _, d in self.positions if d is not None]
-        self.free_rank = len(self._rows) - len(self.snf.diagonals)
+        self.free_rank = size - len(diagonals)
 
     @property
     def rank_summary(self):
@@ -129,22 +127,23 @@ class CokerPresentation:
         return not self.positions
 
     def project(self, vec):
+        """U vec at the generator positions.  A key of vec that is not a
+        row label is dropped, as `Matrix.apply` drops it."""
         ring = self.ring
-        z = self.snf.U.apply(vec)
+        z = _log_apply(self.snf, vec)
         out = []
         for i, order in self.positions:
             zi = z.get(self._rows[i], ring.zero())
             if order is not None:
-                zi = ring.divmod(zi, order)[1]
-                # normalize representative for determinism (integers: 0 <= r < d)
-                if hasattr(zi, "__mod__") and not ring.is_field:
-                    zi = zi % order
+                # torsion arises over Z alone: reduce to 0 <= zi < order
+                zi %= order
             out.append(zi)
         return out
 
     def lift(self, j):
+        """Generator j's column of U^-1, its nonzeros in row order."""
         i, _ = self.positions[j]
-        return vec_clean(self.ring, self.snf.Uinv.column(self._rows[i]))
+        return _log_apply(self.snf, {self._rows[i]: self.ring.one()}, True)
 
 
 class CycleBasis:

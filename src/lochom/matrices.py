@@ -221,18 +221,19 @@ class SNF:
     """Smith normal form data: U * M * V = D with U, V invertible.
 
     diagonals lists the nonzero invariant factors d_1 | d_2 | ... (canonical
-    associates); rank = len(diagonals).  Each transform is given either as a
-    `Matrix` or as a function that builds one on its labels (M's rows for U
-    and U^-1, its columns for V and V^-1); a function is called the first
-    time its transform is read, and only then.  `keep` drops the others, so
-    a holder keeps only the transforms it reads.
+    associates); rank = len(diagonals); U is the product of the row
+    operations in `log`.  Each transform is a `Matrix` or a function that
+    builds one on its labels (M's rows for U and U^-1, its columns for V
+    and V^-1), called when its transform is first read.  `keep` drops the
+    others, so a holder keeps only the transforms it reads.
     """
 
-    def __init__(self, matrix, U, Uinv, V, Vinv, diagonals):
+    def __init__(self, matrix, U, Uinv, V, Vinv, diagonals, log=None):
         self.matrix = matrix
         self._transforms = {"U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
         self.diagonals = diagonals
         self.rank = len(diagonals)
+        self.log = log
 
     def keep(self, *names):
         """Forget every transform not named; reading one then raises
@@ -276,9 +277,11 @@ def _gcd_combine(ring, x, y):
 def smith_normal_form(M):
     """Return SNF of M with all four transformation matrices, exactly.
 
-    The elimination tracks all four; each becomes a `Matrix` only when a
-    caller first reads it (`kernel_basis` reads V, `kernel_coordinates`
-    V^-1, `solve` U and V, a cokernel's `project` U and its `lift` U^-1).
+    The elimination builds V and V^-1 as it goes and logs its row
+    operations (`log`) in place of U and U^-1, which one pass over the log
+    builds when first read.  Each transform becomes a `Matrix` only then
+    (`kernel_basis` reads V, `kernel_coordinates` V^-1, `solve` U).  A
+    cokernel's `project` and `lift` run the log on one vector instead.
 
     Step t works on the trailing block, rows and columns t..  Its pivot is,
     over Z and GF(p), the first row holding a 1 or -1 at its least such
@@ -301,10 +304,10 @@ def smith_normal_form(M):
     entry x has the quotient x * p^-1, which is `ring.divmod`'s over Z
     (p = 1, -1), GF(p) and Q, with remainder zero.  The transforms start as
     the identity and are stored sparsely, U and V^-1 by rows, U^-1 and V by
-    columns, so every operation on them runs over one stored row and only
-    its nonzeros; entries of a transform that cancel stay stored as zeros.
-    A matrix with no entries is not eliminated at all: it has no diagonals
-    and all four transforms are identities.
+    columns, and every operation on them (`_replay`) runs over stored rows
+    and only their nonzeros; entries that cancel stay stored as zeros.  A
+    matrix with no entries is not eliminated at all: it has no diagonals,
+    an empty log and four identity transforms.
 
     This relies on canonical entries (ints over Z, `Fraction` over Q,
     residues in [0, p) over GF(p)): then an entry is nonzero exactly when it
@@ -338,17 +341,22 @@ def smith_normal_form(M):
                 index[labels[j]] = nonzeros
         return Matrix(ring, labels, labels)._with_columns(index)
 
-    if not M.entries:
-        def identity(labels):
-            one = ring.one()
-            return by_columns(labels, [{i: one} for i in range(len(labels))])
+    m, n = M.shape
+    if M.entries:
+        diagonals, (log, VT, Vinv) = _eliminate((ring, _positions(M)), True)
+    else:
+        diagonals, log = [], []
+        VT = Vinv = [{j: ring.one()} for j in range(n)]
 
-        return SNF(M, identity, identity, identity, identity, [])
-    diagonals, (U, UinvT, VT, Vinv) = _eliminate((ring, _positions(M)), True)
-    return SNF(M, lambda rows: by_rows(rows, U),
-               lambda rows: by_columns(rows, UinvT),
+    def u_rows(inverse):
+        # U's rows, or U^-1's columns: the identity's rows under the log
+        return _replay(ring, log, [{i: ring.one()} for i in range(m)],
+                       inverse, True)
+
+    return SNF(M, lambda rows: by_rows(rows, u_rows(False)),
+               lambda rows: by_columns(rows, u_rows(True)),
                lambda cols: by_columns(cols, VT),
-               lambda cols: by_rows(cols, Vinv), diagonals)
+               lambda cols: by_rows(cols, Vinv), diagonals, log)
 
 
 def _positions(M):
@@ -366,17 +374,17 @@ def factored(memo, M):
     SNF or, from `factors`, to invariant factors (None: no memo).
 
     A hit is exact: the elimination reads M only by position, and entries
-    are canonical for each ring, so the stored diagonals and transforms are
-    those M would give, up to labels.  The stored SNF is never read: each
-    caller gets a fresh one on M whose transforms are built on M's labels
-    from the stored elimination, so its `keep` leaves the stored one whole."""
+    are canonical for each ring, so the stored diagonals, log and transforms
+    are those M would give, up to labels.  The stored SNF is never read:
+    each caller gets a fresh one on M, sharing its log, whose transforms are
+    built on M's labels, so its `keep` leaves the stored one whole."""
     if memo is None:
         return smith_normal_form(M)
     key = _positions(M)
     s = memo.get(key)
     if not isinstance(s, SNF):
         s = memo[key] = smith_normal_form(M)
-    return SNF(M, diagonals=s.diagonals, **s._transforms)
+    return SNF(M, diagonals=s.diagonals, log=s.log, **s._transforms)
 
 
 def factors(memo, ring, key):
@@ -400,10 +408,58 @@ def invariant_factors(M):
     return _eliminate((M.ring, _positions(M)), False)[0] if M.entries else []
 
 
+def _replay(ring, log, X, inverse=False, transposed=False):
+    """Run a log (see `_eliminate`) on the sparse rows X in place, keeping
+    entries that cancel as zeros, and return X; with `inverse` run the
+    inverses in reverse order (U^-1 X), with `transposed` too their
+    transposes in order (the identity's rows become U^-1's columns)."""
+    add, mul, neg, zero = ring.add, ring.mul, ring.neg, ring.zero()
+    for op in log if transposed or not inverse else reversed(log):
+        kind, i = op[0], op[1]
+        if kind == "add":
+            _, i, c, t = op
+            if inverse:
+                i, c, t = (t, neg(c), i) if transposed else (i, neg(c), t)
+            dst = X[i]
+            for k, x in X[t].items():
+                if x:
+                    dst[k] = add(dst.get(k, zero), mul(c, x))
+        elif kind == "swap":
+            X[i], X[op[2]] = X[op[2]], X[i]
+        elif kind == "gcd":
+            _, i, j, a, b, c, d = op
+            if inverse:
+                a, b, c, d = ((d, neg(c), neg(b), a) if transposed
+                              else (d, neg(b), neg(c), a))
+            xi, xj = X[i], X[j]
+            pairs = [(k, xi.get(k, zero), xj.get(k, zero))
+                     for k in xi.keys() | xj.keys()]
+            X[i] = {k: add(mul(a, x), mul(b, y)) for k, x, y in pairs}
+            X[j] = {k: add(mul(c, x), mul(d, y)) for k, x, y in pairs}
+        else:
+            u = ring.inv(op[2]) if inverse else op[2]
+            X[i] = {k: mul(u, x) for k, x in X[i].items()}
+    return X
+
+
+def _log_apply(snf, vec, inverse=False):
+    """U vec, or U^-1 vec when `inverse`, by `snf.log`: vec, keyed by row
+    labels (a key outside them is dropped, as `Matrix.apply` drops it), run
+    through the log as a one-column matrix; its nonzeros in row order."""
+    M = snf.matrix
+    X = [{0: vec[r]} if r in vec else {} for r in M.row_labels]
+    _replay(M.ring, snf.log, X, inverse)
+    return {r: x[0] for r, x in zip(M.row_labels, X) if x.get(0)}
+
+
 def _eliminate(matrix, track):
     """The elimination `smith_normal_form` describes, of `matrix` =
-    (ring, key) with key a `_positions`: the diagonals, and the transforms
-    (U, U^-1, V, V^-1 stored sparsely) only when `track`."""
+    (ring, key) with key a `_positions`: the diagonals, and only when
+    `track` the log of its row operations, V's columns and V^-1's rows.
+
+    A log lists each operation on rows (or columns) x once, in order:
+    ("swap", i, j); ("add", i, c, t), x_i += c x_t; ("unit", t, u), x_t *= u;
+    ("gcd", i, j, a, b, c, d), (x_i, x_j) <- (a x_i + b x_j, c x_i + d x_j)."""
     ring, ((m, n), nonzeros) = matrix
     add, mul, neg = ring.add, ring.mul, ring.neg
     is_unit, is_zero = ring.is_unit, ring.is_zero
@@ -414,25 +470,16 @@ def _eliminate(matrix, track):
     for i, j, v in nonzeros:
         A[i][j] = v
         cols[j].add(i)
-    # dicts {index: entry}; entries that cancel stay stored as zeros
-    U = [{i: one} for i in range(m)] if track else None
-    UinvT = [{i: one} for i in range(m)] if track else None
+    row_log, col_log = ([], []) if track else (None, None)
     VT = [{j: one} for j in range(n)] if track else None
     Vinv = [{j: one} for j in range(n)] if track else None
 
-    def axpy(dst, c, src):
-        # dst += c * src for sparse dst and src
-        for k, x in src.items():
-            if x:
-                dst[k] = add(dst.get(k, zero), mul(c, x))
-
-    def combine(X, i, j, a, b, c, d):
-        # sparse X_i, X_j <- (a X_i + b X_j, c X_i + d X_j)
-        xi, xj = X[i], X[j]
-        pairs = [(k, xi.get(k, zero), xj.get(k, zero))
-                 for k in xi.keys() | xj.keys()]
-        X[i] = {k: add(mul(a, x), mul(b, y)) for k, x, y in pairs}
-        X[j] = {k: add(mul(c, x), mul(d, y)) for k, x, y in pairs}
+    def flush():
+        # V, V^-1 take the column log; batches of > n keep it about V's size
+        _replay(ring, col_log, VT)
+        _replay(ring, col_log, Vinv, True, True)
+        col_log.clear()
+        return VT, Vinv
 
     def put_row(i, row):
         # A[i] <- row, moving i between the column sets
@@ -443,7 +490,7 @@ def _eliminate(matrix, track):
         A[i] = row
 
     def row_transform(i, j, a, b, c, d):
-        # det 1; U^-1 gets the inverse [[d, -b], [-c, a]] on columns i, j
+        # det 1
         ri, rj = A[i], A[j]
         pairs = [(k, ri.get(k, zero), rj.get(k, zero))
                  for k in ri.keys() | rj.keys()]
@@ -452,11 +499,10 @@ def _eliminate(matrix, track):
         put_row(j, {k: u for k, x, y in pairs
                     if (u := add(mul(c, x), mul(d, y)))})
         if track:
-            combine(U, i, j, a, b, c, d)
-            combine(UinvT, i, j, d, neg(c), neg(b), a)
+            row_log.append(("gcd", i, j, a, b, c, d))
 
     def col_transform(i, j, a, b, c, d):
-        # det 1; V^-1 gets the inverse [[d, -c], [-b, a]] on rows i, j
+        # det 1
         new_i, new_j = set(), set()
         for r in cols[i] | cols[j]:
             row = A[r]
@@ -475,8 +521,7 @@ def _eliminate(matrix, track):
                 row.pop(j, None)
         cols[i], cols[j] = new_i, new_j
         if track:
-            combine(VT, i, j, a, b, c, d)
-            combine(Vinv, i, j, d, neg(c), neg(b), a)
+            col_log.append(("gcd", i, j, a, b, c, d))
 
     int_ring = isinstance(one, int)
 
@@ -508,8 +553,7 @@ def _eliminate(matrix, track):
             put_row(t, rp)
             put_row(pi, rt)
             if track:
-                U[t], U[pi] = U[pi], U[t]
-                UinvT[t], UinvT[pi] = UinvT[pi], UinvT[t]
+                row_log.append(("swap", t, pi))
         if pj != t:
             for r in cols[t] | cols[pj]:
                 row = A[r]
@@ -520,8 +564,7 @@ def _eliminate(matrix, track):
                     row[pj] = x
             cols[t], cols[pj] = cols[pj], cols[t]
             if track:
-                VT[t], VT[pj] = VT[pj], VT[t]
-                Vinv[t], Vinv[pj] = Vinv[pj], Vinv[t]
+                col_log.append(("swap", t, pj))
         while True:
             p = A[t][t]
             pinv = ring.inv(p) if is_unit(p) else None
@@ -548,8 +591,7 @@ def _eliminate(matrix, track):
                             del ri[k]
                             cols[k].discard(i)
                     if track:
-                        axpy(U[i], c, U[t])
-                        axpy(UinvT[t], q, UinvT[i])
+                        row_log.append(("add", i, c, t))
                 else:
                     a, b, c, d, _ = _gcd_combine(ring, p, ri[t])
                     row_transform(t, i, a, b, c, d)
@@ -577,8 +619,7 @@ def _eliminate(matrix, track):
                             del row[j]
                             col.discard(k)
                     if track:
-                        axpy(VT[j], c, VT[t])
-                        axpy(Vinv[t], q, Vinv[j])
+                        col_log.append(("add", j, c, t))
                 else:
                     a, b, c, d, _ = _gcd_combine(ring, p, A[t][j])
                     col_transform(t, j, a, b, c, d)
@@ -600,13 +641,13 @@ def _eliminate(matrix, track):
         if not is_zero(ring.sub(u, one)):
             A[t][t] = mul(u, A[t][t])
             if track:
-                U[t] = {k: mul(u, x) for k, x in U[t].items()}
-                uinv = ring.inv(u)
-                UinvT[t] = {k: mul(x, uinv) for k, x in UinvT[t].items()}
+                row_log.append(("unit", t, u))
+        if track and len(col_log) > n:
+            flush()
         t += 1
 
     diagonals = [A[i][i] for i in range(t) if not is_zero(A[i][i])]
-    return diagonals, ((U, UinvT, VT, Vinv) if track else None)
+    return diagonals, ((row_log, *flush()) if track else None)
 
 
 def solve(M, b, snf=None):

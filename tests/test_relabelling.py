@@ -7,7 +7,10 @@ vertices are named and ordered.  Each case relabels the vertices of a
 complex by a seeded injection, shuffles the vertex order, and checks that
 `verify_duality` gives the same verdict, the same refusal and the same
 source and target rank summaries in every degree, with the hypothesis
-witnesses mapped back to the old labels; that `cm_check` gives the same
+witnesses mapped back to the old labels, for each of the eight duality
+items (every item reads the cokernel presentations' `project` and `lift`),
+with L the whole complex and with the fixture subcomplexes `rp6_345` and
+`t4_edge23` relabelled with their complex; that `cm_check` gives the same
 report with its witnesses mapped back; and that `local --dim n` gives the
 same summaries, link cross-check and UCT fields at each simplex mapped back.
 A new order permutes the rows and columns of every matrix the elimination
@@ -15,18 +18,21 @@ kernel sees, so these checks do not rest on the kernel's own output.
 """
 
 import argparse
+import os
 import random
 
 import pytest
 
 from lochom.cli import cmd_local
-from lochom.complexes import SimplicialComplex
+from lochom.complexes import (SimplicialComplex, Subcomplex, parse_complex,
+                              parse_subcomplex)
 from lochom.localhomology import cm_check
-from lochom.mv import verify_duality
+from lochom.mv import DUALITY_ITEMS, verify_duality
 from lochom.rings import GF, ZZ
 from test_chain_complexes import COMPLEXES
 
 NAMES = ["bowtie", "c3", "delta2", "hex", "rp6", "t4", "sd_rp6"]
+FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def relabelled(X, seed):
@@ -54,7 +60,7 @@ def summary(report, back):
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
-@pytest.mark.parametrize("item", ["1ai", "2bii"])
+@pytest.mark.parametrize("item", sorted(DUALITY_ITEMS))
 @pytest.mark.parametrize("name", NAMES)
 def test_duality_is_invariant_under_relabelling(name, item, ring):
     X = COMPLEXES[name]()
@@ -63,6 +69,27 @@ def test_duality_is_invariant_under_relabelling(name, item, ring):
     before = summary(verify_duality(X, None, item, ring),
                      {v: v for v in X.order})
     assert summary(verify_duality(Y, None, item, ring), back) == before
+
+
+def _read(name):
+    with open(os.path.join(FIXDIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
+@pytest.mark.parametrize("item", sorted(DUALITY_ITEMS))
+@pytest.mark.parametrize("name, sub", [("rp6", "rp6_345"),
+                                       ("t4", "t4_edge23")])
+def test_duality_with_a_subcomplex_is_invariant_under_relabelling(
+        name, sub, item, ring):
+    X = parse_complex(_read(f"{name}.cplx"))
+    vertices = parse_subcomplex(_read(f"{sub}.sub"), X).vertex_set
+    Y, back = relabelled(X, f"{name}:{sub}:{item}:{ring.name}")
+    rename = {v: w for w, v in back.items()}
+    before = summary(verify_duality(X, Subcomplex(X, vertices), item, ring),
+                     {v: v for v in X.order})
+    L = Subcomplex(Y, [rename[v] for v in vertices])
+    assert summary(verify_duality(Y, L, item, ring), back) == before
 
 
 def back_simplex(s, back):
