@@ -8,7 +8,7 @@ from .caps import (cap_plain, cap_v1, cap_v2, leibniz_defect_v1,
                    leibniz_defect_v2, relative_cap)
 from .complexes import (SimplicialComplex, Subcomplex, is_vc_before,
                         orient_vc_before, parse_complex, parse_subcomplex,
-                        perm_sign, reorient_vc_before, serialize_complex)
+                        perm_sign, reorient_vc_before)
 from .fixtures import (FIXTURES, bowtie, circle3, hexagon, hexagon_cover_map,
                        rp2_six, sphere2, triangle)
 from .homology import (ChainComplex, HomologyPresentation, induced_matrix,
@@ -23,14 +23,12 @@ from .localhomology import (LocalCohomologyCosheaf, LocalContext,
 from .matrices import (Matrix, invariant_factors, kernel_basis,
                        smith_normal_form, solve)
 from .mv import (DUALITY_ITEMS, MVDoubleComplex, c_dual, c_dual_reversed,
-                 fundamental_class, naturality_report, verify_duality)
+                 fundamental_class, verify_duality)
 from .rings import GF, QQ, ZZ, ring_from_name
 from .sectionsduality import (RestrictionSystem, build_restriction_system,
-                              compactly_determined_dual, constant_system,
-                              doubling_system, lf_h0_check,
-                              semistability_check)
-from .sheaves import (ConstantCosheaf, ConstantSheaf, DictSheaf,
-                      cosheaf_chain_complex, region_rel, region_sub, sections,
+                              compactly_determined_dual, doubling_system,
+                              lf_h0_check, semistability_check)
+from .sheaves import (cosheaf_chain_complex, region_rel, region_sub, sections,
                       sheaf_cochain_complex, simplicial_chain_complex,
                       simplicial_cochain_complex)
 from .simplicialmaps import (SimplicialMap, check_star_local,

@@ -113,8 +113,6 @@ class SimplicialComplex:
         one tuple per dimension from its own up, each in the order of
         `all_simplices`: read from the coface table one dimension up at a
         time."""
-        if not self.contains(simplex):
-            return []
         table = self._coface_table()
         rank = self._rank.__getitem__
         level = (tuple(simplex),)
@@ -259,13 +257,6 @@ def parse_complex(text):
                 if v not in known:
                     raise ValueError(f"vertex {v!r} missing from order header")
     return SimplicialComplex(maximal, order=order)
-
-
-def serialize_complex(X):
-    lines = ["order: " + " ".join(str(v) for v in X.order)]
-    for s in X.maximal_simplices():
-        lines.append("simplex: " + " ".join(str(v) for v in s))
-    return "\n".join(lines) + "\n"
 
 
 def parse_subcomplex(text, X):

@@ -45,8 +45,8 @@ class ChainComplex(FactorSummaries):
     `memo` (`matrices.factored`) holds every factorization the complex, its
     dual and its presentations make, so no matrix is eliminated twice.
     The constructor does not check d∘d = 0: the tests check it on every
-    complex lochom builds, `check_functorial` (run by `io.parse_sheaf`)
-    assures it for a parsed sheaf, and a presentation refuses an incoming
+    complex lochom builds, a test property covers the functoriality of the
+    local sheaf and cosheaf, and a presentation refuses an incoming
     boundary that is not a cycle.
     """
 
@@ -60,16 +60,13 @@ class ChainComplex(FactorSummaries):
 
     def dual(self):
         """The evaluation dual: the same bases, differentials transposed and
-        the shift reversed.  A transpose keeps d∘d = 0, so the dual is
-        assured where the complex is: by the tests for a complex lochom
-        builds, by `check_functorial` for a parsed sheaf."""
+        the shift reversed.  A transpose keeps d∘d = 0, so the dual is a
+        complex wherever the complex is, and the tests check both for every
+        complex lochom builds."""
         return ChainComplex(self.ring, self.spaces,
                             {k + self.shift: d.transpose()
                              for k, d in self.diffs.items()}, -self.shift,
                             self.memo)
-
-    def degrees(self):
-        return sorted(self.spaces)
 
     def basis(self, deg):
         return self.spaces.get(deg, ())

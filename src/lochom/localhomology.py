@@ -13,7 +13,7 @@ cokernels of the local coboundary, form a cosheaf.
 from .homology import (ChainComplex, CokerPresentation, CycleBasis,
                        FactorSummaries)
 from .matrices import Matrix, invariant_factors, kernel_basis, vec_dot
-from .sheaves import Sheaf, Cosheaf, simplicial_chain_complex
+from .sheaves import simplicial_chain_complex
 
 
 class LocalComplex(FactorSummaries):
@@ -235,20 +235,21 @@ def cm_check(X, L, n, ring):
 
 
 class _LocalView:
-    """What the local sheaf and cosheaf share: the context's positional
-    stalks in top degree n, labelled chains read and written through a
-    simplex's level, and the codimension-one steps computed by position,
-    each once per view (`_steps`: the view, not the context, holds them, so
-    they die with the build that asked for them)."""
+    """What the local sheaf and cosheaf share: the `X`, `ring`, `stalk` and
+    `step_entries` the coefficient complexes read (each sets `covariant`),
+    the context's positional stalks in top degree n, labelled chains read
+    and written through a simplex's level, and the codimension-one steps
+    computed by position, each once per view (`_steps`: the view, not the
+    context, holds them, so they die with the build that asked for them)."""
 
     def __init__(self, ctx, n):
-        super().__init__(ctx.ring, ctx.X)
+        self.ring, self.X = ctx.ring, ctx.X
         self.ctx = ctx
         self.n = n
         self._steps = {}
 
     def _stalk(self, simplex):
-        return self.ctx.positional_stalk(simplex, self.n, self.dual)
+        return self.ctx.positional_stalk(simplex, self.n, not self.covariant)
 
     def _labelled(self, simplex, chain):
         """A positional chain at a simplex with labels (s, a)."""
@@ -282,11 +283,12 @@ class _LocalView:
         return cols
 
     def step_entries(self, lo, hi):
+        """The step's nonzeros ((row, column), value), column by column."""
         return [((r, c), v) for c, col in enumerate(self.step(lo, hi))
                 for r, v in col.items()]
 
 
-class LocalHomologySheaf(_LocalView, Sheaf):
+class LocalHomologySheaf(_LocalView):
     """Top local homology as a combinatorial sheaf.
 
     The stalk at s is the cycle module ker(boundary) in top local degree n:
@@ -297,7 +299,7 @@ class LocalHomologySheaf(_LocalView, Sheaf):
     result in the target cycle basis.
     """
 
-    dual = False
+    covariant = True
 
     def stalk(self, simplex):
         return tuple(range(len(self._stalk(simplex)[0].cycles)))
@@ -326,13 +328,8 @@ class LocalHomologySheaf(_LocalView, Sheaf):
             cols.append(y)
         return cols
 
-    def restriction_step(self, simplex, cosimplex):
-        return Matrix.from_columns(self.ring, self.stalk(cosimplex),
-                                   self.stalk(simplex),
-                                   self.step(simplex, cosimplex))
 
-
-class LocalCohomologyCosheaf(_LocalView, Cosheaf):
+class LocalCohomologyCosheaf(_LocalView):
     """Top local cohomology as a combinatorial cosheaf.
 
     The stalk at s is the cokernel of the local coboundary into top degree n;
@@ -342,7 +339,7 @@ class LocalCohomologyCosheaf(_LocalView, Cosheaf):
     stalks are free (the locally Cohen-Macaulay case used for duality).
     """
 
-    dual = True
+    covariant = False
 
     def stalk(self, simplex):
         return tuple(range(len(self._stalk(simplex)[0])))
@@ -362,11 +359,6 @@ class LocalCohomologyCosheaf(_LocalView, Cosheaf):
         return [{i: c for i, c in enumerate(tgt.project(
                     {kept[q]: v for q, v in src.lift(j).items()}))
                  if not is_zero(c)} for j in range(len(src))]
-
-    def corestriction_step(self, cosimplex, simplex):
-        return Matrix.from_columns(self.ring, self.stalk(simplex),
-                                   self.stalk(cosimplex),
-                                   self.step(simplex, cosimplex))
 
 
 def uct_report(ctx, simplex, n):

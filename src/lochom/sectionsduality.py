@@ -195,14 +195,6 @@ def doubling_system(ring, length):
     return RestrictionSystem(ring, bases, steps)
 
 
-def constant_system(ring, rank, length):
-    """Identity maps on a fixed free module: semistable with stable image the
-    whole module."""
-    base = tuple(range(rank))
-    steps = [Matrix.identity(ring, base) for _ in range(length - 1)]
-    return RestrictionSystem(ring, [base] * length, steps)
-
-
 # -- restriction systems from filtrations -------------------------------------
 
 def build_restriction_system(ctx, L, n, filtration):

@@ -1,18 +1,15 @@
-"""Combinatorial sheaves and cosheaves on a simplicial complex, their (co)chain
-complexes and sections.
+"""Simplicial (co)chain complexes, with constant coefficients or with
+coefficients in a combinatorial sheaf or cosheaf, and sections.
 
-A sheaf assigns a basis-labelled free module to each simplex and a restriction
-matrix to each face relation (covariantly along sigma <= tau); a cosheaf maps
-the other way.  One engine serves both.  Arbitrary-codimension maps are
-composed from codimension-one steps along one chain of faces, walked down
-for a cosheaf; this is well defined exactly when the data is functorial,
-which check_functorial decides (`io.parse_sheaf` runs it on every sheaf it
-reads, the tests on the local homology sheaf and cosheaf of the fixtures).
-One builder gives the cochains of a sheaf and the chains of a cosheaf, and
-plain cochains are the transposed plain chains.
+A sheaf assigns a basis-labelled free module to each simplex and a map to
+each codimension-one face pair, stalk(sigma) -> stalk(tau) for sigma < tau;
+a cosheaf maps the other way.  lochom builds two: the top local homology
+sheaf and the top local cohomology cosheaf (`lochom.localhomology`).  One
+builder gives the cochains of a sheaf and the chains of a cosheaf, reading
+only `stalk`, `step_entries` and `covariant`; the tests check that the local
+steps compose functorially, which gives d∘d = 0 for these complexes.  Plain
+cochains are the transposed plain chains.
 """
-
-from itertools import combinations
 
 from .homology import ChainComplex
 from .matrices import Matrix
@@ -30,8 +27,7 @@ def region_rel(L):
 
 
 def in_region(X, region, simplex):
-    if not X.contains(simplex):
-        return False
+    """Whether a simplex of X lies in the region."""
     if region[0] == "X":
         return True
     if region[0] == "sub":
@@ -43,133 +39,6 @@ def in_region(X, region, simplex):
 
 def region_simplices(X, region, k):
     return tuple(s for s in X.simplices(k) if in_region(X, region, s))
-
-
-class _FacePosetFunctor:
-    """What sheaves and cosheaves share: free stalks with bases, maps of any
-    codimension composed from codimension-one steps, and the check that this
-    composition is functorial.  A subclass defines `stalk(simplex)`, the
-    tuple of basis labels, and its codimension-one step."""
-
-    covariant = True
-
-    def __init__(self, ring, X):
-        self.ring = ring
-        self.X = X
-
-    def _along(self, lo, hi):
-        """The map between the stalks of lo <= hi: lo -> hi for a sheaf,
-        hi -> lo for a cosheaf."""
-        return (self.restriction(lo, hi) if self.covariant
-                else self.corestriction(hi, lo))
-
-    def step_entries(self, lo, hi):
-        """The nonzeros ((row, column), value) of the map between the
-        stalks of a codimension-one pair lo < hi, in the order of its
-        matrix's `entries`."""
-        return self._along(lo, hi).entries.items()
-
-    def _compose(self, lo, hi, step):
-        """Product of the codimension-one steps along the chain
-        lo = c_0 < c_1 < ... < c_r = hi that adds hi's extra vertices in
-        order: step(c_j, c_j+1) upward for a sheaf, step(c_j+1, c_j) down
-        the same chain for a cosheaf."""
-        chain = [tuple(lo)]
-        for v in hi:
-            if v not in lo:
-                chain.append(self.X.canon(chain[-1] + (v,)))
-        if len(chain) == 1:
-            return Matrix.identity(self.ring, self.stalk(lo))
-        if not self.covariant:
-            chain.reverse()
-        m = step(chain[0], chain[1])
-        for a, b in zip(chain[1:], chain[2:]):
-            m = step(a, b) @ m
-        return m
-
-    def check_functorial(self):
-        """True, or ValueError naming the first sigma < mid < tau where the
-        map along sigma < tau differs from the composite through mid."""
-        for tau in self.X.all_simplices():
-            subs = [f for k in range(1, len(tau)) for f in combinations(tau, k)]
-            for sigma in subs:
-                for mid in subs:
-                    if set(sigma) < set(mid):
-                        first = self._along(sigma, mid)
-                        then = self._along(mid, tau)
-                        composite = (then @ first if self.covariant
-                                     else first @ then)
-                        if self._along(sigma, tau) != composite:
-                            raise ValueError(
-                                f"{self.kind} not functorial on "
-                                f"{sigma} < {mid} < {tau}")
-        return True
-
-
-class Sheaf(_FacePosetFunctor):
-    """Covariant functor on the face poset; values are free modules with
-    bases.  Its step `restriction_step(simplex, cosimplex)` is the matrix
-    stalk(simplex) -> stalk(cosimplex) for a codim-1 coface."""
-
-    kind = "sheaf"
-
-    def restriction(self, simplex, cosimplex):
-        return self._compose(simplex, cosimplex, self.restriction_step)
-
-
-class Cosheaf(_FacePosetFunctor):
-    """Contravariant functor on the face poset.  Its step
-    `corestriction_step(cosimplex, simplex)` is the matrix stalk(cosimplex)
-    -> stalk(simplex) for a codim-1 face."""
-
-    kind = "cosheaf"
-    covariant = False
-
-    def corestriction(self, cosimplex, simplex):
-        return self._compose(simplex, cosimplex, self.corestriction_step)
-
-
-class _Constant:
-    """Constant coefficients: every stalk has the basis 0..rank-1 and every
-    map is the identity."""
-
-    def __init__(self, ring, X, rank=1):
-        super().__init__(ring, X)
-        self.rank = rank
-        self._labels = tuple(range(rank))
-
-    def stalk(self, simplex):
-        return self._labels
-
-    def _identity(self, simplex, other):
-        return Matrix.identity(self.ring, self._labels)
-
-
-class ConstantSheaf(_Constant, Sheaf):
-    """The constant sheaf of rank `rank`."""
-
-    restriction_step = restriction = _Constant._identity
-
-
-class ConstantCosheaf(_Constant, Cosheaf):
-    """The constant cosheaf of rank `rank`."""
-
-    corestriction_step = corestriction = _Constant._identity
-
-
-class DictSheaf(Sheaf):
-    """Sheaf given by explicit stalk bases and codim-1 restriction matrices."""
-
-    def __init__(self, ring, X, stalks, steps):
-        super().__init__(ring, X)
-        self._stalks = dict(stalks)
-        self._steps = dict(steps)
-
-    def stalk(self, simplex):
-        return tuple(self._stalks[tuple(simplex)])
-
-    def restriction_step(self, simplex, cosimplex):
-        return self._steps[(tuple(simplex), tuple(cosimplex))]
 
 
 # -- chain complexes ----------------------------------------------------------
@@ -210,7 +79,8 @@ def simplicial_cochain_complex(X, ring, region=REGION_X):
 
 def _coefficient_complex(A, region, max_degree=None):
     """Simplicial (co)chains of a region with coefficients in the sheaf or
-    cosheaf A, in degrees up to `max_degree` (dim X when None); basis
+    cosheaf A (read: its `X`, `ring`, `covariant`, `stalk` and
+    `step_entries`), in degrees up to `max_degree` (dim X when None); basis
     labels are (simplex, stalk label).  Each face f of a simplex t
     contributes (-1)^j times the map between their stalks: the restriction
     f -> t, a coboundary, for a sheaf; the corestriction t -> f, a
@@ -266,4 +136,3 @@ def sections(F, L=None):
     the degree-0 coboundary alone."""
     region = region_sub(L) if L is not None else REGION_X
     return sheaf_cochain_complex(F, region, max_degree=1).homology(0)
-

@@ -12,12 +12,11 @@ chains with local-cohomology stalk values (summing over the fibre, inverting
 carriers through the star bijections).
 """
 
-from .caps import cap_v1, cap_v2
 from .complexes import Subcomplex, perm_sign
 from .homology import maps_agree
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, local_cm_check)
-from .matrices import Matrix, vec_clean, vec_sub
+from .matrices import Matrix, vec_clean
 from .mv import (degree_matrices, duality_map_matrices, fundamental_class,
                  project_stalks)
 
@@ -185,38 +184,6 @@ def shriek_up_preserves_fundamental_class(f, cert, ring):
     fy = fundamental_class(f.target, ring)
     fx = fundamental_class(f.source, ring)
     return shriek_up(f, cert, fy, ring) == fx
-
-
-# -- chain-level naturality identities ----------------------------------------
-
-def naturality_defect_v1(f, cert, ring, s, b, t, c):
-    """push(pull(xi) cap phi) - xi cap push(phi) for the pairing cap, on the
-    generator pair xi = (s, b)* of the target and phi = (t, c) of the source;
-    zero when f preserves orientation."""
-    k, l = len(s) - 1, len(t) - 1
-    if k < l:
-        return {}
-    xi = {(s, b): ring.one()}
-    phi = {(t, c): ring.one()}
-    lhs_chain = cap_v1(ring, shriek_up(f, cert, xi, ring), phi, l)
-    lhs = pushforward_chain(f, lhs_chain, ring)
-    rhs = cap_v1(ring, xi, shriek_down(f, phi, ring), l)
-    return vec_sub(ring, lhs, rhs)
-
-
-def naturality_defect_v2(f, cert, ring, s, b, t):
-    """pull(xi) cap pullback(psi) - pull(xi cap psi) for the transportless
-    cap, on xi = (s, b)* and psi = t* of the target; zero when f preserves
-    orientation."""
-    k, l = len(s) - 1, len(t) - 1
-    if k < l:
-        return {}
-    xi = {(s, b): ring.one()}
-    psi = {t: ring.one()}
-    lhs = cap_v2(ring, shriek_up(f, cert, xi, ring),
-                 pullback_cochain(f, psi, ring), l)
-    rhs = shriek_up(f, cert, cap_v2(ring, xi, psi, l), ring)
-    return vec_sub(ring, lhs, rhs)
 
 
 # -- naturality of the duality isomorphisms -----------------------------------

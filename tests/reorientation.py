@@ -17,7 +17,7 @@ def reorientation_iso(complex1, complex2, X1, X2):
     the sign of the vertex permutation."""
     ring = complex1.ring
     out = {}
-    degs = sorted(set(complex1.degrees()) | set(complex2.degrees()))
+    degs = sorted(set(complex1.spaces) | set(complex2.spaces))
     for deg in degs:
         src = complex1.basis(deg)
         tgt = complex2.basis(deg)

@@ -41,6 +41,8 @@ def test_cap_plain_agrees_with_degree_split():
     one = ZZ.one()
     assert cap_plain(ZZ, {(0, 1, 2): one}, {(2,): one}, 0) == {(0, 1, 2): one}
     assert cap_plain(ZZ, {(0, 1, 2): one}, {(1, 2): one}, 1) == {(0, 1): one}
+    # a simplex below the cochain's degree has no back face to pair
+    assert cap_plain(ZZ, {(0,): one}, {(0, 1): one}, 1) == {}
 
 
 def test_leibniz_sweep_all_required_complexes():

@@ -72,6 +72,25 @@ def test_prime_field_primality_matches_trial_division():
             PrimeField(n)
 
 
+def test_rings_compare_divide_by_zero_and_print_their_names():
+    # a prime field equals one built apart of the same characteristic, and
+    # zero divides only zero
+    assert PrimeField(7) == GF(7) and hash(PrimeField(7)) == hash(GF(7))
+    assert GF(7) != GF(5) and GF(7) != QQ
+    for ring in (ZZ, QQ, GF(7)):
+        assert ring.divides(ring.zero(), ring.zero())
+        assert not ring.divides(ring.zero(), ring.one())
+    assert [repr(ring) for ring in (ZZ, QQ, GF(7))] == ["Z", "Q", "F7"]
+
+
+def test_matrices_compare_by_labels_and_entries():
+    M = Matrix.identity(ZZ, (0, 1))
+    assert M == Matrix.identity(ZZ, (0, 1))
+    assert M != Matrix.identity(ZZ, (1, 0))
+    assert M != M.scale(ZZ.from_int(-1))
+    assert M != "M"
+
+
 def test_integer_divmod_small_remainder():
     # remainders biased toward smallest absolute value
     q, r = ZZ.divmod(7, 3)
@@ -160,7 +179,7 @@ def evaluation_dual(cx):
     """Hom(C, R): the same bases, transposed differentials, opposite shift."""
     return ChainComplex(cx.ring, cx.spaces,
                         {k: cx.differential(k - cx.shift).transpose()
-                         for k in cx.degrees()}, shift=-cx.shift)
+                         for k in sorted(cx.spaces)}, shift=-cx.shift)
 
 
 def assert_summaries_match_presentations(cx, degrees):
@@ -339,7 +358,7 @@ def test_kernel_coordinates_match_solve_against_the_kernel_matrix(ring):
     rnd = random.Random(5)
     found = {"cycle": 0, "boundary": 0, "non-cycle": 0}
     for cx in fixture_and_local_complexes(ring):
-        for k in cx.degrees():
+        for k in sorted(cx.spaces):
             d_out = cx.differential(k)
             s = smith_normal_form(d_out)
             kvecs = kernel_basis(d_out, s)
@@ -389,13 +408,13 @@ def test_homology_factors_two_matrices(monkeypatch, ring):
     nonempty_kernels = hits = 0
     for cx in fixture_and_local_complexes(ring):
         eliminated.clear()
-        for k in cx.degrees():
+        for k in sorted(cx.spaces):
             asked.clear()
             h = cx.homology(k)
             assert len(asked) == 2, (k, asked)
             nonempty_kernels += bool(h.cycles)
         assert len(set(eliminated)) == len(eliminated)
-        hits += 2 * len(cx.degrees()) - len(eliminated)
+        hits += 2 * len(cx.spaces) - len(eliminated)
     assert nonempty_kernels and hits
 
 

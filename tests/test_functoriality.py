@@ -10,11 +10,11 @@ from lochom.fixtures import (bowtie, circle3, hexagon, hexagon_cover_map,
 from lochom.mv import fundamental_class
 from lochom.rings import GF, QQ, ZZ
 from lochom.simplicialmaps import (SimplicialMap, check_star_local,
-                                   naturality_defect_v1, naturality_defect_v2,
                                    pullback_cochain, pushforward_chain,
                                    shriek_down, shriek_up,
                                    shriek_up_preserves_fundamental_class,
                                    verify_naturality)
+from naturality import naturality_defect_v1, naturality_defect_v2
 
 
 def index_face_compatibility(f):
@@ -162,6 +162,15 @@ def test_pushforward_rejects_collapse():
     g = SimplicialMap(circle3(), edge, {0: 0, 1: 1, 2: 0})
     with pytest.raises(ValueError):
         pushforward_chain(g, {(0, 2): ZZ.one()}, ZZ)
+
+
+def test_pullback_drops_a_collapsed_simplex():
+    # the edge (0, 2) collapses onto the vertex 0, so pulls nothing back;
+    # the two edges that keep their dimension pull back signed
+    edge = SimplicialComplex([[0, 1]])
+    g = SimplicialMap(circle3(), edge, {0: 0, 1: 1, 2: 0})
+    assert pullback_cochain(g, {(0, 1): ZZ.one()}, ZZ) == {(0, 1): 1,
+                                                           (1, 2): -1}
 
 
 def test_shriek_up_expands_over_the_fibre():

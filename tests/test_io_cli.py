@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import time
 from enum import IntEnum
 from fractions import Fraction
@@ -9,20 +10,26 @@ from fractions import Fraction
 import pytest
 
 from lochom.cli import FLAGS, _emit, _jsonable, main
-from lochom.complexes import MAX_CLOSURE, parse_complex, serialize_complex
+from lochom.complexes import MAX_CLOSURE, parse_complex
 from lochom.fixtures import circle3, hexagon, hexagon_cover_map, rp2_six
-from lochom.io import (parse_filtration, parse_map, parse_sheaf,
-                       serialize_map, serialize_sheaf)
+from lochom.io import parse_filtration, parse_map
 from lochom.matrices import Matrix
 from lochom.mv import DUALITY_ITEMS
 from lochom.rings import QQ, ZZ
-from lochom.sheaves import ConstantSheaf, simplicial_chain_complex
+from lochom.sheaves import simplicial_chain_complex
+from test_complex_core import serialize_complex
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def fix(name):
     return os.path.join(FIXDIR, name)
+
+
+def serialize_map(f):
+    lines = [f"map: {v} -> {f.vertex_map[v]}"
+             for v in f.source.order if v in f.vertex_map]
+    return "\n".join(lines) + "\n"
 
 
 def test_map_round_trip():
@@ -46,14 +53,6 @@ def test_filtration_parse():
     assert stages == [[0], [0, 1], [0, 1, 2]]
     with pytest.raises(ValueError):
         parse_filtration("")
-
-
-def test_sheaf_dsl_round_trip_through_files():
-    X = circle3()
-    F = ConstantSheaf(ZZ, X, rank=1)
-    text = serialize_sheaf(F)
-    G = parse_sheaf(text, X, ZZ)
-    assert serialize_sheaf(G) == text
 
 
 def run_cli(capsys, *argv):
@@ -332,6 +331,45 @@ def test_cli_map_outside_its_complexes_exits_2(tmp_path, capsys, old, new,
                               "--target", fix("c3.cplx"), "--map", str(path))
     assert code == 2
     assert err == message
+
+
+def _renamed(report, names):
+    """The report with each vertex name a word of `names` maps to replaced
+    by its number, and every scalar written as a string."""
+    text = json.dumps(report, sort_keys=True)
+    for name, number in names.items():
+        text = re.sub(rf"\b{name}\b", str(number), text)
+
+    def strings(value):
+        if isinstance(value, dict):
+            return {k: strings(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [strings(v) for v in value]
+        return str(value)
+
+    return strings(json.loads(text))
+
+
+@pytest.mark.parametrize("named, numbered, names", [
+    ("a b c", "0 1 2", {"a": 0, "b": 1, "c": 2}),
+    ("a 1 2", "1 2 3", {"a": 3}),
+], ids=["names", "name-and-numbers"])
+@pytest.mark.parametrize("argv", [
+    ("homology",), ("check-cm",), ("duality", "--item", "1ai"),
+    ("local", "--dim", "2"),
+], ids=lambda argv: argv[0])
+def test_vertex_names_read_as_the_numbered_triangle(
+        capsys, tmp_path, named, numbered, names, argv):
+    # a vertex token that is not an integer is a name: a triangle on named
+    # vertices gives the numbered triangle's report, names for numbers
+    reports = []
+    for tokens in (named, numbered):
+        path = tmp_path / "triangle.cplx"
+        path.write_text(f"simplex: {tokens}\n")
+        code, rep = run_cli(capsys, *argv, "--complex", str(path))
+        assert code == 0
+        reports.append(rep)
+    assert _renamed(reports[0], names) == _renamed(reports[1], {})
 
 
 def test_fixture_files_match_builtins(capsys):

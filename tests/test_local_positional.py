@@ -19,6 +19,7 @@ from lochom.localhomology import (LocalCohomologyCosheaf, LocalContext,
 from lochom.matrices import Matrix, _positions
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import simplicial_chain_complex
+from sheaf_reference import along, step_matrix
 from test_chain_complexes import COMPLEXES
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
@@ -71,9 +72,9 @@ def _pairs(X):
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
 def test_steps_equal_the_labelled_references(name, ring):
-    # each positional step, both as the `Matrix` view and as the nonzeros
-    # the coefficient complexes read, equals the labelled step built on
-    # the reference local complexes, in value, type and entry order
+    # each positional step, both as a `Matrix` of its columns and as the
+    # nonzeros the coefficient complexes read, equals the labelled step
+    # built on the reference local complexes, in value, type and entry order
     X = COMPLEXES[name]()
     n = X.dim
     ctx = LocalContext(X, ring)
@@ -83,13 +84,13 @@ def test_steps_equal_the_labelled_references(name, ring):
     for f, t in _pairs(X):
         ref = reference_restriction_step(
             ring, stalks[f, False], stalks[t, False], f, t)
-        assert _matrix_items(F.restriction_step(f, t)) == \
+        assert _matrix_items(step_matrix(F, f, t)) == \
             _matrix_items(ref), (f, t)
         assert [(k, v, type(v)) for k, v in F.step_entries(f, t)] == \
             _entries(ref), (f, t)
         ref = reference_corestriction_step(
             ring, stalks[t, True], stalks[f, True], f)
-        assert _matrix_items(G.corestriction_step(t, f)) == \
+        assert _matrix_items(step_matrix(G, f, t)) == \
             _matrix_items(ref), (f, t)
         assert [(k, v, type(v)) for k, v in G.step_entries(f, t)] == \
             _entries(ref), (f, t)
@@ -103,15 +104,14 @@ def test_a_restriction_image_that_is_no_cycle_is_refused(monkeypatch):
                         lambda self, chain: None)
     with pytest.raises(ValueError, match=r"^restriction image at \(0,\)<"
                        r"\(0, 1\) is not a cycle$"):
-        F.restriction_step((0,), (0, 1))
+        F.step((0,), (0, 1))
 
 
 def test_a_simplex_restricts_to_itself_by_the_identity():
     # the composite along a chain of one simplex is the empty product
     ctx = LocalContext(sphere2(), ZZ)
-    for view, along in ((LocalHomologySheaf(ctx, 2), "restriction"),
-                        (LocalCohomologyCosheaf(ctx, 2), "corestriction")):
+    for view in (LocalHomologySheaf(ctx, 2), LocalCohomologyCosheaf(ctx, 2)):
         for s in ((0,), (0, 1), (0, 1, 2)):
-            m = getattr(view, along)(s, s)
+            m = along(view, s, s)
             assert m == Matrix.identity(ZZ, view.stalk(s))
             assert list(m.entries.items()) == [((0, 0), 1)]

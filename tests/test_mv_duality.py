@@ -18,8 +18,9 @@ from lochom.identities import (collapse_suite, collapse_vs_cap,
 from lochom.localhomology import LocalContext
 from lochom.matrices import Matrix, vec_add, vec_clean
 from lochom.mv import (DUALITY_ITEMS, MVDoubleComplex, fundamental_class,
-                       naturality_report, verify_duality)
+                       verify_duality)
 from lochom.rings import GF, QQ, ZZ
+from naturality import naturality_report
 
 
 def test_double_complex_identities_whole_subcomplex():
@@ -201,6 +202,21 @@ def test_fundamental_class_is_a_cycle_in_cosheaf_complex():
         vec = project_stalks(G, fundamental_class(X, ZZ))
         out = cc.differential(n).apply(vec)
         assert not vec_clean(ZZ, out)
+
+
+def test_project_stalks_keeps_only_nonzero_coordinates():
+    # three triangles on one edge: the top local cohomology at the edge is
+    # Z^2, and two of the triangles project with a zero coordinate
+    from lochom.localhomology import LocalCohomologyCosheaf
+    from lochom.mv import project_stalks
+    X = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    G = LocalCohomologyCosheaf(LocalContext(X, ZZ), 2)
+    e = (0, 1)
+    assert G.project(e, {(e, (0, 1, 3)): 1}) == [1, 0]
+    assert project_stalks(G, {(e, (0, 1, 3)): 2}) == {(e, 0): 2}
+    assert project_stalks(G, {(e, (0, 1, 4)): 2}) == {(e, 1): 2}
+    assert project_stalks(G, {(e, (0, 1, 2)): 1, (e, (0, 1, 3)): 1}) == {
+        (e, 1): -1}
 
 
 def test_duality_c3_item_1ai_integral():

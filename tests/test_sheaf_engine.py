@@ -1,4 +1,5 @@
-"""Sheaf/cosheaf chain complexes, sections, reorientation, and the DSL."""
+"""Sheaf/cosheaf chain complexes, sections, reorientation, and the
+functoriality of the local sheaf and cosheaf (`sheaf_reference`)."""
 
 import gc
 import sys
@@ -8,18 +9,17 @@ import pytest
 
 from lochom.complexes import Subcomplex
 from lochom.fixtures import FIXTURES, circle3, sphere2, triangle
-from lochom.io import parse_sheaf, serialize_sheaf
 from lochom.localhomology import (LocalCohomologyCosheaf, LocalContext,
                                   LocalHomologySheaf, link_crosscheck)
 from lochom import matrices
-from lochom.matrices import Matrix
-from lochom.rings import GF, QQ, ZZ
-from lochom.sheaves import (ConstantCosheaf, ConstantSheaf, Cosheaf,
-                            DictSheaf, Sheaf, cosheaf_chain_complex,
-                            region_rel, region_sub, sections,
-                            sheaf_cochain_complex, simplicial_chain_complex,
+from lochom.rings import GF, ZZ
+from lochom.sheaves import (cosheaf_chain_complex, region_rel, region_sub,
+                            sections, sheaf_cochain_complex,
+                            simplicial_chain_complex,
                             simplicial_cochain_complex)
 from reorientation import reorientation_iso
+from sheaf_reference import (ConstantCosheaf, ConstantSheaf, along,
+                             check_functorial, step_matrix)
 
 
 def test_constant_sheaf_cohomology_matches_simplicial():
@@ -105,54 +105,13 @@ def test_reorientation_conjugates_differentials():
         assert (lhs - rhs).is_zero()
 
 
-def test_sheaf_dsl_round_trip():
-    X = triangle()
-    F = ConstantSheaf(ZZ, X, rank=2)
-    text = serialize_sheaf(F)
-    G = parse_sheaf(text, X, ZZ)
-    for s in X.all_simplices():
-        assert len(G.stalk(s)) == 2
-    sc1 = sheaf_cochain_complex(F)
-    sc2 = sheaf_cochain_complex(G)
-    for k in range(X.dim + 1):
-        assert sc1.homology(k).rank_summary == sc2.homology(k).rank_summary
-
-
-def test_sheaf_dsl_rejects_missing_stalk():
-    X = triangle()
-    with pytest.raises(ValueError):
-        parse_sheaf("stalk: 0 rank 1", X, ZZ)
-
-
-EDGE_MAP = "map: 0 < 0 1 matrix [[1]]"
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda text: text.replace(EDGE_MAP,
-                               "map: 0 < 0 1 matrix [[1, 0], [0, 1]]"),
-     r"map \(0,\) < \(0, 1\): matrix must be 1x1"),
-    (lambda text: text.replace(EDGE_MAP + "\n", ""),
-     r"no map declared for \(0,\) < \(0, 1\)"),
-    (lambda text: text + "map: 0 < 0 1 2 matrix [[1]]\n",
-     r"map \(0,\) < \(0, 1, 2\) is not along a codimension-one face"),
-    (lambda text: text.replace(EDGE_MAP, "map: 0 < 0 1 matrix [[-1]]"),
-     r"sheaf not functorial on \(0,\) < \(0, 2\) < \(0, 1, 2\)"),
-], ids=["oversized", "missing-map", "codimension-2", "not-functorial"])
-def test_sheaf_dsl_rejects_malformed_sheaves(edit, message):
-    X = triangle()
-    text = serialize_sheaf(ConstantSheaf(ZZ, X))
-    assert EDGE_MAP in text
-    with pytest.raises(ValueError, match=message):
-        parse_sheaf(edit(text), X, ZZ)
-
-
 def test_local_sheaf_restriction_functorial():
     # one-step restrictions compose to the two-step restriction
     X = sphere2()
     F = LocalHomologySheaf(LocalContext(X, ZZ), 2)
     s, mid, t = (0,), (0, 1), (0, 1, 2)
-    two_step = F.restriction(s, t)
-    composed = F.restriction_step(mid, t) @ F.restriction_step(s, mid)
+    two_step = along(F, s, t)
+    composed = step_matrix(F, mid, t) @ step_matrix(F, s, mid)
     assert (two_step - composed).is_zero()
 
 
@@ -160,8 +119,8 @@ def test_local_cosheaf_corestriction_functorial():
     X = sphere2()
     G = LocalCohomologyCosheaf(LocalContext(X, ZZ), 2)
     s, mid, t = (0,), (0, 1), (0, 1, 2)
-    two_step = G.corestriction(t, s)
-    composed = G.corestriction_step(mid, s) @ G.corestriction_step(t, mid)
+    two_step = along(G, s, t)
+    composed = step_matrix(G, s, mid) @ step_matrix(G, mid, t)
     assert (two_step - composed).is_zero()
 
 
@@ -170,8 +129,8 @@ def test_local_cosheaf_corestriction_functorial():
 def test_local_homology_sheaf_and_cosheaf_are_functorial(name, ring):
     X = FIXTURES[name]()
     ctx = LocalContext(X, ring)
-    assert LocalHomologySheaf(ctx, X.dim).check_functorial()
-    assert LocalCohomologyCosheaf(ctx, X.dim).check_functorial()
+    assert check_functorial(LocalHomologySheaf(ctx, X.dim))
+    assert check_functorial(LocalCohomologyCosheaf(ctx, X.dim))
 
 
 def test_a_context_is_freed_without_the_cycle_collector():
@@ -195,60 +154,33 @@ def test_a_context_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+class SignFlippedSheaf(ConstantSheaf):
+    """Rank-one stalks whose steps are all 1 except the one between (0,) and
+    (0, 1), which is -1: the two ways between (0,) and (0, 1, 2) disagree."""
+
+    def step(self, lo, hi):
+        sign = -1 if (lo, hi) == ((0,), (0, 1)) else 1
+        return [{0: self.ring.from_int(sign)}]
+
+
+class SignFlippedCosheaf(SignFlippedSheaf):
+    """The same steps read downwards: the corestriction (0, 1) -> (0,) is
+    -1."""
+
+    covariant = False
+
+
 def test_check_functorial_names_the_triple_of_a_sign_flipped_sheaf():
-    X = triangle()
-    one = Matrix.identity(ZZ, (0,))
-    steps = {(f, t): one for f in X.all_simplices() for t in X.cofaces(f)}
-    steps[((0,), (0, 1))] = one.scale(ZZ.from_int(-1))
-    F = DictSheaf(ZZ, X, {s: (0,) for s in X.all_simplices()}, steps)
+    F = SignFlippedSheaf(ZZ, triangle())
     with pytest.raises(ValueError, match=r"^sheaf not functorial on "
                        r"\(0,\) < \(0, 2\) < \(0, 1, 2\)$"):
-        F.check_functorial()
-
-
-def _subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
-
-
-def test_every_sheaf_and_cosheaf_defines_its_stalk_and_step():
-    # the base classes declare neither: a concrete class that forgot one
-    # would fail only when it is first read
-    package = [cls for base in (Sheaf, Cosheaf) for cls in _subclasses(base)
-               if cls.__module__.startswith("lochom.")]
-    assert {cls.__name__ for cls in package} == {
-        "ConstantSheaf", "ConstantCosheaf", "DictSheaf",
-        "LocalHomologySheaf", "LocalCohomologyCosheaf"}
-    for cls in package:
-        step = ("restriction_step" if issubclass(cls, Sheaf)
-                else "corestriction_step")
-        for name in ("stalk", step):
-            assert callable(getattr(cls, name, None)), (cls.__name__, name)
-    for base in (Sheaf, Cosheaf):
-        assert not hasattr(base, "stalk")
-    assert not hasattr(Sheaf, "restriction_step")
-    assert not hasattr(Cosheaf, "corestriction_step")
-
-
-class SignedCosheaf(Cosheaf):
-    """Rank-one stalks whose steps are all 1 except the corestriction
-    (0, 1) -> (0,), which is -1: the two ways down from (0, 1, 2) to (0,)
-    disagree."""
-
-    def stalk(self, simplex):
-        return (0,)
-
-    def corestriction_step(self, cosimplex, simplex):
-        sign = -1 if (cosimplex, simplex) == ((0, 1), (0,)) else 1
-        return Matrix(self.ring, (0,), (0,),
-                      {(0, 0): self.ring.from_int(sign)})
+        check_functorial(F)
 
 
 def test_check_functorial_names_the_triple_of_a_non_composing_cosheaf():
-    G = SignedCosheaf(ZZ, triangle())
-    assert G.corestriction((0, 1, 2), (0,)) != (
-        G.corestriction((0, 2), (0,)) @ G.corestriction((0, 1, 2), (0, 2)))
+    G = SignFlippedCosheaf(ZZ, triangle())
+    assert along(G, (0,), (0, 1, 2)) != (
+        along(G, (0,), (0, 2)) @ along(G, (0, 2), (0, 1, 2)))
     with pytest.raises(ValueError, match=r"^cosheaf not functorial on "
                        r"\(0,\) < \(0, 2\) < \(0, 1, 2\)$"):
-        G.check_functorial()
+        check_functorial(G)

@@ -83,14 +83,17 @@ def test_snf_matches_dense_reference_on_small_matrices(M):
 # clear a row (column) with the pivot 2, then take a gcd step that widens
 # row (column) 0, then clear another row (column) with the new pivot 1; the
 # pivot 3 of the last matrix divides 6 and 9, so over Z it eliminates them
-# by `divmod` and not by a unit's inverse
+# by `divmod` and not by a unit's inverse; in the 3x5 matrix a column gcd
+# step over Z cancels an entry below the pivot, which leaves its sparse row
 GCD_AND_OFFENDER_CASES = [[[2, 0], [0, 3]],
                           [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
                           [[4, 6], [6, 9], [2, 3]],
                           [[0, 0, 0], [0, 6, 0], [0, 0, 4]],
                           [[2, 0, 0], [4, 0, 6], [3, 5, 0], [8, 0, 0]],
                           [[2, 4, 3, 8], [0, 0, 5, 0], [0, 6, 0, 0]],
-                          [[3, 6, 9], [9, 0, 6], [6, 9, 0]]]
+                          [[3, 6, 9], [9, 0, 6], [6, 9, 0]],
+                          [[-6, -2, 0, 0, 0], [2, -2, 4, 6, 5],
+                           [0, 3, 0, 3, 9]]]
 
 
 @pytest.mark.parametrize("rows", GCD_AND_OFFENDER_CASES)
