@@ -148,6 +148,7 @@ class Subcomplex:
         if unknown:
             raise ValueError(f"unknown vertices {sorted(map(str, unknown))}")
         self._complement = None
+        self._vc_before = (None, None)
 
     def contains(self, simplex):
         return (self.parent.contains(simplex)
@@ -180,14 +181,12 @@ def orient_vc_before(X, L):
 
 def is_vc_before(X, L):
     """Whether X's order puts every vertex outside L before every vertex in
-    L."""
-    seen_inside = False
-    for v in X.order:
-        if v in L.vertex_set:
-            seen_inside = True
-        elif seen_inside:
-            return False
-    return True
+    L.  Neither changes once built, so L keeps the verdict for the last X
+    it was asked about (`relative_cap` asks once per column)."""
+    if L._vc_before[0] is not X:
+        inside = [v in L.vertex_set for v in X.order]
+        L._vc_before = (X, inside == sorted(inside))
+    return L._vc_before[1]
 
 
 def reorient_vc_before(X, L):

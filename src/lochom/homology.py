@@ -149,15 +149,15 @@ class CycleBasis:
 
     `out_snf` is the one SNF of d_out, through `memo` (`matrices.factored`):
     its V columns past the rank are the kernel basis `cycles` (chains over
-    d_out's source basis), read once here, and its V^-1, the one transform
-    it keeps, writes any cycle in that basis (`cycle_coordinates`, None for
-    a non-cycle).
+    d_out's source basis), read once here, and its V^-1 rows past the rank,
+    the one transform it keeps, write any cycle in that basis
+    (`cycle_coordinates`, None for a non-cycle).
     """
 
     def __init__(self, d_out, memo):
         snf = factored(memo, d_out)
         self.cycles = kernel_basis(d_out, snf)
-        self.out_snf = snf.keep("Vinv")
+        self.out_snf = snf.keep("Vinv_kernel")
 
     def cycle_coordinates(self, chain):
         return kernel_coordinates(self.out_snf, chain)

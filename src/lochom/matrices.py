@@ -75,7 +75,7 @@ class Matrix:
     # column label to its nonzeros as (key, row label, value), ordered so
     # that sorting every triple by (key, column position) gives the order of
     # `entries`.  Either one may be built from the other on first read;
-    # assigning `entries` drops the index.
+    # assigning `entries` drops the index and the memo key (`_positions`).
 
     @property
     def entries(self):
@@ -91,6 +91,7 @@ class Matrix:
     def entries(self, entries):
         self._entries = entries
         self._columns = None
+        self._key = None
 
     def _index(self):
         if self._columns is None:
@@ -222,18 +223,22 @@ class SNF:
 
     diagonals lists the nonzero invariant factors d_1 | d_2 | ... (canonical
     associates); rank = len(diagonals); U is the product of the row
-    operations in `log`.  Each transform is a `Matrix` or a function that
-    builds one on its labels (M's rows for U and U^-1, its columns for V
-    and V^-1), called when its transform is first read.  `keep` drops the
+    operations in `log` and V that of the column operations in `col_log`.
+    Each transform is a `Matrix` built from its log by `_replay` when first
+    read: U and U^-1 on M's rows, V and V^-1 on its columns, and the kernel
+    halves `V_kernel`, V's columns past the rank (rows M's columns, columns
+    the kernel positions 0..), and `Vinv_kernel`, V^-1's rows past the rank
+    (rows the kernel positions, columns M's columns).  `keep` drops the
     others, so a holder keeps only the transforms it reads.
     """
 
-    def __init__(self, matrix, U, Uinv, V, Vinv, diagonals, log=None):
+    def __init__(self, matrix, diagonals, log, col_log):
         self.matrix = matrix
-        self._transforms = {"U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
         self.diagonals = diagonals
         self.rank = len(diagonals)
         self.log = log
+        self.col_log = col_log
+        self._transforms = dict.fromkeys(_TRANSFORMS)
 
     def keep(self, *names):
         """Forget every transform not named; reading one then raises
@@ -243,16 +248,74 @@ class SNF:
 
     def _transform(self, name):
         t = self._transforms[name]
-        if not isinstance(t, Matrix):
-            M = self.matrix
-            t = self._transforms[name] = t(
-                M.row_labels if name.startswith("U") else M.col_labels)
+        if t is not None:
+            return t
+        # the identity's rows under the log (see `_TRANSFORMS`); for a
+        # kernel half only those past the rank, keyed by kernel position
+        on_rows, inverse, transposed, kernel = _TRANSFORMS[name]
+        M = self.matrix
+        ring, one = M.ring, M.ring.one()
+        labels, log = ((M.row_labels, self.log) if on_rows
+                       else (M.col_labels, self.col_log))
+        start = self.rank if kernel else 0
+        X = _replay(ring, log, [{} for _ in range(start)] + [
+            {i: one} for i in range(len(labels) - start)], inverse, transposed)
+        rows = cols = labels
+        if kernel:
+            positions = range(len(labels) - start)
+            rows, cols = ((positions, labels) if inverse
+                          else (labels, positions))
+        # a column log holds the transposes of V's operations, so X holds the
+        # transform's own rows exactly when a row log runs untransposed or a
+        # column log transposed
+        build = _by_rows if on_rows != transposed else _by_columns
+        t = self._transforms[name] = build(ring, rows, cols, X)
         return t
 
     U = property(lambda self: self._transform("U"))
     Uinv = property(lambda self: self._transform("Uinv"))
     V = property(lambda self: self._transform("V"))
     Vinv = property(lambda self: self._transform("Vinv"))
+    V_kernel = property(lambda self: self._transform("V_kernel"))
+    Vinv_kernel = property(lambda self: self._transform("Vinv_kernel"))
+
+
+# name: (on M's rows, inverse, transposed, kernel half), the `_replay` mode
+# of each transform: U's rows are U X, U^-1's columns (U^-1)^T X, V's columns
+# V^T X, V^-1's rows V^-1 X, and the kernel halves V X and (V^-1)^T X, with
+# X the identity, or for a kernel half its columns past the rank
+_TRANSFORMS = {"U": (True, False, False, False),
+               "Uinv": (True, True, True, False),
+               "V": (False, False, False, False),
+               "Vinv": (False, True, True, False),
+               "V_kernel": (False, False, True, True),
+               "Vinv_kernel": (False, True, False, True)}
+
+
+def _by_rows(ring, rows, cols, X):
+    """The `Matrix` whose row i is X[i] (keys column positions), built
+    straight into a column index, nonzeros only."""
+    index = {}
+    for i, row in enumerate(X):
+        r = rows[i]
+        for j, x in row.items():
+            if x:
+                c = cols[j]
+                if c in index:
+                    index[c].append((i, r, x))
+                else:
+                    index[c] = [(i, r, x)]
+    return Matrix(ring, rows, cols)._with_columns(index)
+
+
+def _by_columns(ring, rows, cols, X):
+    """The `Matrix` whose column j is X[j] (keys row positions)."""
+    index = {}
+    for j, col in enumerate(X):
+        nonzeros = [(i, rows[i], col[i]) for i in sorted(col) if col[i]]
+        if nonzeros:
+            index[cols[j]] = nonzeros
+    return Matrix(ring, rows, cols)._with_columns(index)
 
 
 def _gcd_combine(ring, x, y):
@@ -277,11 +340,13 @@ def _gcd_combine(ring, x, y):
 def smith_normal_form(M):
     """Return SNF of M with all four transformation matrices, exactly.
 
-    The elimination builds V and V^-1 as it goes and logs its row
-    operations (`log`) in place of U and U^-1, which one pass over the log
-    builds when first read.  Each transform becomes a `Matrix` only then
-    (`kernel_basis` reads V, `kernel_coordinates` V^-1, `solve` U).  A
-    cokernel's `project` and `lift` run the log on one vector instead.
+    The elimination logs its row operations (`log`) and its column
+    operations (`col_log`) and updates no transform.  Each transform is
+    built from its log by `_replay` when first read, and becomes a `Matrix`
+    only then: `solve` reads U and V, `kernel_basis` and
+    `kernel_coordinates` only the kernel halves `V_kernel` and
+    `Vinv_kernel`.  A cokernel's `project` and `lift` run the row log on
+    one vector instead.
 
     Step t works on the trailing block, rows and columns t..  Its pivot is,
     over Z and GF(p), the first row holding a 1 or -1 at its least such
@@ -302,71 +367,37 @@ def smith_normal_form(M):
     it.  Cancelled entries are deleted; swaps move the set membership.  So
     every step above visits only nonzeros, and under a unit pivot p an
     entry x has the quotient x * p^-1, which is `ring.divmod`'s over Z
-    (p = 1, -1), GF(p) and Q, with remainder zero.  The transforms start as
-    the identity and are stored sparsely, U and V^-1 by rows, U^-1 and V by
-    columns, and every operation on them (`_replay`) runs over stored rows
-    and only their nonzeros; entries that cancel stay stored as zeros.  A
-    matrix with no entries is not eliminated at all: it has no diagonals,
-    an empty log and four identity transforms.
+    (p = 1, -1), GF(p) and Q, with remainder zero.  A transform starts as
+    the identity's sparse rows, and its log runs over stored rows and only
+    their nonzeros; entries that cancel stay stored as zeros.  A matrix
+    with no entries is not eliminated at all: it has no diagonals, empty
+    logs and four identity transforms.
 
     This relies on canonical entries (ints over Z, `Fraction` over Q,
     residues in [0, p) over GF(p)): then an entry is nonzero exactly when it
     is truthy, and 1*x + 0*y is x itself.  The result does not depend on
     the order of the entries: every choice above is made by position.
 
-    Each transform's column index is built straight from the elimination's
+    Each transform's column index is built straight from the replayed
     sparse rows (keyed by row position, as its `entries` run row by row), so
     `column` and `apply` never build its `entries`.
     """
-    ring = M.ring
-
-    def by_rows(labels, rows):
-        index = {}
-        for i, row in enumerate(rows):
-            r = labels[i]
-            for j, x in row.items():
-                if x:
-                    c = labels[j]
-                    if c in index:
-                        index[c].append((i, r, x))
-                    else:
-                        index[c] = [(i, r, x)]
-        return Matrix(ring, labels, labels)._with_columns(index)
-
-    def by_columns(labels, cols):
-        index = {}
-        for j, col in enumerate(cols):
-            nonzeros = [(i, labels[i], col[i]) for i in sorted(col) if col[i]]
-            if nonzeros:
-                index[labels[j]] = nonzeros
-        return Matrix(ring, labels, labels)._with_columns(index)
-
-    m, n = M.shape
-    if M.entries:
-        diagonals, (log, VT, Vinv) = _eliminate((ring, _positions(M)), True)
-    else:
-        diagonals, log = [], []
-        VT = Vinv = [{j: ring.one()} for j in range(n)]
-
-    def u_rows(inverse):
-        # U's rows, or U^-1's columns: the identity's rows under the log
-        return _replay(ring, log, [{i: ring.one()} for i in range(m)],
-                       inverse, True)
-
-    return SNF(M, lambda rows: by_rows(rows, u_rows(False)),
-               lambda rows: by_columns(rows, u_rows(True)),
-               lambda cols: by_columns(cols, VT),
-               lambda cols: by_rows(cols, Vinv), diagonals, log)
+    if not M.entries:
+        return SNF(M, [], [], [])
+    diagonals, (log, col_log) = _eliminate((M.ring, _positions(M)), True)
+    return SNF(M, diagonals, log, col_log)
 
 
 def _positions(M):
     """M's shape and its nonzeros as (row position, column position,
     value): all that `_eliminate` reads of M besides its ring, and the key
     of every factorization memo.  The one place where labels become
-    positions."""
-    row, col = M.row_index, M.col_index
-    return M.shape, frozenset([(row[r], col[c], v)
-                               for (r, c), v in M.entries.items()])
+    positions; kept on M until its `entries` are assigned."""
+    if M._key is None:
+        row, col = M.row_index, M.col_index
+        M._key = M.shape, frozenset([(row[r], col[c], v)
+                                     for (r, c), v in M.entries.items()])
+    return M._key
 
 
 def factored(memo, M):
@@ -374,17 +405,16 @@ def factored(memo, M):
     SNF or, from `factors`, to invariant factors (None: no memo).
 
     A hit is exact: the elimination reads M only by position, and entries
-    are canonical for each ring, so the stored diagonals, log and transforms
-    are those M would give, up to labels.  The stored SNF is never read:
-    each caller gets a fresh one on M, sharing its log, whose transforms are
-    built on M's labels, so its `keep` leaves the stored one whole."""
+    are canonical for each ring, so the stored diagonals and logs are those
+    M would give, up to labels.  Each caller gets a fresh SNF on M sharing
+    them, whose transforms are built on M's labels when first read."""
     if memo is None:
         return smith_normal_form(M)
     key = _positions(M)
     s = memo.get(key)
     if not isinstance(s, SNF):
         s = memo[key] = smith_normal_form(M)
-    return SNF(M, diagonals=s.diagonals, log=s.log, **s._transforms)
+    return SNF(M, s.diagonals, s.log, s.col_log)
 
 
 def factors(memo, ring, key):
@@ -399,27 +429,34 @@ def factors(memo, ring, key):
 
 def invariant_factors(M):
     """The diagonals of `smith_normal_form(M)`, equal in value, type and
-    order, from the same elimination run without U, U^-1, V or V^-1.
+    order, from the same elimination run without its logs.
 
     Over a PID these factors fix the cokernel of M up to isomorphism, so a
-    caller that needs only ranks and torsion orders skips every transform
-    update and every `Matrix` the full form builds.
+    caller that needs only ranks and torsion orders skips every log entry
+    and every `Matrix` the full form builds.
     """
     return _eliminate((M.ring, _positions(M)), False)[0] if M.entries else []
 
 
 def _replay(ring, log, X, inverse=False, transposed=False):
     """Run a log (see `_eliminate`) on the sparse rows X in place, keeping
-    entries that cancel as zeros, and return X; with `inverse` run the
-    inverses in reverse order (U^-1 X), with `transposed` too their
-    transposes in order (the identity's rows become U^-1's columns)."""
+    entries that cancel as zeros, and return X.  Each operation acts on X
+    as the row operation the log records, inverted when `inverse` and
+    transposed when `transposed`; the log runs reversed exactly when
+    inverse != transposed.  So with neither, `inverse`, both, or
+    `transposed`, a row log, whose operations multiply to U, gives U X,
+    U^-1 X, (U^-1)^T X or U^T X.  A column log holds the transposes of the
+    operations that multiply to V, so it gives V^T X, (V^-1)^T X, V^-1 X or
+    V X."""
     add, mul, neg, zero = ring.add, ring.mul, ring.neg, ring.zero()
-    for op in log if transposed or not inverse else reversed(log):
+    for op in reversed(log) if inverse != transposed else log:
         kind, i = op[0], op[1]
         if kind == "add":
             _, i, c, t = op
             if inverse:
-                i, c, t = (t, neg(c), i) if transposed else (i, neg(c), t)
+                c = neg(c)
+            if transposed:
+                i, t = t, i
             dst = X[i]
             for k, x in X[t].items():
                 if x:
@@ -429,8 +466,9 @@ def _replay(ring, log, X, inverse=False, transposed=False):
         elif kind == "gcd":
             _, i, j, a, b, c, d = op
             if inverse:
-                a, b, c, d = ((d, neg(c), neg(b), a) if transposed
-                              else (d, neg(b), neg(c), a))
+                a, b, c, d = d, neg(b), neg(c), a
+            if transposed:
+                b, c = c, b
             xi, xj = X[i], X[j]
             pairs = [(k, xi.get(k, zero), xj.get(k, zero))
                      for k in xi.keys() | xj.keys()]
@@ -455,7 +493,7 @@ def _log_apply(snf, vec, inverse=False):
 def _eliminate(matrix, track):
     """The elimination `smith_normal_form` describes, of `matrix` =
     (ring, key) with key a `_positions`: the diagonals, and only when
-    `track` the log of its row operations, V's columns and V^-1's rows.
+    `track` the logs of its row and of its column operations.
 
     A log lists each operation on rows (or columns) x once, in order:
     ("swap", i, j); ("add", i, c, t), x_i += c x_t; ("unit", t, u), x_t *= u;
@@ -471,15 +509,6 @@ def _eliminate(matrix, track):
         A[i][j] = v
         cols[j].add(i)
     row_log, col_log = ([], []) if track else (None, None)
-    VT = [{j: one} for j in range(n)] if track else None
-    Vinv = [{j: one} for j in range(n)] if track else None
-
-    def flush():
-        # V, V^-1 take the column log; batches of > n keep it about V's size
-        _replay(ring, col_log, VT)
-        _replay(ring, col_log, Vinv, True, True)
-        col_log.clear()
-        return VT, Vinv
 
     def put_row(i, row):
         # A[i] <- row, moving i between the column sets
@@ -642,12 +671,10 @@ def _eliminate(matrix, track):
             A[t][t] = mul(u, A[t][t])
             if track:
                 row_log.append(("unit", t, u))
-        if track and len(col_log) > n:
-            flush()
         t += 1
 
     diagonals = [A[i][i] for i in range(t) if not is_zero(A[i][i])]
-    return diagonals, ((row_log, *flush()) if track else None)
+    return diagonals, ((row_log, col_log) if track else None)
 
 
 def solve(M, b, snf=None):
@@ -667,22 +694,21 @@ def solve(M, b, snf=None):
 
 
 def kernel_basis(M, snf=None):
-    """Basis of the kernel of M (saturated over Z), as column vectors."""
+    """Basis of the kernel of M (saturated over Z), as column vectors: V's
+    columns past the rank (`SNF.V_kernel`)."""
     s = snf if snf is not None else smith_normal_form(M)
-    out = []
-    for j in range(s.rank, len(M.col_labels)):
-        out.append(s.V.column(M.col_labels[j]))
-    return out
+    K = s.V_kernel
+    return [K.column(j) for j in K.col_labels]
 
 
 def kernel_coordinates(snf, vec):
     """Coordinates of vec in `kernel_basis(snf.matrix, snf)`, keyed by basis
     position, or None when vec is not in the kernel.  The basis is V's
     columns past the rank, so these are the entries of V^-1 vec past the
-    rank, and vec is in the kernel exactly when those before it are zero;
-    being unique, they equal what `solve` finds against the basis."""
-    index, rank = snf.matrix.col_index, snf.rank
-    w = snf.Vinv.apply(vec)
-    if any(index[c] < rank for c in w):
+    rank (`SNF.Vinv_kernel`); being unique, they equal what `solve` finds
+    against the basis.  vec is in the kernel exactly when M vec = 0, and
+    then exactly when V^-1 vec is zero before the rank: M = U^-1 D V^-1,
+    and D's first `rank` diagonals are nonzero."""
+    if snf.matrix.apply(vec):
         return None
-    return {index[c] - rank: x for c, x in w.items()}
+    return snf.Vinv_kernel.apply(vec)

@@ -4,6 +4,7 @@ Elements are plain Python values (int for ZZ and GF(p), Fraction for QQ);
 a Ring object supplies the operations so matrix code stays ring-generic.
 """
 
+import operator
 from fractions import Fraction
 
 
@@ -52,17 +53,12 @@ class IntegerRing(Ring):
     def from_int(self, n):
         return int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
+    # builtins, so a call runs no Python frame; not being functions, they
+    # bind no `self` as class attributes
+    add = operator.add
+    neg = operator.neg
+    mul = operator.mul
+    is_zero = operator.not_
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -104,20 +100,12 @@ class RationalField(Ring):
         c = _Q_CONSTANTS.get(n)
         return c if c is not None else Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a != 0
+    # builtins, as over Z
+    add = operator.add
+    neg = operator.neg
+    mul = operator.mul
+    is_zero = operator.not_
+    is_unit = operator.truth
 
     def inv(self, a):
         if a == 0:

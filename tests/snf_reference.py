@@ -4,10 +4,13 @@ Kept as a test oracle: the kernel in `lochom.matrices` must choose the same
 pivots and perform the same elementary operations, so its U, U^-1, V, V^-1
 and diagonals must equal this reference's entry for entry.  The elimination
 is the old code verbatim; `from_dense` is the old `Matrix.from_dense`, which
-the kernel no longer needs.
+the kernel no longer needs.  The result holds the four transforms as built
+matrices, under the attribute names of `lochom.matrices.SNF`.
 """
 
-from lochom.matrices import SNF, Matrix
+from types import SimpleNamespace
+
+from lochom.matrices import Matrix
 
 
 def from_dense(ring, row_labels, col_labels, rows):
@@ -167,4 +170,5 @@ def smith_normal_form(M):
     Uim = from_dense(ring, rows, rows, Uinv)
     Vm = from_dense(ring, cols, cols, V)
     Vim = from_dense(ring, cols, cols, Vinv)
-    return SNF(M, Um, Uim, Vm, Vim, diagonals)
+    return SimpleNamespace(matrix=M, U=Um, Uinv=Uim, V=Vm, Vinv=Vim,
+                           diagonals=diagonals, rank=len(diagonals))

@@ -93,6 +93,18 @@ def test_relative_caps_respect_support():
                 relative_cap(X, L_first, ZZ, {}, {}, 1, variant, support)
 
 
+def test_relative_cap_refuses_a_wrong_order_on_every_call():
+    # the order's verdict is kept per (complex, subcomplex): the subcomplex
+    # that passes under one order still fails under another, every time
+    X = sphere2()
+    L = Subcomplex(X, (0, 1))
+    X2, _ = reorient_vc_before(X, L)
+    for _ in range(3):
+        assert relative_cap(X2, L, ZZ, {}, {}, 1, "v1", "rel") == {}
+        with pytest.raises(ValueError, match="ordered before"):
+            relative_cap(X, L, ZZ, {}, {}, 1, "v1", "rel")
+
+
 def test_swap_sweep_small_complexes():
     for fn in (circle3, triangle):
         rep = swap_sweep(fn(), ZZ)

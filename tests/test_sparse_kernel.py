@@ -6,9 +6,8 @@ given its nonzeros in ascending and in descending position order, and with
 `dense_reference._eliminate`, the old dense kernel verbatim.  The diagonals
 and the four sparsely stored transforms (with the zeros that cancel) must
 agree in value, type and order, and the factors-only run must give the same
-diagonals.  The sparse kernel keeps V and V^-1 as the dense one did and logs
-its row operations in place of U and U^-1, so the U rows and U^-1 columns
-compared are those built from its log.  The command
+diagonals.  The sparse kernel logs its row and column operations in place of
+the four transforms, so those compared are built from its logs.  The command
 lines are those whose matrices are large: duality and `local --dim 2` on
 the subdivisions over z, fp:2 and fp:3, and one run on sd2(rp6); Q, whose
 dense elimination is slow at that size, runs on the small fixtures.
@@ -17,6 +16,13 @@ The log's other readers replay it on one vector (`matrices._replay`):
 forwards it must give `U.apply`, inverted and backwards a column of U^-1,
 and U U^-1 must be the identity.  A cokernel presentation projects through
 that replay, and drops a key outside its basis as `Matrix.apply` does.
+
+The kernel halves, V's columns and V^-1's rows past the rank, are replayed
+from the column log alone, each on its first read.  They must equal the
+public V's and V^-1's in value, type and key order, and
+`kernel_coordinates` (coordinates from V^-1's rows past the rank, and
+membership from M vec = 0) must give what it gave when it read the whole
+of V^-1: None exactly when V^-1 vec is nonzero before the rank.
 """
 
 import os
@@ -31,10 +37,11 @@ from lochom.cli import main
 from lochom.fixtures import rp2_six
 from lochom.homology import CokerPresentation
 from lochom.localhomology import LocalContext
-from lochom.matrices import Matrix, smith_normal_form
+from lochom.matrices import (Matrix, kernel_basis, kernel_coordinates,
+                             smith_normal_form)
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import simplicial_chain_complex
-from test_snf_oracle import GCD_AND_OFFENDER_CASES, RINGS
+from test_snf_oracle import GCD_AND_OFFENDER_CASES, RINGS, integer_matrix
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -58,15 +65,19 @@ def fingerprint(result):
     return out
 
 
-def with_log_rows(ring, m, result):
-    """A tracked sparse result as the dense kernel gives it: U's rows and
-    U^-1's columns, the identity's rows under the log as `SNF.U` and
-    `SNF.Uinv` build them, before V's columns and V^-1's rows."""
-    diagonals, (log, VT, Vinv) = result
-    return diagonals, [
-        matrices._replay(ring, log, [{i: ring.one()} for i in range(m)],
-                         inverse, True) for inverse in (False, True)] + [
-        VT, Vinv]
+def with_log_rows(ring, shape, result):
+    """A tracked sparse result as the dense kernel gives it: U's rows,
+    U^-1's columns, V's columns and V^-1's rows, each the identity's rows
+    under its log in the `_replay` mode `SNF` builds it with."""
+    diagonals, (log, col_log) = result
+    transforms = []
+    for name in ("U", "Uinv", "V", "Vinv"):
+        on_rows, inverse, transposed, _ = matrices._TRANSFORMS[name]
+        size = shape[0] if on_rows else shape[1]
+        transforms.append(matrices._replay(
+            ring, log if on_rows else col_log,
+            [{i: ring.one()} for i in range(size)], inverse, transposed))
+    return diagonals, transforms
 
 
 def assert_kernels_agree(ring, key):
@@ -77,7 +88,7 @@ def assert_kernels_agree(ring, key):
     for entries in (ordered, ordered[::-1]):
         source = (ring, ((m, n), tuple(entries)))
         assert fingerprint(with_log_rows(
-            ring, m, matrices._eliminate(source, True))) == expected
+            ring, (m, n), matrices._eliminate(source, True))) == expected
         assert fingerprint(matrices._eliminate(source, False)) == \
             expected[:2]
 
@@ -174,3 +185,104 @@ def test_project_drops_a_label_outside_the_basis(ring):
             assert pres.project({**g, "outside": one}) == pres.project(g)
         U = smith_normal_form(pres.snf.matrix).U
         assert U.apply({"outside": one}) == {}
+
+
+def previous_kernel_coordinates(snf, vec):
+    """`kernel_coordinates` as it read the whole of V^-1."""
+    index, rank = snf.matrix.col_index, snf.rank
+    w = snf.Vinv.apply(vec)
+    if any(index[c] < rank for c in w):
+        return None
+    return {index[c] - rank: x for c, x in w.items()}
+
+
+def assert_kernel_halves_agree(M, vecs):
+    # each half on a fresh SNF of its own, built before any other transform
+    ring, cols = M.ring, M.col_labels
+    public = smith_normal_form(M)
+    rank = public.rank
+    K = smith_normal_form(M).V_kernel
+    assert (K.row_labels, K.col_labels) == (cols, tuple(range(len(cols) - rank)))
+    assert [items(K.column(j)) for j in K.col_labels] == \
+        [items(public.V.column(c)) for c in cols[rank:]]
+    s = smith_normal_form(M)
+    assert [items(v) for v in kernel_basis(M, s)] == \
+        [items(public.V.column(c)) for c in cols[rank:]]
+    W = smith_normal_form(M).Vinv_kernel
+    assert (W.row_labels, W.col_labels) == (tuple(range(len(cols) - rank)), cols)
+    index = M.col_index
+    assert items(W.entries) == items(
+        {(index[r] - rank, c): x for (r, c), x in public.Vinv.entries.items()
+         if index[r] >= rank})
+    # membership and coordinates, on vectors in the kernel and not
+    basis = kernel_basis(M, s)
+    for vec in vecs:
+        expected = previous_kernel_coordinates(public, vec)
+        got = kernel_coordinates(s, vec)
+        assert (got is None) == (expected is None), vec
+        if got is not None:
+            assert items(got) == items(expected)
+            combination = {}
+            for j, x in got.items():
+                for r, v in basis[j].items():
+                    combination[r] = ring.add(combination.get(r, ring.zero()),
+                                              ring.mul(x, v))
+            # a key outside the columns is dropped, as `Matrix.apply` drops it
+            assert matrices.vec_eq(ring, combination, {
+                c: x for c, x in vec.items() if c in index})
+
+
+@st.composite
+def kernel_cases(draw):
+    """A matrix over Z, Q or GF(3) whose row and column labels are not in
+    position order, and vectors on its columns: drawn ones, combinations of
+    its kernel basis, and those plus a column of V before the rank, some
+    with a key outside its columns."""
+    ring = draw(st.sampled_from((ZZ, QQ, GF(3))))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.permutations([f"r{i}" for i in range(m)]))
+    cols = draw(st.permutations([f"c{j}" for j in range(n)]))
+    entries = {}
+    for i in range(m):
+        for j in range(n):
+            if draw(st.booleans()):
+                entries[(rows[i], cols[j])] = ring.from_int(
+                    draw(st.integers(-9, 9)))
+    M = Matrix(ring, rows, cols, entries)
+    s = smith_normal_form(M)
+    small = st.integers(-3, 3).map(ring.from_int)
+    vecs = [{c: draw(small) for c in draw(st.lists(st.sampled_from(
+        [*cols, "outside"]), unique=True))} for _ in range(2)]
+    for extra in range(s.rank + 1):
+        vec = {}
+        for c in cols[s.rank:]:
+            vec = matrices.vec_add(ring, vec, matrices.vec_scale(
+                ring, draw(small), s.V.column(c)))
+        if extra:
+            vec = matrices.vec_add(ring, vec, s.V.column(cols[extra - 1]))
+        if draw(st.booleans()):
+            vec["outside"] = ring.one()
+        vecs.append(vec)
+    return M, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_kernel_halves_equal_the_public_transforms_past_the_rank(case):
+    assert_kernel_halves_agree(*case)
+
+
+@pytest.mark.parametrize("rows", GCD_AND_OFFENDER_CASES)
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_kernel_halves_on_gcd_and_offender_cases(ring, rows):
+    # unit vectors, the sum of the kernel basis, and that sum plus each
+    # column of V before the rank
+    M = integer_matrix(ring, rows, len(rows[0]))
+    s = smith_normal_form(M)
+    vecs = [{c: ring.one()} for c in M.col_labels]
+    kernel = {}
+    for c in M.col_labels[s.rank:]:
+        kernel = matrices.vec_add(ring, kernel, s.V.column(c))
+    vecs += [kernel] + [matrices.vec_add(ring, kernel, s.V.column(c))
+                        for c in M.col_labels[:s.rank]]
+    assert_kernel_halves_agree(M, vecs)
