@@ -97,14 +97,14 @@ class CokerPresentation:
     beyond the rank (`free_rank` free generators).  `positions` lists them as
     (row index, order or None).  project() sends a vector to its generator
     coordinates, torsion coordinates reduced; lift(j) returns a
-    representative of generator j.  The relations' SNF, through `memo`
-    (`matrices.factored`), keeps no transform: project and lift replay its
-    log of row operations on one vector, U forwards and U^-1 backwards.
+    representative of generator j.  Both run the row log of the
+    relations' SNF (through `memo`, `matrices.factored`) on one vector:
+    U vec forwards, U^-1 backwards.
     """
 
     def __init__(self, ring, relations, memo=None):
         self.ring = ring
-        self.snf = factored(memo, relations).keep()
+        self.snf = factored(memo, relations)
         self._rows = relations.row_labels
         diagonals, size = self.snf.diagonals, len(self._rows)
         self.positions = [(i, d) for i, d in enumerate(diagonals)
@@ -148,16 +148,15 @@ class CycleBasis:
     and all a cycle-module stalk reads.
 
     `out_snf` is the one SNF of d_out, through `memo` (`matrices.factored`):
-    its V columns past the rank are the kernel basis `cycles` (chains over
-    d_out's source basis), read once here, and its V^-1 rows past the rank,
-    the one transform it keeps, write any cycle in that basis
-    (`cycle_coordinates`, None for a non-cycle).
+    its column log gives the kernel basis `cycles` (chains over d_out's
+    source basis) once here, and V^-1's rows past the rank, built on the
+    first `cycle_coordinates`, write any cycle in that basis (None for a
+    non-cycle).
     """
 
     def __init__(self, d_out, memo):
-        snf = factored(memo, d_out)
-        self.cycles = kernel_basis(d_out, snf)
-        self.out_snf = snf.keep("Vinv_kernel")
+        self.out_snf = factored(memo, d_out)
+        self.cycles = kernel_basis(d_out, self.out_snf)
 
     def cycle_coordinates(self, chain):
         return kernel_coordinates(self.out_snf, chain)

@@ -4,6 +4,7 @@ Vectors ("chains") are dicts mapping basis labels to nonzero ring elements.
 Matrices act on column vectors: (M v)[r] = sum_c M[r,c] v[c].
 """
 
+from functools import cached_property
 from operator import itemgetter
 
 _first = itemgetter(0)
@@ -71,20 +72,13 @@ class Matrix:
                     kept[(r, c)] = val
         self.entries = kept
 
-    # `entries` maps (row, column) to each nonzero.  The column index maps a
-    # column label to its nonzeros as (key, row label, value), ordered so
-    # that sorting every triple by (key, column position) gives the order of
-    # `entries`.  Either one may be built from the other on first read;
+    # `entries` maps (row, column) to each nonzero.  The column index, built
+    # from it on first read, maps a column label to its nonzeros as (key,
+    # row label, value), the key being the entry's place in `entries`;
     # assigning `entries` drops the index and the memo key (`_positions`).
 
     @property
     def entries(self):
-        if self._entries is None:
-            position = self.col_index
-            items = sorted((k, position[c], r, c, v)
-                           for c, col in self._columns.items()
-                           for k, r, v in col)
-            self._entries = {(r, c): v for _, _, r, c, v in items}
         return self._entries
 
     @entries.setter
@@ -103,13 +97,6 @@ class Matrix:
                 else:
                     col.append((k, r, v))
         return self._columns
-
-    def _with_columns(self, columns):
-        """This matrix, with `columns` (nonzeros only) as its column index and
-        `entries` left to be built from it on first read."""
-        self._entries = None
-        self._columns = columns
-        return self
 
     @property
     def shape(self):
@@ -224,12 +211,10 @@ class SNF:
     diagonals lists the nonzero invariant factors d_1 | d_2 | ... (canonical
     associates); rank = len(diagonals); U is the product of the row
     operations in `log` and V that of the column operations in `col_log`.
-    Each transform is a `Matrix` built from its log by `_replay` when first
-    read: U and U^-1 on M's rows, V and V^-1 on its columns, and the kernel
-    halves `V_kernel`, V's columns past the rank (rows M's columns, columns
-    the kernel positions 0..), and `Vinv_kernel`, V^-1's rows past the rank
-    (rows the kernel positions, columns M's columns).  `keep` drops the
-    others, so a holder keeps only the transforms it reads.
+    No transform is held: `_log_apply` runs a log on one vector, and U,
+    U^-1, V and V^-1 can be rebuilt from the logs by `_replay`, as the
+    tests do.  The one transform built is `Vinv_kernel`, for
+    `kernel_coordinates`.
     """
 
     def __init__(self, matrix, diagonals, log, col_log):
@@ -238,84 +223,22 @@ class SNF:
         self.rank = len(diagonals)
         self.log = log
         self.col_log = col_log
-        self._transforms = dict.fromkeys(_TRANSFORMS)
 
-    def keep(self, *names):
-        """Forget every transform not named; reading one then raises
-        KeyError."""
-        self._transforms = {name: self._transforms[name] for name in names}
-        return self
-
-    def _transform(self, name):
-        t = self._transforms[name]
-        if t is not None:
-            return t
-        # the identity's rows under the log (see `_TRANSFORMS`); for a
-        # kernel half only those past the rank, keyed by kernel position
-        on_rows, inverse, transposed, kernel = _TRANSFORMS[name]
-        M = self.matrix
-        ring, one = M.ring, M.ring.one()
-        labels, log = ((M.row_labels, self.log) if on_rows
-                       else (M.col_labels, self.col_log))
-        start = self.rank if kernel else 0
-        X = _replay(ring, log, [{} for _ in range(start)] + [
-            {i: one} for i in range(len(labels) - start)], inverse, transposed)
-        rows = cols = labels
-        if kernel:
-            positions = range(len(labels) - start)
-            rows, cols = ((positions, labels) if inverse
-                          else (labels, positions))
-        # a column log holds the transposes of V's operations, so X holds the
-        # transform's own rows exactly when a row log runs untransposed or a
-        # column log transposed
-        build = _by_rows if on_rows != transposed else _by_columns
-        t = self._transforms[name] = build(ring, rows, cols, X)
-        return t
-
-    U = property(lambda self: self._transform("U"))
-    Uinv = property(lambda self: self._transform("Uinv"))
-    V = property(lambda self: self._transform("V"))
-    Vinv = property(lambda self: self._transform("Vinv"))
-    V_kernel = property(lambda self: self._transform("V_kernel"))
-    Vinv_kernel = property(lambda self: self._transform("Vinv_kernel"))
-
-
-# name: (on M's rows, inverse, transposed, kernel half), the `_replay` mode
-# of each transform: U's rows are U X, U^-1's columns (U^-1)^T X, V's columns
-# V^T X, V^-1's rows V^-1 X, and the kernel halves V X and (V^-1)^T X, with
-# X the identity, or for a kernel half its columns past the rank
-_TRANSFORMS = {"U": (True, False, False, False),
-               "Uinv": (True, True, True, False),
-               "V": (False, False, False, False),
-               "Vinv": (False, True, True, False),
-               "V_kernel": (False, False, True, True),
-               "Vinv_kernel": (False, True, False, True)}
-
-
-def _by_rows(ring, rows, cols, X):
-    """The `Matrix` whose row i is X[i] (keys column positions), built
-    straight into a column index, nonzeros only."""
-    index = {}
-    for i, row in enumerate(X):
-        r = rows[i]
-        for j, x in row.items():
-            if x:
-                c = cols[j]
-                if c in index:
-                    index[c].append((i, r, x))
-                else:
-                    index[c] = [(i, r, x)]
-    return Matrix(ring, rows, cols)._with_columns(index)
-
-
-def _by_columns(ring, rows, cols, X):
-    """The `Matrix` whose column j is X[j] (keys row positions)."""
-    index = {}
-    for j, col in enumerate(X):
-        nonzeros = [(i, rows[i], col[i]) for i in sorted(col) if col[i]]
-        if nonzeros:
-            index[cols[j]] = nonzeros
-    return Matrix(ring, rows, cols)._with_columns(index)
+    @cached_property
+    def Vinv_kernel(self):
+        """V^-1's rows past the rank, built on first read: rows the kernel
+        positions 0.., columns M's columns, entries row by row."""
+        M, rank = self.matrix, self.rank
+        ring, labels = M.ring, M.col_labels
+        size = len(labels) - rank
+        # (V^-1)^T X, X the identity's columns past the rank: row i holds
+        # column i of V^-1's rows past the rank
+        X = _replay(ring, self.col_log, [{} for _ in range(rank)] + [
+            {j: ring.one()} for j in range(size)], True)
+        items = sorted((j, i, x) for i, row in enumerate(X)
+                       for j, x in row.items())
+        return Matrix(ring, range(size), labels,
+                      {(j, labels[i]): x for j, i, x in items})
 
 
 def _gcd_combine(ring, x, y):
@@ -338,15 +261,9 @@ def _gcd_combine(ring, x, y):
 
 
 def smith_normal_form(M):
-    """Return SNF of M with all four transformation matrices, exactly.
-
-    The elimination logs its row operations (`log`) and its column
-    operations (`col_log`) and updates no transform.  Each transform is
-    built from its log by `_replay` when first read, and becomes a `Matrix`
-    only then: `solve` reads U and V, `kernel_basis` and
-    `kernel_coordinates` only the kernel halves `V_kernel` and
-    `Vinv_kernel`.  A cokernel's `project` and `lift` run the row log on
-    one vector instead.
+    """Return SNF of M, exactly: its diagonals and the logs of its row
+    (`log`) and column (`col_log`) operations, and no transform (see
+    `SNF`).
 
     Step t works on the trailing block, rows and columns t..  Its pivot is,
     over Z and GF(p), the first row holding a 1 or -1 at its least such
@@ -367,20 +284,13 @@ def smith_normal_form(M):
     it.  Cancelled entries are deleted; swaps move the set membership.  So
     every step above visits only nonzeros, and under a unit pivot p an
     entry x has the quotient x * p^-1, which is `ring.divmod`'s over Z
-    (p = 1, -1), GF(p) and Q, with remainder zero.  A transform starts as
-    the identity's sparse rows, and its log runs over stored rows and only
-    their nonzeros; entries that cancel stay stored as zeros.  A matrix
-    with no entries is not eliminated at all: it has no diagonals, empty
-    logs and four identity transforms.
+    (p = 1, -1), GF(p) and Q, with remainder zero.  A matrix with no
+    entries is not eliminated at all: it has no diagonals and empty logs.
 
     This relies on canonical entries (ints over Z, `Fraction` over Q,
     residues in [0, p) over GF(p)): then an entry is nonzero exactly when it
     is truthy, and 1*x + 0*y is x itself.  The result does not depend on
     the order of the entries: every choice above is made by position.
-
-    Each transform's column index is built straight from the replayed
-    sparse rows (keyed by row position, as its `entries` run row by row), so
-    `column` and `apply` never build its `entries`.
     """
     if not M.entries:
         return SNF(M, [], [], [])
@@ -407,7 +317,7 @@ def factored(memo, M):
     A hit is exact: the elimination reads M only by position, and entries
     are canonical for each ring, so the stored diagonals and logs are those
     M would give, up to labels.  Each caller gets a fresh SNF on M sharing
-    them, whose transforms are built on M's labels when first read."""
+    them, whose readers run them on M's labels."""
     if memo is None:
         return smith_normal_form(M)
     key = _positions(M)
@@ -433,7 +343,7 @@ def invariant_factors(M):
 
     Over a PID these factors fix the cokernel of M up to isomorphism, so a
     caller that needs only ranks and torsion orders skips every log entry
-    and every `Matrix` the full form builds.
+    the full form records.
     """
     return _eliminate((M.ring, _positions(M)), False)[0] if M.entries else []
 
@@ -480,14 +390,17 @@ def _replay(ring, log, X, inverse=False, transposed=False):
     return X
 
 
-def _log_apply(snf, vec, inverse=False):
-    """U vec, or U^-1 vec when `inverse`, by `snf.log`: vec, keyed by row
-    labels (a key outside them is dropped, as `Matrix.apply` drops it), run
-    through the log as a one-column matrix; its nonzeros in row order."""
+def _log_apply(snf, vec, inverse=False, columns=False):
+    """U vec, or U^-1 vec when `inverse`, by `snf.log`; with `columns`, V
+    vec or V^-1 vec by `snf.col_log`.  vec, keyed by M's row (column)
+    labels, a key outside them dropped, runs through the log as a
+    one-column matrix; the result holds its nonzeros in label order."""
     M = snf.matrix
-    X = [{0: vec[r]} if r in vec else {} for r in M.row_labels]
-    _replay(M.ring, snf.log, X, inverse)
-    return {r: x[0] for r, x in zip(M.row_labels, X) if x.get(0)}
+    labels, log = ((M.col_labels, snf.col_log) if columns
+                   else (M.row_labels, snf.log))
+    X = [{0: vec[r]} if r in vec else {} for r in labels]
+    _replay(M.ring, log, X, inverse, columns)
+    return {r: x[0] for r, x in zip(labels, X) if x.get(0)}
 
 
 def _eliminate(matrix, track):
@@ -681,34 +594,42 @@ def solve(M, b, snf=None):
     """One solution x of M x = b (dict keyed by col labels), or None."""
     ring = M.ring
     s = snf if snf is not None else smith_normal_form(M)
-    c = s.U.apply(b)
+    c = _log_apply(s, b)
     z = {}
     for i, d in enumerate(s.diagonals):
         q, r = ring.divmod(c.pop(M.row_labels[i], ring.zero()), d)
         if not ring.is_zero(r):
             return None
         z[M.col_labels[i]] = q
-    if not vec_is_zero(ring, c):
+    if c:
         return None
-    return vec_clean(ring, s.V.apply(z))
+    return _log_apply(s, z, columns=True)
 
 
 def kernel_basis(M, snf=None):
     """Basis of the kernel of M (saturated over Z), as column vectors: V's
-    columns past the rank (`SNF.V_kernel`)."""
+    columns past the rank, replayed from the column log on the identity's
+    columns past the rank, each chain's nonzeros in column order."""
     s = snf if snf is not None else smith_normal_form(M)
-    K = s.V_kernel
-    return [K.column(j) for j in K.col_labels]
+    ring, labels = M.ring, M.col_labels
+    # V X: row i holds M's column i in each kernel chain
+    X = _replay(ring, s.col_log, [{} for _ in range(s.rank)] + [
+        {j: ring.one()} for j in range(len(labels) - s.rank)],
+        transposed=True)
+    chains = [{} for _ in range(len(labels) - s.rank)]
+    for c, row in zip(labels, X):
+        for j, x in row.items():
+            if x:
+                chains[j][c] = x
+    return chains
 
 
 def kernel_coordinates(snf, vec):
     """Coordinates of vec in `kernel_basis(snf.matrix, snf)`, keyed by basis
-    position, or None when vec is not in the kernel.  The basis is V's
-    columns past the rank, so these are the entries of V^-1 vec past the
-    rank (`SNF.Vinv_kernel`); being unique, they equal what `solve` finds
-    against the basis.  vec is in the kernel exactly when M vec = 0, and
-    then exactly when V^-1 vec is zero before the rank: M = U^-1 D V^-1,
-    and D's first `rank` diagonals are nonzero."""
+    position, or None when vec is not in the kernel (M vec != 0).  The
+    basis is V's columns past the rank, so these are V^-1 vec past the rank
+    (`SNF.Vinv_kernel`): M = U^-1 D V^-1 with D's first `rank` diagonals
+    nonzero, so V^-1 vec is zero before the rank exactly when M vec = 0."""
     if snf.matrix.apply(vec):
         return None
     return snf.Vinv_kernel.apply(vec)

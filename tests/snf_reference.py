@@ -6,11 +6,57 @@ and diagonals must equal this reference's entry for entry.  The elimination
 is the old code verbatim; `from_dense` is the old `Matrix.from_dense`, which
 the kernel no longer needs.  The result holds the four transforms as built
 matrices, under the attribute names of `lochom.matrices.SNF`.
+
+`lochom.matrices.SNF` holds no transform, only the logs of its row and
+column operations.  `transforms` rebuilds U, U^-1, V and V^-1 from them in
+the shape of this reference's result, so every test reads them one way.
 """
 
 from types import SimpleNamespace
 
-from lochom.matrices import Matrix
+from lochom.matrices import Matrix, _replay
+
+# name: (on M's rows, inverse, transposed), the `matrices._replay` mode that
+# gives the identity's rows X the transform's rows or columns: U X gives U's
+# rows, (U^-1)^T X U^-1's columns, V^T X V's columns and V^-1 X V^-1's rows
+# (a column log holds the transposes of V's operations)
+MODES = {"U": (True, False, False),
+         "Uinv": (True, True, True),
+         "V": (False, False, False),
+         "Vinv": (False, True, True)}
+
+
+def replayed(ring, shape, log, col_log):
+    """U's rows, U^-1's columns, V's columns and V^-1's rows of a matrix of
+    `shape`, as the sparse rows the logs leave, cancelled entries kept as
+    zeros (as the dense kernel's sparse rows keep them)."""
+    out = []
+    for on_rows, inverse, transposed in MODES.values():
+        size = shape[0] if on_rows else shape[1]
+        out.append(_replay(ring, log if on_rows else col_log,
+                           [{i: ring.one()} for i in range(size)],
+                           inverse, transposed))
+    return out
+
+
+def transforms(snf):
+    """`snf` as `smith_normal_form` here returns it: U, U^-1, V and V^-1
+    rebuilt from its logs as `Matrix`es, nonzeros only, entries row by
+    row."""
+    M = snf.matrix
+    ring = M.ring
+    built = {}
+    for (name, (on_rows, _, transposed)), X in zip(
+            MODES.items(), replayed(ring, M.shape, snf.log, snf.col_log)):
+        labels = M.row_labels if on_rows else M.col_labels
+        # X holds the transform's rows for U and V^-1, its columns else
+        by_rows = on_rows != transposed
+        cells = sorted((((i, j) if by_rows else (j, i)), x)
+                       for i, row in enumerate(X) for j, x in row.items())
+        built[name] = Matrix(ring, labels, labels, {
+            (labels[r], labels[c]): x for (r, c), x in cells})
+    return SimpleNamespace(matrix=M, diagonals=snf.diagonals, rank=snf.rank,
+                           **built)
 
 
 def from_dense(ring, row_labels, col_labels, rows):

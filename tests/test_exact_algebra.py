@@ -17,6 +17,7 @@ from lochom.matrices import (Matrix, kernel_basis, kernel_coordinates,
                              smith_normal_form, solve, vec_add, vec_scale)
 from lochom.rings import GF, QQ, ZZ, PrimeField, ring_from_name
 from lochom.sheaves import simplicial_chain_complex, simplicial_cochain_complex
+from snf_reference import transforms
 
 
 def dense_matrix(ring, rows):
@@ -106,7 +107,7 @@ def test_snf_diagonal_oracle():
 
 def test_snf_transforms_are_inverse_witnesses():
     m = dense_matrix(ZZ, [[1, 2, 3], [4, 5, 6]])
-    s = smith_normal_form(m)
+    s = transforms(smith_normal_form(m))
     assert (s.U @ s.Uinv - Matrix.identity(ZZ, m.row_labels)).is_zero()
     assert (s.V @ s.Vinv - Matrix.identity(ZZ, m.col_labels)).is_zero()
     # U m V is the diagonal matrix
@@ -116,7 +117,10 @@ def test_snf_transforms_are_inverse_witnesses():
             assert ZZ.is_zero(v)
 
 
-def test_snf_builds_each_transform_once_and_only_when_read(monkeypatch):
+def test_snf_and_kernel_basis_build_no_matrix_and_a_cycle_basis_one(
+        monkeypatch):
+    # the elimination and the kernel basis run logs only; a cycle basis
+    # builds V^-1's rows past the rank once, on its first coordinates
     m = dense_matrix(ZZ, [[2, 4, 0], [0, 6, 3]])
     built = []
     init = Matrix.__init__
@@ -126,15 +130,17 @@ def test_snf_builds_each_transform_once_and_only_when_read(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Matrix, "__init__", counted)
-    assert len(kernel_basis(m)) == 1
-    assert len(built) == 1
-    built.clear()
     s = smith_normal_form(m)
+    assert len(kernel_basis(m)) == len(kernel_basis(m, s)) == 1
     assert built == []
-    assert s.U is s.U
+    cycles = homology.CycleBasis(m, {})
+    assert built == [] and "Vinv_kernel" not in vars(cycles.out_snf)
+    (z,) = cycles.cycles
+    assert cycles.cycle_coordinates(z) == {0: 1}
+    assert len(built) == 1 and built[0] is cycles.out_snf.Vinv_kernel
+    assert cycles.cycle_coordinates(vec_scale(ZZ, 3, z)) == {0: 3}
+    assert cycles.cycle_coordinates({0: 1}) is None
     assert len(built) == 1
-    s.Uinv, s.V, s.Vinv, s.U, s.V
-    assert len(built) == 4
 
 
 def test_solve_respects_divisibility():
@@ -325,7 +331,7 @@ def test_induced_matrix_refuses_a_torsion_generator_sent_to_a_free_one():
                 min_size=2, max_size=4))
 def test_snf_random_transform_consistency(rows):
     m = dense_matrix(ZZ, rows)
-    s = smith_normal_form(m)
+    s = transforms(smith_normal_form(m))
     d = s.U @ m @ s.V
     # diagonal, with each factor dividing the next
     diag = []

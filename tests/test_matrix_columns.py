@@ -1,10 +1,11 @@
 """`Matrix.column` and `Matrix.apply` read a column index.  They must give
 what a scan of every entry gives (the code below is the scan they replaced):
 the same values, value types and key order, on plain sparse matrices, on
-SNF transforms (whose index is built from the elimination's sparse rows) and
-on matrices whose `entries` were assigned after construction.  Also: the SNF
-of a matrix with no entries runs no elimination, and the stalks a
-`LocalContext` caches hold only the transforms they read."""
+SNF transforms (rebuilt from the logs, and the one `SNF` builds,
+`Vinv_kernel`) and on matrices whose `entries` were assigned after
+construction.  Also: the SNF of a matrix with no entries runs no
+elimination, and the SNFs the stalks of a `LocalContext` hold are records
+of their diagonals and logs."""
 
 import pytest
 from hypothesis import given, settings
@@ -73,14 +74,16 @@ def assert_reads_match_scan(M, vecs):
 def test_column_and_apply_match_the_entry_scan(case):
     ring, M, vecs = case
     assert_reads_match_scan(M, vecs)
-    # the transforms of its SNF: index first, entries built afterwards
+    # the transforms of its SNF
     s = smith_normal_form(M)
+    built = snf_reference.transforms(s)
     for name, labels in (("U", M.row_labels), ("Uinv", M.row_labels),
                          ("V", M.col_labels), ("Vinv", M.col_labels)):
-        T = getattr(s, name)
+        T = getattr(built, name)
         tvecs = [{lbl: x for lbl, x in zip(labels, vec.values())}
                  for vec in vecs]
         assert_reads_match_scan(T, tvecs)
+    assert_reads_match_scan(s.Vinv_kernel, vecs)
     # entries assigned after the index was built must replace it
     M.entries = dict(reversed([(k, ring.mul(v, v))
                                for k, v in M.entries.items()]))
@@ -90,10 +93,10 @@ def test_column_and_apply_match_the_entry_scan(case):
 @settings(max_examples=100, deadline=None)
 @given(sparse_cases())
 def test_transform_entries_match_the_dense_reference(case):
-    # entries built from a transform's index keep the reference's order
+    # transforms rebuilt from the logs keep the reference's entry order
     _, M, _ = case
     reference = snf_reference.smith_normal_form(M)
-    s = smith_normal_form(M)
+    s = snf_reference.transforms(smith_normal_form(M))
     for name in ("U", "Uinv", "V", "Vinv"):
         mine, theirs = getattr(s, name), getattr(reference, name)
         assert list(mine.entries.items()) == list(theirs.entries.items())
@@ -110,7 +113,7 @@ def test_zero_matrices_skip_the_elimination(monkeypatch, ring, shape):
         raise AssertionError("a zero matrix was eliminated")
 
     monkeypatch.setattr(matrices, "_eliminate", refuse)
-    s = smith_normal_form(M)
+    s = snf_reference.transforms(smith_normal_form(M))
     assert s.diagonals == reference.diagonals == [] and s.rank == 0
     assert invariant_factors(M) == []
     for name in ("U", "Uinv", "V", "Vinv"):
@@ -122,16 +125,15 @@ def test_zero_matrices_skip_the_elimination(monkeypatch, ring, shape):
             [type(v) for v in theirs.entries.values()]
 
 
-# the transforms each stalk never reads: a cokernel runs its relations' row
-# log instead of reading U or U^-1, and a kernel basis reads only the kernel
-# halves
-UNREAD = {"snf": ("U", "Uinv", "V", "Vinv", "V_kernel", "Vinv_kernel"),
-          "out_snf": ("U", "Uinv", "V", "Vinv", "V_kernel")}
+# all an SNF holds: a cokernel runs its relations' row log, and a cycle
+# basis its column log, apart from the V^-1 rows past the rank it builds on
+# its first `cycle_coordinates`
+RECORD = frozenset(("matrix", "diagonals", "rank", "log", "col_log"))
 
 
 @pytest.mark.parametrize("X", [sphere2(), rp2_six()], ids=["s2", "rp2"])
 @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=lambda r: r.name)
-def test_cached_presentations_hold_no_unread_transform(X, ring):
+def test_cached_presentations_hold_only_diagonals_and_logs(X, ring):
     ctx = LocalContext(X, ring)
     held = {dual: [ctx.positional_stalk(s, X.dim, dual)[0]
                    for s in X.all_simplices()] for dual in (False, True)}
@@ -139,11 +141,9 @@ def test_cached_presentations_hold_no_unread_transform(X, ring):
     # generators), the cosheaf's cokernel presentations
     assert {type(pres) for pres in held[False]} == {CycleBasis}
     assert {type(pres) for pres in held[True]} == {CokerPresentation}
-    for dual, owner in ((False, "out_snf"), (True, "snf")):
-        for pres in held[dual]:
-            for name in UNREAD[owner]:
-                with pytest.raises(KeyError):
-                    getattr(getattr(pres, owner), name)
+    assert {frozenset(vars(pres.snf)) for pres in held[True]} == {RECORD}
+    assert {frozenset(vars(pres.out_snf))
+            for pres in held[False]} == {RECORD}
     # what they keep still answers: a generator projects to its own
     # coordinate, and a cycle has coordinates in the cycle basis
     for pres in held[True]:
@@ -154,3 +154,5 @@ def test_cached_presentations_hold_no_unread_transform(X, ring):
     for pres in held[False]:
         for i, z in enumerate(pres.cycles):
             assert pres.cycle_coordinates(z) == {i: ring.one()}
+        assert vars(pres.out_snf).keys() == RECORD | {"Vinv_kernel"}
+    assert {frozenset(vars(pres.snf)) for pres in held[True]} == {RECORD}

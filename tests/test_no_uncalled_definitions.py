@@ -8,7 +8,8 @@ A function or class counts as used where the syntax of those files refers
 to its name: a name, an attribute `.name` or an import of it, outside the
 function's own body (recursion is no caller).  `REFERENCES` lists the
 definitions kept as documented references for the tests, each with why.
-Dunder methods are exempt.
+Dunder methods are exempt.  A class-body assignment `name = property(...)`
+defines a method `name`, checked like any other.
 
 A method counts as used only where those files read it as an attribute
 (`.name`) of a receiver that can be its class.  The receiver's class is
@@ -80,9 +81,18 @@ def _definitions():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                if not (node.name.startswith("__")
-                        and node.name.endswith("__")):
-                    yield name, node.lineno, node.name, owner.get(id(node))
+                names = [node.name]
+            elif (id(node) in owner and isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Call)
+                  and _name(node.value.func) == "property"):
+                # `name = property(...)` in a class body is a method
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            for defined in names:
+                if not (defined.startswith("__") and defined.endswith("__")):
+                    yield name, node.lineno, defined, owner.get(id(node))
 
 
 def _name(node):

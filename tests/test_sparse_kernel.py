@@ -7,22 +7,27 @@ given its nonzeros in ascending and in descending position order, and with
 and the four sparsely stored transforms (with the zeros that cancel) must
 agree in value, type and order, and the factors-only run must give the same
 diagonals.  The sparse kernel logs its row and column operations in place of
-the four transforms, so those compared are built from its logs.  The command
-lines are those whose matrices are large: duality and `local --dim 2` on
-the subdivisions over z, fp:2 and fp:3, and one run on sd2(rp6); Q, whose
-dense elimination is slow at that size, runs on the small fixtures.
+the four transforms, so those compared are replayed from its logs
+(`snf_reference.replayed`).  The command lines are those whose matrices
+are large: duality and `local --dim 2` on the subdivisions over z, fp:2
+and fp:3, and one run on sd2(rp6); Q, whose dense elimination is slow at
+that size, runs on the small fixtures.
 
-The log's other readers replay it on one vector (`matrices._replay`):
-forwards it must give `U.apply`, inverted and backwards a column of U^-1,
-and U U^-1 must be the identity.  A cokernel presentation projects through
+The logs' other readers replay them on one vector (`matrices._log_apply`):
+it must give what U, U^-1, V and V^-1 rebuilt from the logs
+(`snf_reference.transforms`) give, and U U^-1 and V V^-1 must be the
+identity.  `solve` runs U b and V z that way, and must give what it gave
+when it read the built U and V: one solution, or None off the image or
+where a quotient does not divide.  A cokernel presentation projects through
 that replay, and drops a key outside its basis as `Matrix.apply` does.
 
 The kernel halves, V's columns and V^-1's rows past the rank, are replayed
-from the column log alone, each on its first read.  They must equal the
-public V's and V^-1's in value, type and key order, and
-`kernel_coordinates` (coordinates from V^-1's rows past the rank, and
-membership from M vec = 0) must give what it gave when it read the whole
-of V^-1: None exactly when V^-1 vec is nonzero before the rank.
+from the column log alone: `kernel_basis` on each call, `SNF.Vinv_kernel`
+on its first read.  They must equal the rebuilt V's and V^-1's in value,
+type and key order, and `kernel_coordinates` (coordinates from V^-1's rows
+past the rank, and membership from M vec = 0) must give what it gave when
+it read the whole of V^-1: None exactly when V^-1 vec is nonzero before the
+rank.
 """
 
 import os
@@ -32,13 +37,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference
+from snf_reference import replayed, transforms
 from lochom import matrices
 from lochom.cli import main
 from lochom.fixtures import rp2_six
 from lochom.homology import CokerPresentation
 from lochom.localhomology import LocalContext
 from lochom.matrices import (Matrix, kernel_basis, kernel_coordinates,
-                             smith_normal_form)
+                             smith_normal_form, solve)
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import simplicial_chain_complex
 from test_snf_oracle import GCD_AND_OFFENDER_CASES, RINGS, integer_matrix
@@ -67,17 +73,9 @@ def fingerprint(result):
 
 def with_log_rows(ring, shape, result):
     """A tracked sparse result as the dense kernel gives it: U's rows,
-    U^-1's columns, V's columns and V^-1's rows, each the identity's rows
-    under its log in the `_replay` mode `SNF` builds it with."""
+    U^-1's columns, V's columns and V^-1's rows, replayed from its logs."""
     diagonals, (log, col_log) = result
-    transforms = []
-    for name in ("U", "Uinv", "V", "Vinv"):
-        on_rows, inverse, transposed, _ = matrices._TRANSFORMS[name]
-        size = shape[0] if on_rows else shape[1]
-        transforms.append(matrices._replay(
-            ring, log if on_rows else col_log,
-            [{i: ring.one()} for i in range(size)], inverse, transposed))
-    return diagonals, transforms
+    return diagonals, replayed(ring, shape, log, col_log)
 
 
 def assert_kernels_agree(ring, key):
@@ -135,32 +133,113 @@ def items(vec):
 
 @st.composite
 def logged_cases(draw):
-    """A matrix over Z, Q or GF(3) whose row labels are not in position
-    order, and a vector on some of its rows."""
+    """A matrix over Z, Q or GF(3) whose row and column labels are not in
+    position order, and a vector on some of its rows and one on some of its
+    columns, keys in a drawn order."""
     ring = draw(st.sampled_from((ZZ, QQ, GF(3))))
     m, n = draw(st.integers(1, 6)), draw(st.integers(0, 6))
     rows = draw(st.permutations([f"r{i}" for i in range(m)]))
+    cols = draw(st.permutations([f"c{j}" for j in range(n)]))
     entries = {}
     for i in range(m):
         for j in range(n):
             if draw(st.booleans()):
-                entries[(rows[i], j)] = ring.from_int(draw(st.integers(-9, 9)))
-    vec = {r: ring.from_int(draw(st.integers(-4, 4)))
-           for r in draw(st.lists(st.sampled_from(rows), unique=True))}
-    return ring, Matrix(ring, rows, range(n), entries), vec
+                entries[(rows[i], cols[j])] = ring.from_int(
+                    draw(st.integers(-9, 9)))
+    vecs = [{k: ring.from_int(draw(st.integers(-4, 4)))
+             for k in draw(st.lists(st.sampled_from(labels), unique=True))}
+            for labels in (rows, [*cols, "outside"])]
+    return ring, Matrix(ring, rows, cols, entries), vecs
 
 
 @settings(max_examples=200, deadline=None)
 @given(logged_cases())
 def test_replayed_log_equals_the_transforms_it_builds(case):
-    ring, M, vec = case
+    ring, M, vecs = case
     s = smith_normal_form(M)
-    rows = M.row_labels
-    assert items(matrices._log_apply(s, vec)) == items(s.U.apply(vec))
-    for r in rows:
-        assert items(matrices._log_apply(s, {r: ring.one()}, True)) == \
-            items(s.Uinv.column(r))
-    assert s.U @ s.Uinv == Matrix.identity(ring, rows)
+    t = transforms(s)
+    for vec, columns, X, Xinv in zip(vecs, (False, True), (t.U, t.V),
+                                     (t.Uinv, t.Vinv)):
+        assert items(matrices._log_apply(s, vec, columns=columns)) == \
+            items(X.apply(vec))
+        assert items(matrices._log_apply(s, vec, True, columns)) == \
+            items(Xinv.apply(vec))
+        for r in X.row_labels:
+            assert items(matrices._log_apply(
+                s, {r: ring.one()}, True, columns)) == items(Xinv.column(r))
+        assert X @ Xinv == Matrix.identity(ring, X.row_labels)
+
+
+def previous_solve(M, b):
+    """`solve` as it read U and V built as `Matrix`es."""
+    ring = M.ring
+    s = transforms(smith_normal_form(M))
+    c = s.U.apply(b)
+    z = {}
+    for i, d in enumerate(s.diagonals):
+        q, r = ring.divmod(c.pop(M.row_labels[i], ring.zero()), d)
+        if not ring.is_zero(r):
+            return None
+        z[M.col_labels[i]] = q
+    if not matrices.vec_is_zero(ring, c):
+        return None
+    return matrices.vec_clean(ring, s.V.apply(z))
+
+
+@st.composite
+def solve_cases(draw):
+    """A matrix over Z, Q, GF(2) or GF(5) with permuted row and column
+    labels, its entries scaled by 1, 2 or 3 so that over Z an invariant
+    factor is often no unit, and a right-hand side b of one kind: in the
+    image (M x for a drawn x), any vector on its rows, or U^-1 e_i for an
+    invariant factor d_i that is no unit (U b = e_i, and d_i does not
+    divide 1).  b's keys come in a drawn order, and may include a key
+    outside M's rows."""
+    ring = draw(st.sampled_from((ZZ, QQ, GF(2), GF(5))))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    rows = draw(st.permutations([f"r{i}" for i in range(m)]))
+    cols = draw(st.permutations([f"c{j}" for j in range(n)]))
+    scale = draw(st.sampled_from((1, 2, 3)))
+    entries = {}
+    for i in range(m):
+        for j in range(n):
+            if draw(st.booleans()):
+                entries[(rows[i], cols[j])] = ring.from_int(
+                    scale * draw(st.integers(-4, 4)))
+    M = Matrix(ring, rows, cols, entries)
+    s = transforms(smith_normal_form(M))
+    small = st.integers(-3, 3).map(ring.from_int)
+    factors = [i for i, d in enumerate(s.diagonals) if not ring.is_unit(d)]
+    kind = draw(st.sampled_from(
+        ("image", "any", "indivisible") if factors else ("image", "any")))
+    if kind == "image":
+        b = M.apply({c: draw(small) for c in cols})
+    elif kind == "any":
+        b = matrices.vec_clean(ring, {r: draw(small) for r in rows})
+    else:
+        b = s.Uinv.column(rows[draw(st.sampled_from(factors))])
+    b = {k: b[k] for k in draw(st.permutations(list(b)))}
+    if draw(st.booleans()):
+        b["outside"] = ring.one()
+    return kind, M, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(solve_cases())
+def test_solve_equals_the_solve_through_built_transforms(case):
+    kind, M, b = case
+    x = solve(M, b)
+    expected = previous_solve(M, b)
+    assert (x is None) == (expected is None)
+    if x is not None:
+        assert items(x) == items(expected)
+        # a key outside M's rows is dropped, as `Matrix.apply` drops it
+        assert matrices.vec_eq(M.ring, M.apply(x), {
+            r: y for r, y in b.items() if r in M.row_index})
+    if kind == "image":
+        assert x is not None
+    elif kind == "indivisible":
+        assert x is None
 
 
 def presentations(ring):
@@ -183,7 +262,7 @@ def test_project_drops_a_label_outside_the_basis(ring):
         for j in range(len(pres)):
             g = pres.lift(j)
             assert pres.project({**g, "outside": one}) == pres.project(g)
-        U = smith_normal_form(pres.snf.matrix).U
+        U = transforms(smith_normal_form(pres.snf.matrix)).U
         assert U.apply({"outside": one}) == {}
 
 
@@ -197,14 +276,10 @@ def previous_kernel_coordinates(snf, vec):
 
 
 def assert_kernel_halves_agree(M, vecs):
-    # each half on a fresh SNF of its own, built before any other transform
+    # each half on a fresh SNF of its own
     ring, cols = M.ring, M.col_labels
-    public = smith_normal_form(M)
+    public = transforms(smith_normal_form(M))
     rank = public.rank
-    K = smith_normal_form(M).V_kernel
-    assert (K.row_labels, K.col_labels) == (cols, tuple(range(len(cols) - rank)))
-    assert [items(K.column(j)) for j in K.col_labels] == \
-        [items(public.V.column(c)) for c in cols[rank:]]
     s = smith_normal_form(M)
     assert [items(v) for v in kernel_basis(M, s)] == \
         [items(public.V.column(c)) for c in cols[rank:]]
@@ -249,7 +324,7 @@ def kernel_cases(draw):
                 entries[(rows[i], cols[j])] = ring.from_int(
                     draw(st.integers(-9, 9)))
     M = Matrix(ring, rows, cols, entries)
-    s = smith_normal_form(M)
+    s = transforms(smith_normal_form(M))
     small = st.integers(-3, 3).map(ring.from_int)
     vecs = [{c: draw(small) for c in draw(st.lists(st.sampled_from(
         [*cols, "outside"]), unique=True))} for _ in range(2)]
@@ -278,7 +353,7 @@ def test_kernel_halves_on_gcd_and_offender_cases(ring, rows):
     # unit vectors, the sum of the kernel basis, and that sum plus each
     # column of V before the rank
     M = integer_matrix(ring, rows, len(rows[0]))
-    s = smith_normal_form(M)
+    s = transforms(smith_normal_form(M))
     vecs = [{c: ring.one()} for c in M.col_labels]
     kernel = {}
     for c in M.col_labels[s.rank:]:
