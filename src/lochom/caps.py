@@ -15,6 +15,9 @@ caps evaluate on the back face of the carrier:
 
 where front/back split s after position k - l.  All formulas read tuple
 positions in the canonical vertex order of the complex they are applied in.
+The sweeps call them hundreds of thousands of times, so each binds its ring
+operations once, reads (-1)^j as ring.signs[j & 1], stores a key's first
+term as it is (not added to zero) and cleans only a nonempty result.
 """
 
 from itertools import combinations
@@ -28,29 +31,24 @@ from .matrices import vec_clean
 def d_chain_local(X, ring, chain):
     """Boundary on chains with local-cohomology generator coefficients:
     d(s, b) = sum_i (-1)^i (s_<i>, b); faces of s still lie under b."""
+    add, mul, signs = ring.add, ring.mul, ring.signs
     out = {}
     for (s, b), v in chain.items():
-        for i in range(len(s)):
-            f = s[:i] + s[i + 1:]
-            if not f:
-                continue
-            key = (f, b)
-            out[key] = ring.add(out.get(key, ring.zero()),
-                                ring.mul(ring.from_int((-1) ** i), v))
-    return vec_clean(ring, out)
+        for i in range(len(s) if len(s) > 1 else 0):  # a vertex has none
+            key, x = (s[:i] + s[i + 1:], b), mul(signs[i & 1], v)
+            out[key] = x if (y := out.get(key)) is None else add(y, x)
+    return vec_clean(ring, out) if out else out
 
 
 def d_chain_plain(X, ring, chain):
     """Simplicial boundary on plain R-chains."""
+    add, mul, signs = ring.add, ring.mul, ring.signs
     out = {}
     for s, v in chain.items():
-        for i in range(len(s)):
-            f = s[:i] + s[i + 1:]
-            if not f:
-                continue
-            out[f] = ring.add(out.get(f, ring.zero()),
-                              ring.mul(ring.from_int((-1) ** i), v))
-    return vec_clean(ring, out)
+        for i in range(len(s) if len(s) > 1 else 0):  # a vertex has none
+            f, x = s[:i] + s[i + 1:], mul(signs[i & 1], v)
+            out[f] = x if (y := out.get(f)) is None else add(y, x)
+    return vec_clean(ring, out) if out else out
 
 
 def _coface_sign(X, t, tp):
@@ -92,57 +90,51 @@ def delta_cochain_local(X, ring, cochain):
 def cap_plain(ring, chain, cochain, l):
     """R-coefficient cap: evaluate the cochain on the back face, keep the
     front face."""
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     out = {}
     for s, a in chain.items():
-        k = len(s) - 1
-        if k < l:
+        j = len(s) - 1 - l  # k - l
+        if j < 0 or (c := cochain.get(s[j:])) is None or is_zero(c):
             continue
-        c = cochain.get(s[k - l:])
-        if c is None or ring.is_zero(c):
-            continue
-        f = s[:k - l + 1]
-        out[f] = ring.add(out.get(f, ring.zero()), ring.mul(a, c))
-    return vec_clean(ring, out)
+        f, x = s[:j + 1], mul(a, c)
+        out[f] = x if (y := out.get(f)) is None else add(y, x)
+    return vec_clean(ring, out) if out else out
 
 
 def cap_v1(ring, xi, phi, l):
     """First cap: pair the stalk parts, output a plain R-chain."""
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     out = {}
     for (s, b), a in xi.items():
-        k = len(s) - 1
-        if k < l:
+        j = len(s) - 1 - l  # k - l
+        if j < 0 or (c := phi.get((s[j:], b))) is None or is_zero(c):
             continue
-        t = s[k - l:]
-        c = phi.get((t, b))
-        if c is None or ring.is_zero(c):
-            continue
-        f = s[:k - l + 1]
-        out[f] = ring.add(out.get(f, ring.zero()), ring.mul(a, c))
-    return vec_clean(ring, out)
+        f, x = s[:j + 1], mul(a, c)
+        out[f] = x if (y := out.get(f)) is None else add(y, x)
+    return vec_clean(ring, out) if out else out
 
 
 def cap_v2(ring, xi, psi, l):
     """Second cap: evaluate the R-cochain on the back face, keep the stalk."""
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     out = {}
     for (s, b), a in xi.items():
-        k = len(s) - 1
-        if k < l:
+        j = len(s) - 1 - l  # k - l
+        if j < 0 or (c := psi.get(s[j:])) is None or is_zero(c):
             continue
-        t = s[k - l:]
-        c = psi.get(t)
-        if c is None or ring.is_zero(c):
-            continue
-        key = (s[:k - l + 1], b)
-        out[key] = ring.add(out.get(key, ring.zero()), ring.mul(a, c))
-    return vec_clean(ring, out)
+        key, x = (s[:j + 1], b), mul(a, c)
+        out[key] = x if (y := out.get(key)) is None else add(y, x)
+    return vec_clean(ring, out) if out else out
 
 
 # -- Leibniz rule as an executable identity -----------------------------------
 
 def _subtract(ring, out, chain, a):
-    """out -= a * chain, in place and without cleaning."""
+    """out -= a * chain, in place and uncleaned, as out += (-a) * chain."""
+    add, mul, na = ring.add, ring.mul, ring.neg(a)
     for key, v in chain.items():
-        out[key] = ring.sub(out.get(key, ring.zero()), ring.mul(a, v))
+        x = mul(na, v)
+        out[key] = x if (y := out.get(key)) is None else add(y, x)
 
 
 def leibniz_defect_v1(X, ring, xi, dxi, phi, dphi, k, l):
@@ -203,36 +195,31 @@ def _b_homotopy_plain(ring, u, w, s, b, t, c, coeff):
     nonzero only when u, w sit at the split positions, output the extended
     front face.  This pair has no stalk parts; b and c are ignored, so that
     the three homotopies take the same arguments."""
-    k, l = len(s) - 1, len(t) - 1
-    if k - l + 1 > k:
+    j = len(s) - len(t)  # k - l
+    if len(t) < 2 or s[j] != u or s[j + 1] != w or t != s[j:]:
         return {}
-    if s[k - l] != u or s[k - l + 1] != w:
-        return {}
-    if t != s[k - l:]:
-        return {}
-    return {s[:k - l + 2]: ring.mul(ring.from_int((-1) ** (k - l)), coeff)}
+    return {s[:j + 2]: ring.mul(ring.signs[j & 1], coeff)}
 
 
 def _b_homotopy_v2(ring, u, w, s, b, t, c, coeff):
     """Same homotopy for the second cap: the stalk generator b rides along
     (c is ignored)."""
     out = _b_homotopy_plain(ring, u, w, s, b, t, c, coeff)
-    return {(f, b): v for f, v in out.items()}
+    return {(f, b): v for f, v in out.items()} if out else out
 
 
 def _b_homotopy_v1(ring, u, w, s, b, t, c, coeff):
     """Same homotopy for the first cap: the stalk parts are paired away."""
-    if b != c:
-        return {}
-    return _b_homotopy_plain(ring, u, w, s, b, t, c, coeff)
+    return _b_homotopy_plain(ring, u, w, s, b, t, c, coeff) if b == c else {}
 
 
 def _subtract_resorted(ring, out, res, bt, chain):
     """out -= chain, each label re-sorted through res without a sign: a
     simplex as res[f], a second-cap label (f, b) as (res[f], bt)."""
+    sub, neg = ring.sub, ring.neg
     for label, v in chain.items():
         key = res[label][0] if bt is None else (res[label[0]][0], bt)
-        out[key] = ring.sub(out.get(key, ring.zero()), v)
+        out[key] = neg(v) if (y := out.get(key)) is None else sub(y, v)
 
 
 def swap_incidences(X, ring):
@@ -241,12 +228,11 @@ def swap_incidences(X, ring):
     inside each simplex c), each with the coefficient the homotopy term of
     tp takes: the coface sign times (-1)^(k-l), once for each parity of
     k - l.  No swap changes them, so a sweep builds them once."""
-    signs = (ring.one(), ring.from_int(-1))
     simplices = list(X.all_simplices())
     cofaces = {t: [(tp, ring.from_int(_coface_sign(X, t, tp)))
                    for tp in X.cofaces(t)]
                for t in simplices}
-    faces = {s: [(s[:j] + s[j + 1:], ring.from_int((-1) ** j))
+    faces = {s: [(s[:j] + s[j + 1:], ring.signs[j & 1])
                  for j in range(len(s)) if len(s) > 1]
              for s in simplices}
     # indexed by the parity of k - l first; tuples, as they are smaller
@@ -254,7 +240,7 @@ def swap_incidences(X, ring):
     parity_cofaces = tuple(
         {t: tuple((tp, ring.mul(sign, cs)) for tp, cs in signed)
          for t, signed in cofaces.items()}
-        for sign in signs)
+        for sign in ring.signs)
     cofaces_in = tuple(
         {(t, c): tuple(x for x in signed[t] if set(c).issuperset(x[0]))
          for c in simplices for r in range(1, len(c) + 1)
@@ -321,13 +307,14 @@ class OrientationSwap:
             old = cap_v1(ring, {(s, b): one}, {(t, c): one}, l)
             new = old if same and b2 == b and c2 == c else cap_v1(
                 ring, {(st, b2): one}, {(tt, c2): one}, l)
+        add, mul = ring.add, ring.mul
         out = {}
         for label, v in old.items():
             f, sign = res[label if bt is None else label[0]]
-            key = f if bt is None else (f, bt)
-            out[key] = ring.add(out.get(key, ring.zero()), ring.mul(sign, v))
+            key, x = f if bt is None else (f, bt), mul(sign, v)
+            out[key] = x if (y := out.get(key)) is None else add(y, x)
         if new:
-            _subtract(ring, out, new, ring.mul(s_sign, t_sign))
+            _subtract(ring, out, new, mul(s_sign, t_sign))
         # d~ B(s (x) t*) + B d(s (x) t*), where
         # d(s (x) t*) = ds (x) t* + (-1)^(k-l) s (x) delta t*
         image = homotopy(ring, u, w, s, b, t, c, one)
@@ -343,4 +330,4 @@ class OrientationSwap:
             image = homotopy(ring, u, w, s, b, tp, c, coeff)
             if image:
                 _subtract_resorted(ring, out, res, bt, image)
-        return vec_clean(ring, out)
+        return vec_clean(ring, out) if out else out

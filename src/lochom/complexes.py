@@ -32,8 +32,12 @@ class SimplicialComplex:
             if len(set(s)) != len(s):
                 raise ValueError(f"duplicate vertices in simplex {s!r}")
             vertices.update(s)
-            for sub in _subsets(s):
+            for sub in _subsets(s)[1:]:
                 closed.add(frozenset(sub))
+        self._place(closed, vertices, order)
+
+    def _place(self, simplices, vertices, order):
+        """Check the order (None: the default) and sort each simplex by it."""
         if order is None:
             order = sorted(vertices, key=_default_key)
         self.order = tuple(order)
@@ -45,9 +49,7 @@ class SimplicialComplex:
         self.pos = {v: i for i, v in enumerate(self.order)}
         self._simplices = set()
         self.by_dim = {}
-        for fs in closed:
-            if not fs:
-                continue
+        for fs in simplices:
             tup = tuple(sorted(fs, key=self.pos.__getitem__))
             self._simplices.add(tup)
             self.by_dim.setdefault(len(tup) - 1, []).append(tup)
@@ -131,7 +133,11 @@ class SimplicialComplex:
 
     # -- orientation -------------------------------------------------------
     def with_order(self, new_order):
-        return SimplicialComplex(list(self._simplices), order=new_order)
+        """The same simplices re-sorted into another vertex order."""
+        X = SimplicialComplex.__new__(SimplicialComplex)
+        X._place(self._simplices, {v for v, in self.by_dim.get(0, ())},
+                 new_order)
+        return X
 
     def __repr__(self):
         counts = [len(self.by_dim.get(k, ())) for k in range(self.dim + 1)]
@@ -151,8 +157,8 @@ class Subcomplex:
         self._vc_before = (None, None)
 
     def contains(self, simplex):
-        return (self.parent.contains(simplex)
-                and all(v in self.vertex_set for v in simplex))
+        return (self.vertex_set.issuperset(simplex)
+                and self.parent.contains(simplex))
 
     def simplices(self, k):
         return tuple(s for s in self.parent.simplices(k) if self.contains(s))

@@ -253,23 +253,23 @@ def swap_sweep(X, ring, max_witnesses=3):
     checked = 0
     witnesses = []
     pairs = [(s, b, len(s) - 1) for s, b in _pairs_with_tops(X)]
-    simplices = [(t, len(t) - 1) for t in X.all_simplices()]
+    # per k, the simplices t and pairs (t, c) with dim t <= k, in order
+    upto = {k: ([t for t in X.all_simplices() if len(t) <= k + 1],
+                [(t, c) for t, c, l in pairs if l <= k])
+            for k in range(X.dim + 1)}
     incidences = swap_incidences(X, ring)
     for i in range(len(X.order) - 1):
         swap = OrientationSwap(X, ring, i, incidences)
         u, w, defect = swap.u, swap.w, swap.defect
         for s, b, k in pairs:
-            for t, l in simplices:
-                if l > k:
-                    continue
+            lower, lower_pairs = upto[k]
+            for t in lower:
                 checked += 2
                 if defect(s, t):
                     witnesses.append(("plain", u, w, s, t))
                 if defect(s, t, b):
                     witnesses.append(("v2", u, w, s, b, t))
-            for t, c, l in pairs:
-                if l > k:
-                    continue
+            for t, c in lower_pairs:
                 checked += 1
                 if defect(s, t, b, c):
                     witnesses.append(("v1", u, w, s, b, t, c))

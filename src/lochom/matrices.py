@@ -18,28 +18,26 @@ def vec_clean(ring, v):
 
 
 def vec_add(ring, u, v):
-    out = dict(u)
+    add, out = ring.add, dict(u)
     for k, x in v.items():
-        out[k] = ring.add(out.get(k, ring.zero()), x)
-    return vec_clean(ring, out)
-
-
-def vec_scale(ring, a, v):
-    if ring.is_zero(a):
-        return {}
-    return vec_clean(ring, {k: ring.mul(a, x) for k, x in v.items()})
+        out[k] = x if (y := out.get(k)) is None else add(y, x)
+    return vec_clean(ring, out) if out else out
 
 
 def vec_sub(ring, u, v):
-    return vec_add(ring, u, vec_scale(ring, ring.from_int(-1), v))
-
-
-def vec_is_zero(ring, v):
-    return all(ring.is_zero(x) for x in v.values())
+    sub, neg, out = ring.sub, ring.neg, dict(u)
+    for k, x in v.items():
+        out[k] = neg(x) if (y := out.get(k)) is None else sub(y, x)
+    return vec_clean(ring, out) if out else out
 
 
 def vec_eq(ring, u, v):
-    return vec_is_zero(ring, vec_sub(ring, u, v))
+    """Whether u - v is zero, read term by term without building it."""
+    is_zero, sub = ring.is_zero, ring.sub
+    for k, x in u.items():
+        if not is_zero(x if (y := v.get(k)) is None else sub(x, y)):
+            return False
+    return all(k in u or is_zero(y) for k, y in v.items())
 
 
 def vec_dot(ring, u, v):

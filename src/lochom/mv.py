@@ -18,6 +18,8 @@ Sign conventions (all non-standard signs used in this module):
   * the last-vertex lift carries the sign (-1)^l;
   * capping a degree-l cochain into degree n - l commutes with the
     differentials up to the global sign (-1)^(n-l).
+The structure maps are written as the chain formulas of `caps` are, for the
+identity sweeps that call them once or more per generator.
 """
 
 from .caps import relative_cap
@@ -70,39 +72,39 @@ class MVDoubleComplex:
         """Summand-wise boundary: drop faces of the carrier that no longer
         contain the subcomplex simplex."""
         ring = self.ring
+        add, mul, signs = ring.add, ring.mul, ring.signs
         out = {}
         for (sigma, alpha), v in chain.items():
             s = set(sigma)
             for j in range(len(alpha)):
                 f = alpha[:j] + alpha[j + 1:]
-                if not s.issubset(f):
-                    continue
-                key = (sigma, f)
-                out[key] = ring.add(out.get(key, ring.zero()),
-                                    ring.mul(ring.from_int((-1) ** j), v))
-        return vec_clean(ring, out)
+                if s.issubset(f):
+                    key, x = (sigma, f), mul(signs[j & 1], v)
+                    out[key] = x if (y := out.get(key)) is None else add(y, x)
+        return vec_clean(ring, out) if out else out
 
     def horizontal_i(self, chain):
         """Coboundary in the subcomplex direction: extend sigma by one vertex
         of the carrier, with the sign of the position of the new vertex."""
         ring = self.ring
+        add, mul, signs = ring.add, ring.mul, ring.signs
+        contains, pos = self.L.contains, self.X.pos.__getitem__
         out = {}
         for (sigma, alpha), v in chain.items():
             s = set(sigma)
             for u in alpha:
-                if u in s or not self.L.contains((u,)):
-                    continue
-                bigger = tuple(sorted(sigma + (u,), key=self.X.pos.__getitem__))
-                j = bigger.index(u)
-                key = (bigger, alpha)
-                out[key] = ring.add(out.get(key, ring.zero()),
-                                    ring.mul(ring.from_int((-1) ** j), v))
-        return vec_clean(ring, out)
+                if u not in s and contains((u,)):
+                    bigger = tuple(sorted(sigma + (u,), key=pos))
+                    j = bigger.index(u)
+                    key, x = (bigger, alpha), mul(signs[j & 1], v)
+                    out[key] = x if (y := out.get(key)) is None else add(y, x)
+        return vec_clean(ring, out) if out else out
 
     def total_d(self, chain):
         """(-1)^(k-l) * vertical + horizontal."""
         ring = self.ring
-        twisted = {(s, a): ring.mul(ring.from_int((-1) ** (len(a) - len(s))), v)
+        mul, signs = ring.mul, ring.signs
+        twisted = {(s, a): mul(signs[(len(a) - len(s)) & 1], v)
                    for (s, a), v in chain.items()}
         return vec_add(ring, self.vertical_d(twisted), self.horizontal_i(chain))
 
@@ -112,37 +114,38 @@ class MVDoubleComplex:
         the last vertex of the carrier, with sign (-1)^l; zero on the zeroth
         column."""
         ring = self.ring
+        add, mul, signs = ring.add, ring.mul, ring.signs
         out = {}
         for (sigma, alpha), v in chain.items():
             l = len(sigma) - 1
-            if l == 0 or sigma[-1] != alpha[-1]:
-                continue
-            key = (sigma[:-1], alpha)
-            out[key] = ring.add(out.get(key, ring.zero()),
-                                ring.mul(ring.from_int((-1) ** l), v))
-        return vec_clean(ring, out)
+            if l != 0 and sigma[-1] == alpha[-1]:
+                key, x = (sigma[:-1], alpha), mul(signs[l & 1], v)
+                out[key] = x if (y := out.get(key)) is None else add(y, x)
+        return vec_clean(ring, out) if out else out
 
     def kappa(self, chain):
         """Projection of the zeroth column onto relative chains: keep a
         generator only when its vertex is the last vertex of the carrier."""
         ring = self.ring
+        add = ring.add
         out = {}
         for (sigma, alpha), v in chain.items():
             if len(sigma) == 1 and sigma[0] == alpha[-1]:
-                out[alpha] = ring.add(out.get(alpha, ring.zero()), v)
-        return vec_clean(ring, out)
+                out[alpha] = v if (y := out.get(alpha)) is None else add(y, v)
+        return vec_clean(ring, out) if out else out
 
     def epsilon(self, chain):
         """Augmentation of a relative chain of (X, L^vc) into the zeroth
         column: one component for every vertex of the carrier lying in L."""
         ring = self.ring
+        add, contains = ring.add, self.L.contains
         out = {}
         for alpha, v in chain.items():
             for u in alpha:
-                if self.L.contains((u,)):
+                if contains((u,)):
                     key = ((u,), alpha)
-                    out[key] = ring.add(out.get(key, ring.zero()), v)
-        return vec_clean(ring, out)
+                    out[key] = v if (y := out.get(key)) is None else add(y, v)
+        return vec_clean(ring, out) if out else out
 
     # -- the diagonal shift and its powers -----------------------------------
     def diagonal_shift(self, chain):
@@ -209,14 +212,14 @@ class MVDoubleComplex:
         """Collapse of the total complex onto relative chains of (X, L^vc):
         keep the front face of the carrier when sigma is its back face."""
         ring = self.ring
+        add = ring.add
         out = {}
         for (sigma, alpha), v in chain.items():
-            k, l = len(alpha) - 1, len(sigma) - 1
-            if sigma != alpha[k - l:]:
-                continue
-            front = alpha[:k - l + 1]
-            out[front] = ring.add(out.get(front, ring.zero()), v)
-        return vec_clean(ring, out)
+            j = len(alpha) - len(sigma)  # k - l
+            if sigma == alpha[j:]:
+                front = alpha[:j + 1]
+                out[front] = v if (y := out.get(front)) is None else add(y, v)
+        return vec_clean(ring, out) if out else out
 
     def homotopy_to_identity(self, chain):
         """H with id - shift^power = totald.H + H.totald: the lift summed over

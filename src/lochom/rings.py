@@ -11,9 +11,10 @@ from fractions import Fraction
 class Ring:
     """Base class for the three runtime rings. All arithmetic is exact.
 
-    Each ring defines zero(), one(), from_int(n), add(a, b), neg(a),
-    mul(a, b), is_zero(a), is_unit(a), inv(a) (the inverse of a unit),
-    divmod(a, b) (Euclidean division a = q*b + r with r smaller than b) and
+    Each ring defines zero(), one(), signs = (one(), from_int(-1)) (so that
+    signs[j & 1] is (-1)^j), from_int(n), add(a, b), neg(a), mul(a, b),
+    is_zero(a), is_unit(a), inv(a) (the inverse of a unit), divmod(a, b)
+    (Euclidean division a = q*b + r with r smaller than b) and
     canonical_unit(a) (a unit u such that u*a is the canonical associate of
     a: a positive integer, a monic rational, a nonzero residue normalized to
     itself).  The operations below are built from those."""
@@ -56,9 +57,11 @@ class IntegerRing(Ring):
     # builtins, so a call runs no Python frame; not being functions, they
     # bind no `self` as class attributes
     add = operator.add
+    sub = operator.sub
     neg = operator.neg
     mul = operator.mul
     is_zero = operator.not_
+    signs = (1, -1)
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -102,10 +105,12 @@ class RationalField(Ring):
 
     # builtins, as over Z
     add = operator.add
+    sub = operator.sub
     neg = operator.neg
     mul = operator.mul
     is_zero = operator.not_
     is_unit = operator.truth
+    signs = (_Q_CONSTANTS[1], _Q_CONSTANTS[-1])
 
     def inv(self, a):
         if a == 0:
@@ -157,6 +162,7 @@ class PrimeField(Ring):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
+        self.signs = (1, p - 1)
 
     def zero(self):
         return 0

@@ -14,9 +14,10 @@ from lochom.homology import (ChainComplex, HomologyPresentation,
                              induced_matrix, is_isomorphism)
 from lochom.localhomology import local_complex
 from lochom.matrices import (Matrix, kernel_basis, kernel_coordinates,
-                             smith_normal_form, solve, vec_add, vec_scale)
+                             smith_normal_form, solve, vec_add)
 from lochom.rings import GF, QQ, ZZ, PrimeField, ring_from_name
 from lochom.sheaves import simplicial_chain_complex, simplicial_cochain_complex
+from chain_reference import vec_scale
 from snf_reference import transforms
 
 

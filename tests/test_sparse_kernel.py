@@ -36,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chain_reference
 import dense_reference
 from snf_reference import replayed, transforms
 from lochom import matrices
@@ -181,7 +182,7 @@ def previous_solve(M, b):
         if not ring.is_zero(r):
             return None
         z[M.col_labels[i]] = q
-    if not matrices.vec_is_zero(ring, c):
+    if not chain_reference.vec_is_zero(ring, c):
         return None
     return matrices.vec_clean(ring, s.V.apply(z))
 
@@ -331,7 +332,7 @@ def kernel_cases(draw):
     for extra in range(s.rank + 1):
         vec = {}
         for c in cols[s.rank:]:
-            vec = matrices.vec_add(ring, vec, matrices.vec_scale(
+            vec = matrices.vec_add(ring, vec, chain_reference.vec_scale(
                 ring, draw(small), s.V.column(c)))
         if extra:
             vec = matrices.vec_add(ring, vec, s.V.column(cols[extra - 1]))
