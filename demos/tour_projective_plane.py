@@ -8,7 +8,7 @@ between integral and mod-2 coefficients.
 Run with:  python3 demos/tour_projective_plane.py
 """
 
-from lochom import (GF, ZZ, cm_check, local_homology, rp2_six,
+from lochom import (GF, ZZ, LocalContext, cm_check, rp2_six,
                     simplicial_chain_complex, verify_duality)
 
 
@@ -23,8 +23,9 @@ def main():
         print("  H_%d = %s" % (k, chain.homology(k).rank_summary))
 
     print("\n-- local homology stalks at a vertex and an edge --")
+    local = LocalContext(X, ZZ)
     for s in ((0,), (0, 1)):
-        summaries = {k: local_homology(X, ZZ, s, k).rank_summary
+        summaries = {k: local.complex(s).homology_summary(k)
                      for k in range(3)}
         print("  at %s: %s" % (s, summaries))
 

@@ -18,8 +18,7 @@ from .identities import (collapse_suite, collapse_vs_cap,
                          mv_identity_sweep, swap_sweep)
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, cm_check, link_crosscheck,
-                            local_cm_check, local_cohomology, local_homology,
-                            uct_report)
+                            local_cm_check, uct_report)
 from .matrices import (Matrix, invariant_factors, kernel_basis,
                        smith_normal_form, solve)
 from .mv import (DUALITY_ITEMS, MVDoubleComplex, c_dual, c_dual_reversed,

@@ -12,7 +12,6 @@ usage error.
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -56,8 +55,10 @@ def _jsonable(obj):
         if isinstance(obj, (set, frozenset)):
             items = sorted(items, key=repr)
         return items
-    if isinstance(obj, (bool, int, str)) or obj is None:
+    if isinstance(obj, bool) or obj is None:
         return obj
+    if isinstance(obj, (int, str)):
+        return int(obj) if isinstance(obj, int) else str(obj)
     return repr(obj)
 
 
@@ -93,7 +94,8 @@ def _write(obj, out, pad):
     """Append to `out` (a `_Parts`) the text of `json.dumps(_jsonable(obj),
     sort_keys=True, indent=2)` at indent `pad`, converting and writing in one
     walk: exact dicts, lists, tuples, strs, bools, ints and None are written
-    here, every other value goes through `_jsonable` and `json.dumps`."""
+    here, every other value is converted by `_jsonable` to those types and
+    written the same way."""
     t = type(obj)
     if t is str:
         out.append(_encode_str(obj))
@@ -129,8 +131,7 @@ def _write(obj, out, pad):
                 out.flush()
         out.append(pad + "]")
     else:
-        out.append(json.dumps(_jsonable(obj), sort_keys=True,
-                              indent=2).replace("\n", pad))
+        _write(_jsonable(obj), out, pad)
 
 
 _SCALARS = {None: "null", True: "true", False: "false"}
@@ -207,7 +208,7 @@ def cmd_local(args, ring, X, L, report):
 def cmd_check_cm(args, ring, X, L, report):
     n = report["n"] = args.dim if args.dim is not None else X.dim
     cm = cm_check(X, L, n, ring)
-    report.update({k: _jsonable(v) for k, v in cm.items()})
+    report.update(cm)
     report["verdict"] = cm["locally_cm_at_L"] if L is not None \
         else cm["locally_cm"]
     return report["verdict"]

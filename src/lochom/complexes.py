@@ -212,8 +212,10 @@ def _subsets(s):
 # -- file format --------------------------------------------------------------
 
 def _parse_token(tok):
+    """A vertex token as the int it writes canonically (`str(int(tok)) ==
+    tok`), else as itself: `1_0`, `+2`, `01` and `٣` are not ints."""
     try:
-        return int(tok)
+        return n if str(n := int(tok)) == tok else tok
     except ValueError:
         return tok
 

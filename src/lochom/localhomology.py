@@ -3,15 +3,14 @@
 The local chain complex at a simplex s is the relative complex of the pair
 (X, X minus the open star of s): its degree-k basis is the set of generators
 (s, a) for k-simplices a containing s, and the boundary drops faces that no
-longer contain s.  It is built by position (`LocalComplex`), and only
-a reader that needs labels gets a labelled differential.  The top local
-homology stalks form a sheaf (generator rule (s, a) -> (t, a), killed when
-t is not a face of a); the top local cohomology stalks, presented as
-cokernels of the local coboundary, form a cosheaf.
+longer contain s.  It is built by position alone (`LocalComplex`): a
+generator (s, a) is the place of its carrier a in its level of the star.
+The top local homology stalks form a sheaf (generator rule (s, a) ->
+(t, a), killed when t is not a face of a); the top local cohomology
+stalks, presented as cokernels of the local coboundary, form a cosheaf.
 """
 
-from .homology import (ChainComplex, CokerPresentation, CycleBasis,
-                       FactorSummaries)
+from .homology import CokerPresentation, CycleBasis, FactorSummaries
 from .matrices import Matrix, invariant_factors, kernel_basis, vec_dot
 from .sheaves import simplicial_chain_complex
 
@@ -32,7 +31,7 @@ class LocalComplex(FactorSummaries):
 
     def __init__(self, ring, simplex, levels, memo, link=False):
         self.ring, self.simplex, self.levels = ring, simplex, levels
-        self.memo = {} if memo is None else memo
+        self.memo = memo
         self.low = -1 if link else len(simplex) - 1
         units = (ring.from_int(1), ring.from_int(-1))
         self.entries = [[]]
@@ -63,26 +62,13 @@ class LocalComplex(FactorSummaries):
         return self.keys.get(deg) or (
             (self._size(deg - 1), self._size(deg)), frozenset())
 
-    def basis(self, deg):
-        """The local complex's generators (s, a) in degree deg."""
+    def matrix(self, deg):
+        """d_deg on basis positions, entries in their order."""
         i = deg - self.low
-        return (tuple((self.simplex, a) for a in self.levels[i])
-                if 0 <= i < len(self.levels) else ())
-
-    def differential(self, deg):
-        """The labelled d_deg, built afresh, entries in their order."""
-        rows, cols = self.basis(deg - 1), self.basis(deg)
-        i = deg - self.low
-        return Matrix(self.ring, rows, cols, {
-            (rows[r], cols[c]): v
-            for r, c, v in (self.entries[i] if cols else ())})
-
-    def chain_complex(self):
-        """The labelled `ChainComplex`, for reference computations."""
-        degrees = range(self.low, self.low + len(self.levels))
-        return ChainComplex(self.ring, {k: self.basis(k) for k in degrees},
-                            {k: self.differential(k) for k in degrees},
-                            memo=self.memo)
+        entries = self.entries[i] if 0 <= i < len(self.entries) else ()
+        return Matrix(self.ring, range(self._size(deg - 1)),
+                      range(self._size(deg)),
+                      {(r, c): v for r, c, v in entries})
 
     def link(self):
         """The link's reduced chain complex, from the same levels and memo."""
@@ -90,7 +76,7 @@ class LocalComplex(FactorSummaries):
                             link=True)
 
 
-def local_complex(X, ring, simplex, memo=None):
+def local_complex(X, ring, simplex, memo):
     """The `LocalComplex` at a simplex of X, factored through `memo`."""
     simplex = tuple(simplex)
     if not simplex:
@@ -98,17 +84,6 @@ def local_complex(X, ring, simplex, memo=None):
     if not X.contains(simplex):
         raise ValueError(f"{simplex!r} not in complex")
     return LocalComplex(ring, simplex, X.star_levels(simplex), memo)
-
-
-def local_homology(X, ring, simplex, k):
-    """Degree-k local homology, built afresh (a reference for the tests)."""
-    return local_complex(X, ring, simplex).chain_complex().homology(k)
-
-
-def local_cohomology(X, ring, simplex, k):
-    """Degree-k homology of the evaluation dual of the local chain complex
-    (same labels, transposed differentials)."""
-    return local_complex(X, ring, simplex).chain_complex().dual().homology(k)
 
 
 class LocalContext:
@@ -157,15 +132,10 @@ class LocalContext:
             key, i = cx.key(n), n - cx.low
             stalk = self._stalks.get((dual, key))
             if stalk is None:
-                (rows, cols), _ = key
-                entries = cx.entries[i] if 0 <= i < len(cx.entries) else ()
+                d_n = cx.matrix(n)
                 stalk = self._stalks[dual, key] = (
-                    CokerPresentation(self.ring, Matrix(
-                        self.ring, range(cols), range(rows),
-                        {(c, r): v for r, c, v in entries}), self.memo)
-                    if dual else CycleBasis(Matrix(
-                        self.ring, range(rows), range(cols),
-                        {(r, c): v for r, c, v in entries}), self.memo))
+                    CokerPresentation(self.ring, d_n.transpose(), self.memo)
+                    if dual else CycleBasis(d_n, self.memo))
             found = self._stalks[at] = (
                 stalk, cx.levels[i] if 0 <= i < len(cx.levels) else ())
         return found
@@ -374,7 +344,7 @@ def uct_report(ctx, simplex, n):
                        for k in range(0, ctx.X.dim + 1) if k != n)
     key = cx.key(n)
     if key not in ctx.pairings:
-        d_n = cx.differential(n)
+        d_n = cx.matrix(n)
         cycles = kernel_basis(d_n)
         pres = CokerPresentation(ring, d_n.transpose())
         lifts = [pres.lift(i) for i in range(len(pres))]

@@ -227,5 +227,8 @@ def ring_from_name(name):
     if name == "q":
         return QQ
     if name.startswith("fp:"):
-        return GF(int(name[3:]))
+        if str(p := int(name[3:])) != name[3:]:
+            raise ValueError(f"ring selector {name!r}: write the prime in "
+                             f"plain decimal digits")
+        return GF(p)
     raise ValueError(f"unknown ring selector {name!r} (use z, q, fp:<prime>)")

@@ -43,12 +43,11 @@ def region_simplices(X, region, k):
 
 # -- chain complexes ----------------------------------------------------------
 
-def simplicial_chain_complex(X, ring, region=REGION_X, reduced=False,
-                             memo=None):
-    """Plain simplicial chains of a region, boundary drops faces outside it,
-    factored through `memo` (`ChainComplex`).  Basis labels are the
-    simplices themselves.  `reduced` adds the empty simplex () in degree -1,
-    the augmentation of X or of a sub region (a rel region has none)."""
+def simplicial_chain_complex(X, ring, region=REGION_X, reduced=False):
+    """Plain simplicial chains of a region, boundary drops faces outside it.
+    Basis labels are the simplices themselves.  `reduced` adds the empty
+    simplex () in degree -1, the augmentation of X or of a sub region (a rel
+    region has none)."""
     spaces = {k: region_simplices(X, region, k) for k in range(X.dim + 1)}
     if reduced:
         if region[0] == "rel":
@@ -66,7 +65,7 @@ def simplicial_chain_complex(X, ring, region=REGION_X, reduced=False,
                     entries[(f, s)] = ring.from_int((-1) ** j)
         if spaces[k]:
             diffs[k] = Matrix(ring, tgt, spaces[k], entries)
-    return ChainComplex(ring, spaces, diffs, shift=-1, memo=memo)
+    return ChainComplex(ring, spaces, diffs, shift=-1)
 
 
 def simplicial_cochain_complex(X, ring, region=REGION_X):

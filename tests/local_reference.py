@@ -19,12 +19,16 @@ complexes the labelled way, from the definitions, so the tests can compare:
   on the reference local complexes: a cycle basis of d_n with labels
   (s, a) pushed along (s, a) -> (t, a) where t is a face of a, and a
   cokernel generator of d_n's transpose at t lifted and relabelled
-  (t, a) -> (s, a).
+  (t, a) -> (s, a);
+- `reference_uct_report`: `localhomology.uct_report` as it read the
+  labelled d_n, on the reference local complex, with no memo and no
+  `pairings`.
 """
 
 from lochom.complexes import SimplicialComplex
 from lochom.homology import ChainComplex, CokerPresentation, CycleBasis
-from lochom.matrices import Matrix, vec_clean
+from lochom.matrices import (Matrix, invariant_factors, kernel_basis,
+                             vec_clean, vec_dot)
 
 
 def reference_local_complex(X, ring, simplex):
@@ -101,3 +105,33 @@ def reference_corestriction_step(ring, pres_t, pres_s, simplex):
                      if not ring.is_zero(c)})
     return Matrix.from_columns(ring, tuple(range(len(pres_s))),
                                tuple(range(len(pres_t))), cols)
+
+
+def reference_uct_report(X, ring, simplex, n):
+    """The evaluation pairing at one simplex from the labelled d_n: the
+    cycles of d_n, the cokernel of its transpose, the pairing matrix of the
+    cokernel's lifts against the cycles, and concentration from the
+    reference complex's summaries."""
+    simplex = tuple(simplex)
+    cx = reference_local_complex(X, ring, simplex)
+    concentrated = all(cx.homology_summary(k) == (0, [])
+                       for k in range(0, X.dim + 1) if k != n)
+    d_n = cx.differential(n)
+    cycles = kernel_basis(d_n)
+    pres = CokerPresentation(ring, d_n.transpose())
+    lifts = [pres.lift(i) for i in range(len(pres))]
+    factors = invariant_factors(Matrix(
+        ring, range(len(lifts)), range(len(cycles)),
+        {(i, j): vec_dot(ring, lift, z) for i, lift in enumerate(lifts)
+         for j, z in enumerate(cycles)}))
+    unimodular = (len(factors) == len(lifts) == len(cycles)
+                  and all(ring.is_unit(d) for d in factors))
+    h_rank, (free, torsion) = len(cycles), pres.rank_summary
+    return {
+        "simplex": simplex,
+        "locally_cm_here": concentrated,
+        "h_rank": h_rank,
+        "h_dual_summary": (free, list(torsion)),
+        "pairing_unimodular": unimodular,
+        "ok": concentrated and not torsion and h_rank == free and unimodular,
+    }

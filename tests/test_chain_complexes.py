@@ -83,7 +83,7 @@ def every_built_complex(X, ring, L):
     """Each complex lochom builds from X, its subcomplex L and the ring."""
     ctx = LocalContext(X, ring)
     for s in X.all_simplices():
-        local = local_complex(X, ring, s)
+        local = ctx.complex(s)
         yield as_chain_complex(local)
         yield as_chain_complex(local.link())
     for region in (REGION_X, region_sub(L), region_rel(L)):
@@ -143,7 +143,7 @@ def _flip_one_sign(monkeypatch, module, degree):
 
 @pytest.mark.parametrize("module, flipped, build, named", [
     (localhomology, 2,
-     lambda X: as_chain_complex(local_complex(X, ZZ, (0,))), 2),
+     lambda X: as_chain_complex(local_complex(X, ZZ, (0,), {})), 2),
     (sheaves, 1, lambda X: sheaf_cochain_complex(ConstantSheaf(ZZ, X)), 0),
 ], ids=["local_complex", "coefficient_complex"])
 def test_d_squared_check_names_the_degree_of_a_flipped_sign(

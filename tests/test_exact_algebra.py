@@ -12,12 +12,12 @@ from lochom.fixtures import FIXTURES, bowtie, circle3, rp2_six, sphere2
 from lochom.complexes import SimplicialComplex
 from lochom.homology import (ChainComplex, HomologyPresentation,
                              induced_matrix, is_isomorphism)
-from lochom.localhomology import local_complex
 from lochom.matrices import (Matrix, kernel_basis, kernel_coordinates,
                              smith_normal_form, solve, vec_add)
 from lochom.rings import GF, QQ, ZZ, PrimeField, ring_from_name
 from lochom.sheaves import simplicial_chain_complex, simplicial_cochain_complex
 from chain_reference import vec_scale
+from local_reference import reference_local_complex
 from snf_reference import transforms
 
 
@@ -352,12 +352,12 @@ KERNEL_RINGS = (ZZ, QQ, GF(2), GF(3))
 
 def fixture_and_local_complexes(ring):
     """Every fixture's chain complex and the local complex at each of its
-    simplices, labelled."""
+    simplices, labelled (`local_reference`)."""
     for make in FIXTURES.values():
         X = make()
         yield simplicial_chain_complex(X, ring)
         for s in X.all_simplices():
-            yield local_complex(X, ring, s).chain_complex()
+            yield reference_local_complex(X, ring, s)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)

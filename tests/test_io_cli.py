@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from lochom.cli import FLAGS, _emit, _jsonable, main
-from lochom.complexes import MAX_CLOSURE, parse_complex
+from lochom.complexes import (MAX_CLOSURE, _parse_token, parse_complex,
+                              parse_subcomplex)
 from lochom.fixtures import circle3, hexagon, hexagon_cover_map, rp2_six
 from lochom.io import parse_filtration, parse_map
 from lochom.matrices import Matrix
@@ -53,6 +54,32 @@ def test_filtration_parse():
     assert stages == [[0], [0, 1], [0, 1, 2]]
     with pytest.raises(ValueError):
         parse_filtration("")
+
+
+# tokens `int` reads as 10, 2, 1, 0 and 3, none of them written the
+# canonical way
+NONCANONICAL = ("1_0", "+2", "01", "-0", "٣")
+
+
+@pytest.mark.parametrize("token", [*NONCANONICAL, "a", "0x1"])
+def test_a_noncanonical_token_is_a_name(token):
+    assert _parse_token(token) == token
+
+
+@pytest.mark.parametrize("token", ["0", "7", "10", "-3", str(10 ** 30)])
+def test_a_canonical_token_is_an_int(token):
+    assert _parse_token(token) == int(token)
+    assert type(_parse_token(token)) is int
+
+
+def test_noncanonical_tokens_name_vertices_in_every_file_format():
+    # read as ints, `01` and `02` would be the circle's vertices 1 and 2
+    with pytest.raises(ValueError, match="unknown vertices"):
+        parse_subcomplex("vertices: 01 02", circle3())
+    with pytest.raises(ValueError):
+        parse_map("map: 0 -> 0\nmap: 1 -> 1\nmap: 2 -> 02", circle3(),
+                  circle3())
+    assert parse_filtration("stage: 01\nstage: 01 1") == [["01"], ["01", 1]]
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +244,30 @@ def test_cli_bad_prime_field_exits_2(capsys, p):
                               "--complex", fix("c3.cplx"))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", ["3_1", "٣", "03", "+3", " 3"])
+def test_cli_noncanonical_prime_exits_2(capsys, p):
+    # `int` would read these as 31 and 3
+    code, err = run_cli_error(capsys, "homology", "--ring", "fp:" + p,
+                              "--complex", fix("c3.cplx"))
+    assert code == 2
+    assert err == (f"error: ring selector {'fp:' + p!r}: write the prime in "
+                   "plain decimal digits\n")
+
+
+def test_cli_distinct_tokens_are_distinct_vertices(tmp_path, capsys):
+    # with `1_0` read as 10 and `+2`, `٣` as 2, 3 the three edges below
+    # close up into one circle; they are three disjoint edges
+    path = tmp_path / "edges.cplx"
+    path.write_text("simplex: 1_0 2\nsimplex: 10 3\nsimplex: +2 ٣\n",
+                    encoding="utf-8")
+    code, rep = run_cli(capsys, "homology", "--complex", str(path))
+    assert code == 0
+    assert len(rep["order"]) == 6
+    assert {k: (h["rank"], h["torsion"])
+            for k, h in rep["simplicial"].items()} == {"0": (3, []),
+                                                       "1": (0, [])}
 
 
 EMPTY = "order: 0 1\n"
@@ -397,6 +448,10 @@ class Labels(dict):
     pass
 
 
+class Name(str):
+    pass
+
+
 def writer_cases():
     """Values the report writer must write as `json.dumps` would."""
     fr = Fraction(-3, 4)
@@ -421,7 +476,8 @@ def writer_cases():
         "scalars": [True, False, None, 0, -7, 10 ** 30, 0.1, -2.5e-12,
                     float("inf")],
         "subclasses": [Labels({"b": 1, (1, 2): Labels()}), Degree.TOP,
-                       {"enum": Degree.TOP}],
+                       {"enum": Degree.TOP}, Name("σ"),
+                       {Name("k"): Name("v")}],
         "matrix": m,
         "empty_matrix": Matrix(ZZ, (), ("a",)),
         "presentation": h,

@@ -15,14 +15,23 @@ from lochom.fixtures import (FIXTURES, bowtie, circle3, hexagon, rp2_six,
 from lochom.homology import (ChainComplex, CokerPresentation, CycleBasis,
                             HomologyPresentation)
 from lochom.localhomology import (LocalContext, LocalHomologySheaf, cm_check,
-                                  link_crosscheck, local_cm_check,
-                                  local_cohomology, local_complex,
-                                  local_homology, uct_report)
+                                  link_crosscheck, local_cm_check, uct_report)
 from lochom.rings import GF, QQ, ZZ
 from lochom.simplicialmaps import SimplicialMap, verify_naturality
+from local_reference import reference_local_complex, reference_uct_report
 from test_chain_complexes import COMPLEXES
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+def local_homology(X, ring, s, k):
+    """Degree-k local homology at s, presented on the labelled reference."""
+    return reference_local_complex(X, ring, s).homology(k)
+
+
+def local_cohomology(X, ring, s, k):
+    """The same for the evaluation dual of the reference complex."""
+    return reference_local_complex(X, ring, s).dual().homology(k)
 
 
 def test_circle_stalks():
@@ -62,11 +71,13 @@ def test_bowtie_pinch_point():
 @pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), GF(3)), ids=lambda r: r.name)
 def test_local_factor_summaries_match_presentations(ring):
     # the positional summaries against full presentations of the labelled
-    # complex, on the fixtures, sd(rp6), sd(torus) and random complexes
+    # reference complex, on the fixtures, sd(rp6), sd(torus) and random
+    # complexes
     for fn in COMPLEXES.values():
         X = fn()
+        ctx = LocalContext(X, ring)
         for s in X.all_simplices():
-            cx = local_complex(X, ring, s)
+            cx = ctx.complex(s)
             for k in range(-1, X.dim + 2):
                 assert repr(cx.homology_summary(k)) == repr(
                     local_homology(X, ring, s, k).rank_summary), (s, k)
@@ -202,6 +213,20 @@ def test_uct_report_through_one_context_equals_a_fresh_one(name, ring):
         for s in X.all_simplices():
             assert (uct_report(shared, s, n)
                     == uct_report(LocalContext(X, ring), s, n)), (s, n)
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), GF(3)), ids=lambda r: r.name)
+@pytest.mark.parametrize("name", sorted(UCT_COMPLEXES))
+def test_uct_report_equals_the_labelled_reference(name, ring):
+    # the report read from the positional d_n is the one the labelled d_n
+    # gives, in every field, its value and its type
+    X = UCT_COMPLEXES[name]()
+    for n in (X.dim, X.dim - 1):
+        ctx = LocalContext(X, ring)
+        for s in X.all_simplices():
+            rep = uct_report(ctx, s, n)
+            ref = reference_uct_report(X, ring, s, n)
+            assert rep == ref and repr(rep) == repr(ref), (s, n)
 
 
 @pytest.mark.parametrize("name", ["c3", "hex", "rp6", "t4", "sd_rp6",
@@ -432,7 +457,7 @@ def test_kernel_only_stalks_equal_the_homology_presentations_kernel(name,
             for z in full.cycles:
                 assert (_items_and_types(F.cycle_coordinates(s, z))
                         == _items_and_types(full.cycle_coordinates(z)))
-            d = ctx.complex(s).differential(k)
+            d = reference_local_complex(X, ring, s).differential(k)
             moved = [c for c in d.col_labels if d.column(c)]
             if moved:
                 chain = {moved[0]: ring.one()}

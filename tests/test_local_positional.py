@@ -4,7 +4,9 @@ face pair of the fixtures, sd(rp6), sd(torus) and eight seeded random
 complexes, over ZZ, QQ, GF(2) and GF(3): the local complexes, their links,
 and the steps of the local homology sheaf and cohomology cosheaf.
 Its summaries are checked against full presentations in
-`test_local_homology.test_local_factor_summaries_match_presentations`.
+`test_local_homology.test_local_factor_summaries_match_presentations`, and
+its UCT reports in
+`test_local_homology.test_uct_report_equals_the_labelled_reference`.
 """
 
 import pytest
@@ -33,9 +35,10 @@ def _entries(M):
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
 def test_positional_keys_equal_the_labelled_references(name, ring):
     # each degree's key is `_positions` of the labelled differential, and
-    # the labelled d_n a stalk reads is the reference's, entry order and
-    # entry types included; the link's keys are those of the reduced chains
-    # of the link, with their own signs and the augmentation in degree 0
+    # the positional d_k a stalk reads is the reference's re-keyed to basis
+    # positions, entry order and entry types included; the link's keys are
+    # those of the reduced chains of the link, with their own signs and the
+    # augmentation in degree 0
     X = COMPLEXES[name]()
     ctx = LocalContext(X, ring)
     for s in X.all_simplices():
@@ -44,10 +47,13 @@ def test_positional_keys_equal_the_labelled_references(name, ring):
         for k in range(-1, X.dim + 2):
             d = ref.differential(k)
             assert local.key(k) == _positions(d), (s, k)
-            built = local.differential(k)
+            built = local.matrix(k)
             assert (built.row_labels, built.col_labels) == \
-                (d.row_labels, d.col_labels), (s, k)
-            assert _entries(built) == _entries(d), (s, k)
+                (tuple(range(len(d.row_labels))),
+                 tuple(range(len(d.col_labels)))), (s, k)
+            assert _entries(built) == [
+                ((d.row_index[r], d.col_index[c]), v, type(v))
+                for ((r, c), v, _) in _entries(d)], (s, k)
         link = local.link()
         ref_link = simplicial_chain_complex(link_complex(X, s), ring,
                                             reduced=True)

@@ -35,12 +35,7 @@ SEARCHED = ("src", "demos")
 INIT = os.path.normpath(os.path.join(PACKAGE, "__init__.py"))
 
 # "module.name" -> why it stays with no caller in the program
-REFERENCES = {
-    "localhomology.local_cohomology":
-        "degree-k local cohomology built afresh from the labelled local "
-        "complex: `test_local_homology` holds the summaries the `local` "
-        "command reports to it",
-}
+REFERENCES = {}
 
 # "Class.method" -> where it is read, on a receiver the syntax cannot place
 UNRESOLVED = {

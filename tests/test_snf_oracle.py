@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snf_reference
-from local_reference import as_chain_complex
+from local_reference import as_chain_complex, reference_local_complex
 from snf_reference import transforms
 from lochom.complexes import parse_complex
 from lochom.fixtures import FIXTURES
@@ -143,12 +143,13 @@ def _read(name):
 
 def memo_owners(X, ring):
     """Each memo with the complexes that factor through it: a context's
-    local and link complexes (the local ones labelled, the links with
-    position labels), and the global chains (the cochains are their dual,
-    whose differentials are the transposes)."""
+    local and link complexes (the local ones labelled, as
+    `local_reference` builds them, the links with position labels), and
+    the global chains (the cochains are their dual, whose differentials
+    are the transposes)."""
     ctx = LocalContext(X, ring)
     yield ctx.memo, [cx for s in X.all_simplices() for cx in (
-        ctx.complex(s).chain_complex(), as_chain_complex(
+        reference_local_complex(X, ring, s), as_chain_complex(
             ctx.complex(s).link()))]
     chains = simplicial_chain_complex(X, ring)
     yield chains.memo, [chains]

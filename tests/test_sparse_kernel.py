@@ -249,7 +249,7 @@ def presentations(ring):
     it), each with at least one generator."""
     X = rp2_six()
     yield simplicial_chain_complex(X, ring).homology(1)
-    d_n = LocalContext(X, ring).complex((0,)).differential(X.dim)
+    d_n = LocalContext(X, ring).complex((0,)).matrix(X.dim)
     yield CokerPresentation(ring, d_n.transpose())
 
 
