@@ -5,9 +5,10 @@ identities.  `main` reads and checks the inputs every command shares (the
 ring, a complex with at least one simplex, the subcomplex) and starts the
 report; each command reads its own further files (target, map, filtration),
 runs its verification pipeline and fills in the deterministic JSON report.
-Exit code 0 means every mathematical verdict in the report is true, 1 means
-some verdict is false (including refusals on failed hypotheses), 2 means a
-usage error.
+Each command imports its own pipeline when it runs, so that a run compiles
+only the modules its command needs.  Exit code 0 means every mathematical
+verdict in the report is true, 1 means some verdict is false (including
+refusals on failed hypotheses), 2 means a usage error.
 """
 
 import argparse
@@ -16,22 +17,13 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .complexes import parse_complex, parse_subcomplex
+from .complexes import _parse_token, parse_complex, parse_subcomplex
 from .homology import HomologyPresentation
-from .identities import full_identity_report
-from .io import parse_filtration, parse_map
-from .localhomology import (LocalCohomologyCosheaf, LocalContext,
-                            LocalHomologySheaf, cm_check, link_crosscheck,
-                            local_cm_check, uct_report)
 from .matrices import Matrix
-from .mv import DUALITY_ITEMS, verify_duality
 from .rings import ring_from_name
-from .sectionsduality import (build_restriction_system,
-                              compactly_determined_dual, lf_h0_check,
-                              semistability_check)
-from .sheaves import (REGION_X, cosheaf_chain_complex, region_sub,
-                      sheaf_cochain_complex, simplicial_chain_complex)
-from .simplicialmaps import verify_naturality
+from .sheaves import (DUALITY_ITEMS, REGION_X, cosheaf_chain_complex,
+                      region_sub, sheaf_cochain_complex,
+                      simplicial_chain_complex)
 
 SCHEMA_VERSION = 1
 
@@ -162,6 +154,8 @@ def _read_complex(path):
 
 
 def cmd_homology(args, ring, X, L, report):
+    from .localhomology import (LocalCohomologyCosheaf, LocalContext,
+                                LocalHomologySheaf, local_cm_check)
     n = report["n"] = args.dim if args.dim is not None else X.dim
     region = region_sub(L) if L is not None else REGION_X
     cx = simplicial_chain_complex(X, ring, region)
@@ -184,6 +178,7 @@ def cmd_homology(args, ring, X, L, report):
 
 
 def cmd_local(args, ring, X, L, report):
+    from .localhomology import LocalContext, link_crosscheck, uct_report
     ctx = LocalContext(X, ring)
     stalks = {}
     all_ok = True
@@ -206,6 +201,7 @@ def cmd_local(args, ring, X, L, report):
 
 
 def cmd_check_cm(args, ring, X, L, report):
+    from .localhomology import cm_check
     n = report["n"] = args.dim if args.dim is not None else X.dim
     cm = cm_check(X, L, n, ring)
     report.update(cm)
@@ -215,12 +211,14 @@ def cmd_check_cm(args, ring, X, L, report):
 
 
 def cmd_duality(args, ring, X, L, report):
+    from .mv import verify_duality
     rep = verify_duality(X, L, args.item, ring)
     report.update(rep)
     return bool(rep.get("verdict"))
 
 
 def cmd_naturality(args, ring, X, L, report):
+    from .simplicialmaps import parse_map, verify_naturality
     Y = _read_complex(args.target)
     rep = verify_naturality(_read(args.map, parse_map, X, Y), ring)
     report["target_order"] = list(Y.order)
@@ -229,6 +227,10 @@ def cmd_naturality(args, ring, X, L, report):
 
 
 def cmd_sections(args, ring, X, L, report):
+    from .localhomology import LocalContext
+    from .sectionsduality import (build_restriction_system,
+                                  compactly_determined_dual, lf_h0_check,
+                                  parse_filtration, semistability_check)
     n = report["n"] = args.dim if args.dim is not None else X.dim
     ctx = LocalContext(X, ring)
     lf = lf_h0_check(ctx, L, n)
@@ -248,6 +250,7 @@ def cmd_sections(args, ring, X, L, report):
 
 
 def cmd_identities(args, ring, X, L, report):
+    from .identities import full_identity_report
     rep = full_identity_report(X, L, ring)
     report.update(rep)
     return rep["ok"]
@@ -262,6 +265,15 @@ COMMANDS = {
     "sections": cmd_sections,
     "identities": cmd_identities,
 }
+
+
+def _int(text):
+    """An int option, read by the rule of vertex tokens: only a canonically
+    written int (`str(int(text)) == text`) is one, so `0_1`, `+1` and `١`
+    are refused as `abc` is."""
+    if type(value := _parse_token(text)) is not int:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 # the options each command reads, beyond --ring, --complex and --out
@@ -282,8 +294,8 @@ FLAG_SPECS = {
     "target": {"required": True, "help": "codomain complex file"},
     "item": {"required": True, "choices": sorted(DUALITY_ITEMS),
              "help": "duality item selector"},
-    "dim": {"type": int, "help": "coefficient degree n"},
-    "degree": {"type": int, "help": "restrict report degree"},
+    "dim": {"type": _int, "help": "coefficient degree n"},
+    "degree": {"type": _int, "help": "restrict report degree"},
     "filtration": {"help": "filtration file (stage: lines)"},
 }
 

@@ -1,4 +1,4 @@
-"""Small reference complexes used throughout the test-suite and demos."""
+"""Small reference complexes that the demos build."""
 
 from .complexes import SimplicialComplex
 
@@ -6,22 +6,6 @@ from .complexes import SimplicialComplex
 def circle3():
     """Triangle boundary: the minimal simplicial circle on vertices 0,1,2."""
     return SimplicialComplex([[0, 1], [1, 2], [0, 2]])
-
-
-def triangle():
-    """The full 2-simplex on 0,1,2."""
-    return SimplicialComplex([[0, 1, 2]])
-
-
-def sphere2():
-    """Boundary of the 3-simplex: the minimal simplicial 2-sphere."""
-    return SimplicialComplex([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
-
-
-def bowtie():
-    """Two triangles glued at vertex 0: pure 2-dimensional, link of 0 is
-    disconnected, so not locally top-concentrated there."""
-    return SimplicialComplex([[0, 1, 2], [0, 3, 4]])
 
 
 def rp2_six():
@@ -39,13 +23,3 @@ def hexagon():
 def hexagon_cover_map():
     """Vertex map of the simplicial double cover hexagon -> circle3."""
     return {i: i % 3 for i in range(6)}
-
-
-FIXTURES = {
-    "c3": circle3,
-    "delta2": triangle,
-    "t4": sphere2,
-    "bowtie": bowtie,
-    "rp6": rp2_six,
-    "hex": hexagon,
-}

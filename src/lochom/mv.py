@@ -28,9 +28,9 @@ from .homology import ChainComplex, induced_matrix, is_isomorphism
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, local_cm_check)
 from .matrices import Matrix, vec_add, vec_clean, vec_sub
-from .sheaves import (cosheaf_chain_complex, region_rel, region_sub,
-                      sheaf_cochain_complex, simplicial_chain_complex,
-                      simplicial_cochain_complex)
+from .sheaves import (DUALITY_ITEMS, cosheaf_chain_complex, region_rel,
+                      region_sub, sheaf_cochain_complex,
+                      simplicial_chain_complex, simplicial_cochain_complex)
 
 
 class MVDoubleComplex:
@@ -361,19 +361,6 @@ def project_stalks(G, chain):
 
 
 # -- the eight duality isomorphisms -------------------------------------------
-
-# item -> (cap variant, source region, target region, CM hypothesis, support
-# label of the source / target used in reporting)
-DUALITY_ITEMS = {
-    "1ai":  ("v1", "sub", "rel", "at_L",   "compact", "finite"),
-    "1aii": ("v1", "sub", "rel", "at_L",   "full",    "locally finite"),
-    "1bi":  ("v1", "rel", "sub", "global", "compact", "finite"),
-    "1bii": ("v1", "rel", "sub", "global", "full",    "locally finite"),
-    "2ai":  ("v2", "rel", "sub", "at_Lvc", "compact", "finite"),
-    "2aii": ("v2", "rel", "sub", "at_Lvc", "full",    "locally finite"),
-    "2bi":  ("v2", "sub", "rel", "global", "compact", "finite"),
-    "2bii": ("v2", "sub", "rel", "global", "full",    "locally finite"),
-}
 
 # CM hypothesis kind -> the name a report gives it
 HYPOTHESIS_NAMES = {

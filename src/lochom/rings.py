@@ -7,6 +7,8 @@ a Ring object supplies the operations so matrix code stays ring-generic.
 import operator
 from fractions import Fraction
 
+from .complexes import _parse_token
+
 
 class Ring:
     """Base class for the three runtime rings. All arithmetic is exact.
@@ -227,7 +229,7 @@ def ring_from_name(name):
     if name == "q":
         return QQ
     if name.startswith("fp:"):
-        if str(p := int(name[3:])) != name[3:]:
+        if type(p := _parse_token(name[3:])) is not int:
             raise ValueError(f"ring selector {name!r}: write the prime in "
                              f"plain decimal digits")
         return GF(p)

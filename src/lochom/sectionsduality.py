@@ -12,7 +12,7 @@ strictly shrinking images, as in the doubling system over the integers -- is
 independently testable.
 """
 
-from .complexes import Subcomplex
+from .complexes import Subcomplex, _parse_token, _strip
 from .homology import ChainComplex, induced_matrix, is_isomorphism
 from .localhomology import (LocalCohomologyCosheaf, LocalHomologySheaf,
                             local_cm_check)
@@ -196,6 +196,19 @@ def doubling_system(ring, length):
 
 
 # -- restriction systems from filtrations -------------------------------------
+
+def parse_filtration(text):
+    """Filtration file: repeated `stage: v1 v2 ...` lines, one per stage, in
+    increasing order."""
+    stages = []
+    for line, raw in _strip(text):
+        if not line.startswith("stage:"):
+            raise ValueError(f"unrecognized line {raw!r}")
+        stages.append([_parse_token(t) for t in line[len("stage:"):].split()])
+    if not stages:
+        raise ValueError("filtration file declares no stages")
+    return stages
+
 
 def build_restriction_system(ctx, L, n, filtration):
     """Sections of the top local homology sheaf over an increasing chain of

@@ -26,6 +26,22 @@ def region_rel(L):
     return ("rel", L)
 
 
+# the eight duality items of `mv.verify_duality`, kept here with the region
+# names they use so that the command-line parser reads them without `mv`:
+# item -> (cap variant, source region, target region, CM hypothesis, support
+# label of the source / target used in reporting)
+DUALITY_ITEMS = {
+    "1ai":  ("v1", "sub", "rel", "at_L",   "compact", "finite"),
+    "1aii": ("v1", "sub", "rel", "at_L",   "full",    "locally finite"),
+    "1bi":  ("v1", "rel", "sub", "global", "compact", "finite"),
+    "1bii": ("v1", "rel", "sub", "global", "full",    "locally finite"),
+    "2ai":  ("v2", "rel", "sub", "at_Lvc", "compact", "finite"),
+    "2aii": ("v2", "rel", "sub", "at_Lvc", "full",    "locally finite"),
+    "2bi":  ("v2", "sub", "rel", "global", "compact", "finite"),
+    "2bii": ("v2", "sub", "rel", "global", "full",    "locally finite"),
+}
+
+
 def in_region(X, region, simplex):
     """Whether a simplex of X lies in the region."""
     if region[0] == "X":

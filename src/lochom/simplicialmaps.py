@@ -12,7 +12,7 @@ chains with local-cohomology stalk values (summing over the fibre, inverting
 carriers through the star bijections).
 """
 
-from .complexes import Subcomplex, perm_sign
+from .complexes import Subcomplex, _parse_token, _strip, perm_sign
 from .homology import maps_agree
 from .localhomology import (LocalCohomologyCosheaf, LocalContext,
                             LocalHomologySheaf, local_cm_check)
@@ -72,6 +72,23 @@ class SimplicialMap:
     def is_orientation_preserving(self):
         return all(self.ind(s) == 1 for s in self.source.all_simplices()
                    if self.is_dimension_preserving(s))
+
+
+def parse_map(text, source, target):
+    """Simplicial-map file: one `map: v -> w` line per source vertex."""
+    vm = {}
+    for line, raw in _strip(text):
+        if not line.startswith("map:"):
+            raise ValueError(f"unrecognized line {raw!r}")
+        body = line[len("map:"):]
+        if "->" not in body:
+            raise ValueError(f"missing '->' in line {raw!r}")
+        left, right = body.split("->", 1)
+        v, w = _parse_token(left.strip()), _parse_token(right.strip())
+        if v in vm:
+            raise ValueError(f"vertex {v!r} mapped twice")
+        vm[v] = w
+    return SimplicialMap(source, target, vm)
 
 
 def pushforward_chain(f, chain, ring):

@@ -4,7 +4,7 @@ pass/fail line each."""
 import time
 
 from lochom.complexes import Subcomplex, reorient_vc_before
-from lochom.fixtures import FIXTURES, bowtie, circle3, rp2_six, sphere2
+from lochom.fixtures import circle3, rp2_six
 from lochom.identities import (collapse_suite, collapse_vs_cap, leibniz_sweep,
                                mv_identity_sweep, swap_sweep)
 from lochom.localhomology import LocalContext, link_crosscheck, uct_report
@@ -16,6 +16,7 @@ from lochom.simplicialmaps import (SimplicialMap, check_star_local,
 from lochom.fixtures import hexagon, hexagon_cover_map
 from lochom.sectionsduality import (doubling_system, lf_h0_check,
                                     semistability_check)
+from fixture_complexes import FIXTURES, bowtie, sphere2
 from test_sections_duality import compactly_determined
 
 

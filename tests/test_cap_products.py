@@ -10,13 +10,14 @@ from lochom import caps, identities
 from lochom.caps import (OrientationSwap, cap_plain, cap_v1, cap_v2,
                          relative_cap)
 from lochom.complexes import Subcomplex, parse_complex, reorient_vc_before
-from lochom.fixtures import circle3, rp2_six, sphere2, triangle
+from lochom.fixtures import circle3, rp2_six
 from lochom.homology import induced_matrix
 from lochom.identities import leibniz_sweep, swap_sweep
 from lochom.matrices import Matrix
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import (simplicial_chain_complex,
                             simplicial_cochain_complex)
+from fixture_complexes import sphere2, triangle
 from reorientation import reorientation_iso, resort_plain
 
 

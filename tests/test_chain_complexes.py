@@ -20,7 +20,6 @@ import pytest
 from lochom import localhomology, sheaves
 from lochom.complexes import (SimplicialComplex, Subcomplex, parse_complex,
                               reorient_vc_before)
-from lochom.fixtures import FIXTURES, sphere2
 from lochom.localhomology import (LocalCohomologyCosheaf, LocalContext,
                                   LocalHomologySheaf, local_complex)
 from lochom.matrices import Matrix
@@ -30,6 +29,7 @@ from lochom.sheaves import (REGION_X, cosheaf_chain_complex, region_rel,
                             region_sub, sheaf_cochain_complex,
                             simplicial_chain_complex,
                             simplicial_cochain_complex)
+from fixture_complexes import FIXTURES, sphere2
 from local_reference import as_chain_complex
 from sheaf_reference import ConstantCosheaf, ConstantSheaf
 

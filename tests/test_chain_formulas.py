@@ -25,9 +25,9 @@ import chain_reference as ref
 from lochom import caps, matrices
 from lochom.complexes import (SimplicialComplex, Subcomplex, is_vc_before,
                               parse_complex, reorient_vc_before)
-from lochom.fixtures import FIXTURES
 from lochom.mv import MVDoubleComplex
 from lochom.rings import GF, QQ, ZZ
+from fixture_complexes import FIXTURES
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
 VERTICES = range(6)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from lochom.complexes import (MAX_CLOSURE, SimplicialComplex, Subcomplex,
                               is_vc_before, orient_vc_before, parse_complex,
                               parse_subcomplex, perm_sign, reorient_vc_before)
-from lochom.fixtures import FIXTURES, circle3, sphere2
+from lochom.fixtures import circle3
+from fixture_complexes import FIXTURES, sphere2
 from local_reference import link_complex
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lochom import homology, matrices
-from lochom.fixtures import FIXTURES, bowtie, circle3, rp2_six, sphere2
+from lochom.fixtures import circle3, rp2_six
 from lochom.complexes import SimplicialComplex
 from lochom.homology import (ChainComplex, HomologyPresentation,
                              induced_matrix, is_isomorphism)
@@ -16,6 +16,7 @@ from lochom.matrices import (Matrix, kernel_basis, kernel_coordinates,
                              smith_normal_form, solve, vec_add)
 from lochom.rings import GF, QQ, ZZ, PrimeField, ring_from_name
 from lochom.sheaves import simplicial_chain_complex, simplicial_cochain_complex
+from fixture_complexes import FIXTURES, bowtie, sphere2
 from chain_reference import vec_scale
 from local_reference import reference_local_complex
 from snf_reference import transforms

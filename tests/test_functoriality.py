@@ -5,8 +5,7 @@ import pytest
 
 from lochom import simplicialmaps
 from lochom.complexes import SimplicialComplex
-from lochom.fixtures import (bowtie, circle3, hexagon, hexagon_cover_map,
-                             sphere2)
+from lochom.fixtures import circle3, hexagon, hexagon_cover_map
 from lochom.mv import fundamental_class
 from lochom.rings import GF, QQ, ZZ
 from lochom.simplicialmaps import (SimplicialMap, check_star_local,
@@ -14,6 +13,7 @@ from lochom.simplicialmaps import (SimplicialMap, check_star_local,
                                    shriek_down, shriek_up,
                                    shriek_up_preserves_fundamental_class,
                                    verify_naturality)
+from fixture_complexes import bowtie, sphere2
 from naturality import naturality_defect_v1, naturality_defect_v2
 
 

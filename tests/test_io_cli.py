@@ -13,11 +13,12 @@ from lochom.cli import FLAGS, _emit, _jsonable, main
 from lochom.complexes import (MAX_CLOSURE, _parse_token, parse_complex,
                               parse_subcomplex)
 from lochom.fixtures import circle3, hexagon, hexagon_cover_map, rp2_six
-from lochom.io import parse_filtration, parse_map
 from lochom.matrices import Matrix
 from lochom.mv import DUALITY_ITEMS
 from lochom.rings import QQ, ZZ
+from lochom.sectionsduality import parse_filtration
 from lochom.sheaves import simplicial_chain_complex
+from lochom.simplicialmaps import parse_map
 from test_complex_core import serialize_complex
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -246,14 +247,30 @@ def test_cli_bad_prime_field_exits_2(capsys, p):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("p", ["3_1", "٣", "03", "+3", " 3"])
+@pytest.mark.parametrize("p", ["3_1", "٣", "03", "+3", " 3", "abc", ""])
 def test_cli_noncanonical_prime_exits_2(capsys, p):
-    # `int` would read these as 31 and 3
+    # `int` would read the first five as 31 and 3, and refuse the last two
+    # with a message that names neither --ring nor the accepted forms
     code, err = run_cli_error(capsys, "homology", "--ring", "fp:" + p,
                               "--complex", fix("c3.cplx"))
     assert code == 2
     assert err == (f"error: ring selector {'fp:' + p!r}: write the prime in "
                    "plain decimal digits\n")
+
+
+@pytest.mark.parametrize("value", [*NONCANONICAL, "abc", "1.0"])
+@pytest.mark.parametrize("command, flag", [
+    ("local", "dim"), ("check-cm", "dim"), ("sections", "dim"),
+    ("homology", "dim"), ("homology", "degree")])
+def test_cli_noncanonical_int_option_exits_2(capsys, command, flag, value):
+    # `int` would read NONCANONICAL as 10, 2, 1, 0 and 3; every refusal,
+    # `abc` included, gives argparse's message for a value `int` refuses
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--complex", fix("c3.cplx"), "--" + flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"\nlochom {command}: error: argument --{flag}: "
+                        f"invalid int value: {value!r}\n")
 
 
 def test_cli_distinct_tokens_are_distinct_vertices(tmp_path, capsys):

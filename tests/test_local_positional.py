@@ -14,13 +14,13 @@ import pytest
 from local_reference import (link_complex, reference_corestriction_step,
                              reference_local_complex,
                              reference_restriction_step, reference_stalk)
-from lochom.fixtures import sphere2
 from lochom.homology import CycleBasis
 from lochom.localhomology import (LocalCohomologyCosheaf, LocalContext,
                                   LocalHomologySheaf)
 from lochom.matrices import Matrix, _positions
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import simplicial_chain_complex
+from fixture_complexes import sphere2
 from sheaf_reference import along, step_matrix
 from test_chain_complexes import COMPLEXES
 

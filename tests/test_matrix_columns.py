@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 import snf_reference
 from lochom import matrices
-from lochom.fixtures import rp2_six, sphere2
+from lochom.fixtures import rp2_six
 from lochom.homology import CokerPresentation, CycleBasis
 from lochom.localhomology import LocalContext
 from lochom.matrices import Matrix, invariant_factors, smith_normal_form
 from lochom.rings import GF, QQ, ZZ
+from fixture_complexes import sphere2
 
 RINGS = (ZZ, QQ, GF(2), GF(3), GF(7))
 

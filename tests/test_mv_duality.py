@@ -10,8 +10,7 @@ from lochom import cli, identities, mv
 from lochom.complexes import (SimplicialComplex, Subcomplex, is_vc_before,
                               parse_complex, parse_subcomplex,
                               reorient_vc_before)
-from lochom.fixtures import (bowtie, circle3, hexagon, rp2_six, sphere2,
-                             triangle)
+from lochom.fixtures import circle3, hexagon, rp2_six
 from lochom.homology import ChainComplex
 from lochom.identities import (collapse_suite, collapse_vs_cap,
                                mv_identity_sweep)
@@ -20,6 +19,7 @@ from lochom.matrices import Matrix, vec_add, vec_clean
 from lochom.mv import (DUALITY_ITEMS, MVDoubleComplex, fundamental_class,
                        verify_duality)
 from lochom.rings import GF, QQ, ZZ
+from fixture_complexes import bowtie, sphere2, triangle
 from naturality import naturality_report
 
 

@@ -1,15 +1,16 @@
-"""Every function, method and class in the package has a caller in the
-program: in `src/` (apart from the re-export lines of
-`lochom/__init__.py`) or in `demos/`.  Tests, comments, docstrings and
-string literals are not callers, so code that only tests reach cannot stay
-in the package unnoticed.
+"""Every function, method, class and module-level name in the package has
+a caller in the program: in `src/` (apart from the import lines of
+`lochom/__init__.py`, whose exports are strings too) or in `demos/`.
+Tests, comments, docstrings and string literals are not callers, so code
+and data that only tests reach cannot stay in the package unnoticed.
 
-A function or class counts as used where the syntax of those files refers
-to its name: a name, an attribute `.name` or an import of it, outside the
-function's own body (recursion is no caller).  `REFERENCES` lists the
-definitions kept as documented references for the tests, each with why.
-Dunder methods are exempt.  A class-body assignment `name = property(...)`
-defines a method `name`, checked like any other.
+A function, class or module-level name counts as used where the syntax of
+those files reads its name: a name, an attribute `.name` or an import of
+it, outside the function's own body (recursion is no caller); assigning to
+a name does not read it.  `REFERENCES` lists the definitions kept as
+documented references for the tests, each with why.  Dunder names are
+exempt.  A class-body assignment `name = property(...)` defines a method
+`name`, checked like any other.
 
 A method counts as used only where those files read it as an attribute
 (`.name`) of a receiver that can be its class.  The receiver's class is
@@ -58,9 +59,19 @@ UNRESOLVED = {
 def _python_files(top):
     for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
         for name in sorted(names):
-            path = os.path.normpath(os.path.join(dirpath, name))
-            if name.endswith(".py") and path != INIT:
-                yield path
+            if name.endswith(".py"):
+                yield os.path.normpath(os.path.join(dirpath, name))
+
+
+def _program_tree(path):
+    """The syntax tree of a searched file; the package's `__init__` without
+    its import lines, since importing a name to re-export it is no call."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    if path == INIT:
+        tree.body = [node for node in tree.body
+                     if not isinstance(node, (ast.Import, ast.ImportFrom))]
+    return tree
 
 
 def _definitions():
@@ -73,10 +84,16 @@ def _definitions():
             tree = ast.parse(fh.read())
         owner = {id(node): cls.name for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) for node in cls.body}
+        module_level = {id(node) for node in tree.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 names = [node.name]
+            elif (id(node) in module_level
+                  and isinstance(node, (ast.Assign, ast.AnnAssign))):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
             elif (id(node) in owner and isinstance(node, ast.Assign)
                   and isinstance(node.value, ast.Call)
                   and _name(node.value.func) == "property"):
@@ -150,7 +167,8 @@ def _references(tree):
             inside = inside | {node.name}
         name = (node.name.rpartition(".")[2] if isinstance(node, ast.alias)
                 else _name(node))
-        if name is not None and name not in inside:
+        stored = isinstance(getattr(node, "ctx", None), ast.Store)
+        if name is not None and name not in inside and not stored:
             out.add(name)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
@@ -210,11 +228,8 @@ def _reads(tree, hierarchy):
 
 
 def test_every_definition_has_a_caller():
-    trees = []
-    for top in SEARCHED:
-        for path in _python_files(top):
-            with open(path, encoding="utf-8") as fh:
-                trees.append(ast.parse(fh.read()))
+    trees = [_program_tree(path) for top in SEARCHED
+             for path in _python_files(top)]
     hierarchy = _Hierarchy(trees)
     referenced = set().union(*map(_references, trees))
     reads = [read for tree in trees for read in _reads(tree, hierarchy)]

@@ -9,7 +9,7 @@ import pytest
 from lochom import localhomology, sectionsduality
 from lochom.cli import main
 from lochom.complexes import Subcomplex, parse_complex
-from lochom.fixtures import bowtie, circle3, hexagon, rp2_six, sphere2
+from lochom.fixtures import circle3, hexagon, rp2_six
 from lochom.localhomology import LocalContext, LocalHomologySheaf
 from lochom.matrices import Matrix, smith_normal_form
 from lochom.rings import GF, QQ, ZZ
@@ -18,6 +18,7 @@ from lochom.sectionsduality import (RestrictionSystem,
                                     compactly_determined_dual,
                                     doubling_system, lf_h0_check,
                                     semistability_check)
+from fixture_complexes import bowtie, sphere2
 from test_chain_complexes import COMPLEXES
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from lochom.complexes import Subcomplex
-from lochom.fixtures import FIXTURES, circle3, sphere2, triangle
+from lochom.fixtures import circle3
 from lochom.localhomology import (LocalCohomologyCosheaf, LocalContext,
                                   LocalHomologySheaf, link_crosscheck)
 from lochom import matrices
@@ -17,6 +17,7 @@ from lochom.sheaves import (cosheaf_chain_complex, region_rel, region_sub,
                             sections, sheaf_cochain_complex,
                             simplicial_chain_complex,
                             simplicial_cochain_complex)
+from fixture_complexes import FIXTURES, sphere2, triangle
 from reorientation import reorientation_iso
 from sheaf_reference import (ConstantCosheaf, ConstantSheaf, along,
                              check_functorial, step_matrix)

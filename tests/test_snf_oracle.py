@@ -19,12 +19,12 @@ import snf_reference
 from local_reference import as_chain_complex, reference_local_complex
 from snf_reference import transforms
 from lochom.complexes import parse_complex
-from lochom.fixtures import FIXTURES
 from lochom.localhomology import LocalContext
 from lochom.matrices import (Matrix, _positions, factored, factors,
                              invariant_factors, smith_normal_form)
 from lochom.rings import GF, QQ, ZZ
 from lochom.sheaves import simplicial_chain_complex
+from fixture_complexes import FIXTURES
 
 RINGS = (ZZ, QQ, GF(2), GF(3), GF(7))
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
