@@ -25,9 +25,7 @@ def main():
     print("\n-- local homology stalks at a vertex and an edge --")
     local = LocalContext(X, ZZ)
     for s in ((0,), (0, 1)):
-        summaries = {k: local.complex(s).homology_summary(k)
-                     for k in range(3)}
-        print("  at %s: %s" % (s, summaries))
+        print("  at %s: %s" % (s, local.summaries(s)))
 
     rep = cm_check(X, None, 2, ZZ)
     print("\n-- locally Cohen-Macaulay over Z:", rep["locally_cm"])

@@ -182,13 +182,9 @@ def cmd_local(args, ring, X, L, report):
     ctx = LocalContext(X, ring)
     stalks = {}
     all_ok = True
-    degrees = range(X.dim + 1)
     for s in X.all_simplices():
-        cx = ctx.complex(s)
-        entry = {"local_homology": {k: cx.homology_summary(k)
-                                    for k in degrees},
-                 "local_cohomology": {k: cx.cohomology_summary(k)
-                                      for k in degrees},
+        entry = {"local_homology": ctx.summaries(s),
+                 "local_cohomology": ctx.summaries(s, dual=True),
                  "link_crosscheck": link_crosscheck(ctx, s)}
         if args.dim is not None:
             entry["uct"] = uct_report(ctx, s, args.dim)

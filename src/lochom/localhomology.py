@@ -25,7 +25,10 @@ class LocalComplex(FactorSummaries):
     column by column as (row position, column position, +-1): each face of
     a dropping a vertex outside s, signed by its index in a, or for the
     link in a minus s.  `keys[deg]` is its `matrices._positions`, all the
-    summaries read, through `memo`.  It holds no `LocalContext`."""
+    summaries read, through `memo`; `type`, the low degree, the level count
+    and the keys in degree order, fixes every `_size` and `_key`, so two
+    complexes of one type have equal summaries in every degree.  It holds
+    no `LocalContext`."""
 
     shift = -1
 
@@ -52,6 +55,10 @@ class LocalComplex(FactorSummaries):
             self.keys[self.low + i] = ((len(row), len(levels[i])),
                                        frozenset(entries))
         self._factors = {}
+
+    @property
+    def type(self):
+        return (self.low, len(self.levels), tuple(self.keys.values()))
 
     def _size(self, deg):
         i = deg - self.low
@@ -91,8 +98,12 @@ class LocalContext:
     the local chain complex at each simplex; the stalks the sheaf views
     read, by position; `memo`, one factorization of each matrix these and
     the link complexes eliminate (`matrices.factored`: the local complexes
-    come in few combinatorial types); and `pairings`, one `uct_report`
-    result per top local differential.  A stalk is built once per distinct
+    come in few combinatorial types); the rows of local summaries, each
+    half (homology, cohomology) in degrees 0..dim X built once per
+    `LocalComplex.type` on its first read, the same dicts at every simplex
+    of that type; `crosschecks`, one `link_crosscheck` verdict per pair of
+    local and link types; and `pairings`, one `uct_report` result per top
+    local differential.  A stalk is built once per distinct
     `LocalComplex.key(n)`, on d_n with basis positions for labels: a
     `CycleBasis` for the sheaf, a `CokerPresentation` of d_n's transpose
     for the cosheaf; a simplex reads it through its own degree-n level, so
@@ -108,6 +119,9 @@ class LocalContext:
         # (simplex, n, dual) -> (stalk, level); (dual, key) -> the stalk
         self._stalks = {}
         self.memo = {}
+        # (dual, type) -> {degree: summary}
+        self._rows = {}
+        self.crosschecks = {}
         self.pairings = {}
 
     def complex(self, simplex):
@@ -118,6 +132,19 @@ class LocalContext:
             cx = self._complexes[simplex] = local_complex(
                 self.X, self.ring, simplex, self.memo)
         return cx
+
+    def summaries(self, simplex, dual=False):
+        """{k: summary} over degrees 0..dim X of the local homology at a
+        simplex, or with dual of its local cohomology: the row of its
+        complex's type, built from the first complex of that type."""
+        cx = self.complex(simplex)
+        at = (dual, cx.type)
+        row = self._rows.get(at)
+        if row is None:
+            summary = cx.cohomology_summary if dual else cx.homology_summary
+            row = self._rows[at] = {k: summary(k)
+                                    for k in range(self.X.dim + 1)}
+        return row
 
     def positional_stalk(self, simplex, n, dual):
         """(stalk, level): the degree-n local cycles at a simplex as a
@@ -145,11 +172,18 @@ def link_crosscheck(ctx, simplex):
     """True iff h_i(s) matches the reduced homology of the link shifted by
     dim s + 1, as free rank + torsion, in every degree.  Both sides are
     summaries from invariant factors, of the local complex and of its
-    `link`, built from the same star."""
+    `link`, built from the same star at every simplex; each side's type
+    fixes its summaries, so they are compared once per pair of types
+    (`ctx.crosschecks`)."""
     local = ctx.complex(simplex)
     link = local.link()
-    return all(local.homology_summary(i) == link.homology_summary(
-        i - local.low - 1) for i in range(-1, ctx.X.dim + 1))
+    at = (local.type, link.type)
+    ok = ctx.crosschecks.get(at)
+    if ok is None:
+        ok = ctx.crosschecks[at] = all(
+            local.homology_summary(i) == link.homology_summary(
+                i - local.low - 1) for i in range(-1, ctx.X.dim + 1))
+    return ok
 
 
 def local_cm_check(ctx, L, n):
@@ -158,8 +192,8 @@ def local_cm_check(ctx, L, n):
     locally_cm_at_L: local homology concentrated in degree n at every simplex
     of L (of X when L is None); locally_cm: the same at every simplex of X;
     witnesses lists each failing (simplex, degree, rank summary), read from
-    invariant factors alone.  Callers that read only these skip the global
-    homology `cm_check` adds.
+    the context's homology rows, in simplex order, then degree.  Callers
+    that read only these skip the global homology `cm_check` adds.
     """
     X = ctx.X
     if X.dim < 0:
@@ -169,11 +203,8 @@ def local_cm_check(ctx, L, n):
     locally_cm = True
     for s in X.all_simplices():
         in_L = L is None or L.contains(s)
-        for k in range(0, X.dim + 1):
-            if k == n:
-                continue
-            summary = ctx.complex(s).homology_summary(k)
-            if summary != (0, []):
+        for k, summary in ctx.summaries(s).items():
+            if k != n and summary != (0, []):
                 witnesses.append((s, k, summary))
                 locally_cm = False
                 if in_L:
@@ -334,14 +365,16 @@ class LocalCohomologyCosheaf(_LocalView):
 def uct_report(ctx, simplex, n):
     """Evaluation pairing between top local cohomology and the dual of top
     local homology at one simplex: both must be free of equal rank with a
-    unimodular pairing matrix.  All but the concentration is read from d_n
-    alone, by eliminations that read it by position, so a hit in `pairings`,
-    one small result (no SNF) per d_n by position, is exact."""
+    unimodular pairing matrix.  The concentration is read from the context's
+    homology row; all else from d_n alone, by eliminations that read it by
+    position, so a hit in `pairings`, one small result (no SNF) per d_n by
+    position, is exact."""
     simplex = tuple(simplex)
     ring = ctx.ring
     cx = ctx.complex(simplex)
-    concentrated = all(cx.homology_summary(k) == (0, [])
-                       for k in range(0, ctx.X.dim + 1) if k != n)
+    concentrated = all(summary == (0, [])
+                       for k, summary in ctx.summaries(simplex).items()
+                       if k != n)
     key = cx.key(n)
     if key not in ctx.pairings:
         d_n = cx.matrix(n)

@@ -22,7 +22,12 @@ complexes the labelled way, from the definitions, so the tests can compare:
   (t, a) -> (s, a);
 - `reference_uct_report`: `localhomology.uct_report` as it read the
   labelled d_n, on the reference local complex, with no memo and no
-  `pairings`.
+  `pairings`;
+- `reference_link_crosscheck`, `reference_local_cm_check` and
+  `reference_concentration`: the link cross-check, the local CM check and
+  the UCT report's concentration as they read each simplex's own
+  positional complex, before the context kept one row of summaries per
+  star type.
 """
 
 from lochom.complexes import SimplicialComplex
@@ -135,3 +140,42 @@ def reference_uct_report(X, ring, simplex, n):
         "pairing_unimodular": unimodular,
         "ok": concentrated and not torsion and h_rank == free and unimodular,
     }
+
+
+def reference_link_crosscheck(ctx, simplex):
+    """`localhomology.link_crosscheck` as it compared the summaries of the
+    local complex and of its link afresh at every simplex."""
+    local = ctx.complex(simplex)
+    link = local.link()
+    return all(local.homology_summary(i) == link.homology_summary(
+        i - local.low - 1) for i in range(-1, ctx.X.dim + 1))
+
+
+def reference_local_cm_check(ctx, L, n):
+    """`localhomology.local_cm_check` as it asked each simplex's complex for
+    its summaries, degree by degree."""
+    X = ctx.X
+    witnesses = []
+    locally_cm_at_L = True
+    locally_cm = True
+    for s in X.all_simplices():
+        in_L = L is None or L.contains(s)
+        for k in range(0, X.dim + 1):
+            if k == n:
+                continue
+            summary = ctx.complex(s).homology_summary(k)
+            if summary != (0, []):
+                witnesses.append((s, k, summary))
+                locally_cm = False
+                if in_L:
+                    locally_cm_at_L = False
+    return {"locally_cm_at_L": locally_cm_at_L, "locally_cm": locally_cm,
+            "witnesses": witnesses}
+
+
+def reference_concentration(ctx, simplex, n):
+    """`localhomology.uct_report`'s locally_cm_here, read from the
+    simplex's own complex."""
+    cx = ctx.complex(simplex)
+    return all(cx.homology_summary(k) == (0, [])
+               for k in range(0, ctx.X.dim + 1) if k != n)

@@ -11,7 +11,7 @@ from lochom.cli import main
 from lochom.complexes import SimplicialComplex, Subcomplex
 from lochom.fixtures import circle3, hexagon, rp2_six
 from lochom.homology import (ChainComplex, CokerPresentation, CycleBasis,
-                            HomologyPresentation)
+                            FactorSummaries, HomologyPresentation)
 from lochom.localhomology import (LocalContext, LocalHomologySheaf, cm_check,
                                   link_crosscheck, local_cm_check, uct_report)
 from lochom.rings import GF, QQ, ZZ
@@ -192,6 +192,29 @@ def test_local_dim_2_on_sd_torus_eliminates_53_matrices(monkeypatch,
                  os.path.join(FIXDIR, "sd_torus.cplx"),
                  "--out", str(tmp_path / "report.json")]) == 0
     assert runs[0] == 53
+
+
+@pytest.mark.parametrize("command, calls", [(["local", "--dim", "2"], 154),
+                                            (["check-cm"], 36)])
+def test_local_summaries_are_computed_once_per_star_type(
+        monkeypatch, tmp_path, command, calls):
+    # sd(rp6)'s 181 local complexes come in 11 types: `local` builds one row
+    # of 3 homology and 3 cohomology summaries per type and compares the 4
+    # degrees of each side of the link cross-check once per pair of types
+    # (2,896 summaries asked simplex by simplex); `check-cm` builds only
+    # the homology rows, plus 3 reduced global summaries (365 before)
+    runs = [0]
+    summary = FactorSummaries._summary
+
+    def counted(self, *args):
+        runs[0] += 1
+        return summary(self, *args)
+
+    monkeypatch.setattr(FactorSummaries, "_summary", counted)
+    assert main([*command, "--ring", "z", "--complex",
+                 os.path.join(FIXDIR, "sd_rp6.cplx"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert runs[0] == calls
 
 
 # the top local differentials at vertices 0 and 5 have one shape, 4 x 3,
