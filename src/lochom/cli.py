@@ -8,7 +8,8 @@ runs its verification pipeline and fills in the deterministic JSON report.
 Each command imports its own pipeline when it runs, so that a run compiles
 only the modules its command needs.  Exit code 0 means every mathematical
 verdict in the report is true, 1 means some verdict is false (including
-refusals on failed hypotheses), 2 means a usage error.
+refusals on failed hypotheses), 2 means a usage error or a file that cannot
+be read or, for the report, written.
 """
 
 import argparse
@@ -67,15 +68,19 @@ def _key(k):
 
 class _Parts(list):
     """Parts of a report's text, written to `fh` a slice at a time, so that
-    the text of a large report is never held whole."""
+    the text of a large report is never held whole.  `memo` is the text
+    memo of one report (see `_write`); a side buffer (`fh` None) shares its
+    report's memo and keeps its text, since that text is stored."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, memo=None):
         super().__init__()
         self.fh = fh
+        self.memo = {} if memo is None else memo
 
     def flush(self):
-        self.fh.write("".join(self))
-        self.clear()
+        if self.fh is not None:
+            self.fh.write("".join(self))
+            self.clear()
 
 
 # parts a report holds before they are written out
@@ -87,7 +92,19 @@ def _write(obj, out, pad):
     sort_keys=True, indent=2)` at indent `pad`, converting and writing in one
     walk: exact dicts, lists, tuples, strs, bools, ints and None are written
     here, every other value is converted by `_jsonable` to those types and
-    written the same way."""
+    written the same way.
+
+    A dict the report reaches more than once (a `local` report holds one
+    row per star type at every simplex of that type) is walked at most
+    twice: `out.memo` maps (id, pad) to the dict on its first sight, when it
+    is written as any other; on its second sight it is written into a side
+    buffer, and (dict, text) is stored; every later sight appends the
+    stored text.  A hit is exact: the text at one indent is a function of
+    the dict's contents, which no one changes while the report is written,
+    and the memo holds each dict it records, so no other object can take
+    its id (a dict `_jsonable` makes inside the walk is held as well) until
+    the memo is dropped with its `_Parts`.  Only the text of dicts met
+    twice is kept."""
     t = type(obj)
     if t is str:
         out.append(_encode_str(obj))
@@ -99,16 +116,31 @@ def _write(obj, out, pad):
         if not obj:
             out.append("{}")
             return
+        memo = out.memo
+        key = (id(obj), pad)
+        seen = memo.get(key)
+        if seen is None:
+            memo[key] = obj
+            dest = out
+        elif seen is obj:
+            dest = _Parts(None, memo)
+        else:
+            out.append(seen[1])
+            return
         inner = pad + "  "
         sep = "{"
         items = {_key(k): v for k, v in obj.items()}
         for k in sorted(items):
-            out.append(sep + inner + _encode_str(k) + ": ")
-            _write(items[k], out, inner)
+            dest.append(sep + inner + _encode_str(k) + ": ")
+            _write(items[k], dest, inner)
             sep = ","
-            if len(out) > _SLICE:
-                out.flush()
-        out.append(pad + "}")
+            if len(dest) > _SLICE:
+                dest.flush()
+        dest.append(pad + "}")
+        if dest is not out:
+            text = "".join(dest)
+            memo[key] = (obj, text)
+            out.append(text)
     elif t is list or t is tuple:
         if not obj:
             out.append("[]")
@@ -333,10 +365,10 @@ def main(argv=None):
         report = {"schema": SCHEMA_VERSION, "command": args.command,
                   "ring": ring.name, order: list(X.order)}
         ok = COMMANDS[args.command](args, ring, X, L, report)
+        _emit(report, args.out)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(report, args.out)
     return 0 if ok else 1
 
 

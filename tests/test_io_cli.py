@@ -470,12 +470,30 @@ class Name(str):
 
 
 def writer_cases():
-    """Values the report writer must write as `json.dumps` would."""
+    """Values the report writer must write as `json.dumps` would.  The
+    `shared_*` cases reach one dict several times, which the writer's text
+    memo writes from its stored text; `temporaries` and `temporary_sets`
+    hold values `_jsonable` converts inside the walk, whose ids a freed
+    conversion hands on to the next one."""
     fr = Fraction(-3, 4)
     m = Matrix(QQ, ((0,), (1,)), ("a", "b", "c"),
                {((0,), "a"): fr, ((1,), "c"): Fraction(5)})
     h = simplicial_chain_complex(rp2_six(), ZZ).homology(1)
+    row = {0: (1, []), 2: (0, [2, fr]), "n": {"k": None}}
+    inner = {"k": (1, [2]), "m": m}
+    outer = {"i": inner, "j": [inner, {"i": inner}], "row": row}
+    # more than _SLICE parts of text on its first and second sight, so both
+    # cross a flush of the main buffer
+    wide = {i: [i, str(i)] for i in range(700)}
     return {
+        "shared_thrice": [row, row, row, row],
+        "shared_two_indents": {"top": row, "deep": [row, [row, [row]]],
+                               "also": row},
+        "shared_nested": [outer, outer, outer, inner, [inner, [outer]]],
+        "shared_across_flush": [wide, wide, wide, {"w": wide}],
+        "temporaries": [Labels({"k": i}) for i in range(64)],
+        "temporary_sets": [[{Fraction(i, 7)}, {Fraction(-i, 3), Fraction(1)}]
+                           for i in range(64)],
         "fraction": {"x": fr, "list": [fr, Fraction(0)]},
         "sets": {"set": {(1, 2), (0,), (2, 1, 0)},
                  "frozen": frozenset({("b",), ("a", 1)}),
@@ -502,6 +520,17 @@ def writer_cases():
     }
 
 
+def assert_same_text(got, expected):
+    """got == expected; a mismatch names the first line that differs, where
+    pytest's own diff of two long reports would take minutes."""
+    if got != expected:
+        a, b = got.splitlines(), expected.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                 min(len(a), len(b)))
+        pytest.fail(f"line {i + 1} of {len(a)} against {len(b)}: "
+                    f"{a[i:i + 1]} != {b[i:i + 1]}")
+
+
 @pytest.mark.parametrize("name", sorted(writer_cases()))
 def test_report_writer_matches_json_dumps(tmp_path, capsys, name):
     # the reference is the writer this one replaced
@@ -511,9 +540,20 @@ def test_report_writer_matches_json_dumps(tmp_path, capsys, name):
                               indent=2) + "\n"
         out = tmp_path / "report.json"
         _emit(report, str(out))
-        assert out.read_text(encoding="utf-8") == expected
+        assert_same_text(out.read_text(encoding="utf-8"), expected)
         _emit(report, None)
-        assert capsys.readouterr().out == expected
+        assert_same_text(capsys.readouterr().out, expected)
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, where):
+    # a report that cannot be written is a file error, not a false verdict
+    out = tmp_path / "nosuch" / "r.json" if where != "directory" else tmp_path
+    code, err = run_cli_error(capsys, "local", "--complex", fix("c3.cplx"),
+                              "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"{str(out)!r}\n")
 
 
 def test_cli_dim_above_the_complex_is_a_verdict_not_an_error(capsys):

@@ -162,3 +162,16 @@ def test_the_entry_point_exits_2_on_bad_input():
     assert proc.returncode == 2
     assert proc.stderr == ("error: ring selector 'fp:abc': write the prime in "
                            "plain decimal digits\n")
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_the_entry_point_exits_2_on_an_unwritable_report(tmp_path, capsys,
+                                                        where):
+    out = tmp_path / "nosuch" / "r.json" if where != "directory" else tmp_path
+    argv = ["local", "--complex", fix("c3.cplx"), "--out", str(out)]
+    proc = fresh_python("-m", "lochom.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", proc.stderr)
