@@ -69,8 +69,9 @@ def _key(k):
 class _Parts(list):
     """Parts of a report's text, written to `fh` a slice at a time, so that
     the text of a large report is never held whole.  `memo` is the text
-    memo of one report (see `_write`); a side buffer (`fh` None) shares its
-    report's memo and keeps its text, since that text is stored."""
+    memo of one report (see `_write`), made by `_emit` with the report's
+    buffer and dropped with it when `_emit` returns; a side buffer (`fh`
+    None) shares its report's memo and keeps its text, which is stored."""
 
     def __init__(self, fh, memo=None):
         super().__init__()
@@ -365,8 +366,12 @@ def main(argv=None):
         report = {"schema": SCHEMA_VERSION, "command": args.command,
                   "ring": ring.name, order: list(X.order)}
         ok = COMMANDS[args.command](args, ring, X, L, report)
-        _emit(report, args.out)
     except (OSError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0 if ok else 1

@@ -95,6 +95,6 @@ def test_local_report_walks_each_shared_row_at_most_twice(monkeypatch,
     sights = collections.Counter(
         id(entry[half]) for entry in report["simplices"].values()
         for half in ("local_homology", "local_cohomology"))
-    assert len(sights) <= 22 and max(sights.values()) > 2
+    assert max(sights.values()) > 2
     assert {row: walks[row] for row in sights} == {
         row: min(n, 2) for row, n in sights.items()}
